@@ -1,6 +1,5 @@
 """Exact distance spectra of graphs via orbit-partition quotient matrices."""
 
-from orbitspectra._kernels import backend_name
 from orbitspectra.exactla import (
     IntMatrix,
     IntPolynomial,

@@ -10,10 +10,8 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from orbitspectra.graphs import (
@@ -185,14 +183,6 @@ def _parse_connections(text):
         raise UsageError(f"bad connection set {text!r}: expected e.g. '1,2'") from None
 
 
-def _thread_count():
-    raw = os.environ.get("ORBITSPECTRA_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _load_graph(config):
     if config.input_path is not None:
         try:
@@ -291,34 +281,21 @@ def cmd_scan(config, out):
     if config.family is None:
         raise UsageError("scan needs --family")
     reports = []
-    workers = _thread_count()
-
-    def one(n):
+    for n in config.n_values:
         start = time.monotonic()
         g, description = build_family(config.family, n, config.k, config.connections)
-        report = is_distance_integral(g, config.method, description=description)
-        return n, report, time.monotonic() - start
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(one, config.n_values))
-    else:
-        reports = [one(n) for n in config.n_values]
-
-    for n, _, elapsed in reports:
-        print(f"n={n}: {elapsed:.3f}s", file=sys.stderr)
+        reports.append((n, _spectrum_report(config, g, description, n)))
+        print(f"n={n}: {time.monotonic() - start:.3f}s", file=sys.stderr)
 
     if config.fmt == "json":
-        out.write(
-            json.dumps([r.to_json_dict() for _, r, _ in reports], indent=2) + "\n"
-        )
+        out.write(json.dumps([r.to_json_dict() for _, r in reports], indent=2) + "\n")
     elif config.fmt == "csv":
         rows = []
-        for n, report, _ in reports:
+        for n, report in reports:
             rows.extend(_csv_rows(report, n))
         _emit_csv(rows, out)
     else:
-        for k, (n, report, _) in enumerate(reports):
+        for k, (n, report) in enumerate(reports):
             if k:
                 out.write("\n")
             for line in _report_lines(report):

@@ -9,8 +9,6 @@ Rational values appear only in vectors (eigenvectors, kernel bases).
 from fractions import Fraction
 from math import gcd, isqrt
 
-from orbitspectra._kernels import bareiss_echelon, berkowitz_charpoly
-
 # scanning this many candidate roots is cheap; anything larger needs a
 # divisor-enumerable tail coefficient or a caller-supplied bound
 _SCAN_LIMIT = 2_000_000
@@ -223,6 +221,86 @@ class RationalVector:
 
     def __repr__(self):
         return f"RationalVector({[str(x) for x in self.entries]})"
+
+
+def bareiss_echelon(rows):
+    """Fraction-free Gaussian elimination (one-step Bareiss).
+
+    Returns (rank, sign, pivot_cols, echelon) where ``echelon`` is the
+    integer row-echelon array after forward elimination and ``sign``
+    tracks row swaps. All intermediate divisions are exact. The pivot
+    rule is the first nonzero entry in column order.
+    """
+    a = [list(row) for row in rows]
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    pivot_cols = []
+    sign = 1
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        k = r
+        while k < nrows and a[k][c] == 0:
+            k += 1
+        if k == nrows:
+            continue
+        if k != r:
+            a[k], a[r] = a[r], a[k]
+            sign = -sign
+        arow = a[r]
+        piv = arow[c]
+        for i in range(r + 1, nrows):
+            irow = a[i]
+            head = irow[c]
+            if head == 0:
+                for j in range(c + 1, ncols):
+                    irow[j] = (piv * irow[j]) // prev
+            else:
+                for j in range(c + 1, ncols):
+                    irow[j] = (piv * irow[j] - head * arow[j]) // prev
+                irow[c] = 0
+        prev = piv
+        pivot_cols.append(c)
+        r += 1
+    return r, sign, pivot_cols, a
+
+
+def berkowitz_charpoly(rows):
+    """Characteristic polynomial of a square integer matrix, division-free.
+
+    Returns the monic coefficient list, highest degree first. Works from
+    the trailing 1x1 principal submatrix outward: at each step the
+    coefficient vector is multiplied by a lower-triangular Toeplitz
+    matrix whose first column is built from -a, -R C, -R M C, ...
+    """
+    n = len(rows)
+    poly = [1]
+    for start in range(n - 1, -1, -1):
+        m = n - start
+        a = rows[start][start]
+        col = [1, -a]
+        if m > 1:
+            r_vec = rows[start][start + 1:]
+            v = [rows[i][start] for i in range(start + 1, n)]
+            sub = [rows[i][start + 1:] for i in range(start + 1, n)]
+            for k in range(m - 1):
+                s = 0
+                for x, y in zip(r_vec, v):
+                    s += x * y
+                col.append(-s)
+                if k < m - 2:
+                    v = [sum(x * y for x, y in zip(mr, v)) for mr in sub]
+        # poly <- Toeplitz(col) . poly  ((m+1) x m lower-triangular)
+        new = []
+        for i in range(m + 1):
+            s = 0
+            for j in range(min(i, m - 1) + 1):
+                s += col[i - j] * poly[j]
+            new.append(s)
+        poly = new
+    return poly
 
 
 def char_poly(m: IntMatrix) -> IntPolynomial:

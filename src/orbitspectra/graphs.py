@@ -6,9 +6,9 @@ subsets in colex order) so that matrices derived from them are
 reproducible run to run.
 """
 
+from bisect import bisect_left
+from collections import deque
 from typing import NamedTuple
-
-from orbitspectra._kernels import bfs_all_pairs
 
 
 class DisconnectedGraphError(ValueError):
@@ -79,7 +79,9 @@ class Graph:
         return self.vertex_labels[v]
 
     def has_edge(self, u, v):
-        return v in set(self._adj[u])
+        nbrs = self._adj[u]
+        k = bisect_left(nbrs, v)
+        return k < len(nbrs) and nbrs[k] == v
 
     def __eq__(self, other):
         return (
@@ -261,6 +263,28 @@ class DistanceMatrix:
 
     def __repr__(self):
         return f"DistanceMatrix(order={self.order})"
+
+
+def bfs_all_pairs(n, adj):
+    """All-pairs shortest path lengths by BFS from every source.
+
+    ``adj`` is a list of neighbor lists. Unreachable vertices are
+    reported as -1; the caller decides whether that is an error.
+    """
+    dist = []
+    for src in range(n):
+        row = [-1] * n
+        row[src] = 0
+        queue = deque((src,))
+        while queue:
+            u = queue.popleft()
+            du = row[u] + 1
+            for w in adj[u]:
+                if row[w] < 0:
+                    row[w] = du
+                    queue.append(w)
+        dist.append(row)
+    return dist
 
 
 def all_pairs_distances(g):

@@ -239,12 +239,13 @@ class TestUsageErrors:
         assert "disconnected" in err
 
     def test_quotient_assisted_unwired_family(self, capsys):
-        status, _, err = run(
-            capsys,
-            "spectrum", "--family", "crown", "--n", "4",
-            "--method", "quotient-assisted",
-        )
-        assert status == 2
+        for argv in (
+            ("spectrum", "--family", "crown", "--n", "4"),
+            ("scan", "--family", "crown", "--n", "3..4"),
+        ):
+            status, out, err = run(capsys, *argv, "--method", "quotient-assisted")
+            assert status == 2, argv
+            assert out == "" and "--stabilizer-gens" in err, argv
 
     def test_single_graph_commands_reject_ranges(self, capsys):
         for argv in (
@@ -280,9 +281,18 @@ class TestScanCommand:
         # timing goes to stderr so stdout stays deterministic
         assert "n=3:" in err and "s" in err
 
-    def test_threads_do_not_change_results(self, capsys, monkeypatch):
-        argv = ("scan", "--family", "cycle", "--n", "3..6", "--format", "json")
-        _, sequential, _ = run(capsys, *argv)
-        monkeypatch.setenv("ORBITSPECTRA_THREADS", "4")
-        _, threaded, _ = run(capsys, *argv)
-        assert sequential == threaded
+    def test_quotient_assisted_rows_match_spectrum(self, capsys):
+        status, scanned, _ = run(
+            capsys, "scan", "--family", "lcr", "--n", "5..6",
+            "--method", "quotient-assisted", "--format", "csv",
+        )
+        assert status == 0
+        expected = []
+        for n in (5, 6):
+            status, single, _ = run(
+                capsys, "spectrum", "--family", "lcr", "--n", str(n),
+                "--method", "quotient-assisted", "--format", "csv",
+            )
+            assert status == 0
+            expected.extend(single.strip().splitlines()[1:])
+        assert scanned.strip().splitlines()[1:] == expected

@@ -25,6 +25,14 @@ from orbitspectra.graphs import (
 
 
 class TestGraphType:
+    def test_has_edge_agrees_with_edges(self):
+        # vertex 4 is isolated; vertex 0's largest neighbour is 2, below 3 and 4
+        g = Graph(5, [(0, 1), (0, 2), (1, 3), (2, 3)])
+        edges = set(g.edges())
+        for u in range(5):
+            for v in range(5):
+                assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in edges)
+
     def test_adjacency_is_symmetric_and_sorted(self):
         g = Graph(4, [(2, 0), (0, 1), (3, 1)])
         assert g.neighbors(0) == (1, 2)

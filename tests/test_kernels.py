@@ -1,112 +1,21 @@
-"""Parity between the pure-Python kernels and the compiled extension."""
+"""Hand-checked cases for the three hot kernels: BFS, Bareiss, Berkowitz."""
 
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from orbitspectra import _pykernels
-from orbitspectra._kernels import backend_name
-
-try:
-    from orbitspectra import _ckernels
-except ImportError:
-    _ckernels = None
-
-backends = [_pykernels] + ([_ckernels] if _ckernels is not None else [])
-
-
-def test_backend_is_reported():
-    assert backend_name() in ("python", "c")
-
-
-def random_adjacency(draw, max_n=9):
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    pairs = draw(
-        st.sets(
-            st.tuples(
-                st.integers(min_value=0, max_value=n - 1),
-                st.integers(min_value=0, max_value=n - 1),
-            ).filter(lambda e: e[0] < e[1]),
-            max_size=n * (n - 1) // 2,
-        )
-    )
-    adj = [[] for _ in range(n)]
-    for u, v in sorted(pairs):
-        adj[u].append(v)
-        adj[v].append(u)
-    return n, adj
-
-
-@st.composite
-def graphs_strategy(draw):
-    return random_adjacency(draw)
-
-
-@st.composite
-def matrices_strategy(draw, max_n=6, low=-9, high=9):
-    rows = draw(st.integers(min_value=1, max_value=max_n))
-    cols = draw(st.integers(min_value=1, max_value=max_n))
-    return draw(
-        st.lists(
-            st.lists(st.integers(low, high), min_size=cols, max_size=cols),
-            min_size=rows,
-            max_size=rows,
-        )
-    )
-
-
-@st.composite
-def square_matrices_strategy(draw, max_n=6):
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    return draw(
-        st.lists(
-            st.lists(st.integers(-9, 9), min_size=n, max_size=n),
-            min_size=n,
-            max_size=n,
-        )
-    )
+from orbitspectra.exactla import bareiss_echelon, berkowitz_charpoly
+from orbitspectra.graphs import bfs_all_pairs
 
 
 class TestPureKernels:
     def test_bfs_marks_unreachable(self):
-        dist = _pykernels.bfs_all_pairs(3, [[1], [0], []])
+        dist = bfs_all_pairs(3, [[1], [0], []])
         assert dist[0] == [0, 1, -1]
         assert dist[2] == [-1, -1, 0]
 
     def test_bareiss_on_singular_matrix(self):
-        r, sign, pivots, ech = _pykernels.bareiss_echelon([[1, 2], [2, 4]])
+        r, sign, pivots, ech = bareiss_echelon([[1, 2], [2, 4]])
         assert r == 1
         assert pivots == [0]
         assert ech[1] == [0, 0]
 
     def test_berkowitz_on_companion_like_matrix(self):
         # det(xI - [[0,1],[1,0]]) = x^2 - 1
-        assert _pykernels.berkowitz_charpoly([[0, 1], [1, 0]]) == [1, 0, -1]
-
-
-@pytest.mark.skipif(_ckernels is None, reason="compiled backend not built")
-class TestBackendParity:
-    @given(graphs_strategy())
-    @settings(max_examples=80, deadline=None)
-    def test_bfs(self, case):
-        n, adj = case
-        assert _ckernels.bfs_all_pairs(n, adj) == _pykernels.bfs_all_pairs(n, adj)
-
-    @given(matrices_strategy())
-    @settings(max_examples=120, deadline=None)
-    def test_bareiss(self, rows):
-        assert _ckernels.bareiss_echelon(rows) == _pykernels.bareiss_echelon(rows)
-
-    @given(square_matrices_strategy())
-    @settings(max_examples=120, deadline=None)
-    def test_berkowitz(self, rows):
-        assert _ckernels.berkowitz_charpoly(rows) == _pykernels.berkowitz_charpoly(rows)
-
-    def test_big_integer_growth_stays_exact(self):
-        # 12x12 with entries up to 40: intermediates far beyond machine range
-        rows = [
-            [((7 * i + 11 * j * j + 3) % 81) - 40 for j in range(12)]
-            for i in range(12)
-        ]
-        assert _ckernels.berkowitz_charpoly(rows) == _pykernels.berkowitz_charpoly(rows)
-        assert _ckernels.bareiss_echelon(rows) == _pykernels.bareiss_echelon(rows)
+        assert berkowitz_charpoly([[0, 1], [1, 0]]) == [1, 0, -1]
