@@ -2,7 +2,8 @@
 
 Exit codes: 0 for success (including a clean "not integral" finding),
 1 when a verification is mathematically refuted, 2 for usage or input
-errors. Output on stdout is byte-identical across runs for identical
+errors, 3 for an internal error (two exact computations that must agree
+did not). Output on stdout is byte-identical across runs for identical
 inputs; timing goes to stderr.
 """
 
@@ -559,6 +560,9 @@ def main(argv=None) -> int:
             return 1
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

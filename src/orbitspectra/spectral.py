@@ -12,10 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from orbitspectra.exactla import (
+    SCREEN_PRIME,
     IntMatrix,
     IntPolynomial,
     RationalVector,
     char_poly,
+    charpoly_mod,
     eigen_multiplicity,
     integer_roots,
     mat_vec,
@@ -81,7 +83,7 @@ class Spectrum:
     """Exact spectrum: integer eigenvalues with multiplicities, plus an
     optional residual factor witnessing non-integrality."""
 
-    __slots__ = ("integer_part", "residual", "order")
+    __slots__ = ("integer_part", "residual", "order", "trace")
 
     def __init__(self, integer_part, residual, order, trace=0):
         integer_part = tuple((int(v), int(m)) for v, m in integer_part)
@@ -91,25 +93,38 @@ class Spectrum:
             raise ValueError("multiplicities must be positive")
         if residual is not None and residual.degree == 0:
             residual = None
-        total = sum(m for _, m in integer_part)
-        res_deg = 0
-        weighted = sum(v * m for v, m in integer_part)
         if residual is not None:
             if residual.degree < 2:
                 raise ValueError("residual factor must have degree >= 2")
             if residual.leading_coefficient != 1:
                 raise ValueError("residual factor must be monic")
-            res_deg = residual.degree
-            weighted += -residual.coefficients[-2]
+        self.integer_part = integer_part
+        self.residual = residual
+        self.order = order
+        self.trace = trace
+        total, res_deg = self.multiplicity_sum, self.residual_degree
         if total + res_deg != order:
             raise ValueError(
                 f"multiplicities ({total}) + residual degree ({res_deg}) != order ({order})"
             )
-        if weighted != trace:
-            raise ValueError(f"eigenvalue sum {weighted} != trace {trace}")
-        self.integer_part = integer_part
-        self.residual = residual
-        self.order = order
+        if self.eigenvalue_sum != trace:
+            raise ValueError(f"eigenvalue sum {self.eigenvalue_sum} != trace {trace}")
+
+    @property
+    def multiplicity_sum(self):
+        return sum(m for _, m in self.integer_part)
+
+    @property
+    def residual_degree(self):
+        return 0 if self.residual is None else self.residual.degree
+
+    @property
+    def eigenvalue_sum(self):
+        """Sum of all eigenvalues with multiplicity, residual roots included."""
+        weighted = sum(v * m for v, m in self.integer_part)
+        if self.residual is not None:
+            weighted -= self.residual.coefficients[-2]
+        return weighted
 
     @property
     def is_integral(self):
@@ -311,9 +326,17 @@ def symmetrize_eigenvector(
 
 
 def _sweep_integer_eigenvalues(matrix, order, rho):
+    # chi_D(lam) != 0 mod p implies chi_D(lam) != 0, so D - lam I is
+    # nonsingular; only the survivors get an exact rank
+    chi = charpoly_mod(matrix.entries, SCREEN_PRIME)
     pairs = []
     remaining = order
     for lam in range(-rho, rho + 1):
+        value = 0
+        for c in reversed(chi):
+            value = (value * lam + c) % SCREEN_PRIME
+        if value:
+            continue
         mult = eigen_multiplicity(matrix, lam)
         if mult:
             pairs.append((lam, mult))
@@ -323,39 +346,47 @@ def _sweep_integer_eigenvalues(matrix, order, rho):
     return pairs, remaining
 
 
+def _spectrum_with_residual(matrix, rho, pairs):
+    """Spectrum from det(xI - D), checked against rank-certified pairs."""
+    roots, residual = integer_roots(char_poly(matrix), bound=rho)
+    if roots != pairs:
+        # symmetric matrices have equal geometric and algebraic
+        # multiplicities, so the two routes must agree exactly
+        raise ArithmeticError("rank certification and characteristic polynomial disagree")
+    return Spectrum(roots, residual, matrix.rows, matrix.trace())
+
+
 def distance_spectrum(
     g, method="rank-sweep", partition=None, transitive_gens=None
 ) -> Spectrum:
     """Complete exact distance spectrum of a connected graph.
 
-    rank-sweep tests every integer in [-rho, rho] (rho = max row sum, a
-    spectral radius bound) by exact rank, falling back to the
-    characteristic polynomial for a residual when the multiplicities
-    do not exhaust the order. char-poly always expands det(xI - D).
+    rank-sweep screens every integer in [-rho, rho] (rho = max row sum,
+    a spectral radius bound) against det(xI - D) mod a prime, and gives
+    each survivor an exact rank. char-poly always expands det(xI - D).
     quotient-assisted takes eigenvalue candidates from a supplied
-    singleton-cell orbit partition of a vertex-transitive graph.
+    singleton-cell orbit partition of a vertex-transitive graph. When
+    the certified multiplicities do not exhaust the order, rank-sweep
+    and quotient-assisted expand det(xI - D) for the residual factor and
+    require its integer roots to equal the certified ones.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     d = all_pairs_distances(g)
     matrix = IntMatrix(d.rows)
     order = d.order
+    trace = matrix.trace()
     rho = max(d.row_sums())
 
     if method == "rank-sweep":
         pairs, remaining = _sweep_integer_eigenvalues(matrix, order, rho)
         if remaining == 0:
-            return Spectrum(pairs, None, order)
-        roots, residual = integer_roots(char_poly(matrix), bound=rho)
-        if roots != pairs:
-            # symmetric matrices have equal geometric and algebraic
-            # multiplicities, so the two routes must agree exactly
-            raise ArithmeticError("rank sweep and characteristic polynomial disagree")
-        return Spectrum(roots, residual, order)
+            return Spectrum(pairs, None, order, trace)
+        return _spectrum_with_residual(matrix, rho, pairs)
 
     if method == "char-poly":
         roots, residual = integer_roots(char_poly(matrix), bound=rho)
-        return Spectrum(roots, residual, order)
+        return Spectrum(roots, residual, order, trace)
 
     # quotient-assisted
     if partition is None or transitive_gens is None:
@@ -377,12 +408,8 @@ def distance_spectrum(
             pairs.append((lam, mult))
             total += mult
     if q_residual.degree >= 1 or total != order:
-        raise ValueError(
-            "quotient-assisted candidates do not exhaust the spectrum "
-            f"(covered {total} of {order}); the graph is likely not "
-            "distance integral"
-        )
-    return Spectrum(pairs, None, order)
+        return _spectrum_with_residual(matrix, rho, pairs)
+    return Spectrum(pairs, None, order, trace)
 
 
 def is_distance_integral(
@@ -392,13 +419,19 @@ def is_distance_integral(
     spectrum = distance_spectrum(
         g, method, partition=partition, transitive_gens=transitive_gens
     )
+    total, res_deg = spectrum.multiplicity_sum, spectrum.residual_degree
     checks = [
         Check(
             "spectrum-complete",
-            True,
-            f"multiplicities + residual degree = {spectrum.order}",
+            total + res_deg == spectrum.order,
+            f"multiplicities {total} + residual degree {res_deg} = order {spectrum.order}",
         ),
-        Check("trace-zero", True, "weighted eigenvalue sum equals 0"),
+        Check(
+            "trace-zero",
+            spectrum.eigenvalue_sum == spectrum.trace,
+            f"weighted eigenvalue sum {spectrum.eigenvalue_sum} "
+            f"equals trace {spectrum.trace}",
+        ),
     ]
     return IntegralityReport(
         graph=description or repr(g),

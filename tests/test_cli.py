@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from orbitspectra import spectral
 from orbitspectra.cli import format_edge_list, main, parse_edge_list
 from orbitspectra.graphs import build_crown
 from orbitspectra.spectral import distance_spectrum
@@ -95,6 +96,39 @@ class TestSpectrumCommand:
         )
         assert status == 0
         assert "distinct: -4 -1 0 9" in out
+
+    def test_quotient_assisted_reports_residual(self, capsys):
+        # the heptagon is not distance integral: both methods give the
+        # Perron value plus a degree-6 residual factor
+        status, out, _ = run(
+            capsys,
+            "spectrum", "--family", "cycle", "--n", "7",
+            "--method", "quotient-assisted",
+            "--stabilizer-gens", "(2 7)(3 6)(4 5)",
+            "--transitive-gens", "(1 2 3 4 5 6 7)",
+        )
+        assert status == 0
+        status_rank, out_rank, _ = run(capsys, "spectrum", "--family", "cycle", "--n", "7")
+        assert status_rank == 0
+
+        def lines(text):
+            return [
+                line for line in text.splitlines()
+                if line.startswith(("eigenvalues:", "residual:"))
+            ]
+
+        assert len(lines(out)) == 2
+        assert lines(out) == lines(out_rank)
+        assert "NOT distance integral" in out
+
+    def test_internal_disagreement_exits_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            spectral, "integer_roots", lambda p, bound: ([(0, 1)], p)
+        )
+        status, out, err = run(capsys, "spectrum", "--family", "cycle", "--n", "7")
+        assert status == 3
+        assert out == ""
+        assert err.startswith("internal error:")
 
     def test_bad_generator_notation_exits_two(self, capsys):
         status, _, err = run(

@@ -12,10 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitspectra.exactla import (
+    SCREEN_PRIME,
     IntMatrix,
     IntPolynomial,
     RationalVector,
+    berkowitz_charpoly,
     char_poly,
+    charpoly_mod,
     det,
     eigen_multiplicity,
     integer_roots,
@@ -29,8 +32,8 @@ from orbitspectra.spectral import lcr_quotient_closed_form
 small_entries = st.integers(min_value=-8, max_value=8)
 
 
-def square_matrices(max_n=4, entries=small_entries):
-    return st.integers(min_value=1, max_value=max_n).flatmap(
+def square_matrices(max_n=4, entries=small_entries, min_n=1):
+    return st.integers(min_value=min_n, max_value=max_n).flatmap(
         lambda n: st.lists(
             st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
         )
@@ -139,6 +142,52 @@ class TestCharPoly:
         if n >= 1:
             assert p.coefficients[n - 1] == -m.trace()
         assert p.coefficients[0] == (-1) ** n * det(m)
+
+
+# zero patterns that leave Hessenberg columns without a pivot
+SHAPES = {
+    "full": lambda i, j, n: True,
+    "diagonal": lambda i, j, n: i == j,
+    "upper": lambda i, j, n: i <= j,
+    "lower": lambda i, j, n: i >= j,
+    "block": lambda i, j, n: (i < n // 2) == (j < n // 2),
+}
+
+
+def berkowitz_mod(rows, p):
+    return [c % p for c in reversed(berkowitz_charpoly(rows))]
+
+
+class TestCharPolyMod:
+    def test_empty_matrix(self):
+        assert charpoly_mod([], SCREEN_PRIME) == [1]
+
+    def test_closed_form_quotient_at_n4(self):
+        rows = lcr_quotient_closed_form(4).entries
+        for p in (SCREEN_PRIME, 7):
+            assert charpoly_mod(rows, p) == berkowitz_mod(rows, p)
+
+    def test_zero_residue_at_every_eigenvalue(self):
+        rows = all_pairs_distances(build_lcr(5)).rows
+        chi = IntPolynomial(charpoly_mod(rows, SCREEN_PRIME))
+        for lam in (-6, -2, -1, 1, 33):
+            assert chi.evaluate(lam) % SCREEN_PRIME == 0
+        assert chi.evaluate(0) % SCREEN_PRIME != 0
+
+    @given(
+        square_matrices(max_n=8, min_n=0),
+        st.sampled_from(sorted(SHAPES)),
+        st.sampled_from([SCREEN_PRIME, 7]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_berkowitz_mod_p(self, m, shape, p):
+        keep = SHAPES[shape]
+        n = m.rows
+        rows = [
+            [x if keep(i, j, n) else 0 for j, x in enumerate(row)]
+            for i, row in enumerate(m.entries)
+        ]
+        assert charpoly_mod(rows, p) == berkowitz_mod(rows, p)
 
 
 class TestIntegerRoots:

@@ -1,7 +1,10 @@
 """Quotient matrices, eigenvector transport, and the spectrum pipeline."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from orbitspectra import spectral
 from orbitspectra.exactla import (
     IntMatrix,
     IntPolynomial,
@@ -16,6 +19,7 @@ from orbitspectra.exactla import (
 from orbitspectra.graphs import (
     DistanceMatrix,
     all_pairs_distances,
+    build_circulant,
     build_crown,
     build_cycle,
     build_johnson,
@@ -324,16 +328,44 @@ class TestDistanceSpectrum:
             s_rank = distance_spectrum(g, "rank-sweep")
             s_char = distance_spectrum(g, "char-poly")
             assert s_rank == s_char, name
-            if s_rank.is_integral:
-                s_quot = distance_spectrum(
-                    g, "quotient-assisted", partition=pi, transitive_gens=gens
-                )
-                assert s_rank == s_quot, name
-            else:
-                with pytest.raises(ValueError, match="not exhaust"):
-                    distance_spectrum(
-                        g, "quotient-assisted", partition=pi, transitive_gens=gens
-                    )
+            s_quot = distance_spectrum(
+                g, "quotient-assisted", partition=pi, transitive_gens=gens
+            )
+            assert s_rank == s_quot, name
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=3, max_value=14).flatmap(
+            lambda n: st.tuples(
+                st.just(n), st.sets(st.integers(min_value=1, max_value=n // 2))
+            )
+        )
+    )
+    def test_methods_agree_on_circulants(self, n_and_conns):
+        # connection 1 makes the circulant connected
+        n, conns = n_and_conns
+        g = build_circulant(n, conns | {1})
+        s_rank = distance_spectrum(g, "rank-sweep")
+        assert s_rank == distance_spectrum(g, "char-poly")
+        s_quot = distance_spectrum(
+            g,
+            "quotient-assisted",
+            partition=orbits(GeneratorSet.of(reflection_perm(n))),
+            transitive_gens=GeneratorSet.of(rotation_perm(n)),
+        )
+        assert s_rank == s_quot
+
+    def test_screen_leaves_one_rank_per_eigenvalue(self, monkeypatch):
+        calls = []
+
+        def counting(matrix, lam):
+            calls.append(lam)
+            return eigen_multiplicity(matrix, lam)
+
+        monkeypatch.setattr(spectral, "eigen_multiplicity", counting)
+        s = distance_spectrum(build_lcr(5), "rank-sweep")
+        assert calls == [-6, -2, -1, 1, 33]
+        assert s == distance_spectrum(build_lcr(5), "char-poly")
 
     def test_quotient_assisted_requires_inputs(self):
         g = build_lcr(4)
@@ -462,6 +494,14 @@ class TestIntegralityReports:
         assert report.spectrum.residual.degree >= 2
         payload = report.to_json_dict()
         assert payload["residual_coefficients"][0] == "7776"
+
+    def test_ledger_details_come_from_the_spectrum(self):
+        report = is_distance_integral(build_cycle(7), description="cycle n=7")
+        assert report.spectrum.trace == 0
+        complete, trace = report.checks
+        assert complete.passed and trace.passed
+        assert complete.detail == "multiplicities 1 + residual degree 6 = order 7"
+        assert trace.detail == "weighted eigenvalue sum 0 equals trace 0"
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_crowns_are_integral(self, n):
