@@ -13,7 +13,6 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from orbitspectra.graphs import (
     Graph,
@@ -26,14 +25,13 @@ from orbitspectra.graphs import (
     build_lcr,
     build_line_graph,
     is_distance_regular,
-    pair_vertices,
 )
 from orbitspectra.spectral import (
     METHODS,
-    STABILIZER_CELL_REPS,
     VerificationError,
     is_distance_integral,
     lcr_quotient_closed_form,
+    lcr_stabilizer_partition,
     quotient_matrix,
     verify_lcr,
 )
@@ -57,30 +55,6 @@ class EdgeListError(ValueError):
 
 
 FAMILIES = ("crown", "lcr", "cycle", "complete", "johnson", "line-johnson", "circulant")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: a single graph source plus output options."""
-
-    command: str
-    family: str | None
-    input_path: str | None
-    n_values: tuple
-    k: int | None
-    connections: tuple
-    method: str
-    fmt: str
-    output: str | None
-    stabilizer_gens: str | None = None
-    transitive_gens: str | None = None
-
-    def __post_init__(self):
-        if (self.family is None) == (self.input_path is None) and self.command not in (
-            "verify-lcr",
-            "quotient",
-        ):
-            raise UsageError("exactly one graph source: --family with --n, or --input")
 
 
 def parse_edge_list(text) -> Graph:
@@ -184,16 +158,15 @@ def _parse_connections(text):
         raise UsageError(f"bad connection set {text!r}: expected e.g. '1,2'") from None
 
 
-def _load_graph(config):
-    if config.input_path is not None:
+def _load_graph(args):
+    if args.input is not None:
         try:
-            with open(config.input_path, encoding="utf-8") as fh:
+            with open(args.input, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise UsageError(f"cannot read {config.input_path}: {exc}") from exc
-        return parse_edge_list(text), config.input_path
-    n = config.n_values[0]
-    return build_family(config.family, n, config.k, config.connections)
+            raise UsageError(f"cannot read {args.input}: {exc}") from exc
+        return parse_edge_list(text), args.input
+    return build_family(args.family, args.n_values[0], args.k, args.connections)
 
 
 def _report_lines(report):
@@ -227,94 +200,82 @@ def _parse_generator_list(text, degree):
     return GeneratorSet.of(*perms)
 
 
-def _spectrum_report(config, g, description, n):
-    if config.method != "quotient-assisted":
-        return is_distance_integral(g, config.method, description=description)
-    if config.stabilizer_gens and config.transitive_gens:
-        stab = _parse_generator_list(config.stabilizer_gens, g.vertex_count)
-        trans = _parse_generator_list(config.transitive_gens, g.vertex_count)
-        return is_distance_integral(
-            g,
-            "quotient-assisted",
-            description=description,
-            partition=orbits(stab),
-            transitive_gens=trans,
-        )
-    if config.family == "lcr":
-        return is_distance_integral(
-            g,
-            "quotient-assisted",
-            description=description,
-            partition=orbits(lcr_stabilizer_gens(n)),
-            transitive_gens=lcr_automorphism_gens(n),
-        )
-    raise UsageError(
-        "quotient-assisted spectra need --stabilizer-gens and --transitive-gens "
-        "(cycle notation over 1-based vertex numbers); only --family lcr has "
-        "them built in"
+def _spectrum_report(args, g, description, n):
+    partition = transitive = None
+    if args.method == "quotient-assisted":
+        if args.stabilizer_gens and args.transitive_gens:
+            partition = orbits(_parse_generator_list(args.stabilizer_gens, g.vertex_count))
+            transitive = _parse_generator_list(args.transitive_gens, g.vertex_count)
+        elif args.family == "lcr":
+            # any cell order will do here: the quotient only supplies candidates
+            partition = orbits(lcr_stabilizer_gens(n))
+            transitive = lcr_automorphism_gens(n)
+        else:
+            raise UsageError(
+                "quotient-assisted spectra need --stabilizer-gens and --transitive-gens "
+                "(cycle notation over 1-based vertex numbers); only --family lcr has "
+                "them built in"
+            )
+    return is_distance_integral(
+        g, args.method, description=description,
+        partition=partition, transitive_gens=transitive,
     )
 
 
-def _single_n(config):
-    if len(config.n_values) > 1:
-        raise UsageError(
-            f"{config.command} works on one graph; use scan for an n range"
-        )
-    return config.n_values[0] if config.n_values else None
-
-
-def cmd_spectrum(config, out):
-    single = _single_n(config)
-    g, description = _load_graph(config)
-    n = single if config.family else g.vertex_count
-    report = _spectrum_report(config, g, description, n)
-    if config.fmt == "json":
-        out.write(json.dumps(report.to_json_dict(), indent=2) + "\n")
-    elif config.fmt == "csv":
-        _emit_csv(_csv_rows(report, n), out)
+def _write_reports(args, reports, out):
+    """Text, JSON or CSV for (n, report) pairs; scan's JSON is a list."""
+    if args.format == "json":
+        payload = [report.to_json_dict() for _, report in reports]
+        if args.command != "scan":
+            payload = payload[0]
+        out.write(json.dumps(payload, indent=2) + "\n")
+    elif args.format == "csv":
+        _emit_csv((row for n, report in reports for row in _csv_rows(report, n)), out)
     else:
-        for line in _report_lines(report):
-            out.write(line + "\n")
+        blocks = ("".join(line + "\n" for line in _report_lines(r)) for _, r in reports)
+        out.write("\n".join(blocks))
+
+
+def _single_n(args):
+    if len(args.n_values) > 1:
+        raise UsageError(
+            f"{args.command} works on one graph; use scan for an n range"
+        )
+    return args.n_values[0] if args.n_values else None
+
+
+def cmd_spectrum(args, out):
+    single = _single_n(args)
+    g, description = _load_graph(args)
+    n = single if args.family else g.vertex_count
+    _write_reports(args, [(n, _spectrum_report(args, g, description, n))], out)
     return 0
 
 
-def cmd_scan(config, out):
-    if config.family is None:
+def cmd_scan(args, out):
+    if args.family is None:
         raise UsageError("scan needs --family")
     reports = []
-    for n in config.n_values:
+    for n in args.n_values:
         start = time.monotonic()
-        g, description = build_family(config.family, n, config.k, config.connections)
-        reports.append((n, _spectrum_report(config, g, description, n)))
+        g, description = build_family(args.family, n, args.k, args.connections)
+        reports.append((n, _spectrum_report(args, g, description, n)))
         print(f"n={n}: {time.monotonic() - start:.3f}s", file=sys.stderr)
-
-    if config.fmt == "json":
-        out.write(json.dumps([r.to_json_dict() for _, r in reports], indent=2) + "\n")
-    elif config.fmt == "csv":
-        rows = []
-        for n, report in reports:
-            rows.extend(_csv_rows(report, n))
-        _emit_csv(rows, out)
-    else:
-        for k, (n, report) in enumerate(reports):
-            if k:
-                out.write("\n")
-            for line in _report_lines(report):
-                out.write(line + "\n")
+    _write_reports(args, reports, out)
     return 0
 
 
-def cmd_verify_lcr(config, out):
+def cmd_verify_lcr(args, out):
     failures = 0
     results = []
-    for n in config.n_values:
+    for n in args.n_values:
         try:
             report = verify_lcr(n)
             results.append((n, report, None))
         except VerificationError as exc:
             failures += 1
             results.append((n, None, exc))
-    if config.fmt == "json":
+    if args.format == "json":
         payload = []
         for n, report, exc in results:
             if report is not None:
@@ -325,7 +286,7 @@ def cmd_verify_lcr(config, out):
                      "stage": exc.stage, "detail": exc.detail}
                 )
         out.write(json.dumps(payload, indent=2) + "\n")
-    elif config.fmt == "csv":
+    elif args.format == "csv":
         rows = []
         for n, report, _ in results:
             if report is not None:
@@ -341,21 +302,16 @@ def cmd_verify_lcr(config, out):
     return 1 if failures else 0
 
 
-def cmd_quotient(config, out):
-    n = _single_n(config)
+def cmd_quotient(args, out):
+    n = _single_n(args)
     if n is None or n < 4:
         raise UsageError("quotient needs --n with a single integer >= 4")
     g = build_lcr(n)
-    d = all_pairs_distances(g)
-    pi = orbits(lcr_stabilizer_gens(n))
-    index = {p: k for k, p in enumerate(pair_vertices(n))}
-    pi = pi.reorder_by_representatives(
-        [index[p] for p in STABILIZER_CELL_REPS]
-    )
-    q = quotient_matrix(d, pi)
+    q = quotient_matrix(all_pairs_distances(g), lcr_stabilizer_partition(n))
+    pi = q.partition
     closed = lcr_quotient_closed_form(n)
     match = q.matrix == closed
-    if config.fmt == "json":
+    if args.format == "json":
         payload = {
             "graph": f"lcr n={n}",
             "cells": [
@@ -367,7 +323,7 @@ def cmd_quotient(config, out):
             "match": match,
         }
         out.write(json.dumps(payload, indent=2) + "\n")
-    elif config.fmt == "csv":
+    elif args.format == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["row", "col", "entry"])
         for i, row in enumerate(q.matrix.entries):
@@ -384,11 +340,11 @@ def cmd_quotient(config, out):
     return 0 if match else 1
 
 
-def cmd_distances(config, out):
-    _single_n(config)
-    g, description = _load_graph(config)
+def cmd_distances(args, out):
+    _single_n(args)
+    g, description = _load_graph(args)
     d = all_pairs_distances(g)
-    if config.fmt == "json":
+    if args.format == "json":
         payload = {
             "graph": description,
             "order": d.order,
@@ -396,7 +352,7 @@ def cmd_distances(config, out):
             "rows": [list(r) for r in d.rows],
         }
         out.write(json.dumps(payload, indent=2) + "\n")
-    elif config.fmt == "csv":
+    elif args.format == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["u", "v", "distance"])
         for u in range(d.order):
@@ -412,13 +368,13 @@ def cmd_distances(config, out):
     return 0
 
 
-def cmd_check_dr(config, out):
-    _single_n(config)
-    if config.fmt == "csv":
+def cmd_check_dr(args, out):
+    _single_n(args)
+    if args.format == "csv":
         raise UsageError("check-dr reports as text or json")
-    g, description = _load_graph(config)
+    g, description = _load_graph(args)
     result = is_distance_regular(g)
-    if config.fmt == "json":
+    if args.format == "json":
         payload = {"graph": description, "distance_regular": result.is_distance_regular}
         if result.is_distance_regular:
             b_arr, c_arr = result.intersection_array
@@ -503,32 +459,16 @@ def _build_parser():
     return parser
 
 
-def _config_from_args(args):
-    n_values = _parse_n_range(args.n) if getattr(args, "n", None) else ()
-    family = getattr(args, "family", None)
-    input_path = getattr(args, "input", None)
+def _normalize_args(args):
+    """Parse --n and --connections in place and check the graph source."""
+    args.n_values = _parse_n_range(args.n) if args.n else ()
     if args.command in ("verify-lcr", "quotient"):
-        family, input_path = "lcr", None
-    elif family is not None and not n_values:
+        return
+    args.connections = _parse_connections(args.connections) if args.connections else ()
+    if args.family is not None and not args.n_values:
         raise UsageError("--family needs --n")
-    connections = (
-        _parse_connections(args.connections)
-        if getattr(args, "connections", None)
-        else ()
-    )
-    return RunConfig(
-        command=args.command,
-        family=family,
-        input_path=input_path,
-        n_values=n_values,
-        k=getattr(args, "k", None),
-        connections=connections,
-        method=getattr(args, "method", "rank-sweep"),
-        fmt=args.format,
-        output=args.output,
-        stabilizer_gens=getattr(args, "stabilizer_gens", None),
-        transitive_gens=getattr(args, "transitive_gens", None),
-    )
+    if (args.family is None) == (args.input is None):
+        raise UsageError("exactly one graph source: --family with --n, or --input")
 
 
 _HANDLERS = {
@@ -545,19 +485,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
+        _normalize_args(args)
         buffer = io.StringIO()
-        status = _HANDLERS[args.command](config, buffer)
-        if config.output:
-            with open(config.output, "w", encoding="utf-8") as fh:
+        status = _HANDLERS[args.command](args, buffer)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(buffer.getvalue())
         else:
             sys.stdout.write(buffer.getvalue())
         return status
-    except (UsageError, EdgeListError, ValueError, OSError) as exc:
-        if isinstance(exc, VerificationError):
-            print(f"REFUTED: {exc}", file=sys.stderr)
-            return 1
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

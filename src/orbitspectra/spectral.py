@@ -8,7 +8,7 @@ eigenvalue sets of Q and D coincide. That reduces a |V| x |V| spectrum
 problem to the quotient size plus a handful of exact rank computations.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from orbitspectra.exactla import (
@@ -247,6 +247,15 @@ def lcr_quotient_closed_form(n) -> IntMatrix:
     )
 
 
+def lcr_stabilizer_partition(n) -> OrbitPartition:
+    """Orbits of the two-point stabilizer on build_lcr(n), one cell per
+    entry of STABILIZER_CELL_REPS and in that order."""
+    index = {p: k for k, p in enumerate(pair_vertices(n))}
+    return orbits(lcr_stabilizer_gens(n)).reorder_by_representatives(
+        [index[p] for p in STABILIZER_CELL_REPS]
+    )
+
+
 def _require_eigenvector(m: IntMatrix, f: RationalVector, lam, what):
     if f.is_zero:
         raise NotAnEigenvectorError(f"{what}: eigenvector must be nonzero")
@@ -325,25 +334,38 @@ def symmetrize_eigenvector(
     return RationalVector(sums[pi.cell_of[v]] for v in range(f.length))
 
 
-def _sweep_integer_eigenvalues(matrix, order, rho):
-    # chi_D(lam) != 0 mod p implies chi_D(lam) != 0, so D - lam I is
-    # nonsingular; only the survivors get an exact rank
+def _screened_range(matrix, rho):
+    """Integers in [-rho, rho] that may be eigenvalues, in ascending order.
+
+    chi_D(lam) != 0 mod p implies chi_D(lam) != 0, so D - lam I is
+    nonsingular; only the survivors need an exact rank.
+    """
     chi = charpoly_mod(matrix.entries, SCREEN_PRIME)
-    pairs = []
-    remaining = order
     for lam in range(-rho, rho + 1):
         value = 0
         for c in reversed(chi):
             value = (value * lam + c) % SCREEN_PRIME
-        if value:
-            continue
+        if not value:
+            yield lam
+
+
+def _certify_candidates(matrix, rho, candidates):
+    """Spectrum from exact multiplicities of the candidate eigenvalues.
+
+    Stops once the multiplicities reach the order: no further eigenvalue
+    exists then. When the candidates fall short, det(xI - D) supplies the
+    residual factor.
+    """
+    pairs = []
+    remaining = matrix.rows
+    for lam in candidates:
         mult = eigen_multiplicity(matrix, lam)
         if mult:
             pairs.append((lam, mult))
             remaining -= mult
             if remaining == 0:
-                break
-    return pairs, remaining
+                return Spectrum(pairs, None, matrix.rows, matrix.trace())
+    return _spectrum_with_residual(matrix, rho, pairs)
 
 
 def _spectrum_with_residual(matrix, rho, pairs):
@@ -374,19 +396,14 @@ def distance_spectrum(
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     d = all_pairs_distances(g)
     matrix = IntMatrix(d.rows)
-    order = d.order
-    trace = matrix.trace()
     rho = max(d.row_sums())
 
     if method == "rank-sweep":
-        pairs, remaining = _sweep_integer_eigenvalues(matrix, order, rho)
-        if remaining == 0:
-            return Spectrum(pairs, None, order, trace)
-        return _spectrum_with_residual(matrix, rho, pairs)
+        return _certify_candidates(matrix, rho, _screened_range(matrix, rho))
 
     if method == "char-poly":
         roots, residual = integer_roots(char_poly(matrix), bound=rho)
-        return Spectrum(roots, residual, order, trace)
+        return Spectrum(roots, residual, matrix.rows, matrix.trace())
 
     # quotient-assisted
     if partition is None or transitive_gens is None:
@@ -399,17 +416,8 @@ def distance_spectrum(
     if not partition.singleton_cells():
         raise ValueError("orbit partition must contain a singleton cell")
     q = quotient_matrix(d, partition)
-    q_roots, q_residual = integer_roots(char_poly(q.matrix), bound=rho)
-    pairs = []
-    total = 0
-    for lam, _ in q_roots:
-        mult = eigen_multiplicity(matrix, lam)
-        if mult:
-            pairs.append((lam, mult))
-            total += mult
-    if q_residual.degree >= 1 or total != order:
-        return _spectrum_with_residual(matrix, rho, pairs)
-    return Spectrum(pairs, None, order, trace)
+    q_roots, _ = integer_roots(char_poly(q.matrix), bound=rho)
+    return _certify_candidates(matrix, rho, (lam for lam, _ in q_roots))
 
 
 def is_distance_integral(
@@ -463,7 +471,8 @@ def verify_lcr(n) -> IntegralityReport:
     Builds the graph, runs BFS, computes the stabilizer orbit partition
     and its quotient matrix, compares against the closed form, extracts
     the quotient eigenvalues exactly, and certifies the distance
-    spectrum. Any mismatch raises VerificationError naming the stage.
+    spectrum with is_distance_integral, whose checks follow these stages
+    in the ledger. Any mismatch raises VerificationError naming the stage.
     """
     if n < 4:
         raise VerificationError("preconditions", f"defined for n >= 4, got {n}")
@@ -491,18 +500,14 @@ def verify_lcr(n) -> IntegralityReport:
         f"diameter 3, constant row sum {perron}",
     )
 
-    pi = orbits(lcr_stabilizer_gens(n))
-    index = {p: k for k, p in enumerate(pair_vertices(n))}
-    reps = [index[p] for p in STABILIZER_CELL_REPS]
-    stage(
-        "stabilizer-orbits",
-        pi.cell_count == 7,
-        "two-point stabilizer has 7 orbits",
-    )
     try:
-        pi = pi.reorder_by_representatives(reps)
+        pi = lcr_stabilizer_partition(n)
     except ValueError as exc:
+        # a wrong orbit count also fails the reorder; report it at its own stage
+        count = orbits(lcr_stabilizer_gens(n)).cell_count
+        stage("stabilizer-orbits", count == 7, "two-point stabilizer has 7 orbits")
         raise VerificationError("orbit-representatives", str(exc)) from exc
+    stage("stabilizer-orbits", pi.cell_count == 7, "two-point stabilizer has 7 orbits")
     sizes = tuple(len(c) for c in pi.cells)
     expected_sizes = (1, n - 2, n - 2, 1, n - 2, n - 2, (n - 2) * (n - 3))
     stage("orbit-sizes", sizes == expected_sizes, f"cell sizes {sizes}")
@@ -527,12 +532,14 @@ def verify_lcr(n) -> IntegralityReport:
         f"quotient eigenvalues {q_roots} with residual 1",
     )
 
-    spectrum = distance_spectrum(
+    report = is_distance_integral(
         g,
         "quotient-assisted",
+        description=f"lcr n={n}",
         partition=pi,
         transitive_gens=lcr_automorphism_gens(n),
     )
+    spectrum = report.spectrum
     expected_distinct = tuple(sorted({-n - 1, -n + 3, -1, 1, perron}))
     stage(
         "distance-spectrum-distinct",
@@ -541,7 +548,7 @@ def verify_lcr(n) -> IntegralityReport:
     )
     stage(
         "multiplicity-sum",
-        sum(m for _, m in spectrum.integer_part) == order,
+        spectrum.multiplicity_sum == order,
         f"multiplicities sum to {order}",
     )
     stage(
@@ -549,13 +556,4 @@ def verify_lcr(n) -> IntegralityReport:
         spectrum.multiplicity(perron) == 1,
         f"largest eigenvalue {perron} is simple",
     )
-
-    return IntegralityReport(
-        graph=f"lcr n={n}",
-        order=order,
-        method="quotient-assisted",
-        integral=spectrum.is_integral,
-        spectrum=spectrum,
-        distinct=spectrum.distinct_values,
-        checks=tuple(checks),
-    )
+    return replace(report, checks=tuple(checks) + report.checks)

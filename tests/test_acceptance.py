@@ -27,19 +27,17 @@ from orbitspectra.graphs import (
     build_line_graph,
     canonical_form,
     is_distance_regular,
-    pair_vertices,
 )
 from orbitspectra.perms import (
     GeneratorSet,
     lcr_automorphism_gens,
-    lcr_stabilizer_gens,
     orbits,
 )
 from orbitspectra.spectral import (
-    STABILIZER_CELL_REPS,
     distance_spectrum,
     is_distance_integral,
     lcr_quotient_closed_form,
+    lcr_stabilizer_partition,
     quotient_matrix,
 )
 
@@ -56,9 +54,7 @@ def lcr_data():
         start = time.monotonic()
         g = build_lcr(n)
         d = all_pairs_distances(g)
-        pi = orbits(lcr_stabilizer_gens(n))
-        index = {p: k for k, p in enumerate(pair_vertices(n))}
-        pi = pi.reorder_by_representatives([index[p] for p in STABILIZER_CELL_REPS])
+        pi = lcr_stabilizer_partition(n)
         q = quotient_matrix(d, pi)
         spectrum = distance_spectrum(
             g, "quotient-assisted", partition=pi,

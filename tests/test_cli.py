@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from orbitspectra import spectral
+from orbitspectra import cli, spectral
 from orbitspectra.cli import format_edge_list, main, parse_edge_list
+from orbitspectra.exactla import IntMatrix
 from orbitspectra.graphs import build_crown
 from orbitspectra.spectral import distance_spectrum
 
@@ -14,6 +15,17 @@ def run(capsys, *argv):
     status = main(list(argv))
     captured = capsys.readouterr()
     return status, captured.out, captured.err
+
+
+def corrupted(closed_form):
+    """closed_form with its last entry off by one."""
+
+    def wrong(n):
+        rows = [list(row) for row in closed_form(n).entries]
+        rows[-1][-1] += 1
+        return IntMatrix(rows)
+
+    return wrong
 
 
 class TestEdgeListParsing:
@@ -189,11 +201,31 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert payload[0]["graph"] == "lcr n=4"
         assert all(check["pass"] for check in payload[0]["checks"])
+        assert [check["name"] for check in payload[0]["checks"]] == [
+            "graph-shape", "distances", "stabilizer-orbits", "orbit-sizes",
+            "quotient-equitable", "quotient-closed-form", "quotient-spectrum",
+            "distance-spectrum-distinct", "multiplicity-sum", "perron-simple",
+            "spectrum-complete", "trace-zero",
+        ]
 
     def test_precondition_failure_exits_one(self, capsys):
         status, out, _ = run(capsys, "verify-lcr", "--n", "3")
         assert status == 1
         assert "FAIL" in out
+
+    def test_stage_failure_is_named_and_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            spectral, "lcr_quotient_closed_form",
+            corrupted(spectral.lcr_quotient_closed_form),
+        )
+        status, out, _ = run(capsys, "verify-lcr", "--n", "4")
+        assert status == 1
+        assert out.startswith("n=4: FAIL at stage 'quotient-closed-form': ")
+        status, out, _ = run(capsys, "verify-lcr", "--n", "4", "--format", "json")
+        assert status == 1
+        (entry,) = json.loads(out)
+        assert entry["verified"] is False
+        assert entry["stage"] == "quotient-closed-form"
 
 
 class TestQuotientCommand:
@@ -210,6 +242,14 @@ class TestQuotientCommand:
         assert payload["match"] is True
         assert payload["computed"][0] == ["0", "3", "6", "3", "6", "3", "12"]
         assert payload["cells"][0] == {"representative": "(1,2)", "size": 1}
+
+    def test_closed_form_mismatch_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli, "lcr_quotient_closed_form", corrupted(cli.lcr_quotient_closed_form)
+        )
+        status, out, _ = run(capsys, "quotient", "--n", "4")
+        assert status == 1
+        assert "matches closed form: NO" in out
 
 
 class TestDistancesCommand:

@@ -25,18 +25,15 @@ from orbitspectra.graphs import (
     build_johnson,
     build_lcr,
     build_line_graph,
-    pair_vertices,
 )
 from orbitspectra.perms import (
     GeneratorSet,
     OrbitPartition,
     Permutation,
     lcr_automorphism_gens,
-    lcr_stabilizer_gens,
     orbits,
 )
 from orbitspectra.spectral import (
-    STABILIZER_CELL_REPS,
     NonEquitablePartitionError,
     NotAnEigenvectorError,
     Spectrum,
@@ -44,6 +41,7 @@ from orbitspectra.spectral import (
     distance_spectrum,
     is_distance_integral,
     lcr_quotient_closed_form,
+    lcr_stabilizer_partition,
     lift_eigenvector,
     permute_eigenvector,
     project_eigenvector,
@@ -58,11 +56,7 @@ from conftest import reflection_perm, rotation_perm
 def lcr_pipeline(n):
     """Graph, distances, and the 7-cell partition in reporting order."""
     g = build_lcr(n)
-    d = all_pairs_distances(g)
-    pi = orbits(lcr_stabilizer_gens(n))
-    index = {p: k for k, p in enumerate(pair_vertices(n))}
-    pi = pi.reorder_by_representatives([index[p] for p in STABILIZER_CELL_REPS])
-    return g, d, pi
+    return g, all_pairs_distances(g), lcr_stabilizer_partition(n)
 
 
 def singletons_partition(n):
@@ -464,6 +458,15 @@ class TestVerifier:
     def test_small_n_rejected(self):
         with pytest.raises(VerificationError, match="n >= 4"):
             verify_lcr(3)
+
+    def test_wrong_orbit_count_fails_at_its_own_stage(self, monkeypatch):
+        monkeypatch.setattr(
+            spectral, "orbits",
+            lambda gens: OrbitPartition.from_cells([tuple(range(gens.degree))]),
+        )
+        with pytest.raises(VerificationError) as info:
+            verify_lcr(4)
+        assert info.value.stage == "stabilizer-orbits"
 
     def test_report_serializes_to_schema(self):
         report = verify_lcr(4)
