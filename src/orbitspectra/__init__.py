@@ -14,7 +14,6 @@ from orbitspectra.exactla import (
 )
 from orbitspectra.graphs import (
     DisconnectedGraphError,
-    DistanceMatrix,
     Graph,
     PairVertex,
     all_pairs_distances,

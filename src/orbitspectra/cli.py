@@ -265,6 +265,10 @@ def cmd_scan(args, out):
     return 0
 
 
+def _fail_line(n, exc):
+    return f"n={n}: FAIL at stage '{exc.stage}': {exc.detail}"
+
+
 def cmd_verify_lcr(args, out):
     failures = 0
     results = []
@@ -287,10 +291,13 @@ def cmd_verify_lcr(args, out):
                 )
         out.write(json.dumps(payload, indent=2) + "\n")
     elif args.format == "csv":
+        # CSV rows carry only eigenvalues, so a refutation goes to stderr
         rows = []
-        for n, report, _ in results:
+        for n, report, exc in results:
             if report is not None:
                 rows.extend(_csv_rows(report, n))
+            else:
+                print(_fail_line(n, exc), file=sys.stderr)
         _emit_csv(rows, out)
     else:
         for n, report, exc in results:
@@ -298,7 +305,7 @@ def cmd_verify_lcr(args, out):
                 values = " ".join(str(v) for v in report.distinct)
                 out.write(f"n={n}: PASS distinct eigenvalues {values}\n")
             else:
-                out.write(f"n={n}: FAIL at stage '{exc.stage}': {exc.detail}\n")
+                out.write(_fail_line(n, exc) + "\n")
     return 1 if failures else 0
 
 
@@ -329,6 +336,8 @@ def cmd_quotient(args, out):
         for i, row in enumerate(q.matrix.entries):
             for j, x in enumerate(row):
                 writer.writerow([i, j, x])
+        if not match:
+            print("matches closed form: NO", file=sys.stderr)
     else:
         out.write(f"quotient matrix of lcr n={n} over the stabilizer orbits\n")
         for cell in pi.cells:
@@ -347,23 +356,23 @@ def cmd_distances(args, out):
     if args.format == "json":
         payload = {
             "graph": description,
-            "order": d.order,
+            "order": d.rows,
             "labels": list(g.vertex_labels),
-            "rows": [list(r) for r in d.rows],
+            "rows": [list(r) for r in d.entries],
         }
         out.write(json.dumps(payload, indent=2) + "\n")
     elif args.format == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["u", "v", "distance"])
-        for u in range(d.order):
-            for v in range(d.order):
-                writer.writerow([u, v, d.rows[u][v]])
+        for u, row in enumerate(d.entries):
+            for v, x in enumerate(row):
+                writer.writerow([u, v, x])
     else:
         out.write(f"graph: {description}\n")
-        width = max(len(str(x)) for r in d.rows for x in r)
+        width = len(str(d.max_entry()))
         label_w = max(len(x) for x in g.vertex_labels)
-        for u in range(d.order):
-            cells = " ".join(str(x).rjust(width) for x in d.rows[u])
+        for u, row in enumerate(d.entries):
+            cells = " ".join(str(x).rjust(width) for x in row)
             out.write(f"{g.label(u).rjust(label_w)} | {cells}\n")
     return 0
 

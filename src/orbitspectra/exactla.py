@@ -10,24 +10,23 @@ root, and nothing is ever concluded from a zero one.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 # scanning this many candidate roots is cheap; anything larger needs a
-# divisor-enumerable tail coefficient or a caller-supplied bound
+# caller-supplied bound
 _SCAN_LIMIT = 2_000_000
-_FACTOR_LIMIT = 10**12
 
 # Mersenne prime used for modular screening of eigenvalue candidates
 SCREEN_PRIME = (1 << 61) - 1
 
 
 class IntMatrix:
-    """Dense matrix of arbitrary-precision integers."""
+    """Dense matrix of arbitrary-precision integers, distance matrices included."""
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
-        entries = tuple(tuple(int(x) for x in row) for row in entries)
+        entries = tuple(tuple(map(int, row)) for row in entries)
         if entries:
             width = len(entries[0])
             for row in entries:
@@ -58,6 +57,13 @@ class IntMatrix:
         if not self.is_square:
             raise ValueError("trace of a non-square matrix")
         return sum(self.entries[i][i] for i in range(self.rows))
+
+    def row_sums(self):
+        return [sum(row) for row in self.entries]
+
+    def max_entry(self):
+        """Largest entry (a distance matrix's diameter); 0 when there is none."""
+        return max((max(row) for row in self.entries if row), default=0)
 
     def transpose(self):
         return IntMatrix(zip(*self.entries)) if self.rows else IntMatrix([])
@@ -276,7 +282,7 @@ def bareiss_echelon(rows):
 def berkowitz_charpoly(rows):
     """Characteristic polynomial of a square integer matrix, division-free.
 
-    Returns the monic coefficient list, highest degree first. Works from
+    Returns the monic coefficient list, constant term first. Works from
     the trailing 1x1 principal submatrix outward: at each step the
     coefficient vector is multiplied by a lower-triangular Toeplitz
     matrix whose first column is built from -a, -R C, -R M C, ...
@@ -298,12 +304,14 @@ def berkowitz_charpoly(rows):
                 col.append(-s)
                 if k < m - 2:
                     v = [sum(x * y for x, y in zip(mr, v)) for mr in sub]
-        # poly <- Toeplitz(col) . poly  ((m+1) x m lower-triangular)
+        # poly <- T . poly, T the (m+1) x m lower-triangular Toeplitz matrix
+        # with first column col in highest-degree-first order; with both
+        # vectors stored constant term first, T[k][t] = col[t + 1 - k]
         new = []
-        for i in range(m + 1):
+        for k in range(m + 1):
             s = 0
-            for j in range(min(i, m - 1) + 1):
-                s += col[i - j] * poly[j]
+            for t in range(max(k - 1, 0), m):
+                s += col[t + 1 - k] * poly[t]
             new.append(s)
         poly = new
     return poly
@@ -365,8 +373,7 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     """Exact characteristic polynomial det(xI - m), monic of degree n."""
     if not m.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    coeffs = berkowitz_charpoly([list(r) for r in m.entries])
-    return IntPolynomial(reversed(coeffs))
+    return IntPolynomial(berkowitz_charpoly(m.entries))
 
 
 def rank(m: IntMatrix) -> int:
@@ -450,27 +457,15 @@ def _root_bound(p: IntPolynomial):
     return 1 + (top + lead - 1) // lead
 
 
-def _divisors_up_to(value, limit):
-    value = abs(value)
-    out = []
-    for d in range(1, isqrt(value) + 1):
-        if value % d == 0:
-            if d <= limit:
-                out.append(d)
-            q = value // d
-            if q != d and q <= limit:
-                out.append(q)
-    return sorted(out)
-
-
 def integer_roots(p: IntPolynomial, bound=None):
     """Extract all integer roots of p to maximal multiplicity.
 
     Candidates are the divisors of the lowest nonzero coefficient within
     a root bound (the Cauchy bound, intersected with the caller's bound
-    when given; distance-spectrum callers pass the max row sum). Returns
-    (sorted list of (root, multiplicity), residual polynomial); the
-    residual has no integer roots and the factorization is exact.
+    when given; distance-spectrum callers pass the max row sum). Raises
+    ValueError when that bound exceeds _SCAN_LIMIT. Returns (sorted list
+    of (root, multiplicity), residual polynomial); the residual has no
+    integer roots and the factorization is exact.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no well-defined root set")
@@ -487,15 +482,11 @@ def integer_roots(p: IntPolynomial, bound=None):
         if bound is not None:
             cap = min(cap, abs(int(bound)))
         tail = residual.coefficients[0]
-        if cap <= _SCAN_LIMIT:
-            candidates = [r for r in range(-cap, cap + 1) if r and tail % r == 0]
-        elif abs(tail) <= _FACTOR_LIMIT:
-            pos = _divisors_up_to(tail, cap)
-            candidates = sorted([-d for d in pos] + pos)
-        else:
+        if cap > _SCAN_LIMIT:
             raise ValueError(
                 "integer root candidates are unbounded; pass a spectral bound"
             )
+        candidates = [r for r in range(-cap, cap + 1) if r and tail % r == 0]
         for r in candidates:
             while residual.degree >= 1 and residual.evaluate(r) == 0:
                 residual, rem = residual.divide_linear(r)

@@ -10,6 +10,8 @@ from bisect import bisect_left
 from collections import deque
 from typing import NamedTuple
 
+from orbitspectra.exactla import IntMatrix
+
 
 class DisconnectedGraphError(ValueError):
     """Raised when a distance computation meets two unreachable vertices."""
@@ -227,48 +229,10 @@ def build_line_graph(g):
     return Graph(len(base_edges), sorted(set(edges)), labels)
 
 
-class DistanceMatrix:
-    """Square exact-integer matrix of pairwise shortest-path lengths."""
-
-    __slots__ = ("order", "rows")
-
-    def __init__(self, rows):
-        rows = tuple(tuple(r) for r in rows)
-        n = len(rows)
-        for r in rows:
-            if len(r) != n:
-                raise ValueError("distance matrix must be square")
-        for u in range(n):
-            if rows[u][u] != 0:
-                raise ValueError(f"nonzero diagonal at vertex {u}")
-            for v in range(u + 1, n):
-                if rows[u][v] != rows[v][u]:
-                    raise ValueError(f"asymmetric entries at ({u},{v})")
-                if rows[u][v] < 1:
-                    raise ValueError(f"off-diagonal entry < 1 at ({u},{v})")
-        self.order = n
-        self.rows = rows
-
-    def entry(self, u, v):
-        return self.rows[u][v]
-
-    def row_sums(self):
-        return [sum(r) for r in self.rows]
-
-    def max_entry(self):
-        return max((max(r) for r in self.rows), default=0)
-
-    def __eq__(self, other):
-        return isinstance(other, DistanceMatrix) and self.rows == other.rows
-
-    def __repr__(self):
-        return f"DistanceMatrix(order={self.order})"
-
-
 def bfs_all_pairs(n, adj):
     """All-pairs shortest path lengths by BFS from every source.
 
-    ``adj`` is a list of neighbor lists. Unreachable vertices are
+    ``adj`` is a sequence of neighbor sequences. Unreachable vertices are
     reported as -1; the caller decides whether that is an error.
     """
     dist = []
@@ -288,19 +252,19 @@ def bfs_all_pairs(n, adj):
 
 
 def all_pairs_distances(g):
-    """Exact distance matrix by BFS from every source.
+    """Exact distance matrix, as an IntMatrix, by BFS from every source.
 
     Raises DisconnectedGraphError naming two vertices in distinct
     components if the graph is not connected.
     """
     if g.vertex_count == 0:
         raise ValueError("distance matrix of the empty graph is undefined")
-    dist = bfs_all_pairs(g.vertex_count, [list(a) for a in g.adjacency])
+    dist = bfs_all_pairs(g.vertex_count, g.adjacency)
     row0 = dist[0]
     for v, d in enumerate(row0):
         if d < 0:
             raise DisconnectedGraphError(0, v, g.label(0), g.label(v))
-    return DistanceMatrix(dist)
+    return IntMatrix(dist)
 
 
 def lcr_distance(n, a, b):
@@ -347,7 +311,7 @@ def is_distance_regular(g):
     seen = {}  # distance -> ((v, w), (c, a, b))
     diam = d.max_entry()
     for v in range(g.vertex_count):
-        dv = d.rows[v]
+        dv = d.entries[v]
         for w in range(g.vertex_count):
             i = dv[w]
             c = a = b = 0

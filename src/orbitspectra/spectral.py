@@ -23,7 +23,6 @@ from orbitspectra.exactla import (
     mat_vec,
 )
 from orbitspectra.graphs import (
-    DistanceMatrix,
     all_pairs_distances,
     build_lcr,
     pair_vertices,
@@ -75,8 +74,7 @@ class QuotientMatrix:
 
     matrix: IntMatrix
     partition: OrbitPartition
-    representatives: tuple
-    source: DistanceMatrix
+    source: IntMatrix
 
 
 class Spectrum:
@@ -192,23 +190,22 @@ class IntegralityReport:
         return out
 
 
-def quotient_matrix(d: DistanceMatrix, pi: OrbitPartition) -> QuotientMatrix:
+def quotient_matrix(d: IntMatrix, pi: OrbitPartition) -> QuotientMatrix:
     """Cell-summed distance matrix over pi, verified equitable.
 
     Every member of every cell must produce the same row of cell sums;
     the first disagreement is reported with both representatives and the
     offending column.
     """
-    if pi.degree != d.order:
+    if not d.is_square or pi.degree != d.rows:
         raise ValueError(
-            f"partition covers {pi.degree} vertices, matrix has {d.order}"
+            f"partition covers {pi.degree} vertices, matrix is {d.rows}x{d.cols}"
         )
     m = pi.cell_count
     cell_of = pi.cell_of
     sums = []
-    for v in range(d.order):
+    for dv in d.entries:
         row = [0] * m
-        dv = d.rows[v]
         for w, dw in enumerate(dv):
             row[cell_of[w]] += dw
         sums.append(row)
@@ -221,9 +218,7 @@ def quotient_matrix(d: DistanceMatrix, pi: OrbitPartition) -> QuotientMatrix:
                 col = next(j for j in range(m) if sums[v][j] != expect[j])
                 raise NonEquitablePartitionError(k, rep, v, col)
         q_rows.append(expect)
-    return QuotientMatrix(
-        IntMatrix(q_rows), pi, pi.representatives(), d
-    )
+    return QuotientMatrix(IntMatrix(q_rows), pi, d)
 
 
 def lcr_quotient_closed_form(n) -> IntMatrix:
@@ -275,22 +270,21 @@ def lift_eigenvector(q: QuotientMatrix, f: RationalVector, lam) -> RationalVecto
     """
     _require_eigenvector(q.matrix, f, lam, "lift")
     cell_of = q.partition.cell_of
-    lifted = RationalVector(f.entries[cell_of[v]] for v in range(q.source.order))
-    d_matrix = IntMatrix(q.source.rows)
-    if mat_vec(d_matrix, lifted) != lifted.scaled(lam):
+    lifted = RationalVector(f.entries[cell_of[v]] for v in range(q.source.rows))
+    if mat_vec(q.source, lifted) != lifted.scaled(lam):
         raise NotAnEigenvectorError("lift: lifted vector failed verification")
     return lifted
 
 
 def project_eigenvector(
-    d: DistanceMatrix, pi: OrbitPartition, f: RationalVector, lam
+    d: IntMatrix, pi: OrbitPartition, f: RationalVector, lam
 ) -> RationalVector:
     """Collapse a cell-constant D-eigenvector to one value per cell.
 
     Requires f to be an exact eigenvector of d that is constant on every
     cell of pi; the projected vector is verified against the quotient.
     """
-    _require_eigenvector(IntMatrix(d.rows), f, lam, "project")
+    _require_eigenvector(d, f, lam, "project")
     values = []
     for k, cell in enumerate(pi.cells):
         val = f.entries[cell[0]]
@@ -394,9 +388,8 @@ def distance_spectrum(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    d = all_pairs_distances(g)
-    matrix = IntMatrix(d.rows)
-    rho = max(d.row_sums())
+    matrix = all_pairs_distances(g)
+    rho = max(matrix.row_sums())
 
     if method == "rank-sweep":
         return _certify_candidates(matrix, rho, _screened_range(matrix, rho))
@@ -415,7 +408,7 @@ def distance_spectrum(
         raise ValueError("graph is not vertex-transitive under the given generators")
     if not partition.singleton_cells():
         raise ValueError("orbit partition must contain a singleton cell")
-    q = quotient_matrix(d, partition)
+    q = quotient_matrix(matrix, partition)
     q_roots, _ = integer_roots(char_poly(q.matrix), bound=rho)
     return _certify_candidates(matrix, rho, (lam for lam, _ in q_roots))
 

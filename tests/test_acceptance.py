@@ -10,7 +10,6 @@ import time
 import pytest
 
 from orbitspectra.exactla import (
-    IntMatrix,
     IntPolynomial,
     char_poly,
     eigen_multiplicity,
@@ -64,7 +63,6 @@ def lcr_data():
         data[n] = {
             "graph": g,
             "d": d,
-            "matrix": IntMatrix(d.rows),
             "pi": pi,
             "quotient": q,
             "spectrum": spectrum,
@@ -124,7 +122,7 @@ def test_criterion_03_quotient_spectrum(lcr_data):
 def test_criterion_04_multiplicity_consistency(lcr_data):
     for n in N_RANGE:
         entry = lcr_data[n]
-        spectrum, matrix = entry["spectrum"], entry["matrix"]
+        spectrum, matrix = entry["spectrum"], entry["d"]
         order = n * (n - 1)
         perron = 2 * n * n - 4 * n + 3
         assert sum(m for _, m in spectrum.integer_part) == order, n
@@ -179,7 +177,7 @@ def test_criterion_07_crowns_are_distance_integral():
         assert report.integral, n
         # independent float oracle for the derived eigenvalues
         d = all_pairs_distances(build_crown(n))
-        eigs = numpy.linalg.eigvalsh(numpy.array(d.rows, dtype=float))
+        eigs = numpy.linalg.eigvalsh(numpy.array(d.entries, dtype=float))
         oracle = {}
         for x in eigs:
             r = round(float(x))
@@ -212,7 +210,7 @@ def test_criterion_08_small_case_ground_truth():
 def test_criterion_09_cell_sums_vanish_outside_quotient_spectrum(lcr_data):
     for n in (4, 5, 6):
         entry = lcr_data[n]
-        matrix, pi = entry["matrix"], entry["pi"]
+        matrix, pi = entry["d"], entry["pi"]
         q_values = {
             lam
             for lam, _ in integer_roots(

@@ -226,6 +226,10 @@ class TestVerifyCommand:
         (entry,) = json.loads(out)
         assert entry["verified"] is False
         assert entry["stage"] == "quotient-closed-form"
+        status, out, err = run(capsys, "verify-lcr", "--n", "4", "--format", "csv")
+        assert status == 1
+        assert out == "graph,n,eigenvalue,multiplicity\n"
+        assert err.startswith("n=4: FAIL at stage 'quotient-closed-form': ")
 
 
 class TestQuotientCommand:
@@ -250,6 +254,10 @@ class TestQuotientCommand:
         status, out, _ = run(capsys, "quotient", "--n", "4")
         assert status == 1
         assert "matches closed form: NO" in out
+        status, out, err = run(capsys, "quotient", "--n", "4", "--format", "csv")
+        assert status == 1
+        assert out.startswith("row,col,entry\n")
+        assert err == "matches closed form: NO\n"
 
 
 class TestDistancesCommand:

@@ -155,7 +155,7 @@ SHAPES = {
 
 
 def berkowitz_mod(rows, p):
-    return [c % p for c in reversed(berkowitz_charpoly(rows))]
+    return [c % p for c in berkowitz_charpoly(rows)]
 
 
 class TestCharPolyMod:
@@ -168,7 +168,7 @@ class TestCharPolyMod:
             assert charpoly_mod(rows, p) == berkowitz_mod(rows, p)
 
     def test_zero_residue_at_every_eigenvalue(self):
-        rows = all_pairs_distances(build_lcr(5)).rows
+        rows = all_pairs_distances(build_lcr(5)).entries
         chi = IntPolynomial(charpoly_mod(rows, SCREEN_PRIME))
         for lam in (-6, -2, -1, 1, 33):
             assert chi.evaluate(lam) % SCREEN_PRIME == 0
@@ -219,6 +219,14 @@ class TestIntegerRoots:
         roots, residual = integer_roots(p, bound=100)
         assert roots == [(100, 1)]
 
+    def test_large_roots_need_a_bound(self):
+        p = IntPolynomial([-10**10, 0, 1])
+        with pytest.raises(ValueError, match="pass a spectral bound"):
+            integer_roots(p)
+        roots, residual = integer_roots(p, bound=10**5)
+        assert roots == [(-100000, 1), (100000, 1)]
+        assert residual == IntPolynomial.one()
+
     @given(
         st.lists(st.integers(min_value=-6, max_value=6), min_size=0, max_size=4),
         st.integers(min_value=1, max_value=9),
@@ -245,7 +253,7 @@ class TestRank:
         assert rank(IntMatrix.identity(7)) == 7
 
     def test_perron_multiplicity_via_rank(self):
-        d = IntMatrix(all_pairs_distances(build_lcr(4)).rows)
+        d = all_pairs_distances(build_lcr(4))
         assert rank(d.shift_diagonal(19)) == 11
 
     @given(rect_matrices())
@@ -264,11 +272,11 @@ class TestEigenMultiplicity:
         assert eigen_multiplicity(IntMatrix.identity(3), 1) == 3
 
     def test_lcr4_perron_is_simple(self):
-        d = IntMatrix(all_pairs_distances(build_lcr(4)).rows)
+        d = all_pairs_distances(build_lcr(4))
         assert eigen_multiplicity(d, 19) == 1
 
     def test_non_eigenvalue(self):
-        d = IntMatrix(all_pairs_distances(build_lcr(4)).rows)
+        d = all_pairs_distances(build_lcr(4))
         assert eigen_multiplicity(d, 7) == 0
 
     def test_non_square_rejected(self):
@@ -303,7 +311,7 @@ class TestKernel:
         assert kernel_basis(IntMatrix.identity(4)) == []
 
     def test_eigenspace_dimension_matches_multiplicity(self):
-        d = IntMatrix(all_pairs_distances(build_lcr(4)).rows)
+        d = all_pairs_distances(build_lcr(4))
         shifted = d.shift_diagonal(-5)
         basis = kernel_basis(shifted)
         assert len(basis) == eigen_multiplicity(d, -5)
@@ -333,7 +341,7 @@ class TestMatVec:
         assert mat_vec(IntMatrix.zero(2, 2), v).is_zero
 
     def test_constant_row_sums_give_perron_vector(self):
-        d = IntMatrix(all_pairs_distances(build_lcr(4)).rows)
+        d = all_pairs_distances(build_lcr(4))
         ones = RationalVector([1] * 12)
         assert mat_vec(d, ones) == ones.scaled(19)
 
@@ -368,6 +376,12 @@ class TestIntMatrixType:
     def test_shift_diagonal(self):
         m = IntMatrix([[1, 2], [3, 4]]).shift_diagonal(1)
         assert m.entries == ((0, 2), (3, 3))
+
+    def test_row_sums_and_max_entry(self):
+        m = IntMatrix([[1, -7], [5, 0]])
+        assert m.row_sums() == [-6, 5]
+        assert m.max_entry() == 5
+        assert IntMatrix([]).max_entry() == IntMatrix([[], []]).max_entry() == 0
 
     def test_decimal_serialization(self):
         m = IntMatrix([[10**30, -1]])

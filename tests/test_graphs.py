@@ -167,11 +167,11 @@ class TestDistances:
         g = build_lcr(4)
         verts = pair_vertices(4)
         d = all_pairs_distances(g)
-        assert d.entry(verts.index((1, 2)), verts.index((2, 1))) == 3
+        assert d.at(verts.index((1, 2)), verts.index((2, 1))) == 3
 
     def test_zero_diagonal(self):
         d = all_pairs_distances(build_crown(4))
-        assert all(d.entry(v, v) == 0 for v in range(d.order))
+        assert all(d.at(v, v) == 0 for v in range(d.rows))
 
     @pytest.mark.parametrize("n", range(4, 9))
     def test_lcr_diameter_is_three(self, n):
@@ -181,11 +181,11 @@ class TestDistances:
     def test_lcr_distance_distribution(self, n):
         d = all_pairs_distances(build_lcr(n))
         expected = {1: 2 * n - 4, 2: (n - 1) * (n - 2), 3: 1}
-        for v in range(d.order):
+        for v in range(d.rows):
             counts = {}
-            for w in range(d.order):
+            for w in range(d.rows):
                 if w != v:
-                    counts[d.entry(v, w)] = counts.get(d.entry(v, w), 0) + 1
+                    counts[d.at(v, w)] = counts.get(d.at(v, w), 0) + 1
             assert counts == expected
 
     @pytest.mark.parametrize("n", range(4, 9))
@@ -204,8 +204,8 @@ class TestDistances:
             if g.vertex_count > 200:
                 continue
             d = all_pairs_distances(g)
-            n = d.order
-            rows = d.rows
+            n = d.rows
+            rows = d.entries
             for u in range(n):
                 assert rows[u][u] == 0
                 for v in range(u + 1, n):
@@ -233,7 +233,7 @@ class TestClosedFormDistance:
         d = all_pairs_distances(build_lcr(n))
         for a, pa in enumerate(verts):
             for b, pb in enumerate(verts):
-                assert lcr_distance(n, pa, pb) == d.entry(a, b)
+                assert lcr_distance(n, pa, pb) == d.at(a, b)
 
     def test_rejects_bad_pairs(self):
         with pytest.raises(ValueError, match="valid ordered pair"):
@@ -253,7 +253,7 @@ class TestDistanceRegularity:
         assert counts_a != counts_b
         # the witness pairs really are at the claimed common distance
         d = all_pairs_distances(build_lcr(n))
-        assert d.entry(*pair_a) == d.entry(*pair_b) == dist
+        assert d.at(*pair_a) == d.at(*pair_b) == dist
 
     @pytest.mark.parametrize("n", range(3, 8))
     def test_crown_is_distance_regular(self, n):

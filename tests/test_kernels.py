@@ -18,4 +18,4 @@ class TestPureKernels:
 
     def test_berkowitz_on_companion_like_matrix(self):
         # det(xI - [[0,1],[1,0]]) = x^2 - 1
-        assert berkowitz_charpoly([[0, 1], [1, 0]]) == [1, 0, -1]
+        assert berkowitz_charpoly([[0, 1], [1, 0]]) == [-1, 0, 1]

@@ -219,10 +219,10 @@ class TestAutomorphisms:
             for p in gens.generators:
                 assert is_automorphism(g, p), name
                 for u in range(g.vertex_count):
-                    row = d.rows[u]
+                    row = d.entries[u]
                     pu = p(u)
                     for v in range(g.vertex_count):
-                        assert row[v] == d.entry(pu, p(v)), name
+                        assert row[v] == d.at(pu, p(v)), name
 
 
 class TestGeneratorChoices:

@@ -17,7 +17,6 @@ from orbitspectra.exactla import (
     rank,
 )
 from orbitspectra.graphs import (
-    DistanceMatrix,
     all_pairs_distances,
     build_circulant,
     build_crown,
@@ -67,11 +66,17 @@ class TestQuotientMatrix:
     def test_all_singletons_gives_the_distance_matrix(self):
         d = all_pairs_distances(build_cycle(5))
         q = quotient_matrix(d, singletons_partition(5))
-        assert q.matrix.entries == d.rows
+        assert q.matrix == q.source == d
+
+    def test_matrix_must_be_square_and_match_the_partition(self):
+        pi = singletons_partition(2)
+        for d in (IntMatrix([[0, 1, 2], [1, 0, 1]]), all_pairs_distances(build_cycle(3))):
+            with pytest.raises(ValueError, match="partition covers 2 vertices"):
+                quotient_matrix(d, pi)
 
     def test_path_counterexample_is_rejected(self):
         # path a-b-c: distance sums from a and b to {c} differ (2 vs 1)
-        d = DistanceMatrix([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        d = IntMatrix([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
         pi = OrbitPartition.from_cells([(0, 1), (2,)])
         with pytest.raises(NonEquitablePartitionError) as err:
             quotient_matrix(d, pi)
@@ -119,7 +124,7 @@ class TestEigenvectorTransport:
     def test_lift_through_singletons_is_identity(self):
         d = all_pairs_distances(build_cycle(4))
         q = quotient_matrix(d, singletons_partition(4))
-        vec = kernel_basis(IntMatrix(d.rows).shift_diagonal(-2))[0]
+        vec = kernel_basis(d.shift_diagonal(-2))[0]
         assert lift_eigenvector(q, vec, -2) == vec
 
     def test_lift_quotient_eigenvector_at_minus_five(self):
@@ -127,8 +132,7 @@ class TestEigenvectorTransport:
         q = quotient_matrix(d, pi)
         vec = kernel_basis(q.matrix.shift_diagonal(-5))[0]
         lifted = lift_eigenvector(q, vec, -5)
-        m = IntMatrix(d.rows)
-        assert mat_vec(m, lifted) == lifted.scaled(-5)
+        assert mat_vec(d, lifted) == lifted.scaled(-5)
 
     def test_lift_rejects_non_eigenvector(self):
         _, d, pi = lcr_pipeline(4)
@@ -152,10 +156,9 @@ class TestEigenvectorTransport:
 
     def test_project_rejects_non_cell_constant(self):
         _, d, pi = lcr_pipeline(4)
-        m = IntMatrix(d.rows)
         # an eigenvector for -1 that is not constant on cells
         vec = next(
-            v for v in kernel_basis(m.shift_diagonal(-1))
+            v for v in kernel_basis(d.shift_diagonal(-1))
             if any(
                 v.entries[cell[0]] != v.entries[w]
                 for cell in pi.cells for w in cell
@@ -174,7 +177,7 @@ class TestEigenvectorTransport:
         from orbitspectra.perms import swap_action
 
         g = build_lcr(4)
-        d = IntMatrix(all_pairs_distances(g).rows)
+        d = all_pairs_distances(g)
         for lam in (-5, -1, 1):
             for vec in kernel_basis(d.shift_diagonal(lam)):
                 moved = permute_eigenvector(vec, swap_action(4))
@@ -207,9 +210,8 @@ class TestSymmetrization:
         q = quotient_matrix(d, pi)
         q_values = {lam for lam, _ in integer_roots(char_poly(q.matrix))[0]}
         assert q_values == {9, -1}
-        m = IntMatrix(d.rows)
         for lam in (-4, 0):
-            for vec in kernel_basis(m.shift_diagonal(lam)):
+            for vec in kernel_basis(d.shift_diagonal(lam)):
                 assert symmetrize_eigenvector(vec, pi, GeneratorSet.of(half_turn)).is_zero
 
     def test_perron_vector_stays_nonzero(self):
@@ -231,9 +233,8 @@ class TestTheoremProperties:
             d = all_pairs_distances(g)
             q = quotient_matrix(d, pi)
             roots, _ = integer_roots(char_poly(q.matrix), bound=max(d.row_sums()))
-            m = IntMatrix(d.rows)
             for lam, _ in roots:
-                assert eigen_multiplicity(m, lam) >= 1, (name, lam)
+                assert eigen_multiplicity(d, lam) >= 1, (name, lam)
 
     def test_distinct_sets_match_with_singleton_cell(self, corpus):
         # vertex-transitivity plus a singleton cell force the distinct
@@ -262,13 +263,12 @@ class TestTheoremProperties:
             q = quotient_matrix(d, pi)
             rho = max(d.row_sums())
             q_values = {lam for lam, _ in integer_roots(char_poly(q.matrix), bound=rho)[0]}
-            m = IntMatrix(d.rows)
             spectrum = distance_spectrum(g, "rank-sweep")
             for lam in spectrum.distinct_values:
                 if lam in q_values:
                     continue
                 found_any = True
-                for vec in kernel_basis(m.shift_diagonal(lam)):
+                for vec in kernel_basis(d.shift_diagonal(lam)):
                     for cell in pi.cells:
                         assert sum(vec.entries[v] for v in cell) == 0
         assert found_any
@@ -278,11 +278,10 @@ class TestTheoremProperties:
         # the same eigenvalue, so their span cannot exceed its size
         for n in (4, 5):
             _, d, pi = lcr_pipeline(n)
-            m = IntMatrix(d.rows)
             q = quotient_matrix(d, pi)
             q_poly = char_poly(q.matrix)
             for lam in distance_spectrum(build_lcr(n), "rank-sweep").distinct_values:
-                basis = kernel_basis(m.shift_diagonal(lam))
+                basis = kernel_basis(d.shift_diagonal(lam))
                 sums = [
                     [sum(vec.entries[v] for v in cell) for cell in pi.cells]
                     for vec in basis
@@ -409,7 +408,7 @@ class TestDistanceSpectrum:
         numpy = pytest.importorskip("numpy")
         for name, g, _, _ in corpus:
             d = all_pairs_distances(g)
-            eigs = numpy.linalg.eigvalsh(numpy.array(d.rows, dtype=float))
+            eigs = numpy.linalg.eigvalsh(numpy.array(d.entries, dtype=float))
             expected = {}
             non_integer = 0
             for x in eigs:
