@@ -17,7 +17,6 @@ from orbitspectra.graphs import (
     Graph,
     PairVertex,
     all_pairs_distances,
-    are_isomorphic,
     build_circulant,
     build_complete,
     build_crown,
@@ -25,7 +24,6 @@ from orbitspectra.graphs import (
     build_johnson,
     build_lcr,
     build_line_graph,
-    canonical_form,
     is_distance_regular,
     is_isomorphism,
     lcr_distance,

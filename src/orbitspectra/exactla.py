@@ -21,12 +21,15 @@ SCREEN_PRIME = (1 << 61) - 1
 
 
 class IntMatrix:
-    """Dense matrix of arbitrary-precision integers, distance matrices included."""
+    """Dense matrix of arbitrary-precision integers, distance matrices included.
+
+    Entries are stored as given, without conversion: callers pass ints.
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
-        entries = tuple(tuple(map(int, row)) for row in entries)
+        entries = tuple(map(tuple, entries))
         if entries:
             width = len(entries[0])
             for row in entries:

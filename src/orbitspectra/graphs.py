@@ -334,72 +334,6 @@ def is_distance_regular(g):
     return DistanceRegularity(True, (b_arr, c_arr), None)
 
 
-def _refine(adj, colors):
-    # 1-dimensional Weisfeiler-Leman color refinement to a fixed point.
-    n = len(adj)
-    while True:
-        keys = [
-            (colors[v], tuple(sorted(colors[w] for w in adj[v]))) for v in range(n)
-        ]
-        order = {k: c for c, k in enumerate(sorted(set(keys)))}
-        new = [order[k] for k in keys]
-        if new == colors:
-            return colors
-        colors = new
-
-
-def canonical_form(g):
-    """Canonical adjacency signature, equal iff graphs are isomorphic.
-
-    Individualization-refinement search over all discrete colorings;
-    the signature is the lexicographically smallest relabeled adjacency
-    table. Exhaustive, so intended for the small graphs (<= ~30
-    vertices) the test corpus uses.
-    """
-    n = g.vertex_count
-    adj = g.adjacency
-    best = None
-
-    def signature(colors):
-        pos = [0] * n
-        for v in range(n):
-            pos[colors[v]] = v
-        return tuple(
-            tuple(sorted(colors[w] for w in adj[pos[c]])) for c in range(n)
-        )
-
-    def search(colors):
-        nonlocal best
-        colors = _refine(adj, colors)
-        cells = {}
-        for v, c in enumerate(colors):
-            cells.setdefault(c, []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
-        if target is None:
-            sig = signature(colors)
-            if best is None or sig < best:
-                best = sig
-            return
-        for v in target:
-            branch = [c * 2 for c in colors]
-            branch[v] -= 1
-            search(branch)
-
-    search([0] * n)
-    return best if best is not None else ()
-
-
-def are_isomorphic(g, h):
-    """Isomorphism by canonical-form comparison."""
-    if g.vertex_count != h.vertex_count or g.edge_count != h.edge_count:
-        return False
-    return canonical_form(g) == canonical_form(h)
-
-
 def is_isomorphism(g, h, mapping):
     """Check an explicit vertex bijection g -> h for edge preservation."""
     n = g.vertex_count

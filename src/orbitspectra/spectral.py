@@ -4,8 +4,13 @@ The pipeline: an orbit partition of a subgroup of automorphisms induces
 an equitable partition of the distance matrix; the cell-sum quotient
 matrix Q then carries eigenvalues of D, and when the graph is
 vertex-transitive and the partition has a singleton cell, the distinct
-eigenvalue sets of Q and D coincide. That reduces a |V| x |V| spectrum
-problem to the quotient size plus a handful of exact rank computations.
+eigenvalue sets of Q and D coincide. That is checked, not assumed: the
+product of (Q - lam I) over the integer roots of det(xI - Q) must send
+the singleton cell's unit vector to zero. Then every multiplicity but
+the largest value's comes from an exact rank, and the largest value's
+from the sum rule (the multiplicities add up to |V|). That reduces a
+|V| x |V| spectrum problem to the quotient size plus a handful of exact
+rank computations.
 """
 
 from dataclasses import dataclass, replace
@@ -81,9 +86,9 @@ class Spectrum:
     """Exact spectrum: integer eigenvalues with multiplicities, plus an
     optional residual factor witnessing non-integrality."""
 
-    __slots__ = ("integer_part", "residual", "order", "trace")
+    __slots__ = ("integer_part", "residual", "order", "trace", "sum_rule_value")
 
-    def __init__(self, integer_part, residual, order, trace=0):
+    def __init__(self, integer_part, residual, order, trace=0, sum_rule_value=None):
         integer_part = tuple((int(v), int(m)) for v, m in integer_part)
         if list(integer_part) != sorted(integer_part):
             raise ValueError("eigenvalues must be sorted ascending")
@@ -100,6 +105,8 @@ class Spectrum:
         self.residual = residual
         self.order = order
         self.trace = trace
+        # the eigenvalue whose multiplicity is the order minus all others
+        self.sum_rule_value = sum_rule_value
         total, res_deg = self.multiplicity_sum, self.residual_degree
         if total + res_deg != order:
             raise ValueError(
@@ -343,23 +350,65 @@ def _screened_range(matrix, rho):
             yield lam
 
 
-def _certify_candidates(matrix, rho, candidates):
+def _certify_candidates(matrix, rho, candidates, exhaustive=False):
     """Spectrum from exact multiplicities of the candidate eigenvalues.
 
     Stops once the multiplicities reach the order: no further eigenvalue
     exists then. When the candidates fall short, det(xI - D) supplies the
     residual factor.
+
+    Exhaustive candidates are proven to be the eigenvalues, ascending:
+    each ranked one must have a positive multiplicity, and the last one
+    (the Perron value) is not ranked; its multiplicity is what the
+    others leave of the order. Any inconsistency is an ArithmeticError.
     """
     pairs = []
     remaining = matrix.rows
+    if exhaustive:
+        *candidates, top = candidates
     for lam in candidates:
         mult = eigen_multiplicity(matrix, lam)
         if mult:
             pairs.append((lam, mult))
             remaining -= mult
-            if remaining == 0:
+            if remaining == 0 and not exhaustive:
                 return Spectrum(pairs, None, matrix.rows, matrix.trace())
+        elif exhaustive:
+            raise ArithmeticError(f"quotient eigenvalue {lam} has multiplicity 0 in D")
+    if exhaustive:
+        return _spectrum_by_sum_rule(matrix, pairs, top)
     return _spectrum_with_residual(matrix, rho, pairs)
+
+
+def _spectrum_by_sum_rule(matrix, pairs, top):
+    """Spectrum whose last eigenvalue top takes what pairs leave of the order."""
+    remaining = matrix.rows - sum(m for _, m in pairs)
+    if remaining < 1:
+        raise ArithmeticError(
+            f"ranked multiplicities leave {remaining} of order {matrix.rows} for {top}"
+        )
+    pairs = pairs + [(top, remaining)]
+    trace = matrix.trace()
+    weighted = sum(v * m for v, m in pairs)
+    if weighted != trace:
+        raise ArithmeticError(f"weighted eigenvalue sum {weighted} != trace {trace}")
+    return Spectrum(pairs, None, matrix.rows, trace, sum_rule_value=top)
+
+
+def _annihilates(q, values, cell):
+    """Whether the product of (Q - lam I) over values sends e_cell to 0.
+
+    Exact integer mat-vecs, one per value. From DP = PQ (P the cell
+    indicator matrix) the same product of (D - lam I) then sends e_v to
+    0 for the vertex v of a singleton cell. Automorphisms commute with
+    D, so under a transitive group every column vanishes, and every
+    eigenvalue of D is among the values.
+    """
+    y = [0] * q.rows
+    y[cell] = 1
+    for lam in values:
+        y = [sum(a * b for a, b in zip(row, y)) - lam * x for row, x in zip(q.entries, y)]
+    return not any(y)
 
 
 def _spectrum_with_residual(matrix, rho, pairs):
@@ -380,10 +429,15 @@ def distance_spectrum(
     rank-sweep screens every integer in [-rho, rho] (rho = max row sum,
     a spectral radius bound) against det(xI - D) mod a prime, and gives
     each survivor an exact rank. char-poly always expands det(xI - D).
-    quotient-assisted takes eigenvalue candidates from a supplied
-    singleton-cell orbit partition of a vertex-transitive graph. When
-    the certified multiplicities do not exhaust the order, rank-sweep
-    and quotient-assisted expand det(xI - D) for the residual factor and
+    quotient-assisted takes eigenvalue candidates S, the integer roots
+    of det(xI - Q), from a supplied singleton-cell orbit partition of a
+    vertex-transitive graph. When the product of (Q - lam I) over S
+    annihilates the singleton cell's unit vector, S holds every
+    eigenvalue of D: each value but the largest gets an exact rank, and
+    the largest takes the rest of the order (sum_rule_value names it).
+    Otherwise every candidate is ranked. When the certified
+    multiplicities do not exhaust the order, rank-sweep and
+    quotient-assisted expand det(xI - D) for the residual factor and
     require its integer roots to equal the certified ones.
     """
     if method not in METHODS:
@@ -410,7 +464,9 @@ def distance_spectrum(
         raise ValueError("orbit partition must contain a singleton cell")
     q = quotient_matrix(matrix, partition)
     q_roots, _ = integer_roots(char_poly(q.matrix), bound=rho)
-    return _certify_candidates(matrix, rho, (lam for lam, _ in q_roots))
+    values = [lam for lam, _ in q_roots]
+    exhaustive = _annihilates(q.matrix, values, partition.singleton_cells()[0])
+    return _certify_candidates(matrix, rho, values, exhaustive)
 
 
 def is_distance_integral(
@@ -421,7 +477,20 @@ def is_distance_integral(
         g, method, partition=partition, transitive_gens=transitive_gens
     )
     total, res_deg = spectrum.multiplicity_sum, spectrum.residual_degree
-    checks = [
+    checks = []
+    top = spectrum.sum_rule_value
+    if top is not None:
+        degree = len(spectrum.integer_part)
+        checks.append(
+            Check(
+                "annihilates",
+                True,
+                f"degree-{degree} product of (Q - lam I) sends e_s to 0; "
+                f"multiplicity of {top} is {spectrum.order} - "
+                f"{spectrum.order - spectrum.multiplicity(top)} by the sum rule",
+            )
+        )
+    checks += [
         Check(
             "spectrum-complete",
             total + res_deg == spectrum.order,

@@ -34,6 +34,14 @@ def reflection_perm(n):
     return Permutation([(-v) % n for v in range(n)])
 
 
+def along_cycle(walk):
+    """Vertex mapping onto build_cycle(len(walk)): walk[k] goes to k."""
+    mapping = [None] * len(walk)
+    for k, v in enumerate(walk):
+        mapping[v] = k
+    return mapping
+
+
 def crown_sym_perm(n, alpha_images):
     """alpha in Sym([1..n]) acting simultaneously on both crown sides."""
     return Permutation(

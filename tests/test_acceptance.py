@@ -18,14 +18,13 @@ from orbitspectra.exactla import (
 )
 from orbitspectra.graphs import (
     all_pairs_distances,
-    are_isomorphic,
     build_crown,
     build_cycle,
     build_johnson,
     build_lcr,
     build_line_graph,
-    canonical_form,
     is_distance_regular,
+    is_isomorphism,
 )
 from orbitspectra.perms import (
     GeneratorSet,
@@ -40,7 +39,7 @@ from orbitspectra.spectral import (
     quotient_matrix,
 )
 
-from conftest import reflection_perm, rotation_perm
+from conftest import along_cycle, reflection_perm, rotation_perm
 
 N_RANGE = range(4, 11)
 
@@ -189,8 +188,8 @@ def test_criterion_07_crowns_are_distance_integral():
 
 
 def test_criterion_08_small_case_ground_truth():
-    assert canonical_form(build_lcr(3)) == canonical_form(build_cycle(6))
-    assert are_isomorphic(build_lcr(3), build_cycle(6))
+    # (1,2) - (1,3) - (2,3) - (2,1) - (3,1) - (3,2) - (1,2)
+    assert is_isomorphism(build_lcr(3), build_cycle(6), along_cycle([0, 1, 3, 2, 4, 5]))
     hexagon = build_cycle(6)
     pi = orbits(GeneratorSet.of(reflection_perm(6)))
     results = [

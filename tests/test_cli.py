@@ -142,6 +142,31 @@ class TestSpectrumCommand:
         assert out == ""
         assert err.startswith("internal error:")
 
+    @pytest.mark.parametrize(
+        "wrong_mult,reason",
+        [
+            (0, "quotient eigenvalue -1 has multiplicity 0 in D"),
+            (7, "leave 0 of order 20 for 33"),
+            (5, "weighted eigenvalue sum 34 != trace 0"),
+        ],
+    )
+    def test_inconsistent_sum_rule_exits_three(self, capsys, monkeypatch, wrong_mult, reason):
+        # lcr(5) has -1 with multiplicity 6: 0 contradicts the quotient,
+        # 7 leaves nothing for the Perron value 33, 5 leaves it 2 and
+        # breaks the trace
+        true_mult = spectral.eigen_multiplicity
+        monkeypatch.setattr(
+            spectral, "eigen_multiplicity",
+            lambda m, lam: wrong_mult if lam == -1 else true_mult(m, lam),
+        )
+        status, out, err = run(
+            capsys, "spectrum", "--family", "lcr", "--n", "5", "--method", "quotient-assisted"
+        )
+        assert status == 3
+        assert out == ""
+        assert err.startswith("internal error:")
+        assert reason in err
+
     def test_bad_generator_notation_exits_two(self, capsys):
         status, _, err = run(
             capsys,
@@ -205,7 +230,7 @@ class TestVerifyCommand:
             "graph-shape", "distances", "stabilizer-orbits", "orbit-sizes",
             "quotient-equitable", "quotient-closed-form", "quotient-spectrum",
             "distance-spectrum-distinct", "multiplicity-sum", "perron-simple",
-            "spectrum-complete", "trace-zero",
+            "annihilates", "spectrum-complete", "trace-zero",
         ]
 
     def test_precondition_failure_exits_one(self, capsys):

@@ -360,6 +360,51 @@ class TestDistanceSpectrum:
         assert calls == [-6, -2, -1, 1, 33]
         assert s == distance_spectrum(build_lcr(5), "char-poly")
 
+    def test_quotient_assisted_takes_perron_from_the_sum_rule(self, monkeypatch):
+        calls = []
+
+        def counting(matrix, lam):
+            calls.append(lam)
+            return eigen_multiplicity(matrix, lam)
+
+        monkeypatch.setattr(spectral, "eigen_multiplicity", counting)
+        g, _, pi = lcr_pipeline(5)
+        s = distance_spectrum(
+            g, "quotient-assisted", partition=pi, transitive_gens=lcr_automorphism_gens(5)
+        )
+        assert calls == [-6, -2, -1, 1]
+        assert s.sum_rule_value == 33
+        assert s == distance_spectrum(g, "char-poly")
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_quotient_eigenvalues_annihilate_the_singleton(self, n):
+        _, d, pi = lcr_pipeline(n)
+        q = quotient_matrix(d, pi).matrix
+        values = [lam for lam, _ in integer_roots(char_poly(q))[0]]
+        cell = pi.singleton_cells()[0]
+        assert spectral._annihilates(q, values, cell)
+        for k in range(len(values)):
+            assert not spectral._annihilates(q, values[:k] + values[k + 1:], cell)
+
+    def test_heptagon_ranks_its_candidate_and_keeps_the_residual(self, monkeypatch):
+        calls = []
+
+        def counting(matrix, lam):
+            calls.append(lam)
+            return eigen_multiplicity(matrix, lam)
+
+        monkeypatch.setattr(spectral, "eigen_multiplicity", counting)
+        s = distance_spectrum(
+            build_cycle(7),
+            "quotient-assisted",
+            partition=orbits(GeneratorSet.of(reflection_perm(7))),
+            transitive_gens=GeneratorSet.of(rotation_perm(7)),
+        )
+        assert calls == [12]
+        assert s.integer_part == ((12, 1),)
+        assert s.residual.degree == 6
+        assert s.sum_rule_value is None
+
     def test_quotient_assisted_requires_inputs(self):
         g = build_lcr(4)
         with pytest.raises(ValueError, match="needs an orbit partition"):
@@ -504,6 +549,20 @@ class TestIntegralityReports:
         assert complete.passed and trace.passed
         assert complete.detail == "multiplicities 1 + residual degree 6 = order 7"
         assert trace.detail == "weighted eigenvalue sum 0 equals trace 0"
+
+    def test_ledger_names_the_sum_rule_value(self):
+        g, _, pi = lcr_pipeline(5)
+        report = is_distance_integral(
+            g, "quotient-assisted", partition=pi, transitive_gens=lcr_automorphism_gens(5)
+        )
+        assert [c.name for c in report.checks] == [
+            "annihilates", "spectrum-complete", "trace-zero",
+        ]
+        assert report.checks[0].passed
+        assert report.checks[0].detail == (
+            "degree-5 product of (Q - lam I) sends e_s to 0; "
+            "multiplicity of 33 is 20 - 19 by the sum rule"
+        )
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_crowns_are_integral(self, n):
