@@ -171,13 +171,14 @@ def _load_graph(args):
 
 def _report_lines(report):
     yield f"graph: {report.graph}"
-    yield f"order: {report.order}"
+    spectrum = report.spectrum
+    yield f"order: {spectrum.order}"
     yield f"method: {report.method}"
-    yield ("distance integral: yes" if report.integral else "NOT distance integral")
-    yield "eigenvalues: " + " ".join(f"{v}^{m}" for v, m in report.spectrum.integer_part)
-    if report.spectrum.residual is not None:
-        yield f"residual: {report.spectrum.residual}"
-    yield "distinct: " + " ".join(str(v) for v in report.distinct)
+    yield ("distance integral: yes" if spectrum.is_integral else "NOT distance integral")
+    yield "eigenvalues: " + " ".join(f"{v}^{m}" for v, m in spectrum.integer_part)
+    if spectrum.residual is not None:
+        yield f"residual: {spectrum.residual}"
+    yield "distinct: " + " ".join(str(v) for v in spectrum.distinct_values)
 
 
 def _csv_rows(report, n):
@@ -201,7 +202,7 @@ def _parse_generator_list(text, degree):
 
 
 def _spectrum_report(args, g, description, n):
-    partition = transitive = None
+    quotient = transitive = None
     if args.method == "quotient-assisted":
         if args.stabilizer_gens and args.transitive_gens:
             partition = orbits(_parse_generator_list(args.stabilizer_gens, g.vertex_count))
@@ -216,9 +217,10 @@ def _spectrum_report(args, g, description, n):
                 "(cycle notation over 1-based vertex numbers); only --family lcr has "
                 "them built in"
             )
+        quotient = quotient_matrix(all_pairs_distances(g), partition)
     return is_distance_integral(
         g, args.method, description=description,
-        partition=partition, transitive_gens=transitive,
+        quotient=quotient, transitive_gens=transitive,
     )
 
 
@@ -302,7 +304,7 @@ def cmd_verify_lcr(args, out):
     else:
         for n, report, exc in results:
             if report is not None:
-                values = " ".join(str(v) for v in report.distinct)
+                values = " ".join(str(v) for v in report.spectrum.distinct_values)
                 out.write(f"n={n}: PASS distinct eigenvalues {values}\n")
             else:
                 out.write(_fail_line(n, exc) + "\n")

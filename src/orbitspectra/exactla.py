@@ -99,7 +99,7 @@ class IntPolynomial:
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients):
-        coeffs = [int(c) for c in coefficients]
+        coeffs = list(coefficients)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self.coefficients = tuple(coeffs)

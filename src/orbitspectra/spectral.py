@@ -10,7 +10,8 @@ the singleton cell's unit vector to zero. Then every multiplicity but
 the largest value's comes from an exact rank, and the largest value's
 from the sum rule (the multiplicities add up to |V|). That reduces a
 |V| x |V| spectrum problem to the quotient size plus a handful of exact
-rank computations.
+rank computations. quotient-assisted takes the caller's QuotientMatrix,
+which holds D too, so a caller that has checked Q runs no second BFS.
 """
 
 from dataclasses import dataclass, replace
@@ -84,23 +85,26 @@ class QuotientMatrix:
 
 class Spectrum:
     """Exact spectrum: integer eigenvalues with multiplicities, plus an
-    optional residual factor witnessing non-integrality."""
+    optional residual factor witnessing non-integrality. The one place
+    that checks a spectrum's invariants: a spectrum is always computed,
+    never read from input, so a broken one is an ArithmeticError."""
 
     __slots__ = ("integer_part", "residual", "order", "trace", "sum_rule_value")
 
     def __init__(self, integer_part, residual, order, trace=0, sum_rule_value=None):
-        integer_part = tuple((int(v), int(m)) for v, m in integer_part)
+        integer_part = tuple(integer_part)
         if list(integer_part) != sorted(integer_part):
-            raise ValueError("eigenvalues must be sorted ascending")
-        if any(m < 1 for _, m in integer_part):
-            raise ValueError("multiplicities must be positive")
+            raise ArithmeticError("eigenvalues must be sorted ascending")
+        for v, m in integer_part:
+            if m < 1:
+                raise ArithmeticError(f"eigenvalue {v} has multiplicity {m} < 1")
         if residual is not None and residual.degree == 0:
             residual = None
         if residual is not None:
             if residual.degree < 2:
-                raise ValueError("residual factor must have degree >= 2")
+                raise ArithmeticError("residual factor must have degree >= 2")
             if residual.leading_coefficient != 1:
-                raise ValueError("residual factor must be monic")
+                raise ArithmeticError("residual factor must be monic")
         self.integer_part = integer_part
         self.residual = residual
         self.order = order
@@ -109,11 +113,11 @@ class Spectrum:
         self.sum_rule_value = sum_rule_value
         total, res_deg = self.multiplicity_sum, self.residual_degree
         if total + res_deg != order:
-            raise ValueError(
+            raise ArithmeticError(
                 f"multiplicities ({total}) + residual degree ({res_deg}) != order ({order})"
             )
         if self.eigenvalue_sum != trace:
-            raise ValueError(f"eigenvalue sum {self.eigenvalue_sum} != trace {trace}")
+            raise ArithmeticError(f"weighted eigenvalue sum {self.eigenvalue_sum} != trace {trace}")
 
     @property
     def multiplicity_sum(self):
@@ -171,26 +175,22 @@ class IntegralityReport:
     """Outcome of a distance-integrality computation, with its check ledger."""
 
     graph: str
-    order: int
     method: str
-    integral: bool
     spectrum: Spectrum
-    distinct: tuple
     checks: tuple
 
     def to_json_dict(self):
+        spectrum = self.spectrum
         out = {
             "graph": self.graph,
-            "order": self.order,
+            "order": spectrum.order,
             "method": self.method,
-            "integral": self.integral,
-            "eigenvalues": [[v, m] for v, m in self.spectrum.integer_part],
+            "integral": spectrum.is_integral,
+            "eigenvalues": [[v, m] for v, m in spectrum.integer_part],
         }
-        if self.spectrum.residual is not None:
-            out["residual_coefficients"] = [
-                str(c) for c in self.spectrum.residual.coefficients
-            ]
-        out["distinct"] = list(self.distinct)
+        if spectrum.residual is not None:
+            out["residual_coefficients"] = [str(c) for c in spectrum.residual.coefficients]
+        out["distinct"] = list(spectrum.distinct_values)
         out["checks"] = [
             {"name": c.name, "pass": c.passed, "detail": c.detail} for c in self.checks
         ]
@@ -360,7 +360,8 @@ def _certify_candidates(matrix, rho, candidates, exhaustive=False):
     Exhaustive candidates are proven to be the eigenvalues, ascending:
     each ranked one must have a positive multiplicity, and the last one
     (the Perron value) is not ranked; its multiplicity is what the
-    others leave of the order. Any inconsistency is an ArithmeticError.
+    others leave of the order (Spectrum rejects a remainder below 1).
+    Any inconsistency is an ArithmeticError.
     """
     pairs = []
     remaining = matrix.rows
@@ -376,23 +377,9 @@ def _certify_candidates(matrix, rho, candidates, exhaustive=False):
         elif exhaustive:
             raise ArithmeticError(f"quotient eigenvalue {lam} has multiplicity 0 in D")
     if exhaustive:
-        return _spectrum_by_sum_rule(matrix, pairs, top)
+        pairs.append((top, remaining))
+        return Spectrum(pairs, None, matrix.rows, matrix.trace(), sum_rule_value=top)
     return _spectrum_with_residual(matrix, rho, pairs)
-
-
-def _spectrum_by_sum_rule(matrix, pairs, top):
-    """Spectrum whose last eigenvalue top takes what pairs leave of the order."""
-    remaining = matrix.rows - sum(m for _, m in pairs)
-    if remaining < 1:
-        raise ArithmeticError(
-            f"ranked multiplicities leave {remaining} of order {matrix.rows} for {top}"
-        )
-    pairs = pairs + [(top, remaining)]
-    trace = matrix.trace()
-    weighted = sum(v * m for v, m in pairs)
-    if weighted != trace:
-        raise ArithmeticError(f"weighted eigenvalue sum {weighted} != trace {trace}")
-    return Spectrum(pairs, None, matrix.rows, trace, sum_rule_value=top)
 
 
 def _annihilates(q, values, cell):
@@ -422,27 +409,42 @@ def _spectrum_with_residual(matrix, rho, pairs):
 
 
 def distance_spectrum(
-    g, method="rank-sweep", partition=None, transitive_gens=None
+    g, method="rank-sweep", quotient=None, transitive_gens=None
 ) -> Spectrum:
     """Complete exact distance spectrum of a connected graph.
 
     rank-sweep screens every integer in [-rho, rho] (rho = max row sum,
     a spectral radius bound) against det(xI - D) mod a prime, and gives
     each survivor an exact rank. char-poly always expands det(xI - D).
-    quotient-assisted takes eigenvalue candidates S, the integer roots
-    of det(xI - Q), from a supplied singleton-cell orbit partition of a
-    vertex-transitive graph. When the product of (Q - lam I) over S
-    annihilates the singleton cell's unit vector, S holds every
-    eigenvalue of D: each value but the largest gets an exact rank, and
-    the largest takes the rest of the order (sum_rule_value names it).
-    Otherwise every candidate is ranked. When the certified
-    multiplicities do not exhaust the order, rank-sweep and
-    quotient-assisted expand det(xI - D) for the residual factor and
+    Both run BFS. quotient-assisted runs none: D and Q come from the
+    caller's QuotientMatrix of g over a singleton-cell orbit partition,
+    and g must be vertex-transitive under transitive_gens. Its
+    candidates S are the integer roots of det(xI - Q). When the product
+    of (Q - lam I) over S annihilates the singleton cell's unit vector,
+    S holds every eigenvalue of D: each value but the largest gets an
+    exact rank, and the largest takes the rest of the order
+    (sum_rule_value names it). Otherwise every candidate is ranked. When
+    the certified multiplicities do not exhaust the order, rank-sweep
+    and quotient-assisted expand det(xI - D) for the residual factor and
     require its integer roots to equal the certified ones.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    matrix = all_pairs_distances(g)
+    if method != "quotient-assisted":
+        matrix = all_pairs_distances(g)
+    elif quotient is None or transitive_gens is None:
+        raise ValueError(
+            "quotient-assisted method needs an orbit partition quotient and "
+            "vertex-transitivity generators"
+        )
+    else:
+        matrix = quotient.source
+        if matrix.rows != g.vertex_count:
+            raise ValueError(f"quotient source has {matrix.rows} rows, graph {g.vertex_count}")
+        if not is_vertex_transitive_under(g, transitive_gens):
+            raise ValueError("graph is not vertex-transitive under the given generators")
+        if not quotient.partition.singleton_cells():
+            raise ValueError("orbit partition must contain a singleton cell")
     rho = max(matrix.row_sums())
 
     if method == "rank-sweep":
@@ -452,69 +454,58 @@ def distance_spectrum(
         roots, residual = integer_roots(char_poly(matrix), bound=rho)
         return Spectrum(roots, residual, matrix.rows, matrix.trace())
 
-    # quotient-assisted
-    if partition is None or transitive_gens is None:
-        raise ValueError(
-            "quotient-assisted method needs an orbit partition and "
-            "vertex-transitivity generators"
-        )
-    if not is_vertex_transitive_under(g, transitive_gens):
-        raise ValueError("graph is not vertex-transitive under the given generators")
-    if not partition.singleton_cells():
-        raise ValueError("orbit partition must contain a singleton cell")
-    q = quotient_matrix(matrix, partition)
-    q_roots, _ = integer_roots(char_poly(q.matrix), bound=rho)
+    q_roots, _ = integer_roots(char_poly(quotient.matrix), bound=rho)
     values = [lam for lam, _ in q_roots]
-    exhaustive = _annihilates(q.matrix, values, partition.singleton_cells()[0])
+    singleton = quotient.partition.singleton_cells()[0]
+    exhaustive = _annihilates(quotient.matrix, values, singleton)
     return _certify_candidates(matrix, rho, values, exhaustive)
 
 
 def is_distance_integral(
-    g, method="rank-sweep", description=None, partition=None, transitive_gens=None
+    g, method="rank-sweep", description=None, quotient=None, transitive_gens=None
 ) -> IntegralityReport:
-    """Full integrality report for a connected graph."""
+    """Full integrality report; Spectrum has enforced the ledger's figures."""
     spectrum = distance_spectrum(
-        g, method, partition=partition, transitive_gens=transitive_gens
+        g, method, quotient=quotient, transitive_gens=transitive_gens
     )
-    total, res_deg = spectrum.multiplicity_sum, spectrum.residual_degree
+    order = spectrum.order
     checks = []
     top = spectrum.sum_rule_value
     if top is not None:
-        degree = len(spectrum.integer_part)
         checks.append(
             Check(
                 "annihilates",
                 True,
-                f"degree-{degree} product of (Q - lam I) sends e_s to 0; "
-                f"multiplicity of {top} is {spectrum.order} - "
-                f"{spectrum.order - spectrum.multiplicity(top)} by the sum rule",
+                f"degree-{len(spectrum.integer_part)} product of (Q - lam I) sends "
+                f"e_s to 0; multiplicity of {top} is {order} - "
+                f"{order - spectrum.multiplicity(top)} by the sum rule",
             )
         )
     checks += [
         Check(
             "spectrum-complete",
-            total + res_deg == spectrum.order,
-            f"multiplicities {total} + residual degree {res_deg} = order {spectrum.order}",
+            True,
+            f"multiplicities {spectrum.multiplicity_sum} + residual degree "
+            f"{spectrum.residual_degree} = order {order}",
         ),
         Check(
             "trace-zero",
-            spectrum.eigenvalue_sum == spectrum.trace,
+            True,
             f"weighted eigenvalue sum {spectrum.eigenvalue_sum} "
             f"equals trace {spectrum.trace}",
         ),
     ]
     return IntegralityReport(
         graph=description or repr(g),
-        order=spectrum.order,
         method=method,
-        integral=spectrum.is_integral,
         spectrum=spectrum,
-        distinct=spectrum.distinct_values,
         checks=tuple(checks),
     )
 
 
 def _expected_lcr_eigen_multiset(n):
+    """The paper's quotient eigenvalues of lcr(n), ascending, with their
+    multiplicities in Q; the last one is the Perron value."""
     expected = {}
     for lam, mult in (
         (-1, 1),
@@ -533,8 +524,9 @@ def verify_lcr(n) -> IntegralityReport:
     Builds the graph, runs BFS, computes the stabilizer orbit partition
     and its quotient matrix, compares against the closed form, extracts
     the quotient eigenvalues exactly, and certifies the distance
-    spectrum with is_distance_integral, whose checks follow these stages
-    in the ledger. Any mismatch raises VerificationError naming the stage.
+    spectrum with is_distance_integral on that same quotient (one BFS
+    and one quotient per n), whose checks follow these stages in the
+    ledger. Any mismatch raises VerificationError naming the stage.
     """
     if n < 4:
         raise VerificationError("preconditions", f"defined for n >= 4, got {n}")
@@ -555,7 +547,8 @@ def verify_lcr(n) -> IntegralityReport:
 
     d = all_pairs_distances(g)
     row_sums = set(d.row_sums())
-    perron = 2 * n * n - 4 * n + 3
+    expected_q = _expected_lcr_eigen_multiset(n)
+    perron = expected_q[-1][0]
     stage(
         "distances",
         d.max_entry() == 3 and row_sums == {perron},
@@ -587,7 +580,6 @@ def verify_lcr(n) -> IntegralityReport:
     )
 
     q_roots, q_residual = integer_roots(char_poly(q.matrix), bound=perron)
-    expected_q = _expected_lcr_eigen_multiset(n)
     stage(
         "quotient-spectrum",
         q_roots == expected_q and q_residual == IntPolynomial.one(),
@@ -598,11 +590,11 @@ def verify_lcr(n) -> IntegralityReport:
         g,
         "quotient-assisted",
         description=f"lcr n={n}",
-        partition=pi,
+        quotient=q,
         transitive_gens=lcr_automorphism_gens(n),
     )
     spectrum = report.spectrum
-    expected_distinct = tuple(sorted({-n - 1, -n + 3, -1, 1, perron}))
+    expected_distinct = tuple(lam for lam, _ in expected_q)
     stage(
         "distance-spectrum-distinct",
         spectrum.distinct_values == expected_distinct,

@@ -11,6 +11,7 @@ from itertools import combinations
 import pytest
 
 from orbitspectra.graphs import (
+    all_pairs_distances,
     build_circulant,
     build_crown,
     build_cycle,
@@ -24,6 +25,7 @@ from orbitspectra.perms import (
     lcr_stabilizer_gens,
     orbits,
 )
+from orbitspectra.spectral import quotient_matrix
 
 
 def rotation_perm(n):
@@ -104,6 +106,11 @@ def johnson_pair_stabilizer_gens(n):
         johnson_induced_perm(n, 2, swap23),
         johnson_induced_perm(n, 2, tail_cycle),
     )
+
+
+def quotient_of(g, pi):
+    """The verified orbit quotient that quotient-assisted spectra take."""
+    return quotient_matrix(all_pairs_distances(g), pi)
 
 
 def corpus_entries():

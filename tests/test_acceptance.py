@@ -39,7 +39,7 @@ from orbitspectra.spectral import (
     quotient_matrix,
 )
 
-from conftest import along_cycle, reflection_perm, rotation_perm
+from conftest import along_cycle, quotient_of, reflection_perm, rotation_perm
 
 N_RANGE = range(4, 11)
 
@@ -55,8 +55,7 @@ def lcr_data():
         pi = lcr_stabilizer_partition(n)
         q = quotient_matrix(d, pi)
         spectrum = distance_spectrum(
-            g, "quotient-assisted", partition=pi,
-            transitive_gens=lcr_automorphism_gens(n),
+            g, "quotient-assisted", quotient=q, transitive_gens=lcr_automorphism_gens(n),
         )
         elapsed = time.monotonic() - start
         data[n] = {
@@ -137,14 +136,14 @@ def test_criterion_04_multiplicity_consistency(lcr_data):
 def test_criterion_05_line_of_johnson_contrast():
     start = time.monotonic()
     j62 = is_distance_integral(build_johnson(6, 2), description="johnson n=6 k=2")
-    assert j62.integral
+    assert j62.spectrum.is_integral
     line = is_distance_integral(
         build_line_graph(build_johnson(6, 2)), "char-poly",
         description="line-johnson n=6 k=2",
     )
     elapsed = time.monotonic() - start
-    assert not line.integral
-    assert line.order == 60
+    assert not line.spectrum.is_integral
+    assert line.spectrum.order == 60
     residual = line.spectrum.residual
     assert residual is not None and residual.degree >= 2
     assert residual.degree == 10  # (x^2 + 13x + 6)^5, from the float oracle
@@ -173,7 +172,7 @@ def test_criterion_07_crowns_are_distance_integral():
         report = is_distance_integral(
             build_crown(n), "rank-sweep", description=f"crown n={n}"
         )
-        assert report.integral, n
+        assert report.spectrum.is_integral, n
         # independent float oracle for the derived eigenvalues
         d = all_pairs_distances(build_crown(n))
         eigs = numpy.linalg.eigvalsh(numpy.array(d.entries, dtype=float))
@@ -196,7 +195,7 @@ def test_criterion_08_small_case_ground_truth():
         distance_spectrum(hexagon, "rank-sweep"),
         distance_spectrum(hexagon, "char-poly"),
         distance_spectrum(
-            hexagon, "quotient-assisted", partition=pi,
+            hexagon, "quotient-assisted", quotient=quotient_of(hexagon, pi),
             transitive_gens=GeneratorSet.of(rotation_perm(6)),
         ),
     ]
@@ -241,7 +240,7 @@ def test_criterion_10_method_cross_validation(corpus):
         assert repr(s_rank) == repr(s_char), name
         if s_rank.is_integral:
             s_quot = distance_spectrum(
-                g, "quotient-assisted", partition=pi, transitive_gens=gens
+                g, "quotient-assisted", quotient=quotient_of(g, pi), transitive_gens=gens
             )
             assert s_rank == s_quot and repr(s_rank) == repr(s_quot), name
         compared += 1

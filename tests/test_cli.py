@@ -6,7 +6,7 @@ import pytest
 
 from orbitspectra import cli, spectral
 from orbitspectra.cli import format_edge_list, main, parse_edge_list
-from orbitspectra.exactla import IntMatrix
+from orbitspectra.exactla import IntMatrix, IntPolynomial
 from orbitspectra.graphs import build_crown
 from orbitspectra.spectral import distance_spectrum
 
@@ -142,11 +142,24 @@ class TestSpectrumCommand:
         assert out == ""
         assert err.startswith("internal error:")
 
+    def test_broken_spectrum_invariant_exits_three(self, capsys, monkeypatch):
+        # one root of multiplicity 1 and no residual cannot cover order 7;
+        # Spectrum rejects it as an internal error, not a usage error
+        monkeypatch.setattr(
+            spectral, "integer_roots", lambda p, bound: ([(0, 1)], IntPolynomial.one())
+        )
+        status, out, err = run(
+            capsys, "spectrum", "--family", "cycle", "--n", "7", "--method", "char-poly"
+        )
+        assert status == 3
+        assert out == ""
+        assert err.startswith("internal error:")
+
     @pytest.mark.parametrize(
         "wrong_mult,reason",
         [
             (0, "quotient eigenvalue -1 has multiplicity 0 in D"),
-            (7, "leave 0 of order 20 for 33"),
+            pytest.param(7, "eigenvalue 33 has multiplicity 0 < 1", id="7-no-remainder-for-33"),
             (5, "weighted eigenvalue sum 34 != trace 0"),
         ],
     )

@@ -49,7 +49,7 @@ from orbitspectra.spectral import (
     verify_lcr,
 )
 
-from conftest import reflection_perm, rotation_perm
+from conftest import quotient_of, reflection_perm, rotation_perm
 
 
 def lcr_pipeline(n):
@@ -322,7 +322,7 @@ class TestDistanceSpectrum:
             s_char = distance_spectrum(g, "char-poly")
             assert s_rank == s_char, name
             s_quot = distance_spectrum(
-                g, "quotient-assisted", partition=pi, transitive_gens=gens
+                g, "quotient-assisted", quotient=quotient_of(g, pi), transitive_gens=gens
             )
             assert s_rank == s_quot, name
 
@@ -343,7 +343,7 @@ class TestDistanceSpectrum:
         s_quot = distance_spectrum(
             g,
             "quotient-assisted",
-            partition=orbits(GeneratorSet.of(reflection_perm(n))),
+            quotient=quotient_of(g, orbits(GeneratorSet.of(reflection_perm(n)))),
             transitive_gens=GeneratorSet.of(rotation_perm(n)),
         )
         assert s_rank == s_quot
@@ -368,9 +368,10 @@ class TestDistanceSpectrum:
             return eigen_multiplicity(matrix, lam)
 
         monkeypatch.setattr(spectral, "eigen_multiplicity", counting)
-        g, _, pi = lcr_pipeline(5)
+        g, d, pi = lcr_pipeline(5)
         s = distance_spectrum(
-            g, "quotient-assisted", partition=pi, transitive_gens=lcr_automorphism_gens(5)
+            g, "quotient-assisted", quotient=quotient_matrix(d, pi),
+            transitive_gens=lcr_automorphism_gens(5),
         )
         assert calls == [-6, -2, -1, 1]
         assert s.sum_rule_value == 33
@@ -394,10 +395,11 @@ class TestDistanceSpectrum:
             return eigen_multiplicity(matrix, lam)
 
         monkeypatch.setattr(spectral, "eigen_multiplicity", counting)
+        g = build_cycle(7)
         s = distance_spectrum(
-            build_cycle(7),
+            g,
             "quotient-assisted",
-            partition=orbits(GeneratorSet.of(reflection_perm(7))),
+            quotient=quotient_of(g, orbits(GeneratorSet.of(reflection_perm(7)))),
             transitive_gens=GeneratorSet.of(rotation_perm(7)),
         )
         assert calls == [12]
@@ -417,7 +419,7 @@ class TestDistanceSpectrum:
             distance_spectrum(
                 g,
                 "quotient-assisted",
-                partition=pi,
+                quotient=quotient_of(g, pi),
                 transitive_gens=GeneratorSet.of(rotation_perm(6)),
             )
 
@@ -428,8 +430,18 @@ class TestDistanceSpectrum:
             distance_spectrum(
                 g,
                 "quotient-assisted",
-                partition=pi,
+                quotient=quotient_of(g, pi),
                 transitive_gens=GeneratorSet.of(reflection_perm(6)),
+            )
+
+    def test_quotient_assisted_requires_the_graphs_quotient(self):
+        pi = orbits(GeneratorSet.of(reflection_perm(6)))
+        with pytest.raises(ValueError, match="quotient source has 6 rows, graph 7"):
+            distance_spectrum(
+                build_cycle(7),
+                "quotient-assisted",
+                quotient=quotient_of(build_cycle(6), pi),
+                transitive_gens=GeneratorSet.of(rotation_perm(7)),
             )
 
     def test_unknown_method(self):
@@ -470,11 +482,11 @@ class TestDistanceSpectrum:
 
 class TestSpectrumType:
     def test_rejects_incomplete_multiplicities(self):
-        with pytest.raises(ValueError, match="order"):
+        with pytest.raises(ArithmeticError, match="order"):
             Spectrum([(-1, 1)], None, 3)
 
     def test_rejects_trace_mismatch(self):
-        with pytest.raises(ValueError, match="trace"):
+        with pytest.raises(ArithmeticError, match="weighted eigenvalue sum 1 != trace 0"):
             Spectrum([(-1, 1), (2, 1)], None, 2)
 
     def test_residual_book_keeping(self):
@@ -484,7 +496,7 @@ class TestSpectrumType:
         assert s.multiplicity(6) == 1 and s.multiplicity(5) == 0
 
     def test_rejects_unsorted(self):
-        with pytest.raises(ValueError, match="sorted"):
+        with pytest.raises(ArithmeticError, match="sorted"):
             Spectrum([(2, 1), (-2, 1)], None, 2)
 
 
@@ -495,13 +507,27 @@ class TestVerifier:
     )
     def test_verify_reports_distinct_values(self, n, expected):
         report = verify_lcr(n)
-        assert report.integral
-        assert report.distinct == expected
+        assert report.spectrum.is_integral
+        assert report.spectrum.distinct_values == expected
         assert all(c.passed for c in report.checks)
 
     def test_small_n_rejected(self):
         with pytest.raises(VerificationError, match="n >= 4"):
             verify_lcr(3)
+
+    @pytest.mark.parametrize("n", range(4, 7))
+    def test_one_bfs_and_one_quotient_per_n(self, n, monkeypatch):
+        calls = []
+        for name in ("all_pairs_distances", "quotient_matrix"):
+            original = getattr(spectral, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(spectral, name, counting)
+        verify_lcr(n)
+        assert sorted(calls) == ["all_pairs_distances", "quotient_matrix"]
 
     def test_wrong_orbit_count_fails_at_its_own_stage(self, monkeypatch):
         monkeypatch.setattr(
@@ -531,13 +557,13 @@ class TestVerifier:
 class TestIntegralityReports:
     def test_johnson_6_2_is_integral(self):
         report = is_distance_integral(build_johnson(6, 2), description="johnson n=6 k=2")
-        assert report.integral
+        assert report.spectrum.is_integral
         assert report.spectrum.integer_part == ((-4, 5), (0, 9), (20, 1))
 
     def test_line_of_johnson_6_2_is_not_integral(self):
         g = build_line_graph(build_johnson(6, 2))
         report = is_distance_integral(g, "char-poly", description="line-johnson")
-        assert not report.integral
+        assert not report.spectrum.is_integral
         assert report.spectrum.residual.degree >= 2
         payload = report.to_json_dict()
         assert payload["residual_coefficients"][0] == "7776"
@@ -551,9 +577,10 @@ class TestIntegralityReports:
         assert trace.detail == "weighted eigenvalue sum 0 equals trace 0"
 
     def test_ledger_names_the_sum_rule_value(self):
-        g, _, pi = lcr_pipeline(5)
+        g, d, pi = lcr_pipeline(5)
         report = is_distance_integral(
-            g, "quotient-assisted", partition=pi, transitive_gens=lcr_automorphism_gens(5)
+            g, "quotient-assisted", quotient=quotient_matrix(d, pi),
+            transitive_gens=lcr_automorphism_gens(5),
         )
         assert [c.name for c in report.checks] == [
             "annihilates", "spectrum-complete", "trace-zero",
@@ -567,7 +594,7 @@ class TestIntegralityReports:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_crowns_are_integral(self, n):
         report = is_distance_integral(build_crown(n), description=f"crown n={n}")
-        assert report.integral
+        assert report.spectrum.is_integral
         # closed form derived from the block structure, checked against
         # the rank sweep: {3n, n-4, 0 x (n-1), -4 x (n-1)} with merges
         expected = {}
