@@ -3,13 +3,10 @@
 from orbitspectra.exactla import (
     IntMatrix,
     IntPolynomial,
-    RationalVector,
     char_poly,
     det,
     eigen_multiplicity,
     integer_roots,
-    kernel_basis,
-    mat_vec,
     rank,
 )
 from orbitspectra.graphs import (
@@ -47,18 +44,13 @@ from orbitspectra.perms import (
 from orbitspectra.spectral import (
     IntegralityReport,
     NonEquitablePartitionError,
-    NotAnEigenvectorError,
     QuotientMatrix,
     Spectrum,
     VerificationError,
     distance_spectrum,
     is_distance_integral,
     lcr_quotient_closed_form,
-    lift_eigenvector,
-    permute_eigenvector,
-    project_eigenvector,
     quotient_matrix,
-    symmetrize_eigenvector,
     verify_lcr,
 )
 

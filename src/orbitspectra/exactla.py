@@ -1,16 +1,12 @@
-"""Arbitrary-precision integer/rational matrix kernel.
+"""Arbitrary-precision integer matrix kernel.
 
 Characteristic polynomials are computed with the division-free
 Berkowitz recurrence, ranks and determinants with fraction-free
 Bareiss elimination, so every intermediate value is an exact integer.
-Rational values appear only in vectors (eigenvectors, kernel bases).
 A characteristic polynomial modulo a prime (Hessenberg reduction) is
 available for screening: a nonzero residue proves a value is not a
 root, and nothing is ever concluded from a zero one.
 """
-
-from fractions import Fraction
-from math import gcd
 
 # scanning this many candidate roots is cheap; anything larger needs a
 # caller-supplied bound
@@ -193,53 +189,8 @@ class IntPolynomial:
         return f"IntPolynomial({self})"
 
 
-class RationalVector:
-    """Vector of exact rationals (Fraction keeps them in lowest terms)."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        self.entries = tuple(Fraction(x) for x in entries)
-
-    @property
-    def length(self):
-        return len(self.entries)
-
-    @property
-    def is_zero(self):
-        return all(x == 0 for x in self.entries)
-
-    def scaled(self, factor):
-        factor = Fraction(factor)
-        return RationalVector(x * factor for x in self.entries)
-
-    def primitive(self):
-        """Integer multiple with content 1 and positive leading entry."""
-        if self.is_zero:
-            return self
-        lcm = 1
-        for x in self.entries:
-            d = x.denominator
-            lcm = lcm // gcd(lcm, d) * d
-        ints = [int(x * lcm) for x in self.entries]
-        content = 0
-        for v in ints:
-            content = gcd(content, v)
-        ints = [v // content for v in ints]
-        lead = next(v for v in ints if v != 0)
-        if lead < 0:
-            ints = [-v for v in ints]
-        return RationalVector(ints)
-
-    def __eq__(self, other):
-        return isinstance(other, RationalVector) and self.entries == other.entries
-
-    def __repr__(self):
-        return f"RationalVector({[str(x) for x in self.entries]})"
-
-
 def bareiss_echelon(rows):
-    """Fraction-free Gaussian elimination (one-step Bareiss).
+    """Gaussian elimination without fractions (one-step Bareiss).
 
     Returns (rank, sign, pivot_cols, echelon) where ``echelon`` is the
     integer row-echelon array after forward elimination and ``sign``
@@ -407,52 +358,6 @@ def eigen_multiplicity(m: IntMatrix, lam) -> int:
     return m.rows - rank(m.shift_diagonal(lam))
 
 
-def kernel_basis(m: IntMatrix):
-    """Basis of the rational null space, as primitive integer vectors.
-
-    One basis vector per free column, derived by exact back-substitution
-    over the fraction-free echelon form; deterministic.
-    """
-    if m.cols == 0:
-        return []
-    if m.rows == 0:
-        basis = []
-        for f in range(m.cols):
-            unit = [0] * m.cols
-            unit[f] = 1
-            basis.append(RationalVector(unit))
-        return basis
-    r, _, pivot_cols, ech = bareiss_echelon(m.entries)
-    pivot_set = set(pivot_cols)
-    basis = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        x = [Fraction(0)] * m.cols
-        x[f] = Fraction(1)
-        for i in range(r - 1, -1, -1):
-            pc = pivot_cols[i]
-            if pc > f:
-                continue
-            s = Fraction(0)
-            row = ech[i]
-            for j in range(pc + 1, m.cols):
-                if x[j]:
-                    s += row[j] * x[j]
-            x[pc] = -s / row[pc]
-        basis.append(RationalVector(x).primitive())
-    return basis
-
-
-def mat_vec(m: IntMatrix, v: RationalVector) -> RationalVector:
-    """Exact matrix-vector product."""
-    if m.cols != v.length:
-        raise ValueError(f"dimension mismatch: {m.rows}x{m.cols} times {v.length}")
-    return RationalVector(
-        sum(c * x for c, x in zip(row, v.entries)) for row in m.entries
-    )
-
-
 def _root_bound(p: IntPolynomial):
     # Cauchy bound: every root r satisfies |r| < 1 + max|c_i| / |c_lead|.
     lead = abs(p.leading_coefficient)
@@ -465,8 +370,9 @@ def integer_roots(p: IntPolynomial, bound=None):
 
     Candidates are the divisors of the lowest nonzero coefficient within
     a root bound (the Cauchy bound, intersected with the caller's bound
-    when given; distance-spectrum callers pass the max row sum). Raises
-    ValueError when that bound exceeds _SCAN_LIMIT. Returns (sorted list
+    when given). The caller's bound is a non-negative int, used as
+    given: distance-spectrum callers pass rho (the max row sum) or the
+    Perron value. Raises ValueError when the bound exceeds _SCAN_LIMIT. Returns (sorted list
     of (root, multiplicity), residual polynomial); the residual has no
     integer roots and the factorization is exact.
     """
@@ -483,7 +389,7 @@ def integer_roots(p: IntPolynomial, bound=None):
     if residual.degree >= 1:
         cap = _root_bound(residual)
         if bound is not None:
-            cap = min(cap, abs(int(bound)))
+            cap = min(cap, bound)
         tail = residual.coefficients[0]
         if cap > _SCAN_LIMIT:
             raise ValueError(

@@ -15,18 +15,15 @@ which holds D too, so a caller that has checked Q runs no second BFS.
 """
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from orbitspectra.exactla import (
     SCREEN_PRIME,
     IntMatrix,
     IntPolynomial,
-    RationalVector,
     char_poly,
     charpoly_mod,
     eigen_multiplicity,
     integer_roots,
-    mat_vec,
 )
 from orbitspectra.graphs import (
     all_pairs_distances,
@@ -34,9 +31,7 @@ from orbitspectra.graphs import (
     pair_vertices,
 )
 from orbitspectra.perms import (
-    GeneratorSet,
     OrbitPartition,
-    Permutation,
     is_vertex_transitive_under,
     lcr_automorphism_gens,
     lcr_stabilizer_gens,
@@ -59,10 +54,6 @@ class NonEquitablePartitionError(ValueError):
             f"partition is not equitable: cell {cell} members {rep_a} and {rep_b} "
             f"give different sums against cell {column}"
         )
-
-
-class NotAnEigenvectorError(ValueError):
-    pass
 
 
 class VerificationError(ValueError):
@@ -258,83 +249,6 @@ def lcr_stabilizer_partition(n) -> OrbitPartition:
     )
 
 
-def _require_eigenvector(m: IntMatrix, f: RationalVector, lam, what):
-    if f.is_zero:
-        raise NotAnEigenvectorError(f"{what}: eigenvector must be nonzero")
-    got = mat_vec(m, f)
-    want = f.scaled(lam)
-    if got != want:
-        raise NotAnEigenvectorError(
-            f"{what}: vector is not an exact eigenvector for {lam}"
-        )
-
-
-def lift_eigenvector(q: QuotientMatrix, f: RationalVector, lam) -> RationalVector:
-    """Extend a Q-eigenvector to the vertex set, constant on each cell.
-
-    The result is verified to be an exact eigenvector of the source
-    distance matrix with the same eigenvalue.
-    """
-    _require_eigenvector(q.matrix, f, lam, "lift")
-    cell_of = q.partition.cell_of
-    lifted = RationalVector(f.entries[cell_of[v]] for v in range(q.source.rows))
-    if mat_vec(q.source, lifted) != lifted.scaled(lam):
-        raise NotAnEigenvectorError("lift: lifted vector failed verification")
-    return lifted
-
-
-def project_eigenvector(
-    d: IntMatrix, pi: OrbitPartition, f: RationalVector, lam
-) -> RationalVector:
-    """Collapse a cell-constant D-eigenvector to one value per cell.
-
-    Requires f to be an exact eigenvector of d that is constant on every
-    cell of pi; the projected vector is verified against the quotient.
-    """
-    _require_eigenvector(d, f, lam, "project")
-    values = []
-    for k, cell in enumerate(pi.cells):
-        val = f.entries[cell[0]]
-        for v in cell[1:]:
-            if f.entries[v] != val:
-                raise ValueError(f"vector is not constant on cell {k}")
-        values.append(val)
-    projected = RationalVector(values)
-    q = quotient_matrix(d, pi)
-    if mat_vec(q.matrix, projected) != projected.scaled(lam):
-        raise NotAnEigenvectorError("project: projected vector failed verification")
-    return projected
-
-
-def permute_eigenvector(f: RationalVector, p: Permutation) -> RationalVector:
-    """The vector v -> f(p(v)); an automorphism maps eigenvectors to eigenvectors."""
-    if p.degree != f.length:
-        raise ValueError(f"permutation degree {p.degree} != vector length {f.length}")
-    return RationalVector(f.entries[p.images[v]] for v in range(f.length))
-
-
-def symmetrize_eigenvector(
-    f: RationalVector, pi: OrbitPartition, gens: GeneratorSet | None = None
-) -> RationalVector:
-    """Cell-sum replication: each entry becomes the sum of f over its cell.
-
-    This is the group-averaged vector up to a positive factor per orbit,
-    so it is either zero or an eigenvector for the same eigenvalue, and
-    it is constant on cells by construction. When gens is supplied, each
-    cell is checked to be closed under every generator.
-    """
-    if pi.degree != f.length:
-        raise ValueError(f"partition degree {pi.degree} != vector length {f.length}")
-    if gens is not None:
-        for g in gens.generators:
-            for k, cell in enumerate(pi.cells):
-                members = set(cell)
-                if any(g.images[v] not in members for v in cell):
-                    raise ValueError(f"cell {k} is not closed under generator {g!r}")
-    sums = [sum((f.entries[v] for v in cell), Fraction(0)) for cell in pi.cells]
-    return RationalVector(sums[pi.cell_of[v]] for v in range(f.length))
-
-
 def _screened_range(matrix, rho):
     """Integers in [-rho, rho] that may be eigenvalues, in ascending order.
 
@@ -398,6 +312,30 @@ def _annihilates(q, values, cell):
     return not any(y)
 
 
+def _is_distance_matrix_of(g, d, gens, v):
+    """Whether d is g's distance matrix, without a second BFS.
+
+    gens must be automorphisms of g acting transitively. Row v must
+    solve the BFS recurrence (0 at v, elsewhere 1 + the least entry over
+    the neighbours), whose only solution is the distances from v; and d
+    must be invariant under every generator, which then carries row v
+    onto every other row.
+    """
+    entries, adj = d.entries, g.adjacency
+    row = entries[v]
+    if row[v] != 0:
+        return False
+    for w, x in enumerate(row):
+        if w != v and (not adj[w] or x != 1 + min(row[u] for u in adj[w])):
+            return False
+    for p in gens.generators:
+        im = p.images
+        for i, r in enumerate(entries):
+            if tuple(map(entries[im[i]].__getitem__, im)) != r:
+                return False
+    return True
+
+
 def _spectrum_with_residual(matrix, rho, pairs):
     """Spectrum from det(xI - D), checked against rank-certified pairs."""
     roots, residual = integer_roots(char_poly(matrix), bound=rho)
@@ -418,8 +356,10 @@ def distance_spectrum(
     each survivor an exact rank. char-poly always expands det(xI - D).
     Both run BFS. quotient-assisted runs none: D and Q come from the
     caller's QuotientMatrix of g over a singleton-cell orbit partition,
-    and g must be vertex-transitive under transitive_gens. Its
-    candidates S are the integer roots of det(xI - Q). When the product
+    and g must be vertex-transitive under transitive_gens. D is checked
+    to be g's distance matrix: the singleton vertex's row must solve the
+    BFS recurrence on g, and D must be invariant under transitive_gens.
+    The candidates S are the integer roots of det(xI - Q). When the product
     of (Q - lam I) over S annihilates the singleton cell's unit vector,
     S holds every eigenvalue of D: each value but the largest gets an
     exact rank, and the largest takes the rest of the order
@@ -443,8 +383,12 @@ def distance_spectrum(
             raise ValueError(f"quotient source has {matrix.rows} rows, graph {g.vertex_count}")
         if not is_vertex_transitive_under(g, transitive_gens):
             raise ValueError("graph is not vertex-transitive under the given generators")
-        if not quotient.partition.singleton_cells():
+        singletons = quotient.partition.singleton_cells()
+        if not singletons:
             raise ValueError("orbit partition must contain a singleton cell")
+        vertex = quotient.partition.cells[singletons[0]][0]
+        if not _is_distance_matrix_of(g, matrix, transitive_gens, vertex):
+            raise ValueError("quotient source is not the graph's distance matrix")
     rho = max(matrix.row_sums())
 
     if method == "rank-sweep":
@@ -456,8 +400,7 @@ def distance_spectrum(
 
     q_roots, _ = integer_roots(char_poly(quotient.matrix), bound=rho)
     values = [lam for lam, _ in q_roots]
-    singleton = quotient.partition.singleton_cells()[0]
-    exhaustive = _annihilates(quotient.matrix, values, singleton)
+    exhaustive = _annihilates(quotient.matrix, values, singletons[0])
     return _certify_candidates(matrix, rho, values, exhaustive)
 
 

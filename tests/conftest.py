@@ -10,6 +10,7 @@ from itertools import combinations
 
 import pytest
 
+from orbitspectra.exactla import IntMatrix
 from orbitspectra.graphs import (
     all_pairs_distances,
     build_circulant,
@@ -111,6 +112,19 @@ def johnson_pair_stabilizer_gens(n):
 def quotient_of(g, pi):
     """The verified orbit quotient that quotient-assisted spectra take."""
     return quotient_matrix(all_pairs_distances(g), pi)
+
+
+def with_cell_indicators(a, pi):
+    """A with the cell-indicator rows P^T of pi stacked under it.
+
+    Its kernel is ker A meet ker P^T, so rank([A; P^T]) - rank(A) is the
+    dimension of P^T(ker A): for A = D - lam I, the span of the cell sums
+    of the lam-eigenvectors. It is 0 iff every one sums to 0 on every cell.
+    """
+    indicators = [
+        tuple(1 if k == c else 0 for c in pi.cell_of) for k in range(pi.cell_count)
+    ]
+    return IntMatrix(a.entries + tuple(indicators))
 
 
 def corpus_entries():

@@ -1,9 +1,13 @@
 """Command-line interface: parsing, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import orbitspectra
 from orbitspectra import cli, spectral
 from orbitspectra.cli import format_edge_list, main, parse_edge_list
 from orbitspectra.exactla import IntMatrix, IntPolynomial
@@ -416,3 +420,21 @@ class TestScanCommand:
             assert status == 0
             expected.extend(single.strip().splitlines()[1:])
         assert scanned.strip().splitlines()[1:] == expected
+
+
+def test_cli_start_up_imports_no_rational_arithmetic():
+    # every value the package computes is an exact integer
+    src = os.path.dirname(os.path.dirname(orbitspectra.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    probe = (
+        "import orbitspectra.cli, sys; "
+        "print(sorted(m for m in ('fractions', 'decimal') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "[]\n"

@@ -15,15 +15,12 @@ from orbitspectra.exactla import (
     SCREEN_PRIME,
     IntMatrix,
     IntPolynomial,
-    RationalVector,
     berkowitz_charpoly,
     char_poly,
     charpoly_mod,
     det,
     eigen_multiplicity,
     integer_roots,
-    kernel_basis,
-    mat_vec,
     rank,
 )
 from orbitspectra.graphs import all_pairs_distances, build_lcr
@@ -299,55 +296,6 @@ class TestEigenMultiplicity:
                 factor_mult += 1
                 q = quo
             assert eigen_multiplicity(m, lam) == factor_mult
-
-
-class TestKernel:
-    def test_zero_matrix_kernel_spans_everything(self):
-        basis = kernel_basis(IntMatrix.zero(2, 2))
-        assert len(basis) == 2
-        assert basis[0].entries[0] != 0 or basis[1].entries[0] != 0
-
-    def test_identity_has_trivial_kernel(self):
-        assert kernel_basis(IntMatrix.identity(4)) == []
-
-    def test_eigenspace_dimension_matches_multiplicity(self):
-        d = all_pairs_distances(build_lcr(4))
-        shifted = d.shift_diagonal(-5)
-        basis = kernel_basis(shifted)
-        assert len(basis) == eigen_multiplicity(d, -5)
-        for vec in basis:
-            assert mat_vec(shifted, vec).is_zero
-
-    @given(rect_matrices())
-    @settings(max_examples=60, deadline=None)
-    def test_kernel_properties(self, m):
-        basis = kernel_basis(m)
-        assert len(basis) == m.cols - rank(m)
-        for vec in basis:
-            assert mat_vec(m, vec).is_zero
-            ints = [x for x in vec.entries]
-            assert all(x.denominator == 1 for x in ints)
-            lead = next(x for x in ints if x != 0)
-            assert lead > 0
-
-
-class TestMatVec:
-    def test_identity(self):
-        v = RationalVector([1, Fraction(1, 2), -3])
-        assert mat_vec(IntMatrix.identity(3), v) == v
-
-    def test_zero(self):
-        v = RationalVector([5, 6])
-        assert mat_vec(IntMatrix.zero(2, 2), v).is_zero
-
-    def test_constant_row_sums_give_perron_vector(self):
-        d = all_pairs_distances(build_lcr(4))
-        ones = RationalVector([1] * 12)
-        assert mat_vec(d, ones) == ones.scaled(19)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            mat_vec(IntMatrix.identity(2), RationalVector([1, 2, 3]))
 
 
 class TestPolynomialType:

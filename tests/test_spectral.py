@@ -1,4 +1,4 @@
-"""Quotient matrices, eigenvector transport, and the spectrum pipeline."""
+"""Quotient matrices, the quotient-assisted certificate, and the spectrum pipeline."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,15 +8,13 @@ from orbitspectra import spectral
 from orbitspectra.exactla import (
     IntMatrix,
     IntPolynomial,
-    RationalVector,
     char_poly,
     eigen_multiplicity,
     integer_roots,
-    kernel_basis,
-    mat_vec,
     rank,
 )
 from orbitspectra.graphs import (
+    Graph,
     all_pairs_distances,
     build_circulant,
     build_crown,
@@ -34,22 +32,17 @@ from orbitspectra.perms import (
 )
 from orbitspectra.spectral import (
     NonEquitablePartitionError,
-    NotAnEigenvectorError,
     Spectrum,
     VerificationError,
     distance_spectrum,
     is_distance_integral,
     lcr_quotient_closed_form,
     lcr_stabilizer_partition,
-    lift_eigenvector,
-    permute_eigenvector,
-    project_eigenvector,
     quotient_matrix,
-    symmetrize_eigenvector,
     verify_lcr,
 )
 
-from conftest import quotient_of, reflection_perm, rotation_perm
+from conftest import quotient_of, reflection_perm, rotation_perm, with_cell_indicators
 
 
 def lcr_pipeline(n):
@@ -112,121 +105,6 @@ class TestClosedFormQuotient:
             lcr_quotient_closed_form(3)
 
 
-class TestEigenvectorTransport:
-    def test_lift_perron_through_one_cell_partition(self):
-        g = build_lcr(4)
-        d = all_pairs_distances(g)
-        one_cell = OrbitPartition.from_cells([tuple(range(12))])
-        q = quotient_matrix(d, one_cell)
-        lifted = lift_eigenvector(q, RationalVector([1]), 19)
-        assert lifted == RationalVector([1] * 12)
-
-    def test_lift_through_singletons_is_identity(self):
-        d = all_pairs_distances(build_cycle(4))
-        q = quotient_matrix(d, singletons_partition(4))
-        vec = kernel_basis(d.shift_diagonal(-2))[0]
-        assert lift_eigenvector(q, vec, -2) == vec
-
-    def test_lift_quotient_eigenvector_at_minus_five(self):
-        _, d, pi = lcr_pipeline(4)
-        q = quotient_matrix(d, pi)
-        vec = kernel_basis(q.matrix.shift_diagonal(-5))[0]
-        lifted = lift_eigenvector(q, vec, -5)
-        assert mat_vec(d, lifted) == lifted.scaled(-5)
-
-    def test_lift_rejects_non_eigenvector(self):
-        _, d, pi = lcr_pipeline(4)
-        q = quotient_matrix(d, pi)
-        with pytest.raises(NotAnEigenvectorError):
-            lift_eigenvector(q, RationalVector([1, 0, 0, 0, 0, 0, 0]), -5)
-
-    def test_project_all_ones_on_one_cell(self):
-        g = build_lcr(4)
-        d = all_pairs_distances(g)
-        one_cell = OrbitPartition.from_cells([tuple(range(12))])
-        projected = project_eigenvector(d, one_cell, RationalVector([1] * 12), 19)
-        assert projected == RationalVector([1])
-
-    def test_project_then_lift_round_trip(self):
-        _, d, pi = lcr_pipeline(4)
-        q = quotient_matrix(d, pi)
-        vec = kernel_basis(q.matrix.shift_diagonal(-5))[0]
-        lifted = lift_eigenvector(q, vec, -5)
-        assert project_eigenvector(d, pi, lifted, -5) == vec
-
-    def test_project_rejects_non_cell_constant(self):
-        _, d, pi = lcr_pipeline(4)
-        # an eigenvector for -1 that is not constant on cells
-        vec = next(
-            v for v in kernel_basis(d.shift_diagonal(-1))
-            if any(
-                v.entries[cell[0]] != v.entries[w]
-                for cell in pi.cells for w in cell
-            )
-        )
-        with pytest.raises(ValueError, match="constant on cell"):
-            project_eigenvector(d, pi, vec, -1)
-
-    def test_permute_identity_and_constant(self):
-        vec = RationalVector([3, 1, 4, 1])
-        assert permute_eigenvector(vec, Permutation.identity(4)) == vec
-        ones = RationalVector([2] * 6)
-        assert permute_eigenvector(ones, rotation_perm(6)) == ones
-
-    def test_permute_by_automorphism_preserves_eigenvectors(self):
-        from orbitspectra.perms import swap_action
-
-        g = build_lcr(4)
-        d = all_pairs_distances(g)
-        for lam in (-5, -1, 1):
-            for vec in kernel_basis(d.shift_diagonal(lam)):
-                moved = permute_eigenvector(vec, swap_action(4))
-                assert mat_vec(d, moved) == moved.scaled(lam)
-
-    def test_permute_degree_mismatch(self):
-        with pytest.raises(ValueError, match="degree"):
-            permute_eigenvector(RationalVector([1, 2]), Permutation.identity(3))
-
-
-class TestSymmetrization:
-    def test_cell_constant_vector_scales_by_cell_size(self):
-        _, d, pi = lcr_pipeline(4)
-        q = quotient_matrix(d, pi)
-        vec = kernel_basis(q.matrix.shift_diagonal(-5))[0]
-        lifted = lift_eigenvector(q, vec, -5)
-        symmetrized = symmetrize_eigenvector(lifted, pi)
-        for cell in pi.cells:
-            for v in cell:
-                assert symmetrized.entries[v] == len(cell) * lifted.entries[v]
-
-    def test_eigenvector_outside_quotient_spectrum_collapses_to_zero(self):
-        # hexagon with the half-rotation subgroup: two cells, no singleton;
-        # the quotient spectrum {9, -1} misses eigenvalues -4 and 0 of D
-        g = build_cycle(6)
-        d = all_pairs_distances(g)
-        half_turn = rotation_perm(6) * rotation_perm(6)
-        pi = orbits(GeneratorSet.of(half_turn))
-        assert [len(c) for c in pi.cells] == [3, 3]
-        q = quotient_matrix(d, pi)
-        q_values = {lam for lam, _ in integer_roots(char_poly(q.matrix))[0]}
-        assert q_values == {9, -1}
-        for lam in (-4, 0):
-            for vec in kernel_basis(d.shift_diagonal(lam)):
-                assert symmetrize_eigenvector(vec, pi, GeneratorSet.of(half_turn)).is_zero
-
-    def test_perron_vector_stays_nonzero(self):
-        _, d, pi = lcr_pipeline(4)
-        out = symmetrize_eigenvector(RationalVector([1] * 12), pi)
-        assert not out.is_zero
-        assert all(x > 0 for x in out.entries)
-
-    def test_cells_must_be_closed_under_generators(self):
-        pi = OrbitPartition.from_cells([(0, 1), (2, 3)])
-        bad = GeneratorSet.of(Permutation([0, 2, 1, 3]))
-        with pytest.raises(ValueError, match="not closed"):
-            symmetrize_eigenvector(RationalVector([1, 1, 1, 1]), pi, bad)
-
-
 class TestTheoremProperties:
     def test_every_quotient_eigenvalue_lifts_to_d(self, corpus):
         for name, g, pi, _ in corpus:
@@ -251,7 +129,8 @@ class TestTheoremProperties:
 
     def test_cell_sums_vanish_outside_quotient_spectrum(self):
         # non-singleton partitions leave eigenvalues behind; their entire
-        # eigenspaces must sum to zero on every cell
+        # eigenspaces must sum to zero on every cell: ker A in ker P^T,
+        # that is rank([A; P^T]) = rank(A) for A = D - lam I
         cases = [
             (build_cycle(6), GeneratorSet.of(rotation_perm(6) * rotation_perm(6))),
             (build_cycle(8), GeneratorSet.of(reflection_perm(8) * rotation_perm(8))),
@@ -268,27 +147,20 @@ class TestTheoremProperties:
                 if lam in q_values:
                     continue
                 found_any = True
-                for vec in kernel_basis(d.shift_diagonal(lam)):
-                    for cell in pi.cells:
-                        assert sum(vec.entries[v] for v in cell) == 0
+                a = d.shift_diagonal(lam)
+                assert rank(with_cell_indicators(a, pi)) == rank(a), lam
         assert found_any
 
     def test_projected_space_is_bounded_by_quotient_multiplicity(self):
         # cell-sum vectors of an eigenspace live in Q's eigenspace for
-        # the same eigenvalue, so their span cannot exceed its size
+        # the same eigenvalue, so their span, of dimension
+        # rank([A; P^T]) - rank(A) for A = D - lam I, cannot exceed its size
         for n in (4, 5):
             _, d, pi = lcr_pipeline(n)
             q = quotient_matrix(d, pi)
             q_poly = char_poly(q.matrix)
             for lam in distance_spectrum(build_lcr(n), "rank-sweep").distinct_values:
-                basis = kernel_basis(d.shift_diagonal(lam))
-                sums = [
-                    [sum(vec.entries[v] for v in cell) for cell in pi.cells]
-                    for vec in basis
-                ]
-                stacked = IntMatrix(
-                    [[x.numerator for x in row] for row in sums]
-                )
+                a = d.shift_diagonal(lam)
                 q_mult = 0
                 poly = q_poly
                 while True:
@@ -297,7 +169,7 @@ class TestTheoremProperties:
                         break
                     q_mult += 1
                     poly = quo
-                assert rank(stacked) <= q_mult
+                assert rank(with_cell_indicators(a, pi)) - rank(a) <= q_mult, lam
 
 
 class TestDistanceSpectrum:
@@ -435,14 +307,31 @@ class TestDistanceSpectrum:
             )
 
     def test_quotient_assisted_requires_the_graphs_quotient(self):
-        pi = orbits(GeneratorSet.of(reflection_perm(6)))
+        hexagon = build_cycle(6)
+        hexagon_quotient = quotient_of(hexagon, orbits(GeneratorSet.of(reflection_perm(6))))
         with pytest.raises(ValueError, match="quotient source has 6 rows, graph 7"):
             distance_spectrum(
                 build_cycle(7),
                 "quotient-assisted",
-                quotient=quotient_of(build_cycle(6), pi),
+                quotient=hexagon_quotient,
                 transitive_gens=GeneratorSet.of(rotation_perm(7)),
             )
+        # the octahedron: the singleton vertex's row breaks the BFS recurrence;
+        # the hexagon relabelled by (2 4): that row is right, but the
+        # relabelled rotation does not preserve the hexagon's distances
+        swap = Permutation.from_cycles([[2, 4]], 6)
+        relabelled = Graph(6, [(swap.images[u], swap.images[v]) for u, v in hexagon.edges()])
+        for g, rotation in (
+            (build_circulant(6, (1, 2)), rotation_perm(6)),
+            (relabelled, swap * rotation_perm(6) * swap),
+        ):
+            with pytest.raises(ValueError, match="not the graph's distance matrix"):
+                distance_spectrum(
+                    g,
+                    "quotient-assisted",
+                    quotient=hexagon_quotient,
+                    transitive_gens=GeneratorSet.of(rotation),
+                )
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method"):
