@@ -12,7 +12,6 @@ from orbitspectra.exactla import (
 from orbitspectra.graphs import (
     DisconnectedGraphError,
     Graph,
-    PairVertex,
     all_pairs_distances,
     build_circulant,
     build_complete,

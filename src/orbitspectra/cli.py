@@ -3,8 +3,8 @@
 Exit codes: 0 for success (including a clean "not integral" finding),
 1 when a verification is mathematically refuted, 2 for usage or input
 errors, 3 for an internal error (two exact computations that must agree
-did not). Output on stdout is byte-identical across runs for identical
-inputs; timing goes to stderr.
+did not, or any other unexpected exception). Output on stdout is
+byte-identical across runs for identical inputs; timing goes to stderr.
 """
 
 import argparse
@@ -102,12 +102,6 @@ def parse_edge_list(text) -> Graph:
     return Graph(n, edges)
 
 
-def format_edge_list(g: Graph) -> str:
-    lines = [f"p {g.vertex_count}"]
-    lines.extend(f"e {u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
-
-
 def build_family(family, n, k=None, connections=()):
     """Construct a named family member and its report description."""
     if family == "crown":
@@ -181,16 +175,10 @@ def _report_lines(report):
     yield "distinct: " + " ".join(str(v) for v in spectrum.distinct_values)
 
 
-def _csv_rows(report, n):
-    for v, m in report.spectrum.integer_part:
-        yield [report.graph, n, v, m]
-
-
-def _emit_csv(rows, out):
+def _emit_csv(header, rows, out):
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["graph", "n", "eigenvalue", "multiplicity"])
-    for row in rows:
-        writer.writerow(row)
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 def _parse_generator_list(text, degree):
@@ -204,7 +192,7 @@ def _parse_generator_list(text, degree):
 def _spectrum_report(args, g, description, n):
     quotient = transitive = None
     if args.method == "quotient-assisted":
-        if args.stabilizer_gens and args.transitive_gens:
+        if args.stabilizer_gens is not None:
             partition = orbits(_parse_generator_list(args.stabilizer_gens, g.vertex_count))
             transitive = _parse_generator_list(args.transitive_gens, g.vertex_count)
         elif args.family == "lcr":
@@ -232,7 +220,8 @@ def _write_reports(args, reports, out):
             payload = payload[0]
         out.write(json.dumps(payload, indent=2) + "\n")
     elif args.format == "csv":
-        _emit_csv((row for n, report in reports for row in _csv_rows(report, n)), out)
+        rows = ([r.graph, n, v, m] for n, r in reports for v, m in r.spectrum.integer_part)
+        _emit_csv(("graph", "n", "eigenvalue", "multiplicity"), rows, out)
     else:
         blocks = ("".join(line + "\n" for line in _report_lines(r)) for _, r in reports)
         out.write("\n".join(blocks))
@@ -272,6 +261,8 @@ def _fail_line(n, exc):
 
 
 def cmd_verify_lcr(args, out):
+    if min(args.n_values) < 4:
+        raise UsageError(f"verify-lcr needs n >= 4, got {args.n}")
     failures = 0
     results = []
     for n in args.n_values:
@@ -294,13 +285,10 @@ def cmd_verify_lcr(args, out):
         out.write(json.dumps(payload, indent=2) + "\n")
     elif args.format == "csv":
         # CSV rows carry only eigenvalues, so a refutation goes to stderr
-        rows = []
         for n, report, exc in results:
-            if report is not None:
-                rows.extend(_csv_rows(report, n))
-            else:
+            if report is None:
                 print(_fail_line(n, exc), file=sys.stderr)
-        _emit_csv(rows, out)
+        _write_reports(args, [(n, r) for n, r, _ in results if r is not None], out)
     else:
         for n, report, exc in results:
             if report is not None:
@@ -333,11 +321,9 @@ def cmd_quotient(args, out):
         }
         out.write(json.dumps(payload, indent=2) + "\n")
     elif args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["row", "col", "entry"])
-        for i, row in enumerate(q.matrix.entries):
-            for j, x in enumerate(row):
-                writer.writerow([i, j, x])
+        entries = q.matrix.entries
+        rows = ((i, j, x) for i, row in enumerate(entries) for j, x in enumerate(row))
+        _emit_csv(("row", "col", "entry"), rows, out)
         if not match:
             print("matches closed form: NO", file=sys.stderr)
     else:
@@ -360,15 +346,12 @@ def cmd_distances(args, out):
             "graph": description,
             "order": d.rows,
             "labels": list(g.vertex_labels),
-            "rows": [list(r) for r in d.entries],
+            "rows": d.entries,
         }
         out.write(json.dumps(payload, indent=2) + "\n")
     elif args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["u", "v", "distance"])
-        for u, row in enumerate(d.entries):
-            for v, x in enumerate(row):
-                writer.writerow([u, v, x])
+        rows = ((u, v, x) for u, row in enumerate(d.entries) for v, x in enumerate(row))
+        _emit_csv(("u", "v", "distance"), rows, out)
     else:
         out.write(f"graph: {description}\n")
         width = len(str(d.max_entry()))
@@ -480,6 +463,13 @@ def _normalize_args(args):
         raise UsageError("--family needs --n")
     if (args.family is None) == (args.input is None):
         raise UsageError("exactly one graph source: --family with --n, or --input")
+    if args.command in ("spectrum", "scan"):
+        given = (args.stabilizer_gens is not None) + (args.transitive_gens is not None)
+        if given == 1 or given and args.method != "quotient-assisted":
+            raise UsageError(
+                "--stabilizer-gens and --transitive-gens go together, "
+                "with --method quotient-assisted only"
+            )
 
 
 _HANDLERS = {
@@ -510,6 +500,11 @@ def main(argv=None) -> int:
         return 2
     except ArithmeticError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        import traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return 3
 
 

@@ -64,9 +64,6 @@ class IntMatrix:
         """Largest entry (a distance matrix's diameter); 0 when there is none."""
         return max((max(row) for row in self.entries if row), default=0)
 
-    def transpose(self):
-        return IntMatrix(zip(*self.entries)) if self.rows else IntMatrix([])
-
     def shift_diagonal(self, lam):
         """self - lam * I."""
         if not self.is_square:

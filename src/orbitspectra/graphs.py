@@ -56,12 +56,6 @@ class Graph:
     def adjacency(self):
         return self._adj
 
-    def neighbors(self, v):
-        return self._adj[v]
-
-    def degree(self, v):
-        return len(self._adj[v])
-
     def edges(self):
         """Edge list as (u, v) with u < v, sorted."""
         return [(u, v) for u in range(self.vertex_count) for v in self._adj[u] if u < v]
@@ -100,28 +94,16 @@ class Graph:
         return f"Graph({self.vertex_count} vertices, {self.edge_count} edges)"
 
 
-class PairVertex(NamedTuple):
-    """Ordered pair (i, j) with 1 <= i, j <= n and i != j."""
-
-    i: int
-    j: int
-
-
 def pair_vertices(n):
     """All ordered pairs over [1..n] with distinct coordinates, lexicographic."""
-    return [
-        PairVertex(i, j)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if i != j
-    ]
+    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
 
 
 def _check_pair(n, p):
     i, j = p
     if not (1 <= i <= n and 1 <= j <= n) or i == j:
         raise ValueError(f"({i},{j}) is not a valid ordered pair over [1..{n}]")
-    return PairVertex(i, j)
+    return i, j
 
 
 def build_crown(n):
@@ -220,7 +202,7 @@ def build_line_graph(g):
     edges = []
     for k, (u, v) in enumerate(base_edges):
         for w in (u, v):
-            for x in g.neighbors(w):
+            for x in g.adjacency[w]:
                 other = (w, x) if w < x else (x, w)
                 k2 = index[other]
                 if k2 > k:
@@ -230,7 +212,7 @@ def build_line_graph(g):
 
 
 def bfs_all_pairs(n, adj):
-    """All-pairs shortest path lengths by BFS from every source.
+    """All-pairs shortest path lengths by BFS, one tuple per source.
 
     ``adj`` is a sequence of neighbor sequences. Unreachable vertices are
     reported as -1; the caller decides whether that is an error.
@@ -247,7 +229,7 @@ def bfs_all_pairs(n, adj):
                 if row[w] < 0:
                     row[w] = du
                     queue.append(w)
-        dist.append(row)
+        dist.append(tuple(row))
     return dist
 
 
@@ -315,7 +297,7 @@ def is_distance_regular(g):
         for w in range(g.vertex_count):
             i = dv[w]
             c = a = b = 0
-            for x in g.neighbors(w):
+            for x in g.adjacency[w]:
                 dx = dv[x]
                 if dx == i - 1:
                     c += 1

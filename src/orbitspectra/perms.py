@@ -47,25 +47,14 @@ class Permutation:
     def degree(self):
         return len(self.images)
 
-    def apply(self, v):
+    def __call__(self, v):
         return self.images[v]
-
-    __call__ = apply
 
     def compose(self, other):
         """self after other: (self * other)(v) = self(other(v))."""
         return Permutation(self.images[w] for w in other.images)
 
     __mul__ = compose
-
-    def inverse(self):
-        inv = [0] * len(self.images)
-        for v, w in enumerate(self.images):
-            inv[w] = v
-        return Permutation(inv)
-
-    def is_identity(self):
-        return all(v == w for v, w in enumerate(self.images))
 
     def cycles(self):
         """Nontrivial cycles, each starting at its smallest point."""
@@ -174,9 +163,6 @@ class OrbitPartition:
     @property
     def cell_count(self):
         return len(self.cells)
-
-    def representatives(self):
-        return tuple(c[0] for c in self.cells)
 
     def singleton_cells(self):
         return [k for k, c in enumerate(self.cells) if len(c) == 1]

@@ -264,36 +264,33 @@ def _screened_range(matrix, rho):
             yield lam
 
 
-def _certify_candidates(matrix, rho, candidates, exhaustive=False):
-    """Spectrum from exact multiplicities of the candidate eigenvalues.
+def _ranked_spectrum(matrix, rho, candidates):
+    """Spectrum from exact ranks of the candidate eigenvalues.
 
     Stops once the multiplicities reach the order: no further eigenvalue
-    exists then. When the candidates fall short, det(xI - D) supplies the
-    residual factor.
-
-    Exhaustive candidates are proven to be the eigenvalues, ascending:
-    each ranked one must have a positive multiplicity, and the last one
-    (the Perron value) is not ranked; its multiplicity is what the
-    others leave of the order (Spectrum rejects a remainder below 1).
-    Any inconsistency is an ArithmeticError.
+    exists then. Otherwise det(xI - D) supplies the residual factor, and
+    its integer roots must equal the ranked pairs: a symmetric matrix's
+    geometric and algebraic multiplicities agree.
     """
     pairs = []
     remaining = matrix.rows
-    if exhaustive:
-        *candidates, top = candidates
     for lam in candidates:
         mult = eigen_multiplicity(matrix, lam)
         if mult:
             pairs.append((lam, mult))
             remaining -= mult
-            if remaining == 0 and not exhaustive:
+            if remaining == 0:
                 return Spectrum(pairs, None, matrix.rows, matrix.trace())
-        elif exhaustive:
-            raise ArithmeticError(f"quotient eigenvalue {lam} has multiplicity 0 in D")
-    if exhaustive:
-        pairs.append((top, remaining))
-        return Spectrum(pairs, None, matrix.rows, matrix.trace(), sum_rule_value=top)
-    return _spectrum_with_residual(matrix, rho, pairs)
+    spectrum = _char_poly_spectrum(matrix, rho)
+    if spectrum.integer_part != tuple(pairs):
+        raise ArithmeticError("rank certification and characteristic polynomial disagree")
+    return spectrum
+
+
+def _char_poly_spectrum(matrix, rho):
+    """Spectrum from the integer roots and residual factor of det(xI - D)."""
+    roots, residual = integer_roots(char_poly(matrix), bound=rho)
+    return Spectrum(roots, residual, matrix.rows, matrix.trace())
 
 
 def _annihilates(q, values, cell):
@@ -334,16 +331,6 @@ def _is_distance_matrix_of(g, d, gens, v):
             if tuple(map(entries[im[i]].__getitem__, im)) != r:
                 return False
     return True
-
-
-def _spectrum_with_residual(matrix, rho, pairs):
-    """Spectrum from det(xI - D), checked against rank-certified pairs."""
-    roots, residual = integer_roots(char_poly(matrix), bound=rho)
-    if roots != pairs:
-        # symmetric matrices have equal geometric and algebraic
-        # multiplicities, so the two routes must agree exactly
-        raise ArithmeticError("rank certification and characteristic polynomial disagree")
-    return Spectrum(roots, residual, matrix.rows, matrix.trace())
 
 
 def distance_spectrum(
@@ -392,16 +379,19 @@ def distance_spectrum(
     rho = max(matrix.row_sums())
 
     if method == "rank-sweep":
-        return _certify_candidates(matrix, rho, _screened_range(matrix, rho))
+        return _ranked_spectrum(matrix, rho, _screened_range(matrix, rho))
 
     if method == "char-poly":
-        roots, residual = integer_roots(char_poly(matrix), bound=rho)
-        return Spectrum(roots, residual, matrix.rows, matrix.trace())
+        return _char_poly_spectrum(matrix, rho)
 
     q_roots, _ = integer_roots(char_poly(quotient.matrix), bound=rho)
     values = [lam for lam, _ in q_roots]
-    exhaustive = _annihilates(quotient.matrix, values, singletons[0])
-    return _certify_candidates(matrix, rho, values, exhaustive)
+    if not _annihilates(quotient.matrix, values, singletons[0]):
+        return _ranked_spectrum(matrix, rho, values)
+    *ranked, top = values
+    pairs = [(lam, eigen_multiplicity(matrix, lam)) for lam in ranked]
+    pairs.append((top, matrix.rows - sum(m for _, m in pairs)))
+    return Spectrum(pairs, None, matrix.rows, matrix.trace(), sum_rule_value=top)
 
 
 def is_distance_integral(

@@ -9,10 +9,8 @@ import pytest
 
 import orbitspectra
 from orbitspectra import cli, spectral
-from orbitspectra.cli import format_edge_list, main, parse_edge_list
+from orbitspectra.cli import main, parse_edge_list
 from orbitspectra.exactla import IntMatrix, IntPolynomial
-from orbitspectra.graphs import build_crown
-from orbitspectra.spectral import distance_spectrum
 
 
 def run(capsys, *argv):
@@ -64,11 +62,6 @@ class TestEdgeListParsing:
     def test_missing_p(self):
         with pytest.raises(ValueError, match="missing 'p"):
             parse_edge_list("# nothing\n")
-
-    def test_round_trip_preserves_spectrum(self):
-        g = build_crown(4)
-        regenerated = parse_edge_list(format_edge_list(g))
-        assert distance_spectrum(regenerated) == distance_spectrum(g)
 
 
 class TestSpectrumCommand:
@@ -138,13 +131,16 @@ class TestSpectrumCommand:
         assert "NOT distance integral" in out
 
     def test_internal_disagreement_exits_three(self, capsys, monkeypatch):
+        # the ranks miss the heptagon's Perron value 12; det(xI - D) has it
+        true_mult = spectral.eigen_multiplicity
         monkeypatch.setattr(
-            spectral, "integer_roots", lambda p, bound: ([(0, 1)], p)
+            spectral, "eigen_multiplicity",
+            lambda m, lam: 0 if lam == 12 else true_mult(m, lam),
         )
         status, out, err = run(capsys, "spectrum", "--family", "cycle", "--n", "7")
         assert status == 3
         assert out == ""
-        assert err.startswith("internal error:")
+        assert err.startswith("internal error: rank certification and characteristic")
 
     def test_broken_spectrum_invariant_exits_three(self, capsys, monkeypatch):
         # one root of multiplicity 1 and no residual cannot cover order 7;
@@ -162,15 +158,17 @@ class TestSpectrumCommand:
     @pytest.mark.parametrize(
         "wrong_mult,reason",
         [
-            (0, "quotient eigenvalue -1 has multiplicity 0 in D"),
+            pytest.param(
+                0, "eigenvalue -1 has multiplicity 0 < 1", id="0-no-multiplicity-for-minus-1"
+            ),
             pytest.param(7, "eigenvalue 33 has multiplicity 0 < 1", id="7-no-remainder-for-33"),
             (5, "weighted eigenvalue sum 34 != trace 0"),
         ],
     )
     def test_inconsistent_sum_rule_exits_three(self, capsys, monkeypatch, wrong_mult, reason):
-        # lcr(5) has -1 with multiplicity 6: 0 contradicts the quotient,
-        # 7 leaves nothing for the Perron value 33, 5 leaves it 2 and
-        # breaks the trace
+        # lcr(5) has -1 with multiplicity 6: 0 is no multiplicity of an
+        # eigenvalue, 7 leaves nothing for the Perron value 33, 5 leaves
+        # it 2 and breaks the trace; Spectrum rejects all three
         true_mult = spectral.eigen_multiplicity
         monkeypatch.setattr(
             spectral, "eigen_multiplicity",
@@ -183,6 +181,17 @@ class TestSpectrumCommand:
         assert out == ""
         assert err.startswith("internal error:")
         assert reason in err
+
+    def test_unexpected_exception_exits_three(self, capsys, monkeypatch):
+        # a bug is an internal error, never exit 1 (a refutation)
+        def broken(*args):
+            raise KeyError("no such family")
+
+        monkeypatch.setattr(cli, "build_family", broken)
+        status, out, err = run(capsys, "spectrum", "--family", "lcr", "--n", "5")
+        assert status == 3
+        assert out == ""
+        assert err.startswith("internal error: KeyError: 'no such family'\n")
 
     def test_bad_generator_notation_exits_two(self, capsys):
         status, _, err = run(
@@ -250,10 +259,13 @@ class TestVerifyCommand:
             "annihilates", "spectrum-complete", "trace-zero",
         ]
 
-    def test_precondition_failure_exits_one(self, capsys):
-        status, out, _ = run(capsys, "verify-lcr", "--n", "3")
-        assert status == 1
-        assert "FAIL" in out
+    def test_n_below_four_is_a_usage_error(self, capsys):
+        # lcr(3) is outside the theorem, not a counterexample to it
+        for n in ("3", "3..5"):
+            status, out, err = run(capsys, "verify-lcr", "--n", n)
+            assert status == 2, n
+            assert out == "", n
+            assert ">= 4" in err, n
 
     def test_stage_failure_is_named_and_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(
@@ -379,6 +391,23 @@ class TestUsageErrors:
         ):
             status, _, err = run(capsys, *argv)
             assert status == 2, argv
+
+    def test_group_options_are_never_ignored(self, capsys):
+        for argv in (
+            # one of the pair, where lcr's built-in group would be used
+            ("spectrum", "--family", "lcr", "--n", "5", "--method", "quotient-assisted",
+             "--stabilizer-gens", "(1 2)"),
+            ("scan", "--family", "lcr", "--n", "4..5", "--method", "quotient-assisted",
+             "--transitive-gens", "(1 2)"),
+            # both, with a method that takes no group
+            ("spectrum", "--family", "cycle", "--n", "6",
+             "--stabilizer-gens", "(2 6)(3 5)", "--transitive-gens", "(1 2 3 4 5 6)"),
+            ("scan", "--family", "cycle", "--n", "6..7", "--method", "char-poly",
+             "--stabilizer-gens", "(2 6)(3 5)", "--transitive-gens", "(1 2 3 4 5 6)"),
+        ):
+            status, out, err = run(capsys, *argv)
+            assert status == 2, argv
+            assert out == "" and "--stabilizer-gens" in err, argv
 
     def test_quotient_rejects_small_n(self, capsys):
         status, _, err = run(capsys, "quotient", "--n", "3")

@@ -35,9 +35,10 @@ class TestGraphType:
 
     def test_adjacency_is_symmetric_and_sorted(self):
         g = Graph(4, [(2, 0), (0, 1), (3, 1)])
-        assert g.neighbors(0) == (1, 2)
-        assert g.neighbors(1) == (0, 3)
-        assert all(u in g.neighbors(v) for v in range(4) for u in g.neighbors(v))
+        adj = g.adjacency
+        assert adj[0] == (1, 2)
+        assert adj[1] == (0, 3)
+        assert all(v in adj[u] for v in range(4) for u in adj[v])
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):

@@ -7,8 +7,8 @@ from orbitspectra.graphs import bfs_all_pairs
 class TestPureKernels:
     def test_bfs_marks_unreachable(self):
         dist = bfs_all_pairs(3, [[1], [0], []])
-        assert dist[0] == [0, 1, -1]
-        assert dist[2] == [-1, -1, 0]
+        assert dist[0] == (0, 1, -1)
+        assert dist[2] == (-1, -1, 0)
 
     def test_bareiss_on_singular_matrix(self):
         r, sign, pivots, ech = bareiss_echelon([[1, 2], [2, 4]])

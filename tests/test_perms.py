@@ -40,12 +40,6 @@ class TestPermutation:
         q = Permutation([0, 2, 1])
         assert (p * q).images == tuple(p(q(v)) for v in range(3))
 
-    @given(perm_images(6))
-    def test_inverse(self, images):
-        p = Permutation(images)
-        assert (p * p.inverse()).is_identity()
-        assert (p.inverse() * p).is_identity()
-
     def test_from_cycles(self):
         p = Permutation.from_cycles([[0, 1], [2, 3, 4]], 6)
         assert p.images == (1, 0, 3, 4, 2, 5)
@@ -65,8 +59,8 @@ class TestCycleParser:
         assert parse_cycles("(1,2)", 3) == Permutation.from_cycles([[0, 1]], 3)
 
     def test_identity_spellings(self):
-        assert parse_cycles("", 4).is_identity()
-        assert parse_cycles("()", 4).is_identity()
+        assert parse_cycles("", 4) == Permutation.identity(4)
+        assert parse_cycles("()", 4) == Permutation.identity(4)
 
     def test_malformed(self):
         with pytest.raises(ValueError, match="malformed"):
@@ -81,7 +75,7 @@ class TestCycleParser:
         p = Permutation(images)
         text = repr(p)
         if "identity" in text:
-            assert p.is_identity()
+            assert p == Permutation.identity(7)
         else:
             body = text[len("Permutation(") : -1]
             assert parse_cycles(body, 7) == p
@@ -147,7 +141,7 @@ class TestOrbits:
 
 class TestActions:
     def test_pair_action_of_identity(self):
-        assert pair_action(Permutation.identity(4)).is_identity()
+        assert pair_action(Permutation.identity(4)) == Permutation.identity(12)
 
     def test_pair_action_of_transposition(self):
         alpha = parse_cycles("(1 2)", 4)
@@ -162,7 +156,7 @@ class TestActions:
         assert pair_action(alpha * gamma) == pair_action(alpha) * pair_action(gamma)
 
     def test_swap_action_is_an_involution(self):
-        assert (swap_action(4) * swap_action(4)).is_identity()
+        assert swap_action(4) * swap_action(4) == Permutation.identity(12)
 
     def test_swap_action_rule(self):
         verts = pair_vertices(4)
