@@ -220,6 +220,11 @@ def _write_reports(args, reports, out):
             payload = payload[0]
         out.write(json.dumps(payload, indent=2) + "\n")
     elif args.format == "csv":
+        # CSV rows carry only integer eigenvalues, so a residual goes to stderr
+        for _, r in reports:
+            if not r.spectrum.is_integral:
+                print(f"{r.graph}: NOT distance integral; residual: {r.spectrum.residual}",
+                      file=sys.stderr)
         rows = ([r.graph, n, v, m] for n, r in reports for v, m in r.spectrum.integer_part)
         _emit_csv(("graph", "n", "eigenvalue", "multiplicity"), rows, out)
     else:

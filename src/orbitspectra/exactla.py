@@ -3,10 +3,16 @@
 Characteristic polynomials are computed with the division-free
 Berkowitz recurrence, ranks and determinants with fraction-free
 Bareiss elimination, so every intermediate value is an exact integer.
+Berkowitz needs R M^k C for each trailing block M with column C and
+row R; on symmetric input (every distance matrix) R = C^T and
+R M^k C = (M^i C)^T (M^j C) with i = k // 2, j = k - i, so about half
+the mat-vecs suffice. Non-symmetric input takes (R M^i) from M^T.
 A characteristic polynomial modulo a prime (Hessenberg reduction) is
 available for screening: a nonzero residue proves a value is not a
 root, and nothing is ever concluded from a zero one.
 """
+
+from operator import mul
 
 # scanning this many candidate roots is cheap; anything larger needs a
 # caller-supplied bound
@@ -234,37 +240,43 @@ def berkowitz_charpoly(rows):
     """Characteristic polynomial of a square integer matrix, division-free.
 
     Returns the monic coefficient list, constant term first. Works from
-    the trailing 1x1 principal submatrix outward: at each step the
-    coefficient vector is multiplied by a lower-triangular Toeplitz
-    matrix whose first column is built from -a, -R C, -R M C, ...
+    the trailing 1x1 principal submatrix outward: at each step, with
+    trailing block M, column C and row R, the coefficient vector is
+    multiplied by a lower-triangular Toeplitz matrix whose first column
+    is built from -a, -R C, -R M C, ... Each R M^k C is taken as
+    (R M^i)(M^j C) with i = k // 2 and j = k - i, advancing the right
+    vector M^j C and the left vector R M^i in turn. When the matrix is
+    symmetric (checked exactly, once per call), so is every trailing
+    block and R = C^T, hence R M^k C = (M^i C)^T (M^j C): the left
+    vector is a right vector already computed, and a step costs
+    (m - 1) // 2 mat-vecs instead of m - 2. Otherwise the left vector
+    advances by a mat-vec against M^T. Only the current left and right
+    vectors are held.
     """
     n = len(rows)
+    symmetric = all(tuple(row) == col for row, col in zip(rows, zip(*rows)))
     poly = [1]
     for start in range(n - 1, -1, -1):
         m = n - start
-        a = rows[start][start]
-        col = [1, -a]
+        col = [1, -rows[start][start]]
         if m > 1:
-            r_vec = rows[start][start + 1:]
-            v = [rows[i][start] for i in range(start + 1, n)]
-            sub = [rows[i][start + 1:] for i in range(start + 1, n)]
+            tail = range(start + 1, n)
+            sub = [rows[i][start + 1:] for i in tail]
+            sub_t = None if symmetric else list(zip(*sub))
+            left = rows[start][start + 1:]
+            right = [rows[i][start] for i in tail]
             for k in range(m - 1):
-                s = 0
-                for x, y in zip(r_vec, v):
-                    s += x * y
-                col.append(-s)
-                if k < m - 2:
-                    v = [sum(x * y for x, y in zip(mr, v)) for mr in sub]
+                if k % 2:
+                    right = [sum(map(mul, mr, right)) for mr in sub]
+                elif k:
+                    left = right if symmetric else [sum(map(mul, mc, left)) for mc in sub_t]
+                col.append(-sum(map(mul, left, right)))
         # poly <- T . poly, T the (m+1) x m lower-triangular Toeplitz matrix
         # with first column col in highest-degree-first order; with both
         # vectors stored constant term first, T[k][t] = col[t + 1 - k]
-        new = []
-        for k in range(m + 1):
-            s = 0
-            for t in range(max(k - 1, 0), m):
-                s += col[t + 1 - k] * poly[t]
-            new.append(s)
-        poly = new
+        poly = [sum(map(mul, col[1:], poly))] + [
+            sum(map(mul, col, poly[k - 1:])) for k in range(1, m + 1)
+        ]
     return poly
 
 

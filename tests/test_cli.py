@@ -213,6 +213,22 @@ class TestSpectrumCommand:
         assert lines[0] == "graph,n,eigenvalue,multiplicity"
         assert lines[1] == "crown n=4,4,-4,3"
 
+    def test_csv_names_a_residual_on_stderr(self, capsys):
+        # the heptagon's six irrational eigenvalues have no CSV row
+        status, out, err = run(
+            capsys, "spectrum", "--family", "cycle", "--n", "7", "--format", "csv"
+        )
+        assert status == 0
+        assert out == "graph,n,eigenvalue,multiplicity\ncycle n=7,7,12,1\n"
+        assert err == (
+            "cycle n=7: NOT distance integral; "
+            "residual: x^6 + 12*x^5 + 46*x^4 + 62*x^3 + 37*x^2 + 10*x + 1\n"
+        )
+        status, _, err = run(
+            capsys, "spectrum", "--family", "crown", "--n", "4", "--format", "csv"
+        )
+        assert status == 0 and err == ""
+
     def test_edge_list_input(self, capsys, tmp_path):
         path = tmp_path / "k2.edges"
         path.write_text("p 2\ne 0 1\n", encoding="utf-8")
@@ -433,6 +449,17 @@ class TestScanCommand:
         assert any(line.startswith("crown n=5,5,") for line in lines)
         # timing goes to stderr so stdout stays deterministic
         assert "n=3:" in err and "s" in err
+        assert "NOT distance integral" not in err
+
+    def test_csv_names_each_residual_on_stderr(self, capsys):
+        status, out, err = run(
+            capsys, "scan", "--family", "cycle", "--n", "6..7", "--format", "csv"
+        )
+        assert status == 0
+        assert out.splitlines()[-1] == "cycle n=7,7,12,1"
+        residuals = [line for line in err.splitlines() if "NOT distance integral" in line]
+        assert len(residuals) == 1
+        assert residuals[0].startswith("cycle n=7: NOT distance integral; residual: x^6 ")
 
     def test_quotient_assisted_rows_match_spectrum(self, capsys):
         status, scanned, _ = run(

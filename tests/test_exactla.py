@@ -8,7 +8,7 @@ and ranks are recomputed by plain Gaussian elimination over Fractions.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbitspectra.exactla import (
@@ -185,6 +185,96 @@ class TestCharPolyMod:
             for i, row in enumerate(m.entries)
         ]
         assert charpoly_mod(rows, p) == berkowitz_mod(rows, p)
+
+
+def mirrored(n, flat):
+    """The symmetric n x n list of lists whose lower triangle, row by row, is flat."""
+    rows = [[0] * n for _ in range(n)]
+    cells = ((i, j) for i in range(n) for j in range(i + 1))
+    for (i, j), x in zip(cells, flat):
+        rows[i][j] = rows[j][i] = x
+    return rows
+
+
+def symmetric_matrices(max_n, min_n=0):
+    """Symmetric square matrices as lists of lists, negative entries included."""
+    return st.integers(min_value=min_n, max_value=max_n).flatmap(
+        lambda n: st.lists(
+            small_entries, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2
+        ).map(lambda flat: mirrored(n, flat))
+    )
+
+
+# (row, column offset, change): which off-diagonal entry perturbed() moves, and by how much
+perturbations = st.tuples(
+    st.integers(min_value=0, max_value=9),
+    st.integers(min_value=0, max_value=9),
+    st.sampled_from((-2, -1, 1, 2)),
+)
+
+
+def perturbed(rows, perturbation):
+    """A copy of rows, order >= 2, with one off-diagonal entry changed."""
+    i, offset, delta = perturbation
+    n = len(rows)
+    i %= n
+    j = (i + 1 + offset % (n - 1)) % n
+    out = [list(row) for row in rows]
+    out[i][j] += delta
+    return out
+
+
+# the SHAPES patterns that keep a symmetric matrix symmetric
+SYMMETRIC_SHAPES = ("full", "diagonal", "block")
+
+BOTH_PATHS = pytest.mark.parametrize("perturb", [False, True], ids=["symmetric", "near-symmetric"])
+
+
+class TestSymmetricBerkowitz:
+    """Symmetric input shares the right vector as the left one; one changed
+    entry sends the same matrix down the general path."""
+
+    def test_orders_zero_one_two(self):
+        assert berkowitz_charpoly([]) == [1]
+        assert berkowitz_charpoly([[-5]]) == berkowitz_charpoly(((-5,),)) == [5, 1]
+        # x^2 - 3x + (2 - 9), then x^2 - 3x + (2 - 6)
+        assert berkowitz_charpoly([[1, -3], [-3, 2]]) == [-7, -3, 1]
+        assert berkowitz_charpoly(((1, -3), (-3, 2))) == [-7, -3, 1]
+        assert berkowitz_charpoly([[1, -3], [-2, 2]]) == [-4, -3, 1]
+        assert berkowitz_charpoly(((1, -2), (-3, 2))) == [-4, -3, 1]
+
+    @BOTH_PATHS
+    @given(symmetric_matrices(max_n=5), perturbations)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_cofactor_expansion(self, perturb, rows, perturbation):
+        if perturb:
+            assume(len(rows) >= 2)
+            rows = perturbed(rows, perturbation)
+        expected = [1] if not rows else list(naive_char_poly(IntMatrix(rows)).coefficients)
+        assert berkowitz_charpoly(rows) == expected
+        assert berkowitz_charpoly(tuple(map(tuple, rows))) == expected
+
+    @BOTH_PATHS
+    @given(
+        symmetric_matrices(max_n=10),
+        perturbations,
+        st.sampled_from(SYMMETRIC_SHAPES),
+        st.sampled_from([SCREEN_PRIME, 7]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_charpoly_mod(self, perturb, rows, perturbation, shape, p):
+        keep = SHAPES[shape]
+        n = len(rows)
+        rows = [
+            [x if keep(i, j, n) else 0 for j, x in enumerate(row)]
+            for i, row in enumerate(rows)
+        ]
+        if perturb:
+            assume(n >= 2)
+            rows = perturbed(rows, perturbation)
+        expected = charpoly_mod(rows, p)
+        assert berkowitz_mod(rows, p) == expected
+        assert berkowitz_mod(tuple(map(tuple, rows)), p) == expected
 
 
 class TestIntegerRoots:
