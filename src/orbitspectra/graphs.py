@@ -4,10 +4,14 @@ Vertices are integer indices 0..n-1 with printable labels. All builders
 expose a stable canonical vertex order (ordered pairs lexicographic,
 subsets in colex order) so that matrices derived from them are
 reproducible run to run.
+
+Distances come from a bitset BFS (``bfs_all_pairs``): vertex sets are
+int masks, so a source costs O(diameter * |V|/8) byte steps plus O(|V|)
+mask ORs rather than O(|E|) interpreted steps. That suits the dense,
+diameter-3 lcr graphs; long sparse cycles get slower than with a queue.
 """
 
 from bisect import bisect_left
-from collections import deque
 from typing import NamedTuple
 
 from orbitspectra.exactla import IntMatrix
@@ -159,18 +163,21 @@ def build_lcr(n):
         raise ValueError("pair-model line graph defined for n >= 3")
     verts = pair_vertices(n)
     index = {p: k for k, p in enumerate(verts)}
-    edges = []
-    for k, (i, j) in enumerate(verts):
-        # same first coordinate
-        for s in range(j + 1, n + 1):
-            if s != i:
-                edges.append((k, index[(i, s)]))
-        # same second coordinate
-        for r in range(i + 1, n + 1):
-            if r != j:
-                edges.append((k, index[(r, j)]))
+
+    def edges():
+        # streamed: Graph reads each edge once, so no edge list is held
+        for k, (i, j) in enumerate(verts):
+            # same first coordinate
+            for s in range(j + 1, n + 1):
+                if s != i:
+                    yield k, index[(i, s)]
+            # same second coordinate
+            for r in range(i + 1, n + 1):
+                if r != j:
+                    yield k, index[(r, j)]
+
     labels = [f"({i},{j})" for i, j in verts]
-    return Graph(len(verts), edges, labels)
+    return Graph(len(verts), edges(), labels)
 
 
 def build_johnson(n, k):
@@ -214,21 +221,48 @@ def build_line_graph(g):
 def bfs_all_pairs(n, adj):
     """All-pairs shortest path lengths by BFS, one tuple per source.
 
-    ``adj`` is a sequence of neighbor sequences. Unreachable vertices are
-    reported as -1; the caller decides whether that is an error.
+    ``adj`` is a sequence of neighbor iterables; each is read once, into
+    an int mask. Unreachable vertices are reported as -1; the caller
+    decides whether that is an error.
+
+    Each level of a source's search is a mask too: the next level is the
+    OR of the level's neighbor masks minus the vertices already seen, and
+    its members are read off its bytes through a table of bit positions.
+    Per source that costs O(diameter * |V|/8) byte steps plus O(|V|) mask
+    ORs of |V| bits, where a queue costs O(|E|) interpreted steps; it wins
+    on dense and small-diameter graphs and loses on long sparse ones (on
+    a 600-cycle it is about 9x slower than a queue).
     """
+    # bits_of[x]: the positions of the bits set in byte x, ascending
+    bits_of = [()]
+    for b in range(8):
+        bits_of += [t + (b,) for t in bits_of]
+    nbr = []
+    for u in range(n):
+        mask = 0
+        for w in adj[u]:
+            mask |= 1 << w
+        nbr.append(mask)
+    width = (n + 7) // 8
     dist = []
     for src in range(n):
         row = [-1] * n
         row[src] = 0
-        queue = deque((src,))
-        while queue:
-            u = queue.popleft()
-            du = row[u] + 1
-            for w in adj[u]:
-                if row[w] < 0:
-                    row[w] = du
-                    queue.append(w)
+        seen = 1 << src
+        level = nbr[src] & ~seen
+        d = 1
+        while level:
+            seen |= level
+            reach = 0
+            for k, byte in enumerate(level.to_bytes(width, "little")):
+                if byte:
+                    base = 8 * k
+                    for b in bits_of[byte]:
+                        w = base + b
+                        row[w] = d
+                        reach |= nbr[w]
+            level = reach & ~seen
+            d += 1
         dist.append(tuple(row))
     return dist
 

@@ -6,6 +6,7 @@ vertex-transitivity, so the quotient-assisted method is applicable
 everywhere and the three spectrum methods can be cross-validated.
 """
 
+from collections import deque
 from itertools import combinations
 
 import pytest
@@ -27,6 +28,25 @@ from orbitspectra.perms import (
     orbits,
 )
 from orbitspectra.spectral import quotient_matrix
+
+
+def bfs_reference(n, adj):
+    """All-pairs BFS by a queue from every source, -1 where unreachable:
+    the oracle for graphs.bfs_all_pairs."""
+    dist = []
+    for src in range(n):
+        row = [-1] * n
+        row[src] = 0
+        queue = deque((src,))
+        while queue:
+            u = queue.popleft()
+            du = row[u] + 1
+            for w in adj[u]:
+                if row[w] < 0:
+                    row[w] = du
+                    queue.append(w)
+        dist.append(tuple(row))
+    return dist
 
 
 def rotation_perm(n):

@@ -1,7 +1,17 @@
-"""Hand-checked cases for the three hot kernels: BFS, Bareiss, Berkowitz."""
+"""The three hot kernels, BFS, Bareiss and Berkowitz: hand-checked cases,
+the bitset BFS against a queue, and guards on how each kernel works."""
+
+import sys
+import tracemalloc
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitspectra.exactla import bareiss_echelon, berkowitz_charpoly
-from orbitspectra.graphs import all_pairs_distances, bfs_all_pairs, build_lcr
+from orbitspectra.graphs import Graph, all_pairs_distances, bfs_all_pairs, build_lcr
+
+from conftest import bfs_reference
 
 
 def entry_products(rows):
@@ -23,11 +33,76 @@ def entry_products(rows):
     return tally[0]
 
 
+class CountedIterable:
+    """A neighbour list that counts how often it is iterated."""
+
+    def __init__(self, items):
+        self.items = items
+        self.passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return iter(self.items)
+
+
+@st.composite
+def random_graphs(draw):
+    """Graphs on 0..70 vertices: each vertex is isolated or in one of up to
+    four components, and each pair inside a component is an edge with a
+    drawn probability."""
+    n = draw(st.integers(0, 70))
+    component = draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n))
+    density = draw(st.floats(0.0, 1.0))
+    rng = draw(st.randoms(use_true_random=False))
+    edges = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if component[u] >= 0 and component[u] == component[v] and rng.random() < density
+    ]
+    return Graph(n, edges)
+
+
 class TestPureKernels:
     def test_bfs_marks_unreachable(self):
         dist = bfs_all_pairs(3, [[1], [0], []])
         assert dist[0] == (0, 1, -1)
         assert dist[2] == (-1, -1, 0)
+
+    @given(random_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_bfs_equals_the_queue_on_random_graphs(self, g):
+        assert bfs_all_pairs(g.vertex_count, g.adjacency) == bfs_reference(
+            g.vertex_count, g.adjacency
+        )
+
+    @pytest.mark.parametrize("n", (1, 7, 8, 9, 63, 64, 65, 70))
+    def test_bfs_equals_the_queue_across_byte_and_word_boundaries(self, n):
+        # a path through every vertex but the last, which is isolated
+        g = Graph(n, [(v, v + 1) for v in range(n - 2)])
+        dist = bfs_all_pairs(n, g.adjacency)
+        assert dist == bfs_reference(n, g.adjacency)
+        assert dist[n - 1] == (-1,) * (n - 1) + (0,)
+
+    def test_bfs_equals_the_queue_on_the_corpus(self, corpus):
+        for name, g, _, _ in corpus:
+            n = g.vertex_count
+            assert bfs_all_pairs(n, g.adjacency) == bfs_reference(n, g.adjacency), name
+
+    def test_bfs_reads_each_neighbour_list_once_and_keeps_to_its_rows(self):
+        # a queue walks every list once per source: 380 passes each on lcr(20);
+        # the masks and the bit table cost a few percent of the rows returned
+        g = build_lcr(20)
+        adj = [CountedIterable(a) for a in g.adjacency]
+        tracemalloc.start()
+        try:
+            dist = bfs_all_pairs(g.vertex_count, adj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(a.passes for a in adj) <= 1
+        rows = sys.getsizeof(dist) + sum(map(sys.getsizeof, dist))
+        assert peak <= 1.10 * rows, (peak, rows)
 
     def test_bareiss_on_singular_matrix(self):
         r, sign, pivots, ech = bareiss_echelon([[1, 2], [2, 4]])
