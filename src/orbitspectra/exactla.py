@@ -383,7 +383,8 @@ def integer_roots(p: IntPolynomial, bound=None):
     given: distance-spectrum callers pass rho (the max row sum) or the
     Perron value. Raises ValueError when the bound exceeds _SCAN_LIMIT. Returns (sorted list
     of (root, multiplicity), residual polynomial); the residual has no
-    integer roots and the factorization is exact.
+    integer roots and the factorization is exact: a root whose division
+    leaves a remainder raises ArithmeticError.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no well-defined root set")
@@ -408,6 +409,7 @@ def integer_roots(p: IntPolynomial, bound=None):
         for r in candidates:
             while residual.degree >= 1 and residual.evaluate(r) == 0:
                 residual, rem = residual.divide_linear(r)
-                assert rem == 0
+                if rem:
+                    raise ArithmeticError(f"dividing out the root {r} left remainder {rem}")
                 counts[r] = counts.get(r, 0) + 1
     return sorted(counts.items()), residual

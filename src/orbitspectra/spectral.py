@@ -6,15 +6,19 @@ matrix Q then carries eigenvalues of D, and when the graph is
 vertex-transitive and the partition has a singleton cell, the distinct
 eigenvalue sets of Q and D coincide. That is checked, not assumed: the
 product of (Q - lam I) over the integer roots of det(xI - Q) must send
-the singleton cell's unit vector to zero. Then every multiplicity but
-the largest value's comes from an exact rank, and the largest value's
-from the sum rule (the multiplicities add up to |V|). That reduces a
-|V| x |V| spectrum problem to the quotient size plus a handful of exact
-rank computations. quotient-assisted takes the caller's QuotientMatrix,
-which holds D too, so a caller that has checked Q runs no second BFS.
+the singleton cell's unit vector to zero. Then the largest value is
+simple by Perron-Frobenius, the three other values of largest |lam|
+are solved exactly from the trace moments tr D^k (k = 0, 1, 2), and
+only the rest, small |lam| with large multiplicity, get an exact rank;
+the cubic moment, from Q alone, cross-checks the result. That reduces
+a |V| x |V| spectrum problem to the quotient size plus at most a few
+exact rank computations. quotient-assisted takes the caller's
+QuotientMatrix, which holds D too, so a caller that has checked Q runs
+no second BFS.
 """
 
 from dataclasses import dataclass, replace
+from operator import mul
 
 from orbitspectra.exactla import (
     SCREEN_PRIME,
@@ -74,15 +78,28 @@ class QuotientMatrix:
     source: IntMatrix
 
 
+@dataclass(frozen=True)
+class MomentSolve:
+    """How the quotient certificate reached its multiplicities: the values
+    it ranked, the values it solved from tr D^k, the Perron value, and
+    |V| (Q^3)_ss, which the cubic moment matched."""
+
+    ranked: tuple
+    solved: tuple
+    perron: int
+    cubic: int
+
+
 class Spectrum:
     """Exact spectrum: integer eigenvalues with multiplicities, plus an
     optional residual factor witnessing non-integrality. The one place
     that checks a spectrum's invariants: a spectrum is always computed,
-    never read from input, so a broken one is an ArithmeticError."""
+    never read from input, so a broken one is an ArithmeticError.
+    moments is the quotient certificate's MomentSolve, when one ran."""
 
-    __slots__ = ("integer_part", "residual", "order", "trace", "sum_rule_value")
+    __slots__ = ("integer_part", "residual", "order", "trace", "moments")
 
-    def __init__(self, integer_part, residual, order, trace=0, sum_rule_value=None):
+    def __init__(self, integer_part, residual, order, trace=0, moments=None):
         integer_part = tuple(integer_part)
         if list(integer_part) != sorted(integer_part):
             raise ArithmeticError("eigenvalues must be sorted ascending")
@@ -100,8 +117,7 @@ class Spectrum:
         self.residual = residual
         self.order = order
         self.trace = trace
-        # the eigenvalue whose multiplicity is the order minus all others
-        self.sum_rule_value = sum_rule_value
+        self.moments = moments
         total, res_deg = self.multiplicity_sum, self.residual_degree
         if total + res_deg != order:
             raise ArithmeticError(
@@ -309,6 +325,78 @@ def _annihilates(q, values, cell):
     return not any(y)
 
 
+def _moment_spectrum(d, q, cell, rho, values):
+    """Spectrum of D, given that the ascending values hold all of spec(D).
+
+    Every value is an eigenvalue of D (Qx = lam x gives D Px = lam Px),
+    so each multiplicity is at least 1. D is the distance matrix of a
+    connected graph and invariant under transitive automorphisms: its
+    off-diagonal entries are positive, so it is irreducible, and its row
+    sums are constant, so the all-ones vector is a positive eigenvector
+    for rho and rho is the spectral radius. By Perron-Frobenius the
+    largest value is rho, with multiplicity 1.
+
+    Of the other values, the three of largest |lam| (ties: the positive
+    one) are solved from the power sums sum_lam m_lam lam^k = tr D^k for
+    k = 0, 1, 2: |V|, tr D and sum D_ij^2 (D is symmetric), less the
+    Perron term and the ranked terms. The system is Vandermonde in
+    distinct values, so its solution is unique, and
+    m_a = sum_k c_k r_k / p_a(a) with p_a = prod_{b != a} (x - b) =
+    sum_k c_k x^k and r_k the power sums left to the solved values. Any
+    further values get an exact rank. m_lam <= sum D_ij^2 / lam^2, so
+    the large-|lam| values have the small multiplicities, and ranking
+    the small-|lam| ones skips the near-full, costliest ranks; which
+    values are ranked affects cost, never the result.
+
+    Cross-checks, each an ArithmeticError when it fails: an inexact
+    division, a solved multiplicity below 1, and, when fewer than three
+    values are solved, the power sums up to k = 2 they leave unused.
+    Last, sum m lam^3 must equal tr D^3 = |V| (Q^3)_ss: transitivity
+    gives tr D^3 = |V| (D^3)_vv, and D^k P = P Q^k (from DP = PQ, P the
+    cell indicator matrix, P e_s = e_v) gives (D^3)_vv = (Q^3)_ss. With
+    four or more non-top values, one wrong ranked multiplicity moves the
+    solved ones so that the power sums k = 0..2 still hold. The change
+    lives on four distinct values, whose 4 x 4 Vandermonde system is
+    nonsingular, so the cubic sum then fails.
+    """
+    *rest, top = values
+    if top != rho:
+        raise ArithmeticError(f"largest candidate {top} is not the constant row sum {rho}")
+    by_size = sorted(rest, key=lambda lam: (abs(lam), lam))
+    solved, ranked = sorted(by_size[-3:]), sorted(by_size[:-3])
+    mult = {lam: eigen_multiplicity(d, lam) for lam in ranked}
+    mult[top] = 1
+    order, trace = d.rows, d.trace()
+    power_sums = (order, trace, sum(sum(map(mul, row, row)) for row in d.entries))
+    left = [
+        s - sum(m * lam**k for lam, m in mult.items()) for k, s in enumerate(power_sums)
+    ]
+    for a in solved:
+        p = IntPolynomial.from_roots(b for b in solved if b != a)
+        num, den = sum(map(mul, p.coefficients, left)), p.evaluate(a)
+        m, rem = divmod(num, den)
+        if rem:
+            raise ArithmeticError(f"moment solve for {a} is inexact: {num} / {den}")
+        if m < 1:
+            raise ArithmeticError(f"moment-solved multiplicity of {a} is {m} < 1")
+        mult[a] = m
+    for k in range(len(solved), 3):
+        spare = sum(mult[a] * a**k for a in solved)
+        if spare != left[k]:
+            raise ArithmeticError(
+                f"spare moment k={k}: solved values give {spare}, tr D^{k} leaves {left[k]}"
+            )
+    q_col = [row[cell] for row in q.entries]
+    cubic = order * sum(
+        x * sum(map(mul, row, q_col)) for x, row in zip(q.entries[cell], q.entries)
+    )
+    weighted = sum(m * lam**3 for lam, m in mult.items())
+    if weighted != cubic:
+        raise ArithmeticError(f"cubic moment {weighted} != |V| (Q^3)_ss = {cubic}")
+    moments = MomentSolve(tuple(ranked), tuple(solved), top, cubic)
+    return Spectrum(sorted(mult.items()), None, order, trace, moments)
+
+
 def _is_distance_matrix_of(g, d, gens, v):
     """Whether d is g's distance matrix, without a second BFS.
 
@@ -348,11 +436,11 @@ def distance_spectrum(
     BFS recurrence on g, and D must be invariant under transitive_gens.
     The candidates S are the integer roots of det(xI - Q). When the product
     of (Q - lam I) over S annihilates the singleton cell's unit vector,
-    S holds every eigenvalue of D: each value but the largest gets an
-    exact rank, and the largest takes the rest of the order
-    (sum_rule_value names it). Otherwise every candidate is ranked. When
-    the certified multiplicities do not exhaust the order, rank-sweep
-    and quotient-assisted expand det(xI - D) for the residual factor and
+    S holds every eigenvalue of D, and _moment_spectrum certifies the
+    multiplicities with at most a few exact ranks (Spectrum.moments
+    records how). Otherwise every candidate is ranked. When the
+    certified multiplicities do not exhaust the order, rank-sweep and
+    quotient-assisted expand det(xI - D) for the residual factor and
     require its integer roots to equal the certified ones.
     """
     if method not in METHODS:
@@ -388,10 +476,7 @@ def distance_spectrum(
     values = [lam for lam, _ in q_roots]
     if not _annihilates(quotient.matrix, values, singletons[0]):
         return _ranked_spectrum(matrix, rho, values)
-    *ranked, top = values
-    pairs = [(lam, eigen_multiplicity(matrix, lam)) for lam in ranked]
-    pairs.append((top, matrix.rows - sum(m for _, m in pairs)))
-    return Spectrum(pairs, None, matrix.rows, matrix.trace(), sum_rule_value=top)
+    return _moment_spectrum(matrix, quotient.matrix, singletons[0], rho, values)
 
 
 def is_distance_integral(
@@ -403,17 +488,28 @@ def is_distance_integral(
     )
     order = spectrum.order
     checks = []
-    top = spectrum.sum_rule_value
-    if top is not None:
+    moments = spectrum.moments
+    if moments is not None:
+        degree = len(spectrum.integer_part)
         checks.append(
             Check(
                 "annihilates",
                 True,
-                f"degree-{len(spectrum.integer_part)} product of (Q - lam I) sends "
-                f"e_s to 0; multiplicity of {top} is {order} - "
-                f"{order - spectrum.multiplicity(top)} by the sum rule",
+                f"degree-{degree} product of (Q - lam I) sends e_s to 0, "
+                f"so spec(D) lies among its {degree} roots",
             )
         )
+        used = len(moments.solved)
+        solved = " ".join(f"{v}^{spectrum.multiplicity(v)}" for v in moments.solved)
+        steps = [
+            f"Perron value {moments.perron} simple (D irreducible, constant row sums)",
+            f"ranked {' '.join(map(str, moments.ranked)) or 'none'}",
+            f"solved {solved} from tr D^k, k = 0..{used - 1}" if used else "solved none",
+        ]
+        if used < 3:
+            steps.append(f"spare moments k = {used}..2 agree")
+        steps.append(f"sum m lam^3 = |V| (Q^3)_ss = {moments.cubic}")
+        checks.append(Check("moments", True, "; ".join(steps)))
     checks += [
         Check(
             "spectrum-complete",

@@ -158,17 +158,20 @@ class TestSpectrumCommand:
     @pytest.mark.parametrize(
         "wrong_mult,reason",
         [
+            pytest.param(0, "moment solve for -6 is inexact: 100 / 28", id="inexact-division"),
             pytest.param(
-                0, "eigenvalue -1 has multiplicity 0 < 1", id="0-no-multiplicity-for-minus-1"
+                48, "moment-solved multiplicity of -2 is -31 < 1", id="solved-below-one"
             ),
-            pytest.param(7, "eigenvalue 33 has multiplicity 0 < 1", id="7-no-remainder-for-33"),
-            (5, "weighted eigenvalue sum 34 != trace 0"),
+            pytest.param(
+                -36, "cubic moment 35460 != |V| (Q^3)_ss = 35040", id="cubic-mismatch"
+            ),
         ],
     )
-    def test_inconsistent_sum_rule_exits_three(self, capsys, monkeypatch, wrong_mult, reason):
-        # lcr(5) has -1 with multiplicity 6: 0 is no multiplicity of an
-        # eigenvalue, 7 leaves nothing for the Perron value 33, 5 leaves
-        # it 2 and breaks the trace; Spectrum rejects all three
+    def test_inconsistent_moment_solve_exits_three(self, capsys, monkeypatch, wrong_mult, reason):
+        # lcr(5) ranks only -1 (multiplicity 6) and solves -6, -2 and 1 from
+        # tr D^k, k = 0..2. Those divisions are exact only for 6 mod 42: 0
+        # leaves -6 a fraction, 48 gives -2 a negative multiplicity, and
+        # -36 solves -6, -2, 1 as 1, 39, 15, which only the cubic rejects
         true_mult = spectral.eigen_multiplicity
         monkeypatch.setattr(
             spectral, "eigen_multiplicity",
@@ -181,6 +184,50 @@ class TestSpectrumCommand:
         assert out == ""
         assert err.startswith("internal error:")
         assert reason in err
+
+    def test_candidate_above_the_row_sum_exits_three(self, capsys, monkeypatch):
+        # an extra candidate keeps the annihilation, but the largest
+        # eigenvalue must be the Perron value, the constant row sum 19
+        roots = spectral.integer_roots
+        monkeypatch.setattr(
+            spectral, "integer_roots",
+            lambda p, bound: (roots(p, bound)[0] + [(20, 1)], IntPolynomial.one()),
+        )
+        status, out, err = run(
+            capsys, "spectrum", "--family", "lcr", "--n", "4", "--method", "quotient-assisted"
+        )
+        assert status == 3
+        assert out == ""
+        assert err == "internal error: largest candidate 20 is not the constant row sum 19\n"
+
+    def test_failed_spare_moment_exits_three(self, capsys, monkeypatch):
+        # a false annihilation leaves the heptagon's 6 irrational
+        # eigenvalues unaccounted for: tr D^0 = 7 is not 1 (Perron alone)
+        monkeypatch.setattr(spectral, "_annihilates", lambda q, values, cell: True)
+        status, out, err = run(
+            capsys,
+            "spectrum", "--family", "cycle", "--n", "7", "--method", "quotient-assisted",
+            "--stabilizer-gens", "(2 7)(3 6)(4 5)", "--transitive-gens", "(1 2 3 4 5 6 7)",
+        )
+        assert status == 3
+        assert out == ""
+        assert err == (
+            "internal error: spare moment k=0: solved values give 0, tr D^0 leaves 6\n"
+        )
+
+    def test_inexact_root_division_exits_three(self, capsys, monkeypatch):
+        # a check that python -O cannot strip: a root whose synthetic
+        # division leaves a remainder is an internal error
+        divide = IntPolynomial.divide_linear
+        monkeypatch.setattr(
+            IntPolynomial, "divide_linear", lambda self, r: (divide(self, r)[0], 1)
+        )
+        status, out, err = run(
+            capsys, "spectrum", "--family", "cycle", "--n", "7", "--method", "char-poly"
+        )
+        assert status == 3
+        assert out == ""
+        assert err == "internal error: dividing out the root 12 left remainder 1\n"
 
     def test_unexpected_exception_exits_three(self, capsys, monkeypatch):
         # a bug is an internal error, never exit 1 (a refutation)
@@ -272,7 +319,7 @@ class TestVerifyCommand:
             "graph-shape", "distances", "stabilizer-orbits", "orbit-sizes",
             "quotient-equitable", "quotient-closed-form", "quotient-spectrum",
             "distance-spectrum-distinct", "multiplicity-sum", "perron-simple",
-            "annihilates", "spectrum-complete", "trace-zero",
+            "annihilates", "moments", "spectrum-complete", "trace-zero",
         ]
 
     def test_n_below_four_is_a_usage_error(self, capsys):

@@ -25,10 +25,8 @@ PACKAGE = Path(orbitspectra.__file__).resolve().parent
 
 # reached by no command; each is an independent oracle or subject of a test
 ALLOWED = {
-    # the cofactor-expansion oracle and the Berkowitz and root cross-checks
+    # the cofactor-expansion oracle and the Berkowitz cross-checks
     "exactla.det": "test_exactla.py TestCharPoly",
-    "exactla.IntPolynomial.from_roots": "test_exactla.py TestCharPoly, TestIntegerRoots",
-    "exactla.IntPolynomial.multiply": "test_exactla.py naive_char_poly, TestIntegerRoots",
     "exactla.IntMatrix.at": "test_exactla.py naive_char_poly, test_graphs.py TestDistances",
     "exactla.IntMatrix.identity": "test_exactla.py TestRank, TestEigenMultiplicity",
     "exactla.IntMatrix.zero": "test_exactla.py TestRank",

@@ -232,7 +232,12 @@ class TestDistanceSpectrum:
         assert calls == [-6, -2, -1, 1, 33]
         assert s == distance_spectrum(build_lcr(5), "char-poly")
 
-    def test_quotient_assisted_takes_perron_from_the_sum_rule(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "n,ranked",
+        [pytest.param(4, [], id="lcr4-no-rank"), pytest.param(5, [-1], id="lcr5-ranks-minus-1")],
+    )
+    def test_quotient_assisted_ranks_only_small_values(self, monkeypatch, n, ranked):
+        # -1-n, 3-n and 1 come from tr D^k; lcr(4) has no fourth non-top value
         calls = []
 
         def counting(matrix, lam):
@@ -240,14 +245,30 @@ class TestDistanceSpectrum:
             return eigen_multiplicity(matrix, lam)
 
         monkeypatch.setattr(spectral, "eigen_multiplicity", counting)
-        g, d, pi = lcr_pipeline(5)
+        g, d, pi = lcr_pipeline(n)
         s = distance_spectrum(
             g, "quotient-assisted", quotient=quotient_matrix(d, pi),
-            transitive_gens=lcr_automorphism_gens(5),
+            transitive_gens=lcr_automorphism_gens(n),
         )
-        assert calls == [-6, -2, -1, 1]
-        assert s.sum_rule_value == 33
+        assert calls == ranked
+        assert s.moments.ranked == tuple(ranked)
         assert s == distance_spectrum(g, "char-poly")
+
+    @pytest.mark.parametrize("name", ["johnson(5,1)", "cycle(4)", "johnson(6,2)"])
+    def test_few_values_check_the_spare_moments(self, corpus, name, monkeypatch):
+        # K5 has one non-top value, the others two: no rank, and the
+        # power sums the solve leaves unused must agree
+        _, g, pi, gens = next(entry for entry in corpus if entry[0] == name)
+        expected = distance_spectrum(g, "rank-sweep")
+        monkeypatch.setattr(spectral, "eigen_multiplicity", None)
+        report = is_distance_integral(
+            g, "quotient-assisted", quotient=quotient_of(g, pi), transitive_gens=gens
+        )
+        s = report.spectrum
+        used = len(s.moments.solved)
+        assert used == len(s.integer_part) - 1 < 3
+        assert f"; spare moments k = {used}..2 agree;" in report.checks[1].detail
+        assert s == expected
 
     @pytest.mark.parametrize("n", range(4, 9))
     def test_quotient_eigenvalues_annihilate_the_singleton(self, n):
@@ -277,7 +298,7 @@ class TestDistanceSpectrum:
         assert calls == [12]
         assert s.integer_part == ((12, 1),)
         assert s.residual.degree == 6
-        assert s.sum_rule_value is None
+        assert s.moments is None
 
     def test_quotient_assisted_requires_inputs(self):
         g = build_lcr(4)
@@ -465,19 +486,25 @@ class TestIntegralityReports:
         assert complete.detail == "multiplicities 1 + residual degree 6 = order 7"
         assert trace.detail == "weighted eigenvalue sum 0 equals trace 0"
 
-    def test_ledger_names_the_sum_rule_value(self):
+    def test_ledger_records_the_moment_solve(self):
         g, d, pi = lcr_pipeline(5)
         report = is_distance_integral(
             g, "quotient-assisted", quotient=quotient_matrix(d, pi),
             transitive_gens=lcr_automorphism_gens(5),
         )
         assert [c.name for c in report.checks] == [
-            "annihilates", "spectrum-complete", "trace-zero",
+            "annihilates", "moments", "spectrum-complete", "trace-zero",
         ]
-        assert report.checks[0].passed
+        assert all(c.passed for c in report.checks)
         assert report.checks[0].detail == (
-            "degree-5 product of (Q - lam I) sends e_s to 0; "
-            "multiplicity of 33 is 20 - 19 by the sum rule"
+            "degree-5 product of (Q - lam I) sends e_s to 0, "
+            "so spec(D) lies among its 5 roots"
+        )
+        # 4(-6)^3 + 4(-2)^3 + 6(-1)^3 + 5(1)^3 + 33^3 = 35040
+        assert report.checks[1].detail == (
+            "Perron value 33 simple (D irreducible, constant row sums); "
+            "ranked -1; solved -6^4 -2^4 1^5 from tr D^k, k = 0..2; "
+            "sum m lam^3 = |V| (Q^3)_ss = 35040"
         )
 
     @pytest.mark.parametrize("n", range(3, 9))
