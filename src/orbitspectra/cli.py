@@ -196,7 +196,7 @@ def _spectrum_report(args, g, description, n):
             partition = orbits(_parse_generator_list(args.stabilizer_gens, g.vertex_count))
             transitive = _parse_generator_list(args.transitive_gens, g.vertex_count)
         elif args.family == "lcr":
-            # any cell order will do here: the quotient only supplies candidates
+            # any cell order will do: the certificate finds the singleton cell itself
             partition = orbits(lcr_stabilizer_gens(n))
             transitive = lcr_automorphism_gens(n)
         else:
@@ -205,7 +205,7 @@ def _spectrum_report(args, g, description, n):
                 "(cycle notation over 1-based vertex numbers); only --family lcr has "
                 "them built in"
             )
-        quotient = quotient_matrix(all_pairs_distances(g), partition)
+        quotient = quotient_matrix(g, partition)
     return is_distance_integral(
         g, args.method, description=description,
         quotient=quotient, transitive_gens=transitive,
@@ -309,7 +309,7 @@ def cmd_quotient(args, out):
     if n is None or n < 4:
         raise UsageError("quotient needs --n with a single integer >= 4")
     g = build_lcr(n)
-    q = quotient_matrix(all_pairs_distances(g), lcr_stabilizer_partition(n))
+    q = quotient_matrix(g, lcr_stabilizer_partition(n))
     pi = q.partition
     closed = lcr_quotient_closed_form(n)
     match = q.matrix == closed

@@ -12,9 +12,9 @@ are solved exactly from the trace moments tr D^k (k = 0, 1, 2), and
 only the rest, small |lam| with large multiplicity, get an exact rank;
 the cubic moment, from Q alone, cross-checks the result. That reduces
 a |V| x |V| spectrum problem to the quotient size plus at most a few
-exact rank computations. quotient-assisted takes the caller's
-QuotientMatrix, which holds D too, so a caller that has checked Q runs
-no second BFS.
+exact rank computations. A QuotientMatrix is built from its graph:
+quotient_matrix runs the one BFS and keeps D as its source, so
+quotient-assisted runs none and takes D from the quotient it is given.
 """
 
 from dataclasses import dataclass, replace
@@ -30,6 +30,7 @@ from orbitspectra.exactla import (
     integer_roots,
 )
 from orbitspectra.graphs import (
+    Graph,
     all_pairs_distances,
     build_lcr,
     pair_vertices,
@@ -71,10 +72,12 @@ class VerificationError(ValueError):
 
 @dataclass(frozen=True)
 class QuotientMatrix:
-    """Cell-sum quotient of a distance matrix over an orbit partition."""
+    """Cell-sum quotient of a graph's distance matrix over an orbit
+    partition; source is that distance matrix."""
 
     matrix: IntMatrix
     partition: OrbitPartition
+    graph: Graph
     source: IntMatrix
 
 
@@ -204,17 +207,19 @@ class IntegralityReport:
         return out
 
 
-def quotient_matrix(d: IntMatrix, pi: OrbitPartition) -> QuotientMatrix:
-    """Cell-summed distance matrix over pi, verified equitable.
+def quotient_matrix(g: Graph, pi: OrbitPartition) -> QuotientMatrix:
+    """Cell-summed distance matrix of g over pi, verified equitable.
 
+    Runs BFS for g's distance matrix D, kept as the quotient's source.
     Every member of every cell must produce the same row of cell sums;
     the first disagreement is reported with both representatives and the
     offending column.
     """
-    if not d.is_square or pi.degree != d.rows:
+    if pi.degree != g.vertex_count:
         raise ValueError(
-            f"partition covers {pi.degree} vertices, matrix is {d.rows}x{d.cols}"
+            f"partition covers {pi.degree} vertices, graph has {g.vertex_count}"
         )
+    d = all_pairs_distances(g)
     m = pi.cell_count
     cell_of = pi.cell_of
     sums = []
@@ -232,7 +237,7 @@ def quotient_matrix(d: IntMatrix, pi: OrbitPartition) -> QuotientMatrix:
                 col = next(j for j in range(m) if sums[v][j] != expect[j])
                 raise NonEquitablePartitionError(k, rep, v, col)
         q_rows.append(expect)
-    return QuotientMatrix(IntMatrix(q_rows), pi, d)
+    return QuotientMatrix(IntMatrix(q_rows), pi, g, d)
 
 
 def lcr_quotient_closed_form(n) -> IntMatrix:
@@ -397,30 +402,6 @@ def _moment_spectrum(d, q, cell, rho, values):
     return Spectrum(sorted(mult.items()), None, order, trace, moments)
 
 
-def _is_distance_matrix_of(g, d, gens, v):
-    """Whether d is g's distance matrix, without a second BFS.
-
-    gens must be automorphisms of g acting transitively. Row v must
-    solve the BFS recurrence (0 at v, elsewhere 1 + the least entry over
-    the neighbours), whose only solution is the distances from v; and d
-    must be invariant under every generator, which then carries row v
-    onto every other row.
-    """
-    entries, adj = d.entries, g.adjacency
-    row = entries[v]
-    if row[v] != 0:
-        return False
-    for w, x in enumerate(row):
-        if w != v and (not adj[w] or x != 1 + min(row[u] for u in adj[w])):
-            return False
-    for p in gens.generators:
-        im = p.images
-        for i, r in enumerate(entries):
-            if tuple(map(entries[im[i]].__getitem__, im)) != r:
-                return False
-    return True
-
-
 def distance_spectrum(
     g, method="rank-sweep", quotient=None, transitive_gens=None
 ) -> Spectrum:
@@ -430,15 +411,16 @@ def distance_spectrum(
     a spectral radius bound) against det(xI - D) mod a prime, and gives
     each survivor an exact rank. char-poly always expands det(xI - D).
     Both run BFS. quotient-assisted runs none: D and Q come from the
-    caller's QuotientMatrix of g over a singleton-cell orbit partition,
-    and g must be vertex-transitive under transitive_gens. D is checked
-    to be g's distance matrix: the singleton vertex's row must solve the
-    BFS recurrence on g, and D must be invariant under transitive_gens.
-    The candidates S are the integer roots of det(xI - Q). When the product
-    of (Q - lam I) over S annihilates the singleton cell's unit vector,
-    S holds every eigenvalue of D, and _moment_spectrum certifies the
-    multiplicities with at most a few exact ranks (Spectrum.moments
-    records how). Otherwise every candidate is ranked. When the
+    caller's QuotientMatrix, which must have been built from g itself
+    (quotient.graph == g) over a singleton-cell orbit partition, and g
+    must be vertex-transitive under transitive_gens. quotient_matrix ran
+    BFS on g for D, so D is g's distance matrix and is invariant under
+    g's automorphisms. The candidates S are the integer roots of
+    det(xI - Q). When the product of (Q - lam I) over S annihilates the
+    singleton cell's unit vector, S holds every eigenvalue of D, and
+    _moment_spectrum certifies the multiplicities with at most a few
+    exact ranks (Spectrum.moments records how). Otherwise every
+    candidate is ranked. When the
     certified multiplicities do not exhaust the order, rank-sweep and
     quotient-assisted expand det(xI - D) for the residual factor and
     require its integer roots to equal the certified ones.
@@ -452,18 +434,15 @@ def distance_spectrum(
             "quotient-assisted method needs an orbit partition quotient and "
             "vertex-transitivity generators"
         )
+    elif quotient.graph != g:
+        raise ValueError("quotient was built from another graph")
     else:
         matrix = quotient.source
-        if matrix.rows != g.vertex_count:
-            raise ValueError(f"quotient source has {matrix.rows} rows, graph {g.vertex_count}")
         if not is_vertex_transitive_under(g, transitive_gens):
             raise ValueError("graph is not vertex-transitive under the given generators")
         singletons = quotient.partition.singleton_cells()
         if not singletons:
             raise ValueError("orbit partition must contain a singleton cell")
-        vertex = quotient.partition.cells[singletons[0]][0]
-        if not _is_distance_matrix_of(g, matrix, transitive_gens, vertex):
-            raise ValueError("quotient source is not the graph's distance matrix")
     rho = max(matrix.row_sums())
 
     if method == "rank-sweep":
@@ -532,30 +511,45 @@ def is_distance_integral(
     )
 
 
-def _expected_lcr_eigen_multiset(n):
-    """The paper's quotient eigenvalues of lcr(n), ascending, with their
-    multiplicities in Q; the last one is the Perron value."""
-    expected = {}
-    for lam, mult in (
-        (-1, 1),
-        (1, 1),
-        (-1 - n, 2),
-        (3 - n, 2),
-        (2 * n * n - 4 * n + 3, 1),
-    ):
-        expected[lam] = expected.get(lam, 0) + mult
-    return sorted(expected.items())
+def _merged(pairs):
+    """(value, multiplicity) pairs in ascending order, equal values merged."""
+    merged = {}
+    for lam, mult in pairs:
+        merged[lam] = merged.get(lam, 0) + mult
+    return sorted(merged.items())
+
+
+def _expected_lcr_spectra(n):
+    """The paper's spectra of lcr(n), as ascending (value, multiplicity)
+    pairs: the quotient's eigenvalues with their multiplicities in Q, and
+    the distance spectrum. Both end in the Perron value 2n^2 - 4n + 3."""
+    perron = 2 * n * n - 4 * n + 3
+    quotient = _merged(((-1, 1), (1, 1), (-1 - n, 2), (3 - n, 2), (perron, 1)))
+    distance = _merged(
+        (
+            (-1 - n, n - 1),
+            (3 - n, n - 1),
+            (-1, (n - 1) * (n - 2) // 2),
+            (1, n * (n - 3) // 2),
+            (perron, 1),
+        )
+    )
+    return quotient, distance
 
 
 def verify_lcr(n) -> IntegralityReport:
     """End-to-end certification that the crown line graph is distance integral.
 
-    Builds the graph, runs BFS, computes the stabilizer orbit partition
-    and its quotient matrix, compares against the closed form, extracts
-    the quotient eigenvalues exactly, and certifies the distance
-    spectrum with is_distance_integral on that same quotient (one BFS
-    and one quotient per n), whose checks follow these stages in the
-    ledger. Any mismatch raises VerificationError naming the stage.
+    Builds the graph, computes the stabilizer orbit partition and its
+    quotient matrix (which runs the one BFS), checks the distances,
+    compares the quotient against the closed form, extracts its
+    eigenvalues exactly, and certifies the distance spectrum with
+    is_distance_integral on that same quotient (one BFS and one quotient
+    per n). The certified spectrum must equal the paper's closed form
+    (-1-n)^(n-1) (3-n)^(n-1) (-1)^((n-1)(n-2)/2) 1^(n(n-3)/2)
+    (2n^2-4n+3)^1, equal values merged; the certificate's own checks
+    follow these stages in the ledger. Any mismatch raises
+    VerificationError naming the stage.
     """
     if n < 4:
         raise VerificationError("preconditions", f"defined for n >= 4, got {n}")
@@ -574,16 +568,6 @@ def verify_lcr(n) -> IntegralityReport:
         f"{order} vertices, regular of degree {2 * n - 4}",
     )
 
-    d = all_pairs_distances(g)
-    row_sums = set(d.row_sums())
-    expected_q = _expected_lcr_eigen_multiset(n)
-    perron = expected_q[-1][0]
-    stage(
-        "distances",
-        d.max_entry() == 3 and row_sums == {perron},
-        f"diameter 3, constant row sum {perron}",
-    )
-
     try:
         pi = lcr_stabilizer_partition(n)
     except ValueError as exc:
@@ -597,9 +581,17 @@ def verify_lcr(n) -> IntegralityReport:
     stage("orbit-sizes", sizes == expected_sizes, f"cell sizes {sizes}")
 
     try:
-        q = quotient_matrix(d, pi)
+        q = quotient_matrix(g, pi)
     except NonEquitablePartitionError as exc:
         raise VerificationError("quotient-equitable", str(exc)) from exc
+    expected_q, expected_d = _expected_lcr_spectra(n)
+    perron = expected_d[-1][0]
+    d = q.source
+    stage(
+        "distances",
+        d.max_entry() == 3 and set(d.row_sums()) == {perron},
+        f"diameter 3, constant row sum {perron}",
+    )
     checks.append(Check("quotient-equitable", True, "all cell rows agree"))
 
     stage(
@@ -623,20 +615,11 @@ def verify_lcr(n) -> IntegralityReport:
         transitive_gens=lcr_automorphism_gens(n),
     )
     spectrum = report.spectrum
-    expected_distinct = tuple(lam for lam, _ in expected_q)
+    certified = " ".join(f"{v}^{m}" for v, m in spectrum.integer_part)
+    expected = " ".join(f"{v}^{m}" for v, m in expected_d)
     stage(
-        "distance-spectrum-distinct",
-        spectrum.distinct_values == expected_distinct,
-        f"distinct distance eigenvalues {spectrum.distinct_values}",
-    )
-    stage(
-        "multiplicity-sum",
-        spectrum.multiplicity_sum == order,
-        f"multiplicities sum to {order}",
-    )
-    stage(
-        "perron-simple",
-        spectrum.multiplicity(perron) == 1,
-        f"largest eigenvalue {perron} is simple",
+        "distance-spectrum",
+        list(spectrum.integer_part) == expected_d,
+        f"certified {certified}; closed form {expected}",
     )
     return replace(report, checks=tuple(checks) + report.checks)

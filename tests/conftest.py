@@ -13,7 +13,6 @@ import pytest
 
 from orbitspectra.exactla import IntMatrix
 from orbitspectra.graphs import (
-    all_pairs_distances,
     build_circulant,
     build_crown,
     build_cycle,
@@ -27,7 +26,6 @@ from orbitspectra.perms import (
     lcr_stabilizer_gens,
     orbits,
 )
-from orbitspectra.spectral import quotient_matrix
 
 
 def bfs_reference(n, adj):
@@ -127,11 +125,6 @@ def johnson_pair_stabilizer_gens(n):
         johnson_induced_perm(n, 2, swap23),
         johnson_induced_perm(n, 2, tail_cycle),
     )
-
-
-def quotient_of(g, pi):
-    """The verified orbit quotient that quotient-assisted spectra take."""
-    return quotient_matrix(all_pairs_distances(g), pi)
 
 
 def with_cell_indicators(a, pi):

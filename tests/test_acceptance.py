@@ -41,7 +41,6 @@ from orbitspectra.spectral import (
 
 from conftest import (
     along_cycle,
-    quotient_of,
     reflection_perm,
     rotation_perm,
     with_cell_indicators,
@@ -57,16 +56,15 @@ def lcr_data():
     for n in N_RANGE:
         start = time.monotonic()
         g = build_lcr(n)
-        d = all_pairs_distances(g)
         pi = lcr_stabilizer_partition(n)
-        q = quotient_matrix(d, pi)
+        q = quotient_matrix(g, pi)
         spectrum = distance_spectrum(
             g, "quotient-assisted", quotient=q, transitive_gens=lcr_automorphism_gens(n),
         )
         elapsed = time.monotonic() - start
         data[n] = {
             "graph": g,
-            "d": d,
+            "d": q.source,
             "pi": pi,
             "quotient": q,
             "spectrum": spectrum,
@@ -201,7 +199,7 @@ def test_criterion_08_small_case_ground_truth():
         distance_spectrum(hexagon, "rank-sweep"),
         distance_spectrum(hexagon, "char-poly"),
         distance_spectrum(
-            hexagon, "quotient-assisted", quotient=quotient_of(hexagon, pi),
+            hexagon, "quotient-assisted", quotient=quotient_matrix(hexagon, pi),
             transitive_gens=GeneratorSet.of(rotation_perm(6)),
         ),
     ]
@@ -247,7 +245,7 @@ def test_criterion_10_method_cross_validation(corpus):
         assert repr(s_rank) == repr(s_char), name
         if s_rank.is_integral:
             s_quot = distance_spectrum(
-                g, "quotient-assisted", quotient=quotient_of(g, pi), transitive_gens=gens
+                g, "quotient-assisted", quotient=quotient_matrix(g, pi), transitive_gens=gens
             )
             assert s_rank == s_quot and repr(s_rank) == repr(s_quot), name
         compared += 1

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,7 @@ import orbitspectra
 from orbitspectra import cli, spectral
 from orbitspectra.cli import main, parse_edge_list
 from orbitspectra.exactla import IntMatrix, IntPolynomial
+from orbitspectra.spectral import Spectrum
 
 
 def run(capsys, *argv):
@@ -316,11 +318,28 @@ class TestVerifyCommand:
         assert payload[0]["graph"] == "lcr n=4"
         assert all(check["pass"] for check in payload[0]["checks"])
         assert [check["name"] for check in payload[0]["checks"]] == [
-            "graph-shape", "distances", "stabilizer-orbits", "orbit-sizes",
+            "graph-shape", "stabilizer-orbits", "orbit-sizes", "distances",
             "quotient-equitable", "quotient-closed-form", "quotient-spectrum",
-            "distance-spectrum-distinct", "multiplicity-sum", "perron-simple",
-            "annihilates", "moments", "spectrum-complete", "trace-zero",
+            "distance-spectrum", "annihilates", "moments", "spectrum-complete",
+            "trace-zero",
         ]
+
+    def test_multiplicities_must_match_the_closed_form(self, capsys, monkeypatch):
+        # lcr(5) is -6^4 -2^4 -1^6 1^5 33^1; this spectrum keeps the order,
+        # the trace, the distinct values and a simple Perron value
+        certify = spectral.is_distance_integral
+
+        def misreported(*args, **kwargs):
+            wrong = Spectrum(((-6, 4), (-2, 6), (-1, 3), (1, 6), (33, 1)), None, 20)
+            return replace(certify(*args, **kwargs), spectrum=wrong)
+
+        monkeypatch.setattr(spectral, "is_distance_integral", misreported)
+        status, out, _ = run(capsys, "verify-lcr", "--n", "5")
+        assert status == 1
+        assert out == (
+            "n=5: FAIL at stage 'distance-spectrum': certified -6^4 -2^6 -1^3 1^6 33^1; "
+            "closed form -6^4 -2^4 -1^6 1^5 33^1\n"
+        )
 
     def test_n_below_four_is_a_usage_error(self, capsys):
         # lcr(3) is outside the theorem, not a counterexample to it

@@ -42,13 +42,12 @@ from orbitspectra.spectral import (
     verify_lcr,
 )
 
-from conftest import quotient_of, reflection_perm, rotation_perm, with_cell_indicators
+from conftest import bfs_reference, reflection_perm, rotation_perm, with_cell_indicators
 
 
-def lcr_pipeline(n):
-    """Graph, distances, and the 7-cell partition in reporting order."""
-    g = build_lcr(n)
-    return g, all_pairs_distances(g), lcr_stabilizer_partition(n)
+def lcr_quotient(n):
+    """lcr(n)'s quotient over the 7-cell partition in reporting order."""
+    return quotient_matrix(build_lcr(n), lcr_stabilizer_partition(n))
 
 
 def singletons_partition(n):
@@ -57,40 +56,37 @@ def singletons_partition(n):
 
 class TestQuotientMatrix:
     def test_all_singletons_gives_the_distance_matrix(self):
-        d = all_pairs_distances(build_cycle(5))
-        q = quotient_matrix(d, singletons_partition(5))
-        assert q.matrix == q.source == d
-
-    def test_matrix_must_be_square_and_match_the_partition(self):
-        pi = singletons_partition(2)
-        for d in (IntMatrix([[0, 1, 2], [1, 0, 1]]), all_pairs_distances(build_cycle(3))):
-            with pytest.raises(ValueError, match="partition covers 2 vertices"):
-                quotient_matrix(d, pi)
+        g = build_cycle(5)
+        q = quotient_matrix(g, singletons_partition(5))
+        assert q.graph == g
+        assert q.matrix == q.source == IntMatrix(bfs_reference(5, g.adjacency))
 
     def test_path_counterexample_is_rejected(self):
         # path a-b-c: distance sums from a and b to {c} differ (2 vs 1)
-        d = IntMatrix([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        path = Graph(3, [(0, 1), (1, 2)])
         pi = OrbitPartition.from_cells([(0, 1), (2,)])
         with pytest.raises(NonEquitablePartitionError) as err:
-            quotient_matrix(d, pi)
+            quotient_matrix(path, pi)
         assert err.value.cell == 0
         assert {err.value.rep_a, err.value.rep_b} == {0, 1}
         assert err.value.column == 1
 
     def test_lcr4_first_row(self):
-        _, d, pi = lcr_pipeline(4)
-        q = quotient_matrix(d, pi)
-        assert q.matrix.entries[0] == (0, 2, 4, 3, 4, 2, 4)
+        assert lcr_quotient(4).matrix.entries[0] == (0, 2, 4, 3, 4, 2, 4)
 
     @pytest.mark.parametrize("n", range(4, 9))
     def test_matches_closed_form(self, n):
-        _, d, pi = lcr_pipeline(n)
-        assert quotient_matrix(d, pi).matrix == lcr_quotient_closed_form(n)
+        assert lcr_quotient(n).matrix == lcr_quotient_closed_form(n)
+
+    def test_matrix_must_be_square_and_match_the_partition(self):
+        # the distance matrix comes from the graph, so it is square by
+        # construction; a partition of fewer vertices must still be refused
+        with pytest.raises(ValueError, match="partition covers 2 vertices, graph has 3"):
+            quotient_matrix(build_cycle(3), singletons_partition(2))
 
     def test_dimension_mismatch(self):
-        d = all_pairs_distances(build_cycle(4))
-        with pytest.raises(ValueError, match="covers"):
-            quotient_matrix(d, singletons_partition(5))
+        with pytest.raises(ValueError, match="partition covers 5 vertices, graph has 4"):
+            quotient_matrix(build_cycle(4), singletons_partition(5))
 
 
 class TestClosedFormQuotient:
@@ -108,8 +104,8 @@ class TestClosedFormQuotient:
 class TestTheoremProperties:
     def test_every_quotient_eigenvalue_lifts_to_d(self, corpus):
         for name, g, pi, _ in corpus:
-            d = all_pairs_distances(g)
-            q = quotient_matrix(d, pi)
+            q = quotient_matrix(g, pi)
+            d = q.source
             roots, _ = integer_roots(char_poly(q.matrix), bound=max(d.row_sums()))
             for lam, _ in roots:
                 assert eigen_multiplicity(d, lam) >= 1, (name, lam)
@@ -121,8 +117,8 @@ class TestTheoremProperties:
             spectrum = distance_spectrum(g, "rank-sweep")
             if not spectrum.is_integral:
                 continue
-            d = all_pairs_distances(g)
-            q = quotient_matrix(d, pi)
+            q = quotient_matrix(g, pi)
+            d = q.source
             roots, residual = integer_roots(char_poly(q.matrix), bound=max(d.row_sums()))
             assert residual == IntPolynomial.one(), name
             assert {lam for lam, _ in roots} == set(spectrum.distinct_values), name
@@ -137,9 +133,9 @@ class TestTheoremProperties:
         ]
         found_any = False
         for g, gens in cases:
-            d = all_pairs_distances(g)
             pi = orbits(gens)
-            q = quotient_matrix(d, pi)
+            q = quotient_matrix(g, pi)
+            d = q.source
             rho = max(d.row_sums())
             q_values = {lam for lam, _ in integer_roots(char_poly(q.matrix), bound=rho)[0]}
             spectrum = distance_spectrum(g, "rank-sweep")
@@ -156,8 +152,8 @@ class TestTheoremProperties:
         # the same eigenvalue, so their span, of dimension
         # rank([A; P^T]) - rank(A) for A = D - lam I, cannot exceed its size
         for n in (4, 5):
-            _, d, pi = lcr_pipeline(n)
-            q = quotient_matrix(d, pi)
+            q = lcr_quotient(n)
+            d, pi = q.source, q.partition
             q_poly = char_poly(q.matrix)
             for lam in distance_spectrum(build_lcr(n), "rank-sweep").distinct_values:
                 a = d.shift_diagonal(lam)
@@ -194,7 +190,7 @@ class TestDistanceSpectrum:
             s_char = distance_spectrum(g, "char-poly")
             assert s_rank == s_char, name
             s_quot = distance_spectrum(
-                g, "quotient-assisted", quotient=quotient_of(g, pi), transitive_gens=gens
+                g, "quotient-assisted", quotient=quotient_matrix(g, pi), transitive_gens=gens
             )
             assert s_rank == s_quot, name
 
@@ -215,7 +211,7 @@ class TestDistanceSpectrum:
         s_quot = distance_spectrum(
             g,
             "quotient-assisted",
-            quotient=quotient_of(g, orbits(GeneratorSet.of(reflection_perm(n)))),
+            quotient=quotient_matrix(g, orbits(GeneratorSet.of(reflection_perm(n)))),
             transitive_gens=GeneratorSet.of(rotation_perm(n)),
         )
         assert s_rank == s_quot
@@ -245,10 +241,10 @@ class TestDistanceSpectrum:
             return eigen_multiplicity(matrix, lam)
 
         monkeypatch.setattr(spectral, "eigen_multiplicity", counting)
-        g, d, pi = lcr_pipeline(n)
+        q = lcr_quotient(n)
+        g = q.graph
         s = distance_spectrum(
-            g, "quotient-assisted", quotient=quotient_matrix(d, pi),
-            transitive_gens=lcr_automorphism_gens(n),
+            g, "quotient-assisted", quotient=q, transitive_gens=lcr_automorphism_gens(n),
         )
         assert calls == ranked
         assert s.moments.ranked == tuple(ranked)
@@ -262,7 +258,7 @@ class TestDistanceSpectrum:
         expected = distance_spectrum(g, "rank-sweep")
         monkeypatch.setattr(spectral, "eigen_multiplicity", None)
         report = is_distance_integral(
-            g, "quotient-assisted", quotient=quotient_of(g, pi), transitive_gens=gens
+            g, "quotient-assisted", quotient=quotient_matrix(g, pi), transitive_gens=gens
         )
         s = report.spectrum
         used = len(s.moments.solved)
@@ -272,10 +268,10 @@ class TestDistanceSpectrum:
 
     @pytest.mark.parametrize("n", range(4, 9))
     def test_quotient_eigenvalues_annihilate_the_singleton(self, n):
-        _, d, pi = lcr_pipeline(n)
-        q = quotient_matrix(d, pi).matrix
+        quotient = lcr_quotient(n)
+        q = quotient.matrix
         values = [lam for lam, _ in integer_roots(char_poly(q))[0]]
-        cell = pi.singleton_cells()[0]
+        cell = quotient.partition.singleton_cells()[0]
         assert spectral._annihilates(q, values, cell)
         for k in range(len(values)):
             assert not spectral._annihilates(q, values[:k] + values[k + 1:], cell)
@@ -292,7 +288,7 @@ class TestDistanceSpectrum:
         s = distance_spectrum(
             g,
             "quotient-assisted",
-            quotient=quotient_of(g, orbits(GeneratorSet.of(reflection_perm(7)))),
+            quotient=quotient_matrix(g, orbits(GeneratorSet.of(reflection_perm(7)))),
             transitive_gens=GeneratorSet.of(rotation_perm(7)),
         )
         assert calls == [12]
@@ -312,7 +308,7 @@ class TestDistanceSpectrum:
             distance_spectrum(
                 g,
                 "quotient-assisted",
-                quotient=quotient_of(g, pi),
+                quotient=quotient_matrix(g, pi),
                 transitive_gens=GeneratorSet.of(rotation_perm(6)),
             )
 
@@ -323,30 +319,27 @@ class TestDistanceSpectrum:
             distance_spectrum(
                 g,
                 "quotient-assisted",
-                quotient=quotient_of(g, pi),
+                quotient=quotient_matrix(g, pi),
                 transitive_gens=GeneratorSet.of(reflection_perm(6)),
             )
 
     def test_quotient_assisted_requires_the_graphs_quotient(self):
+        # a quotient belongs to the graph it was built from: the heptagon,
+        # the octahedron and the hexagon relabelled by (2 4) each refuse the
+        # hexagon's, though the octahedron and the relabelled hexagon have
+        # its order and are transitive under the rotation given
         hexagon = build_cycle(6)
-        hexagon_quotient = quotient_of(hexagon, orbits(GeneratorSet.of(reflection_perm(6))))
-        with pytest.raises(ValueError, match="quotient source has 6 rows, graph 7"):
-            distance_spectrum(
-                build_cycle(7),
-                "quotient-assisted",
-                quotient=hexagon_quotient,
-                transitive_gens=GeneratorSet.of(rotation_perm(7)),
-            )
-        # the octahedron: the singleton vertex's row breaks the BFS recurrence;
-        # the hexagon relabelled by (2 4): that row is right, but the
-        # relabelled rotation does not preserve the hexagon's distances
+        hexagon_quotient = quotient_matrix(hexagon, orbits(GeneratorSet.of(reflection_perm(6))))
+        assert hexagon_quotient.graph == hexagon
+        assert hexagon_quotient.source == IntMatrix(bfs_reference(6, hexagon.adjacency))
         swap = Permutation.from_cycles([[2, 4]], 6)
         relabelled = Graph(6, [(swap.images[u], swap.images[v]) for u, v in hexagon.edges()])
         for g, rotation in (
+            (build_cycle(7), rotation_perm(7)),
             (build_circulant(6, (1, 2)), rotation_perm(6)),
             (relabelled, swap * rotation_perm(6) * swap),
         ):
-            with pytest.raises(ValueError, match="not the graph's distance matrix"):
+            with pytest.raises(ValueError, match="quotient was built from another graph"):
                 distance_spectrum(
                     g,
                     "quotient-assisted",
@@ -487,10 +480,9 @@ class TestIntegralityReports:
         assert trace.detail == "weighted eigenvalue sum 0 equals trace 0"
 
     def test_ledger_records_the_moment_solve(self):
-        g, d, pi = lcr_pipeline(5)
+        q = lcr_quotient(5)
         report = is_distance_integral(
-            g, "quotient-assisted", quotient=quotient_matrix(d, pi),
-            transitive_gens=lcr_automorphism_gens(5),
+            q.graph, "quotient-assisted", quotient=q, transitive_gens=lcr_automorphism_gens(5),
         )
         assert [c.name for c in report.checks] == [
             "annihilates", "moments", "spectrum-complete", "trace-zero",
