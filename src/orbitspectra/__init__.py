@@ -26,6 +26,7 @@ from orbitspectra.graphs import (
     pair_vertices,
 )
 from orbitspectra.perms import (
+    AutomorphismError,
     GeneratorSet,
     OrbitPartition,
     Permutation,
@@ -42,7 +43,6 @@ from orbitspectra.perms import (
 )
 from orbitspectra.spectral import (
     IntegralityReport,
-    NonEquitablePartitionError,
     QuotientMatrix,
     Spectrum,
     VerificationError,

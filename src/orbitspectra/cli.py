@@ -266,6 +266,8 @@ def _fail_line(n, exc):
 
 
 def cmd_verify_lcr(args, out):
+    if not args.n_values:
+        raise UsageError("verify-lcr needs --n, an integer >= 4 or a range 'a..b'")
     if min(args.n_values) < 4:
         raise UsageError(f"verify-lcr needs n >= 4, got {args.n}")
     failures = 0

@@ -7,7 +7,7 @@ and the induced permutations of pair vertices.
 """
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from orbitspectra.graphs import pair_vertices
 
@@ -137,13 +137,15 @@ class GeneratorSet:
 
 @dataclass(frozen=True)
 class OrbitPartition:
-    """Ordered disjoint cells covering {0..degree-1}, with reverse lookup."""
+    """Ordered disjoint cells covering {0..degree-1}, with reverse lookup;
+    generators, set by orbits() only and ignored by ==, made the cells."""
 
     cells: tuple
     cell_of: tuple
+    generators: GeneratorSet = field(default=None, compare=False, repr=False)
 
     @classmethod
-    def from_cells(cls, cells):
+    def from_cells(cls, cells, generators=None):
         cells = tuple(tuple(sorted(c)) for c in cells)
         degree = sum(len(c) for c in cells)
         lookup = [-1] * degree
@@ -154,7 +156,7 @@ class OrbitPartition:
                 if not 0 <= v < degree or lookup[v] != -1:
                     raise ValueError("cells must disjointly cover 0..degree-1")
                 lookup[v] = k
-        return cls(cells, tuple(lookup))
+        return cls(cells, tuple(lookup), generators)
 
     @property
     def degree(self):
@@ -168,17 +170,17 @@ class OrbitPartition:
         return [k for k, c in enumerate(self.cells) if len(c) == 1]
 
     def reorder_by_representatives(self, reps):
-        """Same cells, reordered so cell k contains reps[k]."""
+        """Same cells and generators, reordered so cell k contains reps[k]."""
         if sorted(self.cell_of[r] for r in reps) != list(range(len(self.cells))):
             raise ValueError("representatives must select each cell exactly once")
-        return OrbitPartition.from_cells([self.cells[self.cell_of[r]] for r in reps])
+        return OrbitPartition.from_cells([self.cells[self.cell_of[r]] for r in reps], self.generators)
 
 
 def orbits(gens: GeneratorSet) -> OrbitPartition:
     """Orbit partition of the generated group, by closure under generators.
 
     Cells are sorted internally and ordered by smallest member, so the
-    result is independent of generator order.
+    cells are independent of generator order; the partition records gens.
     """
     n = gens.degree
     parent = list(range(n))
@@ -201,7 +203,7 @@ def orbits(gens: GeneratorSet) -> OrbitPartition:
     for v in range(n):
         groups.setdefault(find(v), []).append(v)
     cells = [groups[r] for r in sorted(groups)]
-    return OrbitPartition.from_cells(cells)
+    return OrbitPartition.from_cells(cells, gens)
 
 
 def pair_action(alpha: Permutation) -> Permutation:
@@ -223,6 +225,10 @@ def swap_action(n) -> Permutation:
     return Permutation(index[(j, i)] for i, j in verts)
 
 
+class AutomorphismError(ValueError):
+    """A generator that is not an automorphism of the graph it acts on."""
+
+
 def is_automorphism(g, p: Permutation) -> bool:
     """True iff p maps edges of g onto edges of g bijectively."""
     if p.degree != g.vertex_count:
@@ -230,18 +236,19 @@ def is_automorphism(g, p: Permutation) -> bool:
             f"permutation degree {p.degree} != vertex count {g.vertex_count}"
         )
     im = p.images
-    return all(g.has_edge(im[u], im[v]) for u, v in g.edges())
+    return all(g.has_edge(im[u], im[v]) for u, vs in enumerate(g.adjacency) for v in vs if u < v)
+
+
+def check_automorphisms(g, gens: GeneratorSet):
+    """Raise AutomorphismError at the first generator not an automorphism of g."""
+    for k, p in enumerate(gens.generators):
+        if not is_automorphism(g, p):
+            raise AutomorphismError(f"generator #{k} ({p!r}) is not an automorphism")
 
 
 def is_vertex_transitive_under(g, gens: GeneratorSet) -> bool:
-    """True iff the group generated by gens has a single vertex orbit on g.
-
-    Every generator must be an automorphism of g; the first one that is
-    not is reported in the error.
-    """
-    for k, p in enumerate(gens.generators):
-        if not is_automorphism(g, p):
-            raise ValueError(f"generator #{k} ({p!r}) is not an automorphism")
+    """True iff gens, each checked to be an automorphism of g, have one vertex orbit."""
+    check_automorphisms(g, gens)
     return orbits(gens).cell_count == 1
 
 

@@ -1,20 +1,20 @@
 """Quotient matrices over orbit partitions and exact distance spectra.
 
-The pipeline: an orbit partition of a subgroup of automorphisms induces
-an equitable partition of the distance matrix; the cell-sum quotient
-matrix Q then carries eigenvalues of D, and when the graph is
-vertex-transitive and the partition has a singleton cell, the distinct
-eigenvalue sets of Q and D coincide. That is checked, not assumed: the
-product of (Q - lam I) over the integer roots of det(xI - Q) must send
-the singleton cell's unit vector to zero. Then the largest value is
-simple by Perron-Frobenius, the three other values of largest |lam|
-are solved exactly from the trace moments tr D^k (k = 0, 1, 2), and
-only the rest, small |lam| with large multiplicity, get an exact rank;
-the cubic moment, from Q alone, cross-checks the result. That reduces
-a |V| x |V| spectrum problem to the quotient size plus at most a few
-exact rank computations. A QuotientMatrix is built from its graph:
-quotient_matrix runs the one BFS and keeps D as its source, so
-quotient-assisted runs none and takes D from the quotient it is given.
+The pipeline: the orbits of checked automorphism generators form an
+equitable partition of the distance matrix, so each cell's first row of
+D gives its row of the cell-sum quotient matrix Q. Q carries eigenvalues
+of D, and when the graph is vertex-transitive and the partition has a
+singleton cell, the distinct eigenvalue sets of Q and D coincide. That
+is checked, not assumed: the product of (Q - lam I) over the integer
+roots of det(xI - Q) must send the singleton cell's unit vector to zero.
+Then the largest value is simple by Perron-Frobenius, the three other
+values of largest |lam| are solved exactly from the trace moments
+tr D^k = |V| (Q^k)_ss (k = 0, 1, 2), only the rest, small |lam| with
+large multiplicity, get an exact rank, and k = 3 cross-checks the
+result. That reduces a |V| x |V| spectrum problem to the quotient size
+plus at most a few exact rank computations. A QuotientMatrix is built
+from its graph: quotient_matrix runs the one BFS and keeps D as its
+source, so quotient-assisted runs none and takes D from the quotient.
 """
 
 from dataclasses import dataclass, replace
@@ -36,7 +36,9 @@ from orbitspectra.graphs import (
     pair_vertices,
 )
 from orbitspectra.perms import (
+    AutomorphismError,
     OrbitPartition,
+    check_automorphisms,
     is_vertex_transitive_under,
     lcr_automorphism_gens,
     lcr_stabilizer_gens,
@@ -48,17 +50,6 @@ METHODS = ("rank-sweep", "char-poly", "quotient-assisted")
 # orbit representatives of the two-point stabilizer on pair vertices, in
 # the fixed reporting order used by the closed-form quotient matrix
 STABILIZER_CELL_REPS = ((1, 2), (1, 3), (3, 1), (2, 1), (2, 3), (3, 2), (3, 4))
-
-
-class NonEquitablePartitionError(ValueError):
-    """A partition whose cell sums depend on the representative chosen."""
-
-    def __init__(self, cell, rep_a, rep_b, column):
-        self.cell, self.rep_a, self.rep_b, self.column = cell, rep_a, rep_b, column
-        super().__init__(
-            f"partition is not equitable: cell {cell} members {rep_a} and {rep_b} "
-            f"give different sums against cell {column}"
-        )
 
 
 class VerificationError(ValueError):
@@ -85,7 +76,7 @@ class QuotientMatrix:
 class MomentSolve:
     """How the quotient certificate reached its multiplicities: the values
     it ranked, the values it solved from tr D^k, the Perron value, and
-    |V| (Q^3)_ss, which the cubic moment matched."""
+    tr D^3 = |V| (Q^3)_ss, which the solved spectrum matched."""
 
     ranked: tuple
     solved: tuple
@@ -208,35 +199,29 @@ class IntegralityReport:
 
 
 def quotient_matrix(g: Graph, pi: OrbitPartition) -> QuotientMatrix:
-    """Cell-summed distance matrix of g over pi, verified equitable.
+    """Cell-summed distance matrix of g over pi, the orbits of pi.generators.
 
-    Runs BFS for g's distance matrix D, kept as the quotient's source.
-    Every member of every cell must produce the same row of cell sums;
-    the first disagreement is reported with both representatives and the
-    offending column.
+    Each generator must be an automorphism of g; the first that is not
+    raises AutomorphismError. An automorphism keeps every distance and
+    maps each cell onto itself, so all members of a cell have the same
+    cell sums (pi is equitable), and each cell's first row of D gives
+    its row of Q. Runs BFS for g's distance matrix D, kept as the
+    quotient's source.
     """
     if pi.degree != g.vertex_count:
         raise ValueError(
             f"partition covers {pi.degree} vertices, graph has {g.vertex_count}"
         )
+    if pi.generators is None:
+        raise ValueError("partition has no generators; build it with orbits")
+    check_automorphisms(g, pi.generators)
     d = all_pairs_distances(g)
-    m = pi.cell_count
-    cell_of = pi.cell_of
-    sums = []
-    for dv in d.entries:
-        row = [0] * m
-        for w, dw in enumerate(dv):
-            row[cell_of[w]] += dw
-        sums.append(row)
     q_rows = []
-    for k, cell in enumerate(pi.cells):
-        rep = cell[0]
-        expect = sums[rep]
-        for v in cell[1:]:
-            if sums[v] != expect:
-                col = next(j for j in range(m) if sums[v][j] != expect[j])
-                raise NonEquitablePartitionError(k, rep, v, col)
-        q_rows.append(expect)
+    for cell in pi.cells:
+        row = [0] * pi.cell_count
+        for w, dw in enumerate(d.entries[cell[0]]):
+            row[pi.cell_of[w]] += dw
+        q_rows.append(row)
     return QuotientMatrix(IntMatrix(q_rows), pi, g, d)
 
 
@@ -341,28 +326,30 @@ def _moment_spectrum(d, q, cell, rho, values):
     for rho and rho is the spectral radius. By Perron-Frobenius the
     largest value is rho, with multiplicity 1.
 
+    Every power sum sum_lam m_lam lam^k = tr D^k, k = 0..3, comes from
+    Q: transitivity gives tr D^k = |V| (D^k)_vv, and D^k P = P Q^k (from
+    DP = PQ, P the cell indicator matrix, P e_s = e_v) gives
+    (D^k)_vv = (Q^k)_ss. One loop of mat-vecs Q^k e_s yields them all;
+    D is read only for the exact ranks.
+
     Of the other values, the three of largest |lam| (ties: the positive
-    one) are solved from the power sums sum_lam m_lam lam^k = tr D^k for
-    k = 0, 1, 2: |V|, tr D and sum D_ij^2 (D is symmetric), less the
-    Perron term and the ranked terms. The system is Vandermonde in
-    distinct values, so its solution is unique, and
-    m_a = sum_k c_k r_k / p_a(a) with p_a = prod_{b != a} (x - b) =
-    sum_k c_k x^k and r_k the power sums left to the solved values. Any
-    further values get an exact rank. m_lam <= sum D_ij^2 / lam^2, so
-    the large-|lam| values have the small multiplicities, and ranking
-    the small-|lam| ones skips the near-full, costliest ranks; which
-    values are ranked affects cost, never the result.
+    one) are solved from the power sums k = 0, 1, 2, less the Perron
+    term and the ranked terms. The system is Vandermonde in distinct
+    values, so its solution is unique, and m_a = sum_k c_k r_k / p_a(a)
+    with p_a = prod_{b != a} (x - b) = sum_k c_k x^k and r_k the power
+    sums left to the solved values. Any further values get an exact
+    rank. m_lam <= tr D^2 / lam^2, so the large-|lam| values have the
+    small multiplicities, and ranking the small-|lam| ones skips the
+    near-full, costliest ranks; which values are ranked affects cost,
+    never the result.
 
     Cross-checks, each an ArithmeticError when it fails: an inexact
-    division, a solved multiplicity below 1, and, when fewer than three
-    values are solved, the power sums up to k = 2 they leave unused.
-    Last, sum m lam^3 must equal tr D^3 = |V| (Q^3)_ss: transitivity
-    gives tr D^3 = |V| (D^3)_vv, and D^k P = P Q^k (from DP = PQ, P the
-    cell indicator matrix, P e_s = e_v) gives (D^3)_vv = (Q^3)_ss. With
-    four or more non-top values, one wrong ranked multiplicity moves the
-    solved ones so that the power sums k = 0..2 still hold. The change
-    lives on four distinct values, whose 4 x 4 Vandermonde system is
-    nonsingular, so the cubic sum then fails.
+    division, a solved multiplicity below 1, and every power sum up to
+    k = 3 that the solve left unused. With four or more non-top values,
+    one wrong ranked multiplicity moves the solved ones so that the
+    power sums k = 0..2 still hold. The change lives on four distinct
+    values, whose 4 x 4 Vandermonde system is nonsingular, so the power
+    sum k = 3 then fails.
     """
     *rest, top = values
     if top != rho:
@@ -371,8 +358,12 @@ def _moment_spectrum(d, q, cell, rho, values):
     solved, ranked = sorted(by_size[-3:]), sorted(by_size[:-3])
     mult = {lam: eigen_multiplicity(d, lam) for lam in ranked}
     mult[top] = 1
-    order, trace = d.rows, d.trace()
-    power_sums = (order, trace, sum(sum(map(mul, row, row)) for row in d.entries))
+    power_sums = []
+    y = [0] * q.rows
+    y[cell] = 1
+    for _ in range(4):
+        power_sums.append(d.rows * y[cell])
+        y = [sum(map(mul, row, y)) for row in q.entries]
     left = [
         s - sum(m * lam**k for lam, m in mult.items()) for k, s in enumerate(power_sums)
     ]
@@ -385,21 +376,14 @@ def _moment_spectrum(d, q, cell, rho, values):
         if m < 1:
             raise ArithmeticError(f"moment-solved multiplicity of {a} is {m} < 1")
         mult[a] = m
-    for k in range(len(solved), 3):
+    for k in range(len(solved), 4):
         spare = sum(mult[a] * a**k for a in solved)
         if spare != left[k]:
             raise ArithmeticError(
                 f"spare moment k={k}: solved values give {spare}, tr D^{k} leaves {left[k]}"
             )
-    q_col = [row[cell] for row in q.entries]
-    cubic = order * sum(
-        x * sum(map(mul, row, q_col)) for x, row in zip(q.entries[cell], q.entries)
-    )
-    weighted = sum(m * lam**3 for lam, m in mult.items())
-    if weighted != cubic:
-        raise ArithmeticError(f"cubic moment {weighted} != |V| (Q^3)_ss = {cubic}")
-    moments = MomentSolve(tuple(ranked), tuple(solved), top, cubic)
-    return Spectrum(sorted(mult.items()), None, order, trace, moments)
+    moments = MomentSolve(tuple(ranked), tuple(solved), top, power_sums[3])
+    return Spectrum(sorted(mult.items()), None, d.rows, power_sums[1], moments)
 
 
 def distance_spectrum(
@@ -413,14 +397,15 @@ def distance_spectrum(
     Both run BFS. quotient-assisted runs none: D and Q come from the
     caller's QuotientMatrix, which must have been built from g itself
     (quotient.graph == g) over a singleton-cell orbit partition, and g
-    must be vertex-transitive under transitive_gens. quotient_matrix ran
-    BFS on g for D, so D is g's distance matrix and is invariant under
-    g's automorphisms. The candidates S are the integer roots of
+    must be vertex-transitive under transitive_gens. quotient_matrix
+    checked that the partition's generators are automorphisms of g and
+    ran BFS on g for D, so D is g's distance matrix and is invariant
+    under g's automorphisms. The candidates S are the integer roots of
     det(xI - Q). When the product of (Q - lam I) over S annihilates the
     singleton cell's unit vector, S holds every eigenvalue of D, and
-    _moment_spectrum certifies the multiplicities with at most a few
-    exact ranks (Spectrum.moments records how). Otherwise every
-    candidate is ranked. When the
+    _moment_spectrum certifies the multiplicities from the moments
+    |V| (Q^k)_ss with at most a few exact ranks (Spectrum.moments
+    records how). Otherwise every candidate is ranked. When the
     certified multiplicities do not exhaust the order, rank-sweep and
     quotient-assisted expand det(xI - D) for the residual factor and
     require its integer roots to equal the certified ones.
@@ -541,7 +526,8 @@ def verify_lcr(n) -> IntegralityReport:
     """End-to-end certification that the crown line graph is distance integral.
 
     Builds the graph, computes the stabilizer orbit partition and its
-    quotient matrix (which runs the one BFS), checks the distances,
+    quotient matrix (which checks the stabilizer generators are
+    automorphisms and runs the one BFS), checks the distances,
     compares the quotient against the closed form, extracts its
     eigenvalues exactly, and certifies the distance spectrum with
     is_distance_integral on that same quotient (one BFS and one quotient
@@ -582,8 +568,8 @@ def verify_lcr(n) -> IntegralityReport:
 
     try:
         q = quotient_matrix(g, pi)
-    except NonEquitablePartitionError as exc:
-        raise VerificationError("quotient-equitable", str(exc)) from exc
+    except AutomorphismError as exc:
+        raise VerificationError("stabilizer-automorphisms", str(exc)) from exc
     expected_q, expected_d = _expected_lcr_spectra(n)
     perron = expected_d[-1][0]
     d = q.source
@@ -592,7 +578,9 @@ def verify_lcr(n) -> IntegralityReport:
         d.max_entry() == 3 and set(d.row_sums()) == {perron},
         f"diameter 3, constant row sum {perron}",
     )
-    checks.append(Check("quotient-equitable", True, "all cell rows agree"))
+    gens = len(pi.generators.generators)
+    detail = f"{gens} generators map edges to edges, so their orbits are equitable"
+    checks.append(Check("stabilizer-automorphisms", True, detail))
 
     stage(
         "quotient-closed-form",

@@ -47,6 +47,24 @@ def bfs_reference(n, adj):
     return dist
 
 
+def quotient_reference(g, pi):
+    """Cell sums of every row of g's distance matrix over pi, required to
+    agree across each cell; the rows of the first members, as an IntMatrix.
+    The full-scan oracle for spectral.quotient_matrix, which reads one row
+    per cell."""
+    sums = []
+    for dv in bfs_reference(g.vertex_count, g.adjacency):
+        row = [0] * pi.cell_count
+        for w, dw in enumerate(dv):
+            row[pi.cell_of[w]] += dw
+        sums.append(row)
+    for k, cell in enumerate(pi.cells):
+        for v in cell[1:]:
+            if sums[v] != sums[cell[0]]:
+                raise ValueError(f"not equitable: cell {k} members {cell[0]} and {v} differ")
+    return IntMatrix([sums[cell[0]] for cell in pi.cells])
+
+
 def rotation_perm(n):
     return Permutation([(v + 1) % n for v in range(n)])
 

@@ -12,6 +12,8 @@ import orbitspectra
 from orbitspectra import cli, spectral
 from orbitspectra.cli import main, parse_edge_list
 from orbitspectra.exactla import IntMatrix, IntPolynomial
+from orbitspectra.graphs import pair_vertices
+from orbitspectra.perms import GeneratorSet, Permutation
 from orbitspectra.spectral import Spectrum
 
 
@@ -165,7 +167,8 @@ class TestSpectrumCommand:
                 48, "moment-solved multiplicity of -2 is -31 < 1", id="solved-below-one"
             ),
             pytest.param(
-                -36, "cubic moment 35460 != |V| (Q^3)_ss = 35040", id="cubic-mismatch"
+                -36, "spare moment k=3: solved values give -513, tr D^3 leaves -933",
+                id="cubic-mismatch",
             ),
         ],
     )
@@ -173,7 +176,8 @@ class TestSpectrumCommand:
         # lcr(5) ranks only -1 (multiplicity 6) and solves -6, -2 and 1 from
         # tr D^k, k = 0..2. Those divisions are exact only for 6 mod 42: 0
         # leaves -6 a fraction, 48 gives -2 a negative multiplicity, and
-        # -36 solves -6, -2, 1 as 1, 39, 15, which only the cubic rejects
+        # -36 solves -6, -2, 1 as 1, 39, 15, which only tr D^3 = |V| (Q^3)_ss
+        # rejects
         true_mult = spectral.eigen_multiplicity
         monkeypatch.setattr(
             spectral, "eigen_multiplicity",
@@ -253,6 +257,20 @@ class TestSpectrumCommand:
         assert status == 2
         assert "malformed" in err
 
+    def test_non_automorphism_stabilizer_exits_two(self, capsys):
+        # (2 6) and (3 5) each break the hexagon's edges, though together
+        # their orbits are the reflection's equitable partition
+        status, out, err = run(
+            capsys,
+            "spectrum", "--family", "cycle", "--n", "6",
+            "--method", "quotient-assisted",
+            "--stabilizer-gens", "(2 6);(3 5)",
+            "--transitive-gens", "(1 2 3 4 5 6)",
+        )
+        assert status == 2
+        assert out == ""
+        assert err == "error: generator #0 (Permutation((2 6))) is not an automorphism\n"
+
     def test_csv_flattens_eigenvalues(self, capsys):
         status, out, _ = run(
             capsys, "spectrum", "--family", "crown", "--n", "4", "--format", "csv"
@@ -319,7 +337,7 @@ class TestVerifyCommand:
         assert all(check["pass"] for check in payload[0]["checks"])
         assert [check["name"] for check in payload[0]["checks"]] == [
             "graph-shape", "stabilizer-orbits", "orbit-sizes", "distances",
-            "quotient-equitable", "quotient-closed-form", "quotient-spectrum",
+            "stabilizer-automorphisms", "quotient-closed-form", "quotient-spectrum",
             "distance-spectrum", "annihilates", "moments", "spectrum-complete",
             "trace-zero",
         ]
@@ -348,6 +366,29 @@ class TestVerifyCommand:
             assert status == 2, n
             assert out == "", n
             assert ">= 4" in err, n
+
+    def test_empty_n_is_a_usage_error(self, capsys):
+        status, out, err = run(capsys, "verify-lcr", "--n", "")
+        assert status == 2
+        assert out == ""
+        assert err == "error: verify-lcr needs --n, an integer >= 4 or a range 'a..b'\n"
+
+    def test_stabilizer_generators_must_be_automorphisms(self, capsys, monkeypatch):
+        # swapping the pair vertices (1,3) and (1,4) keeps lcr(5)'s 7 orbits,
+        # since the two share one, but maps the edge (1,3)~(2,3) to a non-edge
+        verts = pair_vertices(5)
+        swap = Permutation.from_cycles([[verts.index((1, 3)), verts.index((1, 4))]], 20)
+        stabilizer = spectral.lcr_stabilizer_gens
+        monkeypatch.setattr(
+            spectral, "lcr_stabilizer_gens",
+            lambda n: GeneratorSet.of(*stabilizer(n).generators, swap),
+        )
+        status, out, _ = run(capsys, "verify-lcr", "--n", "5")
+        assert status == 1
+        assert out == (
+            "n=5: FAIL at stage 'stabilizer-automorphisms': "
+            f"generator #2 ({swap!r}) is not an automorphism\n"
+        )
 
     def test_stage_failure_is_named_and_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(

@@ -125,7 +125,11 @@ class TestOrbits:
         gens = list(lcr_stabilizer_gens(5).generators) + [swap_action(5)]
         reference = orbits(GeneratorSet.of(*gens))
         rng.shuffle(gens)
-        assert orbits(GeneratorSet.of(*gens)) == reference
+        shuffled = orbits(GeneratorSet.of(*gens))
+        # equal cells; each partition records its own generators, which == ignores
+        assert shuffled == reference
+        assert shuffled.cells == reference.cells
+        assert shuffled.generators.generators == tuple(gens)
 
     def test_cells_closed_under_generators(self):
         gens = lcr_stabilizer_gens(6)
@@ -133,6 +137,14 @@ class TestOrbits:
         for g in gens.generators:
             for cell in pi.cells:
                 assert {g(v) for v in cell} == set(cell)
+
+    def test_generators_are_recorded_and_carried(self):
+        gens = lcr_stabilizer_gens(5)
+        pi = orbits(gens)
+        reordered = pi.reorder_by_representatives([c[0] for c in reversed(pi.cells)])
+        assert pi.generators is gens and reordered.generators is gens
+        assert OrbitPartition.from_cells(pi.cells).generators is None
+        assert OrbitPartition.from_cells(pi.cells) == pi
 
     def test_partition_validation(self):
         with pytest.raises(ValueError, match="disjointly cover"):

@@ -24,6 +24,7 @@ from orbitspectra.graphs import (
     build_line_graph,
 )
 from orbitspectra.perms import (
+    AutomorphismError,
     GeneratorSet,
     OrbitPartition,
     Permutation,
@@ -31,7 +32,6 @@ from orbitspectra.perms import (
     orbits,
 )
 from orbitspectra.spectral import (
-    NonEquitablePartitionError,
     Spectrum,
     VerificationError,
     distance_spectrum,
@@ -42,7 +42,13 @@ from orbitspectra.spectral import (
     verify_lcr,
 )
 
-from conftest import bfs_reference, reflection_perm, rotation_perm, with_cell_indicators
+from conftest import (
+    bfs_reference,
+    quotient_reference,
+    reflection_perm,
+    rotation_perm,
+    with_cell_indicators,
+)
 
 
 def lcr_quotient(n):
@@ -51,7 +57,15 @@ def lcr_quotient(n):
 
 
 def singletons_partition(n):
-    return OrbitPartition.from_cells([(v,) for v in range(n)])
+    return orbits(GeneratorSet.of(Permutation.identity(n)))
+
+
+def non_singleton_cycle_cases():
+    """Hexagon and octagon under groups whose orbits have no singleton cell."""
+    return [
+        (build_cycle(6), GeneratorSet.of(rotation_perm(6) * rotation_perm(6))),
+        (build_cycle(8), GeneratorSet.of(reflection_perm(8) * rotation_perm(8))),
+    ]
 
 
 class TestQuotientMatrix:
@@ -62,14 +76,29 @@ class TestQuotientMatrix:
         assert q.matrix == q.source == IntMatrix(bfs_reference(5, g.adjacency))
 
     def test_path_counterexample_is_rejected(self):
-        # path a-b-c: distance sums from a and b to {c} differ (2 vs 1)
+        # path a-b-c: the a<->b swap is no automorphism, and its orbits are
+        # not equitable (distance sums from a and b to {c} are 2 and 1)
         path = Graph(3, [(0, 1), (1, 2)])
-        pi = OrbitPartition.from_cells([(0, 1), (2,)])
-        with pytest.raises(NonEquitablePartitionError) as err:
+        pi = orbits(GeneratorSet.of(Permutation.from_cycles([[0, 1]], 3)))
+        assert pi.cells == ((0, 1), (2,))
+        with pytest.raises(ValueError, match="not equitable: cell 0 members 0 and 1"):
+            quotient_reference(path, pi)
+        with pytest.raises(
+            AutomorphismError, match=r"generator #0 \(Permutation\(\(1 2\)\)\) is not"
+        ):
             quotient_matrix(path, pi)
-        assert err.value.cell == 0
-        assert {err.value.rep_a, err.value.rep_b} == {0, 1}
-        assert err.value.column == 1
+
+    def test_partition_needs_its_generators(self):
+        pi = OrbitPartition.from_cells([(v,) for v in range(5)])
+        with pytest.raises(ValueError, match="partition has no generators"):
+            quotient_matrix(build_cycle(5), pi)
+
+    def test_matches_the_full_scan_oracle(self, corpus):
+        cases = [(g, pi) for _, g, pi, _ in corpus]
+        cases += [(build_lcr(n), lcr_stabilizer_partition(n)) for n in range(4, 9)]
+        cases += [(g, orbits(gens)) for g, gens in non_singleton_cycle_cases()]
+        for g, pi in cases:
+            assert quotient_matrix(g, pi).matrix == quotient_reference(g, pi), g
 
     def test_lcr4_first_row(self):
         assert lcr_quotient(4).matrix.entries[0] == (0, 2, 4, 3, 4, 2, 4)
@@ -127,12 +156,8 @@ class TestTheoremProperties:
         # non-singleton partitions leave eigenvalues behind; their entire
         # eigenspaces must sum to zero on every cell: ker A in ker P^T,
         # that is rank([A; P^T]) = rank(A) for A = D - lam I
-        cases = [
-            (build_cycle(6), GeneratorSet.of(rotation_perm(6) * rotation_perm(6))),
-            (build_cycle(8), GeneratorSet.of(reflection_perm(8) * rotation_perm(8))),
-        ]
         found_any = False
-        for g, gens in cases:
+        for g, gens in non_singleton_cycle_cases():
             pi = orbits(gens)
             q = quotient_matrix(g, pi)
             d = q.source
