@@ -49,9 +49,11 @@ class UsageError(ValueError):
 
 
 class EdgeListError(ValueError):
+    """A malformed edge list; lineno is None for a fault of the whole file."""
+
     def __init__(self, lineno, message):
         self.lineno = lineno
-        super().__init__(f"line {lineno}: {message}")
+        super().__init__(message if lineno is None else f"line {lineno}: {message}")
 
 
 FAMILIES = ("crown", "lcr", "cycle", "complete", "johnson", "line-johnson", "circulant")
@@ -98,7 +100,7 @@ def parse_edge_list(text) -> Graph:
         else:
             raise EdgeListError(lineno, f"unrecognized directive {parts[0]!r}")
     if n is None:
-        raise EdgeListError(0, "missing 'p <vertex_count>' line")
+        raise EdgeListError(None, "missing 'p <vertex_count>' line")
     return Graph(n, edges)
 
 

@@ -14,10 +14,6 @@ root, and nothing is ever concluded from a zero one.
 
 from operator import mul
 
-# scanning this many candidate roots is cheap; anything larger needs a
-# caller-supplied bound
-_SCAN_LIMIT = 2_000_000
-
 # Mersenne prime used for modular screening of eigenvalue candidates
 SCREEN_PRIME = (1 << 61) - 1
 
@@ -367,24 +363,19 @@ def eigen_multiplicity(m: IntMatrix, lam) -> int:
     return m.rows - rank(m.shift_diagonal(lam))
 
 
-def _root_bound(p: IntPolynomial):
-    # Cauchy bound: every root r satisfies |r| < 1 + max|c_i| / |c_lead|.
-    lead = abs(p.leading_coefficient)
-    top = max(abs(c) for c in p.coefficients[:-1]) if p.degree > 0 else 0
-    return 1 + (top + lead - 1) // lead
+def integer_roots(p: IntPolynomial, bound):
+    """Extract all integer roots r with |r| <= bound of p, to maximal multiplicity.
 
-
-def integer_roots(p: IntPolynomial, bound=None):
-    """Extract all integer roots of p to maximal multiplicity.
-
-    Candidates are the divisors of the lowest nonzero coefficient within
-    a root bound (the Cauchy bound, intersected with the caller's bound
-    when given). The caller's bound is a non-negative int, used as
-    given: distance-spectrum callers pass rho (the max row sum) or the
-    Perron value. Raises ValueError when the bound exceeds _SCAN_LIMIT. Returns (sorted list
-    of (root, multiplicity), residual polynomial); the residual has no
-    integer roots and the factorization is exact: a root whose division
-    leaves a remainder raises ArithmeticError.
+    Candidates are the nonzero divisors of the lowest nonzero coefficient
+    in [-bound, bound], plus 0 when x divides p. The program asks only
+    for the roots of det(xI - D) and det(xI - Q), D a distance matrix and
+    Q its cell-sum quotient, and passes rho, the largest row sum of D.
+    That bounds every root: an eigenvalue of a nonnegative matrix has
+    |lam| <= its largest row sum (Brouwer & Haemers, *Spectra of
+    Graphs*), and each row of Q sums one row of D. Returns (sorted list of
+    (root, multiplicity), residual polynomial); the residual has no
+    integer root in [-bound, bound] and the factorization is exact: a
+    root whose division leaves a remainder raises ArithmeticError.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no well-defined root set")
@@ -397,15 +388,8 @@ def integer_roots(p: IntPolynomial, bound=None):
     if zero_mult:
         counts[0] = zero_mult
     if residual.degree >= 1:
-        cap = _root_bound(residual)
-        if bound is not None:
-            cap = min(cap, bound)
         tail = residual.coefficients[0]
-        if cap > _SCAN_LIMIT:
-            raise ValueError(
-                "integer root candidates are unbounded; pass a spectral bound"
-            )
-        candidates = [r for r in range(-cap, cap + 1) if r and tail % r == 0]
+        candidates = [r for r in range(-bound, bound + 1) if r and tail % r == 0]
         for r in candidates:
             while residual.degree >= 1 and residual.evaluate(r) == 0:
                 residual, rem = residual.divide_linear(r)

@@ -226,7 +226,8 @@ def swap_action(n) -> Permutation:
 
 
 class AutomorphismError(ValueError):
-    """A generator that is not an automorphism of the graph it acts on."""
+    """Generators that fail a graph: one is not an automorphism of it, or
+    generators required to be transitive on its vertices are not."""
 
 
 def is_automorphism(g, p: Permutation) -> bool:

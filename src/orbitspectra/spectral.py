@@ -75,12 +75,12 @@ class QuotientMatrix:
 @dataclass(frozen=True)
 class MomentSolve:
     """How the quotient certificate reached its multiplicities: the values
-    it ranked, the values it solved from tr D^k, the Perron value, and
-    tr D^3 = |V| (Q^3)_ss, which the solved spectrum matched."""
+    it ranked, the values it solved from tr D^k, and tr D^3 = |V| (Q^3)_ss,
+    which the solved spectrum matched. The Perron value, taken as simple,
+    is the spectrum's largest value."""
 
     ranked: tuple
     solved: tuple
-    perron: int
     cubic: int
 
 
@@ -382,7 +382,7 @@ def _moment_spectrum(d, q, cell, rho, values):
             raise ArithmeticError(
                 f"spare moment k={k}: solved values give {spare}, tr D^{k} leaves {left[k]}"
             )
-    moments = MomentSolve(tuple(ranked), tuple(solved), top, power_sums[3])
+    moments = MomentSolve(tuple(ranked), tuple(solved), power_sums[3])
     return Spectrum(sorted(mult.items()), None, d.rows, power_sums[1], moments)
 
 
@@ -409,10 +409,17 @@ def distance_spectrum(
     certified multiplicities do not exhaust the order, rank-sweep and
     quotient-assisted expand det(xI - D) for the residual factor and
     require its integer roots to equal the certified ones.
+
+    quotient and transitive_gens belong to quotient-assisted; passing
+    either with another method raises ValueError. Transitive generators
+    that are not automorphisms of g, or have more than one orbit, raise
+    AutomorphismError.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if method != "quotient-assisted":
+        if quotient is not None or transitive_gens is not None:
+            raise ValueError("quotient and transitive_gens need method 'quotient-assisted'")
         matrix = all_pairs_distances(g)
     elif quotient is None or transitive_gens is None:
         raise ValueError(
@@ -424,7 +431,7 @@ def distance_spectrum(
     else:
         matrix = quotient.source
         if not is_vertex_transitive_under(g, transitive_gens):
-            raise ValueError("graph is not vertex-transitive under the given generators")
+            raise AutomorphismError("graph is not vertex-transitive under the given generators")
         singletons = quotient.partition.singleton_cells()
         if not singletons:
             raise ValueError("orbit partition must contain a singleton cell")
@@ -466,7 +473,7 @@ def is_distance_integral(
         used = len(moments.solved)
         solved = " ".join(f"{v}^{spectrum.multiplicity(v)}" for v in moments.solved)
         steps = [
-            f"Perron value {moments.perron} simple (D irreducible, constant row sums)",
+            f"Perron value {spectrum.distinct_values[-1]} simple (D irreducible, constant row sums)",
             f"ranked {' '.join(map(str, moments.ranked)) or 'none'}",
             f"solved {solved} from tr D^k, k = 0..{used - 1}" if used else "solved none",
         ]
@@ -535,7 +542,9 @@ def verify_lcr(n) -> IntegralityReport:
     (-1-n)^(n-1) (3-n)^(n-1) (-1)^((n-1)(n-2)/2) 1^(n(n-3)/2)
     (2n^2-4n+3)^1, equal values merged; the certificate's own checks
     follow these stages in the ledger. Any mismatch raises
-    VerificationError naming the stage.
+    VerificationError naming the stage; automorphism generators of
+    lcr(n) that are not automorphisms, or not transitive, fail at
+    'vertex-transitivity', a stage the ledger of a passing n omits.
     """
     if n < 4:
         raise VerificationError("preconditions", f"defined for n >= 4, got {n}")
@@ -595,13 +604,16 @@ def verify_lcr(n) -> IntegralityReport:
         f"quotient eigenvalues {q_roots} with residual 1",
     )
 
-    report = is_distance_integral(
-        g,
-        "quotient-assisted",
-        description=f"lcr n={n}",
-        quotient=q,
-        transitive_gens=lcr_automorphism_gens(n),
-    )
+    try:
+        report = is_distance_integral(
+            g,
+            "quotient-assisted",
+            description=f"lcr n={n}",
+            quotient=q,
+            transitive_gens=lcr_automorphism_gens(n),
+        )
+    except AutomorphismError as exc:
+        raise VerificationError("vertex-transitivity", str(exc)) from exc
     spectrum = report.spectrum
     certified = " ".join(f"{v}^{m}" for v, m in spectrum.integer_part)
     expected = " ".join(f"{v}^{m}" for v, m in expected_d)

@@ -390,6 +390,23 @@ class TestVerifyCommand:
             f"generator #2 ({swap!r}) is not an automorphism\n"
         )
 
+    @pytest.mark.parametrize("broken", ["not-an-automorphism", "intransitive"])
+    def test_automorphism_generators_must_be_transitive(self, capsys, monkeypatch, broken):
+        if broken == "not-an-automorphism":
+            # the pair vertices (1,2) and (1,3) swapped, and nothing else
+            extra = Permutation.from_cycles([[0, 1]], 20)
+            gens = GeneratorSet.of(*spectral.lcr_automorphism_gens(5).generators, extra)
+            detail = f"generator #3 ({extra!r}) is not an automorphism"
+        else:
+            # automorphisms, but the stabilizer's 7 orbits, not one
+            gens = spectral.lcr_stabilizer_gens(5)
+            detail = "graph is not vertex-transitive under the given generators"
+        monkeypatch.setattr(spectral, "lcr_automorphism_gens", lambda n: gens)
+        status, out, err = run(capsys, "verify-lcr", "--n", "5")
+        assert status == 1
+        assert out == f"n=5: FAIL at stage 'vertex-transitivity': {detail}\n"
+        assert err == ""
+
     def test_stage_failure_is_named_and_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(
             spectral, "lcr_quotient_closed_form",
@@ -489,6 +506,14 @@ class TestUsageErrors:
     def test_johnson_needs_k(self, capsys):
         status, _, err = run(capsys, "spectrum", "--family", "johnson", "--n", "6")
         assert status == 2
+
+    def test_missing_p_line_has_no_line_number(self, capsys, tmp_path):
+        path = tmp_path / "comment.edges"
+        path.write_text("# nothing\n", encoding="utf-8")
+        status, out, err = run(capsys, "spectrum", "--input", str(path))
+        assert status == 2
+        assert out == ""
+        assert err == "error: missing 'p <vertex_count>' line\n"
 
     def test_disconnected_input(self, capsys, tmp_path):
         path = tmp_path / "split.edges"

@@ -24,7 +24,11 @@ from orbitspectra.exactla import (
     rank,
 )
 from orbitspectra.graphs import all_pairs_distances, build_lcr
-from orbitspectra.spectral import lcr_quotient_closed_form
+from orbitspectra.spectral import (
+    lcr_quotient_closed_form,
+    lcr_stabilizer_partition,
+    quotient_matrix,
+)
 
 small_entries = st.integers(min_value=-8, max_value=8)
 
@@ -277,27 +281,52 @@ class TestSymmetricBerkowitz:
         assert berkowitz_mod(tuple(map(tuple, rows)), p) == expected
 
 
+def cauchy_bound(p):
+    """1 + max |c_i| / |c_lead| over the lower coefficients, rounded up:
+    every root r of p has |r| < it."""
+    lead = abs(p.leading_coefficient)
+    return 1 - (-max(map(abs, p.coefficients[:-1])) // lead)
+
+
+def taylor_shift(coefficients, a):
+    """Coefficients of p(x + a), constant term first, from p's."""
+    c = list(coefficients)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += a * c[j + 1]
+    return c
+
+
+def sign_changes(coefficients):
+    signs = [c > 0 for c in coefficients if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+# a scan of [-bound, bound] this wide takes well under a second
+SCANNABLE = 10**6
+
+
 class TestIntegerRoots:
     def test_full_factorization_with_multiplicities(self):
         p = IntPolynomial.from_roots([-5, -5, 19, -1, -1, -1, 1])
-        roots, residual = integer_roots(p)
+        roots, residual = integer_roots(p, bound=19)
         assert roots == [(-5, 2), (-1, 3), (1, 1), (19, 1)]
         assert residual == IntPolynomial.one()
 
     def test_irreducible_is_untouched(self):
         p = IntPolynomial([-2, 0, 1])  # x^2 - 2
-        roots, residual = integer_roots(p)
+        roots, residual = integer_roots(p, bound=2)
         assert roots == []
         assert residual == p
 
     def test_pure_power_of_x(self):
-        roots, residual = integer_roots(IntPolynomial([0, 0, 0, 1]))
+        roots, residual = integer_roots(IntPolynomial([0, 0, 0, 1]), bound=0)
         assert roots == [(0, 3)]
         assert residual == IntPolynomial.one()
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
-            integer_roots(IntPolynomial([]))
+            integer_roots(IntPolynomial([]), bound=1)
 
     def test_bound_limits_candidates(self):
         p = IntPolynomial.from_roots([100])
@@ -308,8 +337,6 @@ class TestIntegerRoots:
 
     def test_large_roots_need_a_bound(self):
         p = IntPolynomial([-10**10, 0, 1])
-        with pytest.raises(ValueError, match="pass a spectral bound"):
-            integer_roots(p)
         roots, residual = integer_roots(p, bound=10**5)
         assert roots == [(-100000, 1), (100000, 1)]
         assert residual == IntPolynomial.one()
@@ -323,13 +350,36 @@ class TestIntegerRoots:
         # (x^2 + c) has no real roots, so no integer ones
         residual_in = IntPolynomial([c, 0, 1])
         p = IntPolynomial.from_roots(roots_in).multiply(residual_in)
-        roots, residual = integer_roots(p)
+        roots, residual = integer_roots(p, bound=6)
         rebuilt = residual
         for r, mult in roots:
             rebuilt = rebuilt.multiply(IntPolynomial.from_roots([r] * mult))
         assert rebuilt == p
         assert residual == residual_in
         assert sum(m for _, m in roots) == len(roots_in)
+
+    def test_rho_finds_what_the_cauchy_bound_finds(self, corpus):
+        # Callers pass rho, the largest row sum of D, for the roots of chi_D and
+        # chi_Q. The Cauchy bound holds for any polynomial: it is at least rho
+        # here, and scanning up to it finds no root that rho misses. Where that
+        # scan is too wide (chi_D of the larger graphs), Descartes' rule of
+        # signs shows the same: no sign change in chi(x + rho) or chi(-x - rho)
+        # leaves chi no real root outside [-rho, rho]. Shifted by rho - 1, the
+        # root rho itself must show as a sign change.
+        graphs = [(g, pi) for _, g, pi, _ in corpus]  # lcr(4..6) among them
+        graphs += [(build_lcr(n), lcr_stabilizer_partition(n)) for n in (7, 8)]
+        for g, pi in graphs:
+            q = quotient_matrix(g, pi)
+            rho = max(q.source.row_sums())
+            for chi in (char_poly(q.source), char_poly(q.matrix)):
+                cauchy = cauchy_bound(chi)
+                assert cauchy >= rho
+                at_minus_x = [c if k % 2 == 0 else -c for k, c in enumerate(chi.coefficients)]
+                assert sign_changes(taylor_shift(chi.coefficients, rho)) == 0
+                assert sign_changes(taylor_shift(chi.coefficients, rho - 1)) > 0
+                assert sign_changes(taylor_shift(at_minus_x, rho)) == 0
+                if cauchy <= SCANNABLE:
+                    assert integer_roots(chi, bound=cauchy) == integer_roots(chi, bound=rho)
 
 
 class TestRank:

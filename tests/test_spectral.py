@@ -295,7 +295,8 @@ class TestDistanceSpectrum:
     def test_quotient_eigenvalues_annihilate_the_singleton(self, n):
         quotient = lcr_quotient(n)
         q = quotient.matrix
-        values = [lam for lam, _ in integer_roots(char_poly(q))[0]]
+        rho = max(quotient.source.row_sums())
+        values = [lam for lam, _ in integer_roots(char_poly(q), bound=rho)[0]]
         cell = quotient.partition.singleton_cells()[0]
         assert spectral._annihilates(q, values, cell)
         for k in range(len(values)):
@@ -340,13 +341,24 @@ class TestDistanceSpectrum:
     def test_quotient_assisted_requires_transitivity(self):
         g = build_cycle(6)
         pi = orbits(GeneratorSet.of(reflection_perm(6)))
-        with pytest.raises(ValueError, match="not vertex-transitive"):
+        with pytest.raises(AutomorphismError, match="not vertex-transitive"):
             distance_spectrum(
                 g,
                 "quotient-assisted",
                 quotient=quotient_matrix(g, pi),
                 transitive_gens=GeneratorSet.of(reflection_perm(6)),
             )
+
+    @pytest.mark.parametrize("method", ["rank-sweep", "char-poly"])
+    def test_group_inputs_need_quotient_assisted(self, method):
+        q = lcr_quotient(5)
+        gens = lcr_automorphism_gens(5)
+        for given in ({"quotient": q, "transitive_gens": gens}, {"quotient": q},
+                      {"transitive_gens": gens}):
+            with pytest.raises(ValueError, match="'quotient-assisted'"):
+                distance_spectrum(q.graph, method, **given)
+            with pytest.raises(ValueError, match="'quotient-assisted'"):
+                is_distance_integral(q.graph, method, **given)
 
     def test_quotient_assisted_requires_the_graphs_quotient(self):
         # a quotient belongs to the graph it was built from: the heptagon,
