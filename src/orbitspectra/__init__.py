@@ -4,7 +4,6 @@ from orbitspectra.exactla import (
     IntMatrix,
     IntPolynomial,
     char_poly,
-    det,
     eigen_multiplicity,
     integer_roots,
     rank,
@@ -12,6 +11,7 @@ from orbitspectra.exactla import (
 from orbitspectra.graphs import (
     DisconnectedGraphError,
     Graph,
+    InputError,
     all_pairs_distances,
     build_circulant,
     build_complete,
@@ -21,8 +21,6 @@ from orbitspectra.graphs import (
     build_lcr,
     build_line_graph,
     is_distance_regular,
-    is_isomorphism,
-    lcr_distance,
     pair_vertices,
 )
 from orbitspectra.perms import (

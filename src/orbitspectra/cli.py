@@ -2,8 +2,9 @@
 
 Exit codes: 0 for success (including a clean "not integral" finding),
 1 when a verification is mathematically refuted, 2 for usage or input
-errors, 3 for an internal error (two exact computations that must agree
-did not, or any other unexpected exception). Output on stdout is
+errors (an InputError, or an OSError on a named file), 3 for an
+internal error (two exact computations that must agree did not, or any
+other unexpected exception, a ValueError included). Output on stdout is
 byte-identical across runs for identical inputs; timing goes to stderr.
 """
 
@@ -16,6 +17,7 @@ import time
 
 from orbitspectra.graphs import (
     Graph,
+    InputError,
     all_pairs_distances,
     build_circulant,
     build_complete,
@@ -44,11 +46,11 @@ from orbitspectra.perms import (
 )
 
 
-class UsageError(ValueError):
+class UsageError(InputError):
     pass
 
 
-class EdgeListError(ValueError):
+class EdgeListError(InputError):
     """A malformed edge list; lineno is None for a fault of the whole file."""
 
     def __init__(self, lineno, message):
@@ -504,7 +506,7 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(buffer.getvalue())
         return status
-    except (ValueError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

@@ -1,18 +1,26 @@
 """Arbitrary-precision integer matrix kernel.
 
 Characteristic polynomials are computed with the division-free
-Berkowitz recurrence, ranks and determinants with fraction-free
-Bareiss elimination, so every intermediate value is an exact integer.
-Berkowitz needs R M^k C for each trailing block M with column C and
-row R; on symmetric input (every distance matrix) R = C^T and
-R M^k C = (M^i C)^T (M^j C) with i = k // 2, j = k - i, so about half
-the mat-vecs suffice. Non-symmetric input takes (R M^i) from M^T.
-A characteristic polynomial modulo a prime (Hessenberg reduction) is
-available for screening: a nonzero residue proves a value is not a
-root, and nothing is ever concluded from a zero one.
+Berkowitz recurrence, ranks with fraction-free Bareiss elimination, so
+every intermediate value is an exact integer. Berkowitz needs R M^k C
+for each trailing block M with column C and row R; on symmetric input
+(every distance matrix) R = C^T and R M^k C = (M^i C)^T (M^j C) with
+i = k // 2, j = k - i, so about half the mat-vecs suffice.
+Non-symmetric input takes (R M^i) from M^T. A mat-vec row costs one
+product per entry (the direct form), or one sum over the columns of
+each value other than the row's most frequent, plus one product per
+distinct value (the grouped form). A row takes the grouped form where
+its counts of values and entries make it cheaper in the trailing block
+at hand: the rows of a distance matrix, whose few values 0..diameter
+are mostly one, do in the wide blocks; long cycles, generic matrices
+and small quotients keep the direct form. A characteristic polynomial
+modulo a prime (Hessenberg reduction) is available for screening: a
+nonzero residue proves a value is not a root, and nothing is ever
+concluded from a zero one.
 """
 
-from operator import mul
+from itertools import repeat
+from operator import call, itemgetter, mul
 
 # Mersenne prime used for modular screening of eigenvalue candidates
 SCREEN_PRIME = (1 << 61) - 1
@@ -232,6 +240,77 @@ def bareiss_echelon(rows):
     return r, sign, pivot_cols, a
 
 
+def _grouped_line(line):
+    """The grouped form of one row (or column) of an n x n matrix, or None
+    where it never pays.
+
+    Returns (width, w0, offsets, getters): w0 is the line's most frequent
+    entry, and each other value w has an offset w - w0 and a getter of
+    the columns holding it. Against v padded in front with zeros to
+    length n, so that column numbers stay absolute and the columns left
+    of a trailing block read 0, the line's product with v is
+        w0 * sum(v) + sum of offset * sum(getter(padded)).
+    Column 0 never lies in a trailing block, so each getter leads with it
+    and returns a tuple even for one column. Counted in products, the
+    direct form costs the trailing width, and the grouped form about 4
+    per distinct value (a getter call, a sum and a product), 4 more for
+    its share of the block's sum(v) and padding, and 1/2 per entry other
+    than w0 (fetched and added): it pays in the trailing blocks wider
+    than the returned width.
+    """
+    n = len(line)
+    columns = {}
+    for j, x in enumerate(line):
+        columns.setdefault(x, []).append(j)
+    w0 = max(columns, key=lambda w: len(columns[w]))
+    width = 4 * (len(columns) + 1) + (n - len(columns[w0])) // 2
+    if width >= n - 1:
+        return None
+    others = [w for w in columns if w != w0]
+    return (
+        width,
+        w0,
+        tuple(w - w0 for w in others),
+        tuple(itemgetter(0, *columns[w]) for w in others),
+    )
+
+
+def _plans(lines):
+    """_grouped_line of each of n lines, or None when no line ever takes the
+    grouped form. Its cost model prices a line of d distinct values at
+    4 (d + 1) or more, so below order 10 no line pays, and a line with
+    (n - 1) / 4 - 1 or more distinct values never does; either is passed
+    over on its counts alone."""
+    lines = list(lines)
+    n = len(lines)
+    if n < 10:
+        return None
+    plans = [_grouped_line(line) if 4 * (len(set(line)) + 1) < n - 1 else None for line in lines]
+    return plans if any(plans) else None
+
+
+def _active(plans, start, width):
+    """The plans of lines start + 1, ... that take the grouped form in the
+    trailing block of this width, or None when none does."""
+    active = [p if p and p[0] < width else None for p in plans[start + 1:]]
+    return active if any(active) else None
+
+
+def _grouped_mat_vec(lines, active, vec, start):
+    """lines . vec for the trailing block after start: the grouped form
+    where active has a plan, all such lines sharing one sum(vec), and the
+    direct dot product elsewhere."""
+    total = sum(vec)
+    padded = [0] * (start + 1)
+    padded += vec
+    return [
+        sum(map(mul, line, vec)) if plan is None
+        else plan[1] * total
+        + sum(map(mul, plan[2], map(sum, map(call, plan[3], repeat(padded)))))
+        for line, plan in zip(lines, active)
+    ]
+
+
 def berkowitz_charpoly(rows):
     """Characteristic polynomial of a square integer matrix, division-free.
 
@@ -248,9 +327,21 @@ def berkowitz_charpoly(rows):
     (m - 1) // 2 mat-vecs instead of m - 2. Otherwise the left vector
     advances by a mat-vec against M^T. Only the current left and right
     vectors are held.
+
+    A mat-vec row costs one product per entry (the direct form), or,
+    on a row with few distinct values such as a distance matrix's (whose
+    values are 0..diameter), one sum over the columns of each value
+    other than the row's most frequent one, plus one product per value
+    (the grouped form). Each row, and each column on the non-symmetric
+    path, is read once per call for its values and their columns; it
+    takes the grouped form in every trailing block wider than the width
+    its counts give (_grouped_line), and the direct form otherwise:
+    always on long cycles, generic matrices and small quotients.
     """
     n = len(rows)
     symmetric = all(tuple(row) == col for row, col in zip(rows, zip(*rows)))
+    row_plans = _plans(rows)
+    col_plans = None if symmetric else _plans(zip(*rows))
     poly = [1]
     for start in range(n - 1, -1, -1):
         m = n - start
@@ -259,13 +350,25 @@ def berkowitz_charpoly(rows):
             tail = range(start + 1, n)
             sub = [rows[i][start + 1:] for i in tail]
             sub_t = None if symmetric else list(zip(*sub))
+            # the direct mat-vecs stay inline: a call per mat-vec costs a
+            # small matrix such as the 7 x 7 quotient about a tenth
+            active = row_plans and _active(row_plans, start, m - 1)
+            active_t = col_plans and _active(col_plans, start, m - 1)
             left = rows[start][start + 1:]
             right = [rows[i][start] for i in tail]
             for k in range(m - 1):
                 if k % 2:
-                    right = [sum(map(mul, mr, right)) for mr in sub]
+                    right = (
+                        _grouped_mat_vec(sub, active, right, start) if active
+                        else [sum(map(mul, mr, right)) for mr in sub]
+                    )
+                elif k and symmetric:
+                    left = right
                 elif k:
-                    left = right if symmetric else [sum(map(mul, mc, left)) for mc in sub_t]
+                    left = (
+                        _grouped_mat_vec(sub_t, active_t, left, start) if active_t
+                        else [sum(map(mul, mc, left)) for mc in sub_t]
+                    )
                 col.append(-sum(map(mul, left, right)))
         # poly <- T . poly, T the (m+1) x m lower-triangular Toeplitz matrix
         # with first column col in highest-degree-first order; with both
@@ -343,19 +446,6 @@ def rank(m: IntMatrix) -> int:
     return r
 
 
-def det(m: IntMatrix):
-    """Exact determinant (Bareiss: the last pivot, up to swap sign)."""
-    if not m.is_square:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    r, sign, pivot_cols, ech = bareiss_echelon(m.entries)
-    if r < n:
-        return 0
-    return sign * ech[n - 1][pivot_cols[-1]]
-
-
 def eigen_multiplicity(m: IntMatrix, lam) -> int:
     """Geometric multiplicity of the integer lam: n - rank(m - lam I)."""
     if not m.is_square:
@@ -369,10 +459,10 @@ def integer_roots(p: IntPolynomial, bound):
     Candidates are the nonzero divisors of the lowest nonzero coefficient
     in [-bound, bound], plus 0 when x divides p. The program asks only
     for the roots of det(xI - D) and det(xI - Q), D a distance matrix and
-    Q its cell-sum quotient, and passes rho, the largest row sum of D.
-    That bounds every root: an eigenvalue of a nonnegative matrix has
-    |lam| <= its largest row sum (Brouwer & Haemers, *Spectra of
-    Graphs*), and each row of Q sums one row of D. Returns (sorted list of
+    Q its cell-sum quotient, and passes the largest row sum of that
+    matrix (rho for D). That bounds every root: an eigenvalue of a
+    nonnegative matrix has |lam| <= its largest row sum (Brouwer &
+    Haemers, *Spectra of Graphs*). Returns (sorted list of
     (root, multiplicity), residual polynomial); the residual has no
     integer root in [-bound, bound] and the factorization is exact: a
     root whose division leaves a remainder raises ArithmeticError.

@@ -8,7 +8,8 @@ reproducible run to run.
 Distances come from a bitset BFS (``bfs_all_pairs``): vertex sets are
 int masks, so a source costs O(diameter * |V|/8) byte steps plus O(|V|)
 mask ORs rather than O(|E|) interpreted steps. That suits the dense,
-diameter-3 lcr graphs; long sparse cycles get slower than with a queue.
+diameter-3 lcr graphs; a level with few members, such as a long sparse
+cycle's two, is read member by member instead of byte by byte.
 """
 
 from bisect import bisect_left
@@ -17,7 +18,15 @@ from typing import NamedTuple
 from orbitspectra.exactla import IntMatrix
 
 
-class DisconnectedGraphError(ValueError):
+class InputError(ValueError):
+    """A fault in what the caller asked for, not in the program: a family
+    parameter out of range, an empty or disconnected graph where distances
+    are needed, malformed or failing group data, or an input a method's
+    premises exclude. The command line reports it as a usage or input
+    error (exit 2); any other ValueError is a fault of the program."""
+
+
+class DisconnectedGraphError(InputError):
     """Raised when a distance computation meets two unreachable vertices."""
 
     def __init__(self, u, v, label_u, label_v):
@@ -103,17 +112,10 @@ def pair_vertices(n):
     return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
 
 
-def _check_pair(n, p):
-    i, j = p
-    if not (1 <= i <= n and 1 <= j <= n) or i == j:
-        raise ValueError(f"({i},{j}) is not a valid ordered pair over [1..{n}]")
-    return i, j
-
-
 def build_crown(n):
     """K_{n,n} minus a perfect matching: sides [1..n] and x1..xn, i ~ xj iff i != j."""
     if n < 3:
-        raise ValueError("crown graph defined for n >= 3")
+        raise InputError("crown graph defined for n >= 3")
     labels = [str(i) for i in range(1, n + 1)] + [f"x{j}" for j in range(1, n + 1)]
     edges = [
         (i, n + j)
@@ -126,20 +128,20 @@ def build_crown(n):
 
 def build_cycle(n):
     if n < 3:
-        raise ValueError("cycle graph defined for n >= 3")
+        raise InputError("cycle graph defined for n >= 3")
     return Graph(n, [(v, (v + 1) % n) for v in range(n)])
 
 
 def build_circulant(n, connections):
     """Circulant graph on Z_n with the given connection set (1 <= c <= n//2)."""
     if n < 3:
-        raise ValueError("circulant graph defined for n >= 3")
+        raise InputError("circulant graph defined for n >= 3")
     conns = sorted(set(connections))
     if not conns:
-        raise ValueError("connection set must be nonempty")
+        raise InputError("connection set must be nonempty")
     for c in conns:
         if not (1 <= c <= n // 2):
-            raise ValueError(f"connection {c} outside 1..{n // 2}")
+            raise InputError(f"connection {c} outside 1..{n // 2}")
     edges = set()
     for v in range(n):
         for c in conns:
@@ -149,7 +151,7 @@ def build_circulant(n, connections):
 
 def build_complete(n):
     if n < 1:
-        raise ValueError("complete graph needs at least one vertex")
+        raise InputError("complete graph needs at least one vertex")
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
@@ -160,7 +162,7 @@ def build_lcr(n):
     and (r, s) are adjacent iff i = r or j = s.
     """
     if n < 3:
-        raise ValueError("pair-model line graph defined for n >= 3")
+        raise InputError("pair-model line graph defined for n >= 3")
     verts = pair_vertices(n)
     index = {p: k for k, p in enumerate(verts)}
 
@@ -183,7 +185,7 @@ def build_lcr(n):
 def build_johnson(n, k):
     """Johnson graph: k-subsets of [1..n], adjacent iff they share k-1 elements."""
     if not (1 <= k <= n - 1):
-        raise ValueError("Johnson graph needs 1 <= k <= n-1")
+        raise InputError("Johnson graph needs 1 <= k <= n-1")
     from itertools import combinations
 
     verts = sorted(combinations(range(1, n + 1), k), key=lambda s: tuple(reversed(s)))
@@ -227,11 +229,13 @@ def bfs_all_pairs(n, adj):
 
     Each level of a source's search is a mask too: the next level is the
     OR of the level's neighbor masks minus the vertices already seen, and
-    its members are read off its bytes through a table of bit positions.
-    Per source that costs O(diameter * |V|/8) byte steps plus O(|V|) mask
-    ORs of |V| bits, where a queue costs O(|E|) interpreted steps; it wins
-    on dense and small-diameter graphs and loses on long sparse ones (on
-    a 600-cycle it is about 9x slower than a queue).
+    its members are read off its bytes through a table of bit positions,
+    or, when it has fewer than a quarter as many members as the mask has
+    bytes, peeled off one lowest set bit at a time. Per source that costs
+    O(diameter * |V|/8) byte steps at most plus O(|V|) mask ORs of |V|
+    bits, where a queue costs O(|E|) interpreted steps; it wins on dense
+    and small-diameter graphs, and peeling keeps a long sparse graph's
+    many small levels from paying a full scan each.
     """
     # bits_of[x]: the positions of the bits set in byte x, ascending
     bits_of = [()]
@@ -254,13 +258,23 @@ def bfs_all_pairs(n, adj):
         while level:
             seen |= level
             reach = 0
-            for k, byte in enumerate(level.to_bytes(width, "little")):
-                if byte:
-                    base = 8 * k
-                    for b in bits_of[byte]:
-                        w = base + b
-                        row[w] = d
-                        reach |= nbr[w]
+            # peeling costs about four byte steps per member; the scan, one
+            # per byte of the mask
+            if 4 * level.bit_count() < width:
+                while level:
+                    low = level & -level
+                    w = low.bit_length() - 1
+                    row[w] = d
+                    reach |= nbr[w]
+                    level ^= low
+            else:
+                for k, byte in enumerate(level.to_bytes(width, "little")):
+                    if byte:
+                        base = 8 * k
+                        for b in bits_of[byte]:
+                            w = base + b
+                            row[w] = d
+                            reach |= nbr[w]
             level = reach & ~seen
             d += 1
         dist.append(tuple(row))
@@ -274,32 +288,13 @@ def all_pairs_distances(g):
     components if the graph is not connected.
     """
     if g.vertex_count == 0:
-        raise ValueError("distance matrix of the empty graph is undefined")
+        raise InputError("distance matrix of the empty graph is undefined")
     dist = bfs_all_pairs(g.vertex_count, g.adjacency)
     row0 = dist[0]
     for v, d in enumerate(row0):
         if d < 0:
             raise DisconnectedGraphError(0, v, g.label(0), g.label(v))
     return IntMatrix(dist)
-
-
-def lcr_distance(n, a, b):
-    """Closed-form distance between pair vertices of the crown line graph.
-
-    0 for equal pairs, 1 when the first or second coordinates agree,
-    3 between (i, j) and (j, i), and 2 in every remaining case.
-    """
-    if n < 4:
-        raise ValueError("closed-form distance defined for n >= 4")
-    i, j = _check_pair(n, a)
-    r, s = _check_pair(n, b)
-    if (i, j) == (r, s):
-        return 0
-    if i == r or j == s:
-        return 1
-    if (r, s) == (j, i):
-        return 3
-    return 2
 
 
 class DistanceRegularity(NamedTuple):
@@ -348,13 +343,3 @@ def is_distance_regular(g):
     b_arr = tuple(seen[i][1][2] for i in range(diam))
     c_arr = tuple(seen[i][1][0] for i in range(1, diam + 1))
     return DistanceRegularity(True, (b_arr, c_arr), None)
-
-
-def is_isomorphism(g, h, mapping):
-    """Check an explicit vertex bijection g -> h for edge preservation."""
-    n = g.vertex_count
-    if h.vertex_count != n or sorted(mapping) != list(range(n)):
-        return False
-    if g.edge_count != h.edge_count:
-        return False
-    return all(h.has_edge(mapping[u], mapping[v]) for u, v in g.edges())

@@ -9,7 +9,7 @@ and the induced permutations of pair vertices.
 import re
 from dataclasses import dataclass, field
 
-from orbitspectra.graphs import pair_vertices
+from orbitspectra.graphs import InputError, pair_vertices
 
 
 class Permutation:
@@ -35,9 +35,9 @@ class Permutation:
         for cyc in cycles:
             for p in cyc:
                 if not 0 <= p < degree:
-                    raise ValueError(f"point {p} outside 0..{degree - 1}")
+                    raise InputError(f"point {p} outside 0..{degree - 1}")
                 if p in seen:
-                    raise ValueError(f"point {p} repeated across cycles")
+                    raise InputError(f"point {p} repeated across cycles")
                 seen.add(p)
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 images[a] = b
@@ -99,7 +99,7 @@ def parse_cycles(text, degree):
     """
     stripped = text.strip()
     if stripped and not re.fullmatch(r"(\s*\([^()]*\)\s*)+", stripped):
-        raise ValueError(f"malformed cycle notation: {text!r}")
+        raise InputError(f"malformed cycle notation: {text!r}")
     cycles = []
     for body in _CYCLE_RE.findall(stripped):
         points = [p for p in re.split(r"[\s,]+", body.strip()) if p]
@@ -108,7 +108,7 @@ def parse_cycles(text, degree):
         try:
             cyc = [int(p) - 1 for p in points]
         except ValueError:
-            raise ValueError(f"non-integer point in cycle: {body!r}") from None
+            raise InputError(f"non-integer point in cycle: {body!r}") from None
         cycles.append(cyc)
     return Permutation.from_cycles(cycles, degree)
 
@@ -225,7 +225,7 @@ def swap_action(n) -> Permutation:
     return Permutation(index[(j, i)] for i, j in verts)
 
 
-class AutomorphismError(ValueError):
+class AutomorphismError(InputError):
     """Generators that fail a graph: one is not an automorphism of it, or
     generators required to be transitive on its vertices are not."""
 

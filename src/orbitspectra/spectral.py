@@ -18,6 +18,7 @@ source, so quotient-assisted runs none and takes D from the quotient.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from operator import mul
 
 from orbitspectra.exactla import (
@@ -31,6 +32,7 @@ from orbitspectra.exactla import (
 )
 from orbitspectra.graphs import (
     Graph,
+    InputError,
     all_pairs_distances,
     build_lcr,
     pair_vertices,
@@ -70,6 +72,12 @@ class QuotientMatrix:
     partition: OrbitPartition
     graph: Graph
     source: IntMatrix
+
+    @cached_property
+    def char_roots(self):
+        """integer_roots of det(xI - Q), computed once per quotient: the
+        sorted (root, multiplicity in Q) pairs and the residual factor."""
+        return integer_roots(char_poly(self.matrix), bound=max(self.matrix.row_sums()))
 
 
 @dataclass(frozen=True)
@@ -401,7 +409,8 @@ def distance_spectrum(
     checked that the partition's generators are automorphisms of g and
     ran BFS on g for D, so D is g's distance matrix and is invariant
     under g's automorphisms. The candidates S are the integer roots of
-    det(xI - Q). When the product of (Q - lam I) over S annihilates the
+    det(xI - Q), read from quotient.char_roots, which expands it once per
+    quotient. When the product of (Q - lam I) over S annihilates the
     singleton cell's unit vector, S holds every eigenvalue of D, and
     _moment_spectrum certifies the multiplicities from the moments
     |V| (Q^k)_ss with at most a few exact ranks (Spectrum.moments
@@ -411,30 +420,30 @@ def distance_spectrum(
     require its integer roots to equal the certified ones.
 
     quotient and transitive_gens belong to quotient-assisted; passing
-    either with another method raises ValueError. Transitive generators
-    that are not automorphisms of g, or have more than one orbit, raise
-    AutomorphismError.
+    either with another method, or a premise quotient-assisted misses,
+    raises InputError. Transitive generators that are not automorphisms
+    of g, or have more than one orbit, raise AutomorphismError.
     """
     if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+        raise InputError(f"unknown method {method!r}; expected one of {METHODS}")
     if method != "quotient-assisted":
         if quotient is not None or transitive_gens is not None:
-            raise ValueError("quotient and transitive_gens need method 'quotient-assisted'")
+            raise InputError("quotient and transitive_gens need method 'quotient-assisted'")
         matrix = all_pairs_distances(g)
     elif quotient is None or transitive_gens is None:
-        raise ValueError(
+        raise InputError(
             "quotient-assisted method needs an orbit partition quotient and "
             "vertex-transitivity generators"
         )
     elif quotient.graph != g:
-        raise ValueError("quotient was built from another graph")
+        raise InputError("quotient was built from another graph")
     else:
         matrix = quotient.source
         if not is_vertex_transitive_under(g, transitive_gens):
             raise AutomorphismError("graph is not vertex-transitive under the given generators")
         singletons = quotient.partition.singleton_cells()
         if not singletons:
-            raise ValueError("orbit partition must contain a singleton cell")
+            raise InputError("orbit partition must contain a singleton cell")
     rho = max(matrix.row_sums())
 
     if method == "rank-sweep":
@@ -443,8 +452,7 @@ def distance_spectrum(
     if method == "char-poly":
         return _char_poly_spectrum(matrix, rho)
 
-    q_roots, _ = integer_roots(char_poly(quotient.matrix), bound=rho)
-    values = [lam for lam, _ in q_roots]
+    values = [lam for lam, _ in quotient.char_roots[0]]
     if not _annihilates(quotient.matrix, values, singletons[0]):
         return _ranked_spectrum(matrix, rho, values)
     return _moment_spectrum(matrix, quotient.matrix, singletons[0], rho, values)
@@ -597,7 +605,7 @@ def verify_lcr(n) -> IntegralityReport:
         "computed quotient equals the closed-form matrix (49 entries)",
     )
 
-    q_roots, q_residual = integer_roots(char_poly(q.matrix), bound=perron)
+    q_roots, q_residual = q.char_roots
     stage(
         "quotient-spectrum",
         q_roots == expected_q and q_residual == IntPolynomial.one(),

@@ -11,7 +11,7 @@ from itertools import combinations
 
 import pytest
 
-from orbitspectra.exactla import IntMatrix
+from orbitspectra.exactla import IntMatrix, bareiss_echelon
 from orbitspectra.graphs import (
     build_circulant,
     build_crown,
@@ -45,6 +45,58 @@ def bfs_reference(n, adj):
                     queue.append(w)
         dist.append(tuple(row))
     return dist
+
+
+def det(m):
+    """Exact determinant of a square IntMatrix: Bareiss's last pivot, up to
+    the sign of its row swaps. The oracle for the constant term of
+    char_poly."""
+    if not m.is_square:
+        raise ValueError("determinant of a non-square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    r, sign, pivot_cols, ech = bareiss_echelon(m.entries)
+    if r < n:
+        return 0
+    return sign * ech[n - 1][pivot_cols[-1]]
+
+
+def _check_pair(n, p):
+    i, j = p
+    if not (1 <= i <= n and 1 <= j <= n) or i == j:
+        raise ValueError(f"({i},{j}) is not a valid ordered pair over [1..{n}]")
+    return i, j
+
+
+def lcr_distance(n, a, b):
+    """Closed-form distance between pair vertices of the crown line graph:
+    the oracle for BFS on build_lcr(n).
+
+    0 for equal pairs, 1 when the first or second coordinates agree,
+    3 between (i, j) and (j, i), and 2 in every remaining case.
+    """
+    if n < 4:
+        raise ValueError("closed-form distance defined for n >= 4")
+    i, j = _check_pair(n, a)
+    r, s = _check_pair(n, b)
+    if (i, j) == (r, s):
+        return 0
+    if i == r or j == s:
+        return 1
+    if (r, s) == (j, i):
+        return 3
+    return 2
+
+
+def is_isomorphism(g, h, mapping):
+    """Check an explicit vertex bijection g -> h for edge preservation."""
+    n = g.vertex_count
+    if h.vertex_count != n or sorted(mapping) != list(range(n)):
+        return False
+    if g.edge_count != h.edge_count:
+        return False
+    return all(h.has_edge(mapping[u], mapping[v]) for u, v in g.edges())
 
 
 def quotient_reference(g, pi):

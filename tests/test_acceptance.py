@@ -24,7 +24,6 @@ from orbitspectra.graphs import (
     build_lcr,
     build_line_graph,
     is_distance_regular,
-    is_isomorphism,
 )
 from orbitspectra.perms import (
     GeneratorSet,
@@ -41,6 +40,7 @@ from orbitspectra.spectral import (
 
 from conftest import (
     along_cycle,
+    is_isomorphism,
     reflection_perm,
     rotation_perm,
     with_cell_indicators,

@@ -86,7 +86,8 @@ def test_every_pinned_span_fires_on_its_workload():
         pinned = {name for name, on in selftest.MUST_FIRE.items() if workload in on}
         missing += [f"{workload}: {name}" for name in sorted(pinned - fired)]
     assert missing == []
-    # verify-lcr --n 4..5: one BFS and one quotient per n
+    # verify-lcr --n 4..5: one BFS, one quotient and one det(xI - Q) per n
     assert verify_calls["graphs.bfs"] == 2
     assert verify_calls["spectral.quotient"] == 2
+    assert verify_calls["exactla.charpoly"] == 2
     assert time.monotonic() - start < 2.0

@@ -246,6 +246,18 @@ class TestSpectrumCommand:
         assert out == ""
         assert err.startswith("internal error: KeyError: 'no such family'\n")
 
+    def test_internal_value_error_exits_three(self, capsys, monkeypatch):
+        # a broken cell order is a fault of the program, not of the input
+        reps = list(spectral.STABILIZER_CELL_REPS)
+        reps[1] = reps[0]
+        monkeypatch.setattr(spectral, "STABILIZER_CELL_REPS", tuple(reps))
+        status, out, err = run(capsys, "quotient", "--n", "5")
+        assert status == 3
+        assert out == ""
+        assert err.startswith(
+            "internal error: ValueError: representatives must select each cell exactly once\n"
+        )
+
     def test_bad_generator_notation_exits_two(self, capsys):
         status, _, err = run(
             capsys,
@@ -502,6 +514,12 @@ class TestUsageErrors:
             capsys, "spectrum", "--family", "lcr", "--n", "4", "--input", "x.edges"
         )
         assert status == 2
+
+    def test_family_parameter_out_of_range(self, capsys):
+        status, out, err = run(capsys, "spectrum", "--family", "cycle", "--n", "2")
+        assert status == 2
+        assert out == ""
+        assert err == "error: cycle graph defined for n >= 3\n"
 
     def test_johnson_needs_k(self, capsys):
         status, _, err = run(capsys, "spectrum", "--family", "johnson", "--n", "6")

@@ -18,7 +18,6 @@ from orbitspectra.exactla import (
     berkowitz_charpoly,
     char_poly,
     charpoly_mod,
-    det,
     eigen_multiplicity,
     integer_roots,
     rank,
@@ -29,6 +28,8 @@ from orbitspectra.spectral import (
     lcr_stabilizer_partition,
     quotient_matrix,
 )
+
+from conftest import det
 
 small_entries = st.integers(min_value=-8, max_value=8)
 
@@ -64,20 +65,26 @@ def poly_add(a, b):
 
 
 def poly_det(cells):
-    """Determinant of a matrix of IntPolynomial entries, cofactor expansion."""
+    """Determinant of a matrix of IntPolynomial entries, by cofactor
+    expansion along the first row of each minor. A minor keeps the last
+    rows, so the columns it keeps name it, and each is expanded once:
+    n 2^n products instead of n!."""
     n = len(cells)
-    if n == 1:
-        return cells[0][0]
-    total = IntPolynomial([])
-    sign = 1
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in cells[1:]]
-        term = cells[0][j].multiply(poly_det(minor))
-        if sign < 0:
-            term = IntPolynomial([-c for c in term.coefficients])
-        total = poly_add(total, term)
-        sign = -sign
-    return total
+    minors = {(): IntPolynomial.one()}
+
+    def minor_det(columns):
+        if columns not in minors:
+            r = n - len(columns)
+            total = IntPolynomial([])
+            for t, j in enumerate(columns):
+                term = cells[r][j].multiply(minor_det(columns[:t] + columns[t + 1:]))
+                if t % 2:
+                    term = IntPolynomial([-c for c in term.coefficients])
+                total = poly_add(total, term)
+            minors[columns] = total
+        return minors[columns]
+
+    return minor_det(tuple(range(n)))
 
 
 def naive_char_poly(m):
@@ -232,6 +239,56 @@ def perturbed(rows, perturbation):
 SYMMETRIC_SHAPES = ("full", "diagonal", "block")
 
 BOTH_PATHS = pytest.mark.parametrize("perturb", [False, True], ids=["symmetric", "near-symmetric"])
+
+
+@st.composite
+def mixed_row_matrices(draw, min_n, max_n):
+    """Square matrices whose rows are each constant, one value with at most
+    two other entries, or all distinct; then kept, transposed (few-valued
+    columns) or made symmetric by mirroring the upper triangle."""
+    n = draw(st.integers(min_n, max_n))
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(("constant", "few", "distinct")))
+        if kind == "distinct":
+            row = draw(st.lists(st.integers(-99, 99), min_size=n, max_size=n, unique=True))
+        else:
+            row = [draw(small_entries)] * n
+            if kind == "few":
+                for j in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+                    row[j] = draw(small_entries)
+        rows.append(row)
+    form = draw(st.sampled_from(("rows", "columns", "symmetric")))
+    if form == "columns":
+        rows = [list(col) for col in zip(*rows)]
+    elif form == "symmetric":
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    return rows
+
+
+class TestGroupedBerkowitz:
+    """A mat-vec row with few distinct values sums the vector once per value
+    instead of multiplying entry by entry; the polynomial is the same."""
+
+    @given(mixed_row_matrices(0, 8))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_cofactor_expansion(self, rows):
+        expected = list(naive_char_poly(IntMatrix(rows)).coefficients)
+        assert berkowitz_charpoly(rows) == expected
+        assert berkowitz_charpoly(tuple(map(tuple, rows))) == expected
+
+    @given(mixed_row_matrices(12, 20))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_determinants_at_order_plus_one_points(self, rows):
+        # two monic polynomials of degree n agreeing at n + 1 points are equal;
+        # at these orders constant and few-valued rows and columns take the
+        # grouped form in the wider trailing blocks (below order 10, none does)
+        m = IntMatrix(rows)
+        n = m.rows
+        p = IntPolynomial(berkowitz_charpoly(rows))
+        assert p.degree == n and p.leading_coefficient == 1
+        for x in range(n + 1):
+            assert p.evaluate(x) == (-1) ** n * det(m.shift_diagonal(x)), x
 
 
 class TestSymmetricBerkowitz:

@@ -16,12 +16,10 @@ from orbitspectra.graphs import (
     build_lcr,
     build_line_graph,
     is_distance_regular,
-    is_isomorphism,
-    lcr_distance,
     pair_vertices,
 )
 
-from conftest import along_cycle
+from conftest import along_cycle, is_isomorphism, lcr_distance
 
 
 class TestGraphType:

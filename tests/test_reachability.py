@@ -25,16 +25,10 @@ PACKAGE = Path(orbitspectra.__file__).resolve().parent
 
 # reached by no command; each is an independent oracle or subject of a test
 ALLOWED = {
-    # the cofactor-expansion oracle and the Berkowitz cross-checks
-    "exactla.det": "test_exactla.py TestCharPoly",
+    # the Berkowitz cross-checks
     "exactla.IntMatrix.at": "test_exactla.py naive_char_poly, test_graphs.py TestDistances",
     "exactla.IntMatrix.identity": "test_exactla.py TestRank, TestEigenMultiplicity",
     "exactla.IntMatrix.zero": "test_exactla.py TestRank",
-    # the closed-form distance is the oracle for BFS on lcr
-    "graphs.lcr_distance": "test_graphs.py TestDistances, TestClosedFormDistance",
-    "graphs._check_pair": "test_graphs.py TestClosedFormDistance (via lcr_distance)",
-    # small-case isomorphisms are explicit mappings checked edge by edge
-    "graphs.is_isomorphism": "test_graphs.py TestBuilders, TestIsomorphism",
     "graphs.Graph.edge_count": "test_graphs.py TestGraphType",
     "perms.Permutation.compose": "test_perms.py TestPermutation, TestActions",
     # only a refutation reaches it; the test corrupts the closed form
@@ -57,6 +51,8 @@ def _invocations(tmp):
         ("spectrum", "--family", "lcr", "--n", "5", "--format", "json"),
         ("spectrum", "--family", "line-johnson", "--n", "4", "--k", "2",
          "--method", "char-poly"),
+        # lcr(6)'s 30 x 30 D is wide enough for Berkowitz's grouped mat-vec rows
+        ("spectrum", "--family", "lcr", "--n", "6", "--method", "char-poly"),
         ("spectrum", "--input", str(square)),
         ("quotient", "--n", "4"),
         ("quotient", "--n", "4", "--format", "json"),
