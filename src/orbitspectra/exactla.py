@@ -7,20 +7,20 @@ for each trailing block M with column C and row R; on symmetric input
 (every distance matrix) R = C^T and R M^k C = (M^i C)^T (M^j C) with
 i = k // 2, j = k - i, so about half the mat-vecs suffice.
 Non-symmetric input takes (R M^i) from M^T. A mat-vec row costs one
-product per entry (the direct form), or one sum over the columns of
-each value other than the row's most frequent, plus one product per
-distinct value (the grouped form). A row takes the grouped form where
-its counts of values and entries make it cheaper in the trailing block
-at hand: the rows of a distance matrix, whose few values 0..diameter
-are mostly one, do in the wide blocks; long cycles, generic matrices
-and small quotients keep the direct form. A characteristic polynomial
+product per entry (the direct form), or, on symmetric input, one sum
+over the columns of each value other than the row's most frequent,
+plus one product per distinct value (the grouped form). A row takes
+the grouped form where its counts of values and entries make it
+cheaper in the trailing block at hand: the rows of a distance matrix,
+whose few values 0..diameter are mostly one, do in the wide blocks;
+long cycles, generic matrices and non-symmetric input such as the
+quotient Q keep the direct form. A characteristic polynomial
 modulo a prime (Hessenberg reduction) is available for screening: a
 nonzero residue proves a value is not a root, and nothing is ever
 concluded from a zero one.
 """
 
-from itertools import repeat
-from operator import call, itemgetter, mul
+from operator import itemgetter, mul
 
 # Mersenne prime used for modular screening of eigenvalue candidates
 SCREEN_PRIME = (1 << 61) - 1
@@ -240,15 +240,15 @@ def bareiss_echelon(rows):
     return r, sign, pivot_cols, a
 
 
-def _grouped_line(line):
-    """The grouped form of one row (or column) of an n x n matrix, or None
-    where it never pays.
+def _grouped_row(row):
+    """The grouped form of one row of an n x n matrix, or None where it
+    never pays.
 
-    Returns (width, w0, offsets, getters): w0 is the line's most frequent
+    Returns (width, w0, offsets, getters): w0 is the row's most frequent
     entry, and each other value w has an offset w - w0 and a getter of
     the columns holding it. Against v padded in front with zeros to
     length n, so that column numbers stay absolute and the columns left
-    of a trailing block read 0, the line's product with v is
+    of a trailing block read 0, the row's product with v is
         w0 * sum(v) + sum of offset * sum(getter(padded)).
     Column 0 never lies in a trailing block, so each getter leads with it
     and returns a tuple even for one column. Counted in products, the
@@ -258,9 +258,9 @@ def _grouped_line(line):
     than w0 (fetched and added): it pays in the trailing blocks wider
     than the returned width.
     """
-    n = len(line)
+    n = len(row)
     columns = {}
-    for j, x in enumerate(line):
+    for j, x in enumerate(row):
         columns.setdefault(x, []).append(j)
     w0 = max(columns, key=lambda w: len(columns[w]))
     width = 4 * (len(columns) + 1) + (n - len(columns[w0])) // 2
@@ -275,39 +275,35 @@ def _grouped_line(line):
     )
 
 
-def _plans(lines):
-    """_grouped_line of each of n lines, or None when no line ever takes the
-    grouped form. Its cost model prices a line of d distinct values at
-    4 (d + 1) or more, so below order 10 no line pays, and a line with
-    (n - 1) / 4 - 1 or more distinct values never does; either is passed
-    over on its counts alone."""
-    lines = list(lines)
-    n = len(lines)
-    if n < 10:
-        return None
-    plans = [_grouped_line(line) if 4 * (len(set(line)) + 1) < n - 1 else None for line in lines]
+def _plans(rows):
+    """_grouped_row of each of n rows, or None when no row ever takes the
+    grouped form. Its cost model prices a row of d distinct values at
+    4 (d + 1) or more, so a row with (n - 1) / 4 - 1 or more distinct
+    values never pays (below order 10, none does) and is passed over on
+    its count alone."""
+    n = len(rows)
+    plans = [_grouped_row(row) if 4 * (len(set(row)) + 1) < n - 1 else None for row in rows]
     return plans if any(plans) else None
 
 
 def _active(plans, start, width):
-    """The plans of lines start + 1, ... that take the grouped form in the
+    """The plans of rows start + 1, ... that take the grouped form in the
     trailing block of this width, or None when none does."""
     active = [p if p and p[0] < width else None for p in plans[start + 1:]]
     return active if any(active) else None
 
 
-def _grouped_mat_vec(lines, active, vec, start):
-    """lines . vec for the trailing block after start: the grouped form
-    where active has a plan, all such lines sharing one sum(vec), and the
+def _grouped_mat_vec(rows, active, vec, start):
+    """rows . vec for the trailing block after start: the grouped form
+    where active has a plan, all such rows sharing one sum(vec), and the
     direct dot product elsewhere."""
     total = sum(vec)
     padded = [0] * (start + 1)
     padded += vec
     return [
-        sum(map(mul, line, vec)) if plan is None
-        else plan[1] * total
-        + sum(map(mul, plan[2], map(sum, map(call, plan[3], repeat(padded)))))
-        for line, plan in zip(lines, active)
+        sum(map(mul, row, vec)) if plan is None
+        else plan[1] * total + sum(o * sum(g(padded)) for o, g in zip(plan[2], plan[3]))
+        for row, plan in zip(rows, active)
     ]
 
 
@@ -329,19 +325,19 @@ def berkowitz_charpoly(rows):
     vectors are held.
 
     A mat-vec row costs one product per entry (the direct form), or,
-    on a row with few distinct values such as a distance matrix's (whose
-    values are 0..diameter), one sum over the columns of each value
-    other than the row's most frequent one, plus one product per value
-    (the grouped form). Each row, and each column on the non-symmetric
-    path, is read once per call for its values and their columns; it
+    on a symmetric matrix's row with few distinct values such as a
+    distance matrix's (whose values are 0..diameter), one sum over the
+    columns of each value other than the row's most frequent one, plus
+    one product per value (the grouped form). On symmetric input each
+    row is read once per call for its values and their columns; it
     takes the grouped form in every trailing block wider than the width
-    its counts give (_grouped_line), and the direct form otherwise:
-    always on long cycles, generic matrices and small quotients.
+    its counts give (_grouped_row), and the direct form otherwise:
+    always on long cycles and generic matrices. Non-symmetric input
+    keeps the direct form throughout.
     """
     n = len(rows)
     symmetric = all(tuple(row) == col for row, col in zip(rows, zip(*rows)))
-    row_plans = _plans(rows)
-    col_plans = None if symmetric else _plans(zip(*rows))
+    plans = _plans(rows) if symmetric else None
     poly = [1]
     for start in range(n - 1, -1, -1):
         m = n - start
@@ -352,8 +348,7 @@ def berkowitz_charpoly(rows):
             sub_t = None if symmetric else list(zip(*sub))
             # the direct mat-vecs stay inline: a call per mat-vec costs a
             # small matrix such as the 7 x 7 quotient about a tenth
-            active = row_plans and _active(row_plans, start, m - 1)
-            active_t = col_plans and _active(col_plans, start, m - 1)
+            active = plans and _active(plans, start, m - 1)
             left = rows[start][start + 1:]
             right = [rows[i][start] for i in tail]
             for k in range(m - 1):
@@ -365,10 +360,7 @@ def berkowitz_charpoly(rows):
                 elif k and symmetric:
                     left = right
                 elif k:
-                    left = (
-                        _grouped_mat_vec(sub_t, active_t, left, start) if active_t
-                        else [sum(map(mul, mc, left)) for mc in sub_t]
-                    )
+                    left = [sum(map(mul, mc, left)) for mc in sub_t]
                 col.append(-sum(map(mul, left, right)))
         # poly <- T . poly, T the (m+1) x m lower-triangular Toeplitz matrix
         # with first column col in highest-degree-first order; with both

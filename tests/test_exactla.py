@@ -245,7 +245,8 @@ BOTH_PATHS = pytest.mark.parametrize("perturb", [False, True], ids=["symmetric",
 def mixed_row_matrices(draw, min_n, max_n):
     """Square matrices whose rows are each constant, one value with at most
     two other entries, or all distinct; then kept, transposed (few-valued
-    columns) or made symmetric by mirroring the upper triangle."""
+    columns) or made symmetric by mirroring the upper triangle. Only the
+    symmetric form groups rows; the other two keep the direct form."""
     n = draw(st.integers(min_n, max_n))
     rows = []
     for _ in range(n):
@@ -281,8 +282,9 @@ class TestGroupedBerkowitz:
     @settings(max_examples=30, deadline=None)
     def test_matches_determinants_at_order_plus_one_points(self, rows):
         # two monic polynomials of degree n agreeing at n + 1 points are equal;
-        # at these orders constant and few-valued rows and columns take the
-        # grouped form in the wider trailing blocks (below order 10, none does)
+        # at these orders a symmetric matrix's constant and few-valued rows
+        # take the grouped form in the wider trailing blocks (below order 10,
+        # none does)
         m = IntMatrix(rows)
         n = m.rows
         p = IntPolynomial(berkowitz_charpoly(rows))
