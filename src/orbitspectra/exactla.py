@@ -47,20 +47,9 @@ class IntMatrix:
         self.cols = width
         self.entries = entries
 
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)])
-
     @property
     def is_square(self):
         return self.rows == self.cols
-
-    def at(self, i, j):
-        return self.entries[i][j]
 
     def trace(self):
         if not self.is_square:

@@ -50,11 +50,9 @@ class Permutation:
     def __call__(self, v):
         return self.images[v]
 
-    def compose(self, other):
+    def __mul__(self, other):
         """self after other: (self * other)(v) = self(other(v))."""
         return Permutation(self.images[w] for w in other.images)
-
-    __mul__ = compose
 
     def cycles(self):
         """Nontrivial cycles, each starting at its smallest point."""

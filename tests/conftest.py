@@ -94,7 +94,7 @@ def is_isomorphism(g, h, mapping):
     n = g.vertex_count
     if h.vertex_count != n or sorted(mapping) != list(range(n)):
         return False
-    if g.edge_count != h.edge_count:
+    if len(g.edges()) != len(h.edges()):
         return False
     return all(h.has_edge(mapping[u], mapping[v]) for u, v in g.edges())
 

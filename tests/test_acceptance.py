@@ -104,7 +104,7 @@ def test_criterion_02_quotient_matrix_fidelity(lcr_data):
         assert computed.rows == computed.cols == 7
         for i in range(7):
             for j in range(7):
-                assert computed.at(i, j) == closed.at(i, j), (n, i, j)
+                assert computed.entries[i][j] == closed.entries[i][j], (n, i, j)
     print("ACCEPTANCE 2 PASS: computed quotient equals the closed form, "
           "49 exact entries for each n=4..10")
 

@@ -13,6 +13,7 @@ import importlib.util
 import io
 import sys
 import time
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -74,20 +75,25 @@ def test_every_pinned_span_fires_on_its_workload():
     assert set(STAND_INS) == set(selftest.WORKLOADS)
     start = time.monotonic()
     missing = []
-    verify_calls = None
+    workload_calls = {}
     for workload, invocations in STAND_INS.items():
         fired = set()
+        totals = workload_calls[workload] = Counter()
         for argv in invocations:
             status, calls, names = traced(tracer, argv)
             assert status == 0, argv
             fired |= names
-            if workload == "verify-lcr":
-                verify_calls = calls
+            totals.update(calls)
         pinned = {name for name, on in selftest.MUST_FIRE.items() if workload in on}
         missing += [f"{workload}: {name}" for name in sorted(pinned - fired)]
     assert missing == []
     # verify-lcr --n 4..5: one BFS, one quotient and one det(xI - Q) per n
+    verify_calls = workload_calls["verify-lcr"]
     assert verify_calls["graphs.bfs"] == 2
     assert verify_calls["spectral.quotient"] == 2
     assert verify_calls["exactla.charpoly"] == 2
+    # quotient --n 5: the quotient's one BFS, and one quotient
+    structure_calls = workload_calls["structure"]
+    assert structure_calls["graphs.bfs"] == 1
+    assert structure_calls["spectral.quotient"] == 1
     assert time.monotonic() - start < 2.0

@@ -41,7 +41,7 @@ class TestEdgeListParsing:
 
     def test_triangle_with_comments(self):
         g = parse_edge_list("# triangle\np 3\n\ne 0 1\ne 1 2\ne 2 0\n")
-        assert g.edge_count == 3
+        assert len(g.edges()) == 3
 
     def test_self_loop_reports_line(self):
         with pytest.raises(ValueError, match="line 2: self-loop"):

@@ -54,7 +54,7 @@ class TestGraphType:
         edges = [(0, 3), (1, 2), (0, 1)]
         g = Graph(4, edges)
         assert g.edges() == sorted(edges)
-        assert g.edge_count == 3
+        assert len(g.edges()) == 3
 
 
 class TestBuilders:
@@ -155,7 +155,7 @@ class TestBuilders:
     def test_cycles(self):
         assert build_cycle(6).is_regular() == 2
         assert all_pairs_distances(build_cycle(6)).max_entry() == 3
-        assert build_cycle(3).edge_count == 3
+        assert len(build_cycle(3).edges()) == 3
         assert all_pairs_distances(build_cycle(4)).max_entry() == 2
         with pytest.raises(ValueError):
             build_cycle(2)
@@ -172,11 +172,11 @@ class TestDistances:
         g = build_lcr(4)
         verts = pair_vertices(4)
         d = all_pairs_distances(g)
-        assert d.at(verts.index((1, 2)), verts.index((2, 1))) == 3
+        assert d.entries[verts.index((1, 2))][verts.index((2, 1))] == 3
 
     def test_zero_diagonal(self):
         d = all_pairs_distances(build_crown(4))
-        assert all(d.at(v, v) == 0 for v in range(d.rows))
+        assert all(d.entries[v][v] == 0 for v in range(d.rows))
 
     @pytest.mark.parametrize("n", range(4, 9))
     def test_lcr_diameter_is_three(self, n):
@@ -190,7 +190,7 @@ class TestDistances:
             counts = {}
             for w in range(d.rows):
                 if w != v:
-                    counts[d.at(v, w)] = counts.get(d.at(v, w), 0) + 1
+                    counts[d.entries[v][w]] = counts.get(d.entries[v][w], 0) + 1
             assert counts == expected
 
     @pytest.mark.parametrize("n", range(4, 9))
@@ -238,7 +238,7 @@ class TestClosedFormDistance:
         d = all_pairs_distances(build_lcr(n))
         for a, pa in enumerate(verts):
             for b, pb in enumerate(verts):
-                assert lcr_distance(n, pa, pb) == d.at(a, b)
+                assert lcr_distance(n, pa, pb) == d.entries[a][b]
 
     def test_rejects_bad_pairs(self):
         with pytest.raises(ValueError, match="valid ordered pair"):
@@ -258,7 +258,8 @@ class TestDistanceRegularity:
         assert counts_a != counts_b
         # the witness pairs really are at the claimed common distance
         d = all_pairs_distances(build_lcr(n))
-        assert d.at(*pair_a) == d.at(*pair_b) == dist
+        (v, w), (v2, w2) = pair_a, pair_b
+        assert d.entries[v][w] == d.entries[v2][w2] == dist
 
     @pytest.mark.parametrize("n", range(3, 8))
     def test_crown_is_distance_regular(self, n):

@@ -14,6 +14,7 @@ from orbitspectra.graphs import (
     all_pairs_distances,
     bfs_all_pairs,
     build_cycle,
+    build_johnson,
     build_lcr,
 )
 
@@ -63,6 +64,24 @@ class CountedIterable:
         return iter(self.items)
 
 
+def clique(vertices):
+    return [(u, v) for u in vertices for v in vertices if u < v]
+
+
+def direction_graphs():
+    """(name, graph) pairs that send bfs_all_pairs down each branch of its
+    bottom-up levels and pre-filled rows."""
+    # each source's commonest distance differs from the previous one's along
+    # the path, so rows are pre-filled with a wrong guess
+    path = [(v, v + 1) for v in range(29, 34)]
+    yield "K30 and a pendant 5-path", Graph(35, clique(range(30)) + path)
+    # pre-filled entries of the vertices a source never reaches become -1
+    yield "K20 and an isolated vertex", Graph(21, clique(range(20)))
+    yield "K12 and K8", Graph(20, clique(range(12)) + clique(range(12, 20)))
+    # levels 2, 3 and 4 of every source go bottom-up
+    yield "J(9,4)", build_johnson(9, 4)
+
+
 @st.composite
 def random_graphs(draw):
     """Graphs on 0..70 vertices: each vertex is isolated or in one of up to
@@ -103,7 +122,8 @@ class TestPureKernels:
         assert dist[n - 1] == (-1,) * (n - 1) + (0,)
 
     def test_bfs_equals_the_queue_on_the_corpus(self, corpus):
-        for name, g, _, _ in corpus:
+        graphs = [(name, g) for name, g, _, _ in corpus] + list(direction_graphs())
+        for name, g in graphs:
             n = g.vertex_count
             assert bfs_all_pairs(n, g.adjacency) == bfs_reference(n, g.adjacency), name
 

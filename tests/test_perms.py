@@ -228,7 +228,7 @@ class TestAutomorphisms:
                     row = d.entries[u]
                     pu = p(u)
                     for v in range(g.vertex_count):
-                        assert row[v] == d.at(pu, p(v)), name
+                        assert row[v] == d.entries[pu][p(v)], name
 
 
 class TestGeneratorChoices:

@@ -23,14 +23,8 @@ from test_bench_bindings import STAND_INS
 MODULES = (cli, exactla, graphs, perms, spectral)
 PACKAGE = Path(orbitspectra.__file__).resolve().parent
 
-# reached by no command; each is an independent oracle or subject of a test
+# reached by no command, each with the test that reaches it
 ALLOWED = {
-    # the Berkowitz cross-checks
-    "exactla.IntMatrix.at": "test_exactla.py naive_char_poly, test_graphs.py TestDistances",
-    "exactla.IntMatrix.identity": "test_exactla.py TestRank, TestEigenMultiplicity",
-    "exactla.IntMatrix.zero": "test_exactla.py TestRank",
-    "graphs.Graph.edge_count": "test_graphs.py TestGraphType",
-    "perms.Permutation.compose": "test_perms.py TestPermutation, TestActions",
     # only a refutation reaches it; the test corrupts the closed form
     "cli._fail_line": "test_cli.py TestVerifyCommand",
 }

@@ -120,10 +120,10 @@ class TestQuotientMatrix:
 
 class TestClosedFormQuotient:
     def test_corner_entry_at_n4(self):
-        assert lcr_quotient_closed_form(4).at(6, 6) == 3
+        assert lcr_quotient_closed_form(4).entries[6][6] == 3
 
     def test_entry_q27_at_n5(self):
-        assert lcr_quotient_closed_form(5).at(1, 6) == 10
+        assert lcr_quotient_closed_form(5).entries[1][6] == 10
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError, match="n >= 4"):
