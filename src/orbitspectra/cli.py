@@ -78,9 +78,13 @@ def parse_edge_list(text) -> Graph:
         if parts[0] == "p":
             if n is not None:
                 raise EdgeListError(lineno, "duplicate 'p' line")
-            if len(parts) != 2 or not parts[1].isdigit():
-                raise EdgeListError(lineno, "expected 'p <vertex_count>'")
-            n = int(parts[1])
+            try:
+                (count,) = parts[1:]
+                n = int(count)
+                if n < 0:
+                    raise ValueError
+            except ValueError:
+                raise EdgeListError(lineno, "expected 'p <vertex_count>'") from None
         elif parts[0] == "e":
             if n is None:
                 raise EdgeListError(lineno, "edge listed before the 'p' line")
@@ -161,7 +165,7 @@ def _load_graph(args):
         try:
             with open(args.input, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read {args.input}: {exc}") from exc
         return parse_edge_list(text), args.input
     return build_family(args.family, args.n_values[0], args.k, args.connections)

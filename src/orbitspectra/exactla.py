@@ -6,21 +6,21 @@ every intermediate value is an exact integer. Berkowitz needs R M^k C
 for each trailing block M with column C and row R; on symmetric input
 (every distance matrix) R = C^T and R M^k C = (M^i C)^T (M^j C) with
 i = k // 2, j = k - i, so about half the mat-vecs suffice.
-Non-symmetric input takes (R M^i) from M^T. A mat-vec row costs one
-product per entry (the direct form), or, on symmetric input, one sum
-over the columns of each value other than the row's most frequent,
-plus one product per distinct value (the grouped form). A row takes
-the grouped form where its counts of values and entries make it
-cheaper in the trailing block at hand: the rows of a distance matrix,
-whose few values 0..diameter are mostly one, do in the wide blocks;
-long cycles, generic matrices and non-symmetric input such as the
-quotient Q keep the direct form. A characteristic polynomial
-modulo a prime (Hessenberg reduction) is available for screening: a
-nonzero residue proves a value is not a root, and nothing is ever
-concluded from a zero one.
+Non-symmetric input takes (R M^i) from M^T. A mat-vec takes one
+product per entry (the direct form) or, on a symmetric block whose
+rows hold few values, mostly one w0 per row (a distance matrix's
+0..diameter), a few C-level passes over the entries other than w0
+(the flat form): one gather and two prefix sums. On lcr(10)'s 90 x 90
+D a 60-wide mat-vec takes about 100 us against 160 us for the grouped
+rows it replaced. Long cycles, circulants, generic matrices and
+non-symmetric input such as the quotient Q keep the direct form.
+Hessenberg reduction modulo a prime screens candidate roots: a nonzero
+residue proves a value is not a root; a zero one concludes nothing.
 """
 
-from operator import itemgetter, mul
+from bisect import bisect_right
+from itertools import accumulate, compress, repeat
+from operator import add, itemgetter, mul, sub
 
 # Mersenne prime used for modular screening of eigenvalue candidates
 SCREEN_PRIME = (1 << 61) - 1
@@ -229,71 +229,71 @@ def bareiss_echelon(rows):
     return r, sign, pivot_cols, a
 
 
-def _grouped_row(row):
-    """The grouped form of one row of an n x n matrix, or None where it
-    never pays.
+def _value_columns(rows):
+    """What the flat form needs of an n x n symmetric matrix, read once.
 
-    Returns (width, w0, offsets, getters): w0 is the row's most frequent
-    entry, and each other value w has an offset w - w0 and a getter of
-    the columns holding it. Against v padded in front with zeros to
-    length n, so that column numbers stay absolute and the columns left
-    of a trailing block read 0, the row's product with v is
-        w0 * sum(v) + sum of offset * sum(getter(padded)).
-    Column 0 never lies in a trailing block, so each getter leads with it
-    and returns a tuple even for one column. Counted in products, the
-    direct form costs the trailing width, and the grouped form about 4
-    per distinct value (a getter call, a sum and a product), 4 more for
-    its share of the block's sum(v) and padding, and 1/2 per entry other
-    than w0 (fetched and added): it pays in the trailing blocks wider
-    than the returned width.
+    Returns (w0s, layout, costs). w0s[i] is row i's most frequent entry;
+    layout[i] pairs each other value w of row i with w - w0 and its
+    columns j in ascending order, written j - n so that they index the
+    vector of any trailing block holding them. The block after start
+    holds entry (i, j) when min(i, j) > start. costs[s] sums 1 for each
+    entry other than its row's w0 with min(i, j) = s, and 3 for each
+    (row, value) group whose last entry has min(i, j) = s.
     """
-    n = len(row)
-    columns = {}
-    for j, x in enumerate(row):
-        columns.setdefault(x, []).append(j)
-    w0 = max(columns, key=lambda w: len(columns[w]))
-    width = 4 * (len(columns) + 1) + (n - len(columns[w0])) // 2
-    if width >= n - 1:
-        return None
-    others = [w for w in columns if w != w0]
-    return (
-        width,
-        w0,
-        tuple(w - w0 for w in others),
-        tuple(itemgetter(0, *columns[w]) for w in others),
-    )
-
-
-def _plans(rows):
-    """_grouped_row of each of n rows, or None when no row ever takes the
-    grouped form. Its cost model prices a row of d distinct values at
-    4 (d + 1) or more, so a row with (n - 1) / 4 - 1 or more distinct
-    values never pays (below order 10, none does) and is passed over on
-    its count alone."""
     n = len(rows)
-    plans = [_grouped_row(row) if 4 * (len(set(row)) + 1) < n - 1 else None for row in rows]
-    return plans if any(plans) else None
+    w0s, layout, costs = [], [], [0] * (n + 1)
+    indices = tuple(range(-n, 0))  # one int object per column, shared by the rows
+    for i, row in enumerate(rows):
+        columns = {}
+        for j, x in zip(indices, row):
+            columns.setdefault(x, []).append(j)
+        w0 = max(columns, key=lambda w: len(columns[w]))
+        values = [(w - w0, cols) for w, cols in columns.items() if w != w0]
+        for _, cols in values:
+            costs[min(i, cols[-1] + n)] += 3
+            for j in cols:
+                costs[min(i, j + n)] += 1
+        w0s.append(w0)
+        layout.append(values)
+    return w0s, layout, costs
 
 
-def _active(plans, start, width):
-    """The plans of rows start + 1, ... that take the grouped form in the
-    trailing block of this width, or None when none does."""
-    active = [p if p and p[0] < width else None for p in plans[start + 1:]]
-    return active if any(active) else None
+def _block_plan(w0s, layout, start):
+    """The flat form of the trailing block after start, for _flat_mat_vec.
+
+    Each row's in-block columns of each value other than its w0 go into
+    one index list, grouped by (row, value). The plan is a getter of
+    those entries, marks on the leading 0 and group ends of their prefix
+    sums, the groups' offsets, a getter of the row ends (led by 0) of
+    the groups' prefix sums, and the rows' w0; None when fewer than two
+    entries are gathered (a getter of one index returns no tuple).
+    """
+    flat, marks, row_ends, offsets = [], bytearray(b"\1"), [0], []
+    for values in layout[start + 1:]:
+        for offset, cols in values:
+            k = bisect_right(cols, start - len(layout))
+            if k < len(cols):
+                flat += cols[k:]
+                marks += bytes(len(cols) - k - 1) + b"\1"
+                offsets.append(offset)
+        row_ends.append(len(offsets))
+    if len(flat) < 2:
+        return None
+    return itemgetter(*flat), marks, offsets, itemgetter(*row_ends), w0s[start + 1:]
 
 
-def _grouped_mat_vec(rows, active, vec, start):
-    """rows . vec for the trailing block after start: the grouped form
-    where active has a plan, all such rows sharing one sum(vec), and the
-    direct dot product elsewhere."""
-    total = sum(vec)
-    padded = [0] * (start + 1)
-    padded += vec
-    return [
-        sum(map(mul, row, vec)) if plan is None
-        else plan[1] * total + sum(o * sum(g(padded)) for o, g in zip(plan[2], plan[3]))
-        for row, plan in zip(rows, active)
-    ]
+def _flat_mat_vec(plan, vec):
+    """block . vec in the flat form of _block_plan, in C-level passes.
+
+    One gather and a prefix sum P, kept only where marked, give each
+    group's sum of vec as a difference of two P; times its offset, a
+    second prefix sum Q gives each row's correction as a difference of
+    two Q. Row i is w0_i * sum(vec) plus its correction.
+    """
+    gather, marks, offsets, row_bounds, w0s = plan
+    p = tuple(compress(accumulate(gather(vec), initial=0), marks))
+    q = row_bounds(list(accumulate(map(mul, offsets, map(sub, p[1:], p)), initial=0)))
+    return list(map(add, map(mul, w0s, repeat(sum(vec))), map(sub, q[1:], q)))
 
 
 def berkowitz_charpoly(rows):
@@ -313,43 +313,43 @@ def berkowitz_charpoly(rows):
     advances by a mat-vec against M^T. Only the current left and right
     vectors are held.
 
-    A mat-vec row costs one product per entry (the direct form), or,
-    on a symmetric matrix's row with few distinct values such as a
-    distance matrix's (whose values are 0..diameter), one sum over the
-    columns of each value other than the row's most frequent one, plus
-    one product per value (the grouped form). On symmetric input each
-    row is read once per call for its values and their columns; it
-    takes the grouped form in every trailing block wider than the width
-    its counts give (_grouped_row), and the direct form otherwise:
-    always on long cycles and generic matrices. Non-symmetric input
-    keeps the direct form throughout.
+    A mat-vec takes one product and one add per entry (the direct form)
+    or, on symmetric input, the passes of _flat_mat_vec. Priced in pairs
+    of operations, a direct entry costs 1, a gathered entry 1 (a fetch
+    and an add) and a group 3 (two fetches, a difference, a product, an
+    add and its offset): a block takes the flat form when its summed
+    costs (_value_columns) are below its entry count.
     """
     n = len(rows)
     symmetric = all(tuple(row) == col for row, col in zip(rows, zip(*rows)))
-    plans = _plans(rows) if symmetric else None
+    if symmetric:
+        w0s, layout, costs = _value_columns(rows)
+    cost = 0
     poly = [1]
     for start in range(n - 1, -1, -1):
         m = n - start
         col = [1, -rows[start][start]]
         if m > 1:
             tail = range(start + 1, n)
-            sub = [rows[i][start + 1:] for i in tail]
-            sub_t = None if symmetric else list(zip(*sub))
+            if symmetric:
+                cost += costs[start + 1]
+            plan = symmetric and cost < (m - 1) ** 2 and _block_plan(w0s, layout, start)
+            block = None if plan else [rows[i][start + 1:] for i in tail]
+            block_t = None if symmetric else list(zip(*block))
             # the direct mat-vecs stay inline: a call per mat-vec costs a
             # small matrix such as the 7 x 7 quotient about a tenth
-            active = plans and _active(plans, start, m - 1)
             left = rows[start][start + 1:]
             right = [rows[i][start] for i in tail]
             for k in range(m - 1):
                 if k % 2:
                     right = (
-                        _grouped_mat_vec(sub, active, right, start) if active
-                        else [sum(map(mul, mr, right)) for mr in sub]
+                        _flat_mat_vec(plan, right) if plan
+                        else [sum(map(mul, mr, right)) for mr in block]
                     )
                 elif k and symmetric:
                     left = right
                 elif k:
-                    left = [sum(map(mul, mc, left)) for mc in sub_t]
+                    left = [sum(map(mul, mc, left)) for mc in block_t]
                 col.append(-sum(map(mul, left, right)))
         # poly <- T . poly, T the (m+1) x m lower-triangular Toeplitz matrix
         # with first column col in highest-degree-first order; with both

@@ -533,6 +533,25 @@ class TestUsageErrors:
         assert out == ""
         assert err == "error: missing 'p <vertex_count>' line\n"
 
+    @pytest.mark.parametrize(
+        "p_line", ["p \N{SUPERSCRIPT TWO}", "p -3", "p 3x", "p", "p 3 4"]
+    )
+    def test_bad_vertex_count_is_a_usage_error(self, capsys, tmp_path, p_line):
+        # '²'.isdigit() holds, yet int('²') raises
+        path = tmp_path / "count.edges"
+        path.write_text(p_line + "\n", encoding="utf-8")
+        status, out, err = run(capsys, "spectrum", "--input", str(path))
+        assert (status, out) == (2, "")
+        assert err == "error: line 1: expected 'p <vertex_count>'\n"
+
+    def test_input_that_is_not_utf8_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.edges"
+        path.write_bytes(b"p 3\ne 0 1\xff\n")
+        status, out, err = run(capsys, "spectrum", "--input", str(path))
+        assert (status, out) == (2, "")
+        assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+        assert "Traceback" not in err
+
     def test_disconnected_input(self, capsys, tmp_path):
         path = tmp_path / "split.edges"
         path.write_text("p 4\ne 0 1\ne 2 3\n", encoding="utf-8")

@@ -246,7 +246,8 @@ def mixed_row_matrices(draw, min_n, max_n):
     """Square matrices whose rows are each constant, one value with at most
     two other entries, or all distinct; then kept, transposed (few-valued
     columns) or made symmetric by mirroring the upper triangle. Only the
-    symmetric form groups rows; the other two keep the direct form."""
+    symmetric form can take the flat mat-vec; the other two keep the
+    direct form."""
     n = draw(st.integers(min_n, max_n))
     rows = []
     for _ in range(n):
@@ -268,8 +269,9 @@ def mixed_row_matrices(draw, min_n, max_n):
 
 
 class TestGroupedBerkowitz:
-    """A mat-vec row with few distinct values sums the vector once per value
-    instead of multiplying entry by entry; the polynomial is the same."""
+    """A symmetric block whose rows hold few distinct values takes the flat
+    mat-vec, which sums the vector over each value's columns instead of
+    multiplying entry by entry; the polynomial is the same."""
 
     @given(mixed_row_matrices(0, 8))
     @settings(max_examples=80, deadline=None)
@@ -282,9 +284,8 @@ class TestGroupedBerkowitz:
     @settings(max_examples=30, deadline=None)
     def test_matches_determinants_at_order_plus_one_points(self, rows):
         # two monic polynomials of degree n agreeing at n + 1 points are equal;
-        # at these orders a symmetric matrix's constant and few-valued rows
-        # take the grouped form in the wider trailing blocks (below order 10,
-        # none does)
+        # at these orders the wider trailing blocks of a symmetric matrix
+        # with constant and few-valued rows take the flat form
         m = IntMatrix(rows)
         n = m.rows
         p = IntPolynomial(berkowitz_charpoly(rows))

@@ -3,12 +3,19 @@ the bitset BFS against a queue, and guards on how each kernel works."""
 
 import sys
 import tracemalloc
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitspectra.exactla import bareiss_echelon, berkowitz_charpoly
+from orbitspectra.exactla import (
+    _block_plan,
+    _flat_mat_vec,
+    _value_columns,
+    bareiss_echelon,
+    berkowitz_charpoly,
+)
 from orbitspectra.graphs import (
     Graph,
     all_pairs_distances,
@@ -100,6 +107,29 @@ def random_graphs(draw):
     return Graph(n, edges)
 
 
+@st.composite
+def two_part_matrices(draw):
+    """Symmetric matrices of order 12..30 on a few values, negatives included.
+
+    Rows 0..a-1 (part A, a > n/2) hold x among themselves and y elsewhere,
+    so an A row's most frequent value is x and a B row's is y. Other values
+    replace a drawn share of the entries, except in the last row and column:
+    in every trailing block the last row has no entry other than its y.
+    """
+    n = draw(st.integers(12, 30))
+    a = draw(st.integers(n // 2 + 1, n - 2))
+    x, y = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2, unique=True))
+    others = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3))
+    share = draw(st.floats(0.0, 0.2))
+    rng = draw(st.randoms(use_true_random=False))
+    rows = [[x if i < a and j < a else y for j in range(n)] for i in range(n)]
+    for i in range(n - 1):
+        for j in range(i, n - 1):
+            if rng.random() < share:
+                rows[i][j] = rows[j][i] = rng.choice(others)
+    return rows
+
+
 class TestPureKernels:
     def test_bfs_marks_unreachable(self):
         dist = bfs_all_pairs(3, [[1], [0], []])
@@ -165,8 +195,8 @@ class TestPureKernels:
             assert symmetric <= 0.6 * general, (container.__name__, symmetric, general)
 
     def test_berkowitz_groups_few_valued_rows_only(self):
-        # a grouped row multiplies one entry, its most frequent, per mat-vec:
-        # lcr(8)'s rows hold 42 twos among 56 entries (0.083 of the direct
+        # a flat mat-vec multiplies one entry per row, its most frequent:
+        # lcr(8)'s rows hold 42 twos among 56 entries (0.031 of the direct
         # count measured); cycle(9)'s rows hold five values in nine entries,
         # and a matrix with distinct entries one value per entry, so those
         # keep one product per entry
@@ -176,3 +206,19 @@ class TestPureKernels:
         assert entry_products(cycle) == direct_products(9, symmetric=True)
         distinct = tuple(tuple(12 * i + j + 1 for j in range(12)) for i in range(12))
         assert entry_products(distinct) == direct_products(12, symmetric=False)
+
+    @given(two_part_matrices(), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_flat_mat_vec_equals_the_direct_form_in_every_block(self, rows, rng):
+        n = len(rows)
+        w0s, layout, _ = _value_columns(rows)
+        for start in range(n - 1):
+            block = [row[start + 1:] for row in rows[start + 1:]]
+            v = [rng.randint(-(2**300), 2**300) for _ in block]
+            plan = _block_plan(w0s, layout, start)
+            if plan is None:
+                # the flat form needs two gathered entries
+                kept = sum(x != w0 for row, w0 in zip(block, w0s[start + 1:]) for x in row)
+                assert kept < 2, start
+            else:
+                assert _flat_mat_vec(plan, v) == [sum(map(mul, row, v)) for row in block], start
