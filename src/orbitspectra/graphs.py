@@ -222,12 +222,14 @@ def build_line_graph(g):
     return Graph(len(base_edges), sorted(set(edges)), labels)
 
 
-def bfs_all_pairs(n, adj):
-    """All-pairs shortest path lengths by BFS, one tuple per source.
+def bfs_all_pairs(n, adj, sources=None):
+    """Shortest path lengths by BFS, one tuple per source.
 
-    ``adj`` is a sequence of neighbor iterables; each is read once, into
-    an int mask. Unreachable vertices are reported as -1; the caller
-    decides whether that is an error.
+    ``sources`` lists the vertices to search from, and the rows come back
+    in its order; the default is every vertex, 0..n-1. ``adj`` is a
+    sequence of neighbor iterables; each is read once, into an int mask.
+    Unreachable vertices are reported as -1; the caller decides whether
+    that is an error.
 
     Each level of a source's search is a mask too, and its members are
     read off its bytes through a table of bit positions, or, when it has
@@ -291,7 +293,7 @@ def bfs_all_pairs(n, adj):
 
     dist = []
     fill = -1
-    for src in range(n):
+    for src in range(n) if sources is None else sources:
         row = [fill] * n
         row[src] = 0
         seen = 1 << src
@@ -339,19 +341,20 @@ def bfs_all_pairs(n, adj):
     return dist
 
 
-def all_pairs_distances(g):
-    """Exact distance matrix, as an IntMatrix, by BFS from every source.
+def all_pairs_distances(g, sources=None):
+    """Exact distances, as an IntMatrix, by BFS: the rows of the given
+    sources in their order, or the whole distance matrix by default.
 
-    Raises DisconnectedGraphError naming two vertices in distinct
-    components if the graph is not connected.
+    Raises DisconnectedGraphError naming the first source and a vertex it
+    does not reach if the graph is not connected; one row shows that.
     """
     if g.vertex_count == 0:
         raise InputError("distance matrix of the empty graph is undefined")
-    dist = bfs_all_pairs(g.vertex_count, g.adjacency)
-    row0 = dist[0]
-    for v, d in enumerate(row0):
+    dist = bfs_all_pairs(g.vertex_count, g.adjacency, sources)
+    src = 0 if sources is None else sources[0]
+    for v, d in enumerate(dist[0]):
         if d < 0:
-            raise DisconnectedGraphError(0, v, g.label(0), g.label(v))
+            raise DisconnectedGraphError(src, v, g.label(src), g.label(v))
     return IntMatrix(dist)
 
 

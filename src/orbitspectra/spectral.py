@@ -13,8 +13,9 @@ tr D^k = |V| (Q^k)_ss (k = 0, 1, 2), only the rest, small |lam| with
 large multiplicity, get an exact rank, and k = 3 cross-checks the
 result. That reduces a |V| x |V| spectrum problem to the quotient size
 plus at most a few exact rank computations. A QuotientMatrix is built
-from its graph: quotient_matrix runs the one BFS and keeps D as its
-source, so quotient-assisted runs none and takes D from the quotient.
+from its graph: quotient_matrix searches from one representative per
+cell, and D, the quotient's source, is built by a full BFS only when a
+stage reads it, as an exact rank does.
 """
 
 from dataclasses import dataclass, replace
@@ -66,12 +67,17 @@ class VerificationError(ValueError):
 @dataclass(frozen=True)
 class QuotientMatrix:
     """Cell-sum quotient of a graph's distance matrix over an orbit
-    partition; source is that distance matrix."""
+    partition; source is that distance matrix, built on first read."""
 
     matrix: IntMatrix
     partition: OrbitPartition
     graph: Graph
-    source: IntMatrix
+
+    @cached_property
+    def source(self):
+        """The graph's distance matrix D, by BFS from every vertex, once
+        per quotient."""
+        return all_pairs_distances(self.graph)
 
     @cached_property
     def char_roots(self):
@@ -213,8 +219,8 @@ def quotient_matrix(g: Graph, pi: OrbitPartition) -> QuotientMatrix:
     raises AutomorphismError. An automorphism keeps every distance and
     maps each cell onto itself, so all members of a cell have the same
     cell sums (pi is equitable), and each cell's first row of D gives
-    its row of Q. Runs BFS for g's distance matrix D, kept as the
-    quotient's source.
+    its row of Q. Runs BFS from those first members only; the full D is
+    left to QuotientMatrix.source.
     """
     if pi.degree != g.vertex_count:
         raise ValueError(
@@ -223,14 +229,13 @@ def quotient_matrix(g: Graph, pi: OrbitPartition) -> QuotientMatrix:
     if pi.generators is None:
         raise ValueError("partition has no generators; build it with orbits")
     check_automorphisms(g, pi.generators)
-    d = all_pairs_distances(g)
     q_rows = []
-    for cell in pi.cells:
+    for d_row in all_pairs_distances(g, [cell[0] for cell in pi.cells]).entries:
         row = [0] * pi.cell_count
-        for w, dw in enumerate(d.entries[cell[0]]):
+        for w, dw in enumerate(d_row):
             row[pi.cell_of[w]] += dw
         q_rows.append(row)
-    return QuotientMatrix(IntMatrix(q_rows), pi, g, d)
+    return QuotientMatrix(IntMatrix(q_rows), pi, g)
 
 
 def lcr_quotient_closed_form(n) -> IntMatrix:
@@ -323,7 +328,7 @@ def _annihilates(q, values, cell):
     return not any(y)
 
 
-def _moment_spectrum(d, q, cell, rho, values):
+def _moment_spectrum(quotient, cell, rho, values):
     """Spectrum of D, given that the ascending values hold all of spec(D).
 
     Every value is an eigenvalue of D (Qx = lam x gives D Px = lam Px),
@@ -338,7 +343,7 @@ def _moment_spectrum(d, q, cell, rho, values):
     Q: transitivity gives tr D^k = |V| (D^k)_vv, and D^k P = P Q^k (from
     DP = PQ, P the cell indicator matrix, P e_s = e_v) gives
     (D^k)_vv = (Q^k)_ss. One loop of mat-vecs Q^k e_s yields them all;
-    D is read only for the exact ranks.
+    D, quotient.source, is read only for the exact ranks.
 
     Of the other values, the three of largest |lam| (ties: the positive
     one) are solved from the power sums k = 0, 1, 2, less the Perron
@@ -364,13 +369,14 @@ def _moment_spectrum(d, q, cell, rho, values):
         raise ArithmeticError(f"largest candidate {top} is not the constant row sum {rho}")
     by_size = sorted(rest, key=lambda lam: (abs(lam), lam))
     solved, ranked = sorted(by_size[-3:]), sorted(by_size[:-3])
-    mult = {lam: eigen_multiplicity(d, lam) for lam in ranked}
+    mult = {lam: eigen_multiplicity(quotient.source, lam) for lam in ranked}
     mult[top] = 1
+    q, order = quotient.matrix, quotient.graph.vertex_count
     power_sums = []
     y = [0] * q.rows
     y[cell] = 1
     for _ in range(4):
-        power_sums.append(d.rows * y[cell])
+        power_sums.append(order * y[cell])
         y = [sum(map(mul, row, y)) for row in q.entries]
     left = [
         s - sum(m * lam**k for lam, m in mult.items()) for k, s in enumerate(power_sums)
@@ -391,7 +397,7 @@ def _moment_spectrum(d, q, cell, rho, values):
                 f"spare moment k={k}: solved values give {spare}, tr D^{k} leaves {left[k]}"
             )
     moments = MomentSolve(tuple(ranked), tuple(solved), power_sums[3])
-    return Spectrum(sorted(mult.items()), None, d.rows, power_sums[1], moments)
+    return Spectrum(sorted(mult.items()), None, order, power_sums[1], moments)
 
 
 def distance_spectrum(
@@ -402,13 +408,16 @@ def distance_spectrum(
     rank-sweep screens every integer in [-rho, rho] (rho = max row sum,
     a spectral radius bound) against det(xI - D) mod a prime, and gives
     each survivor an exact rank. char-poly always expands det(xI - D).
-    Both run BFS. quotient-assisted runs none: D and Q come from the
-    caller's QuotientMatrix, which must have been built from g itself
+    Both run BFS. quotient-assisted starts from the caller's
+    QuotientMatrix, which must have been built from g itself
     (quotient.graph == g) over a singleton-cell orbit partition, and g
     must be vertex-transitive under transitive_gens. quotient_matrix
-    checked that the partition's generators are automorphisms of g and
-    ran BFS on g for D, so D is g's distance matrix and is invariant
-    under g's automorphisms. The candidates S are the integer roots of
+    checked that the partition's generators are automorphisms of g, and
+    Q's rows are sums of rows of g's distance matrix D, which is
+    invariant under g's automorphisms. Every row of D, and so of Q, sums
+    to rho under a transitive group, so rho is read from Q, and D, read
+    through quotient.source, is built by BFS only for an exact rank or
+    the residual factor. The candidates S are the integer roots of
     det(xI - Q), read from quotient.char_roots, which expands it once per
     quotient. When the product of (Q - lam I) over S annihilates the
     singleton cell's unit vector, S holds every eigenvalue of D, and
@@ -430,32 +439,28 @@ def distance_spectrum(
         if quotient is not None or transitive_gens is not None:
             raise InputError("quotient and transitive_gens need method 'quotient-assisted'")
         matrix = all_pairs_distances(g)
-    elif quotient is None or transitive_gens is None:
+        rho = max(matrix.row_sums())
+        if method == "rank-sweep":
+            return _ranked_spectrum(matrix, rho, _screened_range(matrix, rho))
+        return _char_poly_spectrum(matrix, rho)
+
+    if quotient is None or transitive_gens is None:
         raise InputError(
             "quotient-assisted method needs an orbit partition quotient and "
             "vertex-transitivity generators"
         )
-    elif quotient.graph != g:
+    if quotient.graph != g:
         raise InputError("quotient was built from another graph")
-    else:
-        matrix = quotient.source
-        if not is_vertex_transitive_under(g, transitive_gens):
-            raise AutomorphismError("graph is not vertex-transitive under the given generators")
-        singletons = quotient.partition.singleton_cells()
-        if not singletons:
-            raise InputError("orbit partition must contain a singleton cell")
-    rho = max(matrix.row_sums())
-
-    if method == "rank-sweep":
-        return _ranked_spectrum(matrix, rho, _screened_range(matrix, rho))
-
-    if method == "char-poly":
-        return _char_poly_spectrum(matrix, rho)
-
+    if not is_vertex_transitive_under(g, transitive_gens):
+        raise AutomorphismError("graph is not vertex-transitive under the given generators")
+    singletons = quotient.partition.singleton_cells()
+    if not singletons:
+        raise InputError("orbit partition must contain a singleton cell")
+    rho = max(quotient.matrix.row_sums())
     values = [lam for lam, _ in quotient.char_roots[0]]
     if not _annihilates(quotient.matrix, values, singletons[0]):
-        return _ranked_spectrum(matrix, rho, values)
-    return _moment_spectrum(matrix, quotient.matrix, singletons[0], rho, values)
+        return _ranked_spectrum(quotient.source, rho, values)
+    return _moment_spectrum(quotient, singletons[0], rho, values)
 
 
 def is_distance_integral(
@@ -542,11 +547,13 @@ def verify_lcr(n) -> IntegralityReport:
 
     Builds the graph, computes the stabilizer orbit partition and its
     quotient matrix (which checks the stabilizer generators are
-    automorphisms and runs the one BFS), checks the distances,
-    compares the quotient against the closed form, extracts its
+    automorphisms and runs BFS from the 7 cell representatives), checks
+    the distances on the quotient's source D (one BFS from every
+    vertex), compares the quotient against the closed form, extracts its
     eigenvalues exactly, and certifies the distance spectrum with
-    is_distance_integral on that same quotient (one BFS and one quotient
-    per n). The certified spectrum must equal the paper's closed form
+    is_distance_integral on that same quotient, whose exact rank reads
+    the same D (one quotient per n). The certified spectrum must equal
+    the paper's closed form
     (-1-n)^(n-1) (3-n)^(n-1) (-1)^((n-1)(n-2)/2) 1^(n(n-3)/2)
     (2n^2-4n+3)^1, equal values merged; the certificate's own checks
     follow these stages in the ledger. Any mismatch raises

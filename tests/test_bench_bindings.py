@@ -87,12 +87,15 @@ def test_every_pinned_span_fires_on_its_workload():
         pinned = {name for name, on in selftest.MUST_FIRE.items() if workload in on}
         missing += [f"{workload}: {name}" for name in sorted(pinned - fired)]
     assert missing == []
-    # verify-lcr --n 4..5: one BFS, one quotient and one det(xI - Q) per n
+    # verify-lcr --n 4..5, per n: the quotient's BFS from its 7 cell
+    # representatives, one BFS from every vertex for D, one quotient and
+    # one det(xI - Q)
     verify_calls = workload_calls["verify-lcr"]
-    assert verify_calls["graphs.bfs"] == 2
+    assert verify_calls["graphs.bfs"] == 4
     assert verify_calls["spectral.quotient"] == 2
     assert verify_calls["exactla.charpoly"] == 2
-    # quotient --n 5: the quotient's one BFS, and one quotient
+    # quotient --n 5: the quotient's one BFS from its 7 cell
+    # representatives, and one quotient; D is never built
     structure_calls = workload_calls["structure"]
     assert structure_calls["graphs.bfs"] == 1
     assert structure_calls["spectral.quotient"] == 1

@@ -559,6 +559,18 @@ class TestUsageErrors:
         assert status == 2
         assert "disconnected" in err
 
+    def test_disconnected_input_with_quotient_assisted(self, capsys, tmp_path):
+        # the quotient's first representative row shows the split, before
+        # transitivity (these generators have two orbits) is looked at
+        path = tmp_path / "split.edges"
+        path.write_text("p 4\ne 0 1\ne 2 3\n", encoding="utf-8")
+        status, out, err = run(
+            capsys, "spectrum", "--input", str(path), "--method", "quotient-assisted",
+            "--stabilizer-gens", "(3 4)", "--transitive-gens", "(1 3)(2 4)",
+        )
+        assert (status, out) == (2, "")
+        assert err == "error: graph is disconnected: no path between vertex 0 and 2\n"
+
     def test_quotient_assisted_unwired_family(self, capsys):
         for argv in (
             ("spectrum", "--family", "crown", "--n", "4"),

@@ -203,6 +203,13 @@ class TestDistances:
         with pytest.raises(DisconnectedGraphError, match="no path between"):
             all_pairs_distances(two_triangles)
 
+    def test_rows_of_given_sources_on_a_disconnected_graph_are_an_error(self):
+        # one row settles connectivity; the error names its source
+        two_triangles = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+        with pytest.raises(DisconnectedGraphError, match="between vertex 4 and 0") as info:
+            all_pairs_distances(two_triangles, [4, 1])
+        assert (info.value.u, info.value.v) == (4, 0)
+
     def test_distance_matrix_invariants_on_corpus(self, corpus):
         # symmetry and the triangle inequality, exhaustively
         for name, g, _, _ in corpus:

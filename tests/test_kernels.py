@@ -1,6 +1,7 @@
 """The three hot kernels, BFS, Bareiss and Berkowitz: hand-checked cases,
 the bitset BFS against a queue, and guards on how each kernel works."""
 
+import random
 import sys
 import tracemalloc
 from operator import mul
@@ -156,6 +157,28 @@ class TestPureKernels:
         for name, g in graphs:
             n = g.vertex_count
             assert bfs_all_pairs(n, g.adjacency) == bfs_reference(n, g.adjacency), name
+
+    @given(random_graphs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bfs_from_given_sources_returns_their_rows_in_order(self, g, data):
+        # each row is pre-filled with the previous source's commonest
+        # distance, so the order of the sources must not change a row
+        n = g.vertex_count
+        full = bfs_reference(n, g.adjacency)
+        sources = data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=n))
+        assert bfs_all_pairs(n, g.adjacency, sources) == [full[s] for s in sources]
+
+    def test_bfs_from_sources_in_descending_and_shuffled_order(self, corpus):
+        rng = random.Random(19)
+        graphs = [(name, g) for name, g, _, _ in corpus] + list(direction_graphs())
+        for name, g in graphs:
+            n = g.vertex_count
+            full = bfs_all_pairs(n, g.adjacency)
+            shuffled = list(range(n))
+            rng.shuffle(shuffled)
+            for sources in (list(range(n - 1, -1, -1)), shuffled, shuffled[: n // 3]):
+                rows = bfs_all_pairs(n, g.adjacency, sources)
+                assert rows == [full[s] for s in sources], (name, sources)
 
     def test_bfs_reads_each_neighbour_list_once_and_keeps_to_its_rows(self):
         # a queue walks every list once per source: 380 passes each on lcr(20);

@@ -1,10 +1,13 @@
 """Quotient matrices, the quotient-assisted certificate, and the spectrum pipeline."""
 
+import sys
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitspectra import spectral
+from orbitspectra import cli, spectral
 from orbitspectra.exactla import (
     IntMatrix,
     IntPolynomial,
@@ -99,6 +102,36 @@ class TestQuotientMatrix:
         cases += [(g, orbits(gens)) for g, gens in non_singleton_cycle_cases()]
         for g, pi in cases:
             assert quotient_matrix(g, pi).matrix == quotient_reference(g, pi), g
+
+    def test_quotient_command_never_builds_the_distance_matrix(self, monkeypatch, capsys):
+        searched = []
+        original = spectral.all_pairs_distances
+
+        def recording(g, sources=None):
+            searched.append(sources)
+            return original(g, sources)
+
+        monkeypatch.setattr(spectral, "all_pairs_distances", recording)
+        assert cli.main(["quotient", "--n", "8"]) == 0
+        assert "matches closed form: yes" in capsys.readouterr().out
+        reps = [cell[0] for cell in lcr_stabilizer_partition(8).cells]
+        assert searched == [reps] and len(reps) == 7
+
+    def test_quotient_allocates_no_square_matrix(self):
+        # one |V| x |V| matrix of row tuples is about 1.2 MB on lcr(20); the
+        # 7 rows searched, the neighbour masks and the automorphism check
+        # take about a sixteenth of that
+        g, pi = build_lcr(20), lcr_stabilizer_partition(20)
+        tracemalloc.start()
+        try:
+            q = quotient_matrix(g, pi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "source" not in vars(q)
+        d = q.source.entries
+        square = sys.getsizeof(d) + sum(map(sys.getsizeof, d))
+        assert peak <= square / 8, (peak, square)
 
     def test_lcr4_first_row(self):
         assert lcr_quotient(4).matrix.entries[0] == (0, 2, 4, 3, 4, 2, 4)
@@ -457,17 +490,25 @@ class TestVerifier:
 
     @pytest.mark.parametrize("n", range(4, 7))
     def test_one_bfs_and_one_quotient_per_n(self, n, monkeypatch):
+        # the quotient searches from its 7 cell representatives; D, which the
+        # distances stage and the exact rank share, costs one BFS from every
+        # vertex
         calls = []
         for name in ("all_pairs_distances", "quotient_matrix"):
             original = getattr(spectral, name)
 
             def counting(*args, _name=name, _original=original):
-                calls.append(_name)
+                calls.append((_name, args[1:]) if _name == "all_pairs_distances" else _name)
                 return _original(*args)
 
             monkeypatch.setattr(spectral, name, counting)
         verify_lcr(n)
-        assert sorted(calls) == ["all_pairs_distances", "quotient_matrix"]
+        reps = [cell[0] for cell in lcr_stabilizer_partition(n).cells]
+        assert calls == [
+            "quotient_matrix",
+            ("all_pairs_distances", (reps,)),
+            ("all_pairs_distances", ()),
+        ]
 
     def test_wrong_orbit_count_fails_at_its_own_stage(self, monkeypatch):
         monkeypatch.setattr(
