@@ -2,7 +2,14 @@
 
 Characteristic polynomials are computed with the division-free
 Berkowitz recurrence, ranks with fraction-free Bareiss elimination, so
-every intermediate value is an exact integer. Berkowitz needs R M^k C
+every intermediate value is an exact integer. Bareiss pivots on the
+candidate row with the fewest nonzero entries and rescales a row only
+when it is updated: each row keeps its own divisor, the pivot at its
+last update, because the per-step factors piv_k / piv_(k-1) of a row
+with a zero head telescope. A row that reaches zero is never touched
+again; on lcr(10)'s D + I (rank 54 of 90) the kernel makes 0.66x the
+products of rescaling every row at every step with the first nonzero
+row as pivot. Berkowitz needs R M^k C
 for each trailing block M with column C and row R; on symmetric input
 (every distance matrix) R = C^T and R M^k C = (M^i C)^T (M^j C) with
 i = k // 2, j = k - i, so about half the mat-vecs suffice.
@@ -190,12 +197,30 @@ def bareiss_echelon(rows):
 
     Returns (rank, sign, pivot_cols, echelon) where ``echelon`` is the
     integer row-echelon array after forward elimination and ``sign``
-    tracks row swaps. All intermediate divisions are exact. The pivot
-    rule is the first nonzero entry in column order.
+    tracks row swaps, so sign * echelon[n-1][pivot_cols[-1]] is the
+    determinant of square full-rank input. All divisions are exact.
+
+    Pivot columns are the first column, in order, with a nonzero entry in
+    a row not yet used; that column rank profile does not depend on which
+    row is used, so neither do rank and pivot_cols. The pivot row is the
+    candidate with the fewest nonzero entries, then the smallest |entry|,
+    then the lowest index: the sparsest row limits fill-in (Markowitz).
+
+    A row is scaled only when it is updated. Each row i keeps its divisor
+    d_i, the pivot at its last update (1 before any). One-step Bareiss
+    maps a row whose pivot-column entry is zero to x * piv_k / piv_(k-1);
+    over steps s..t these factors telescope to piv_t / d_i, so a row left
+    alone holds its true values times d_i / prev. An update with a
+    nonzero head therefore sets (piv * x - head * y) // d_i, the true next
+    minor, and d_i = piv; a stale row chosen as pivot row is first brought
+    up to date with x * prev // d_i. Rows left below the rank are zero,
+    stale or not, so none needs a final pass.
     """
     a = [list(row) for row in rows]
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
+    div = [1] * nrows
+    weight = [ncols - row.count(0) for row in a]
     pivot_cols = []
     sign = 1
     prev = 1
@@ -203,26 +228,36 @@ def bareiss_echelon(rows):
     for c in range(ncols):
         if r == nrows:
             break
-        k = r
-        while k < nrows and a[k][c] == 0:
-            k += 1
-        if k == nrows:
+        best = None
+        for i in range(r, nrows):
+            head = a[i][c]
+            if head:
+                key = (weight[i], abs(head * prev // div[i]))
+                if best is None or key < best:
+                    best, k = key, i
+        if best is None:
             continue
         if k != r:
             a[k], a[r] = a[r], a[k]
+            div[k], div[r] = div[r], div[k]
+            weight[k], weight[r] = weight[r], weight[k]
             sign = -sign
         arow = a[r]
+        if div[r] != prev:
+            d = div[r]
+            for j in range(c, ncols):
+                arow[j] = arow[j] * prev // d
         piv = arow[c]
         for i in range(r + 1, nrows):
             irow = a[i]
             head = irow[c]
-            if head == 0:
+            if head:
+                d = div[i]
                 for j in range(c + 1, ncols):
-                    irow[j] = (piv * irow[j]) // prev
-            else:
-                for j in range(c + 1, ncols):
-                    irow[j] = (piv * irow[j] - head * arow[j]) // prev
+                    irow[j] = (piv * irow[j] - head * arow[j]) // d
                 irow[c] = 0
+                div[i] = piv
+                weight[i] = ncols - irow.count(0)
         prev = piv
         pivot_cols.append(c)
         r += 1

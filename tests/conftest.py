@@ -7,6 +7,7 @@ everywhere and the three spectrum methods can be cross-validated.
 """
 
 from collections import deque
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -60,6 +61,26 @@ def det(m):
     if r < n:
         return 0
     return sign * ech[n - 1][pivot_cols[-1]]
+
+
+def fraction_rank(m):
+    """Rank of an IntMatrix by textbook Gaussian elimination over Fractions:
+    the oracle for exactla.rank and bareiss_echelon."""
+    rows = [[Fraction(x) for x in row] for row in m.entries]
+    r = 0
+    for c in range(m.cols):
+        pivot = next((i for i in range(r, m.rows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(m.rows):
+            if i != r and rows[i][c]:
+                factor = rows[i][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r
 
 
 def _check_pair(n, p):

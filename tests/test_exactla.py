@@ -5,8 +5,6 @@ polynomial is recomputed by cofactor expansion over polynomial entries,
 and ranks are recomputed by plain Gaussian elimination over Fractions.
 """
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -29,7 +27,7 @@ from orbitspectra.spectral import (
     quotient_matrix,
 )
 
-from conftest import det
+from conftest import det, fraction_rank
 
 small_entries = st.integers(min_value=-8, max_value=8)
 
@@ -98,25 +96,6 @@ def naive_char_poly(m):
         for i in range(n)
     ]
     return poly_det(cells)
-
-
-def fraction_rank(m):
-    """Rank by textbook Gaussian elimination over Fractions."""
-    rows = [[Fraction(x) for x in row] for row in m.entries]
-    r = 0
-    for c in range(m.cols):
-        pivot = next((i for i in range(r, m.rows) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m.rows):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-    return r
 
 
 class TestCharPoly:

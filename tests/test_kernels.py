@@ -1,5 +1,6 @@
 """The three hot kernels, BFS, Bareiss and Berkowitz: hand-checked cases,
-the bitset BFS against a queue, and guards on how each kernel works."""
+the bitset BFS against a queue, lazy Bareiss against the eager loop, and
+guards on how each kernel works."""
 
 import random
 import sys
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitspectra.exactla import (
+    IntMatrix,
     _block_plan,
     _flat_mat_vec,
     _value_columns,
@@ -26,7 +28,7 @@ from orbitspectra.graphs import (
     build_lcr,
 )
 
-from conftest import bfs_reference
+from conftest import bfs_reference, fraction_rank
 
 
 def entry_products(rows):
@@ -45,6 +47,75 @@ def entry_products(rows):
         __rmul__ = __mul__
 
     berkowitz_charpoly(type(rows)(type(row)(map(Entry, row)) for row in rows))
+    return tally[0]
+
+
+def eager_bareiss(rows):
+    """One-step Bareiss that rescales every row below the pivot at every
+    step, pivoting on the first row with a nonzero entry: the oracle for
+    bareiss_echelon's pivot columns and determinant."""
+    a = [list(row) for row in rows]
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    pivot_cols = []
+    sign = 1
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        k = r
+        while k < nrows and a[k][c] == 0:
+            k += 1
+        if k == nrows:
+            continue
+        if k != r:
+            a[k], a[r] = a[r], a[k]
+            sign = -sign
+        arow = a[r]
+        piv = arow[c]
+        for i in range(r + 1, nrows):
+            irow = a[i]
+            head = irow[c]
+            if head == 0:
+                for j in range(c + 1, ncols):
+                    irow[j] = (piv * irow[j]) // prev
+            else:
+                for j in range(c + 1, ncols):
+                    irow[j] = (piv * irow[j] - head * arow[j]) // prev
+                irow[c] = 0
+        prev = piv
+        pivot_cols.append(c)
+        r += 1
+    return r, sign, pivot_cols, a
+
+
+def all_products(kernel, rows):
+    """Every multiplication kernel(rows) makes: the entries become an int
+    subclass whose *, - and // return the subclass, so the products of
+    products are counted too."""
+    tally = [0]
+
+    class Entry(int):
+        def __mul__(self, other):
+            tally[0] += 1
+            return Entry(int.__mul__(self, other))
+
+        __rmul__ = __mul__
+
+        def __sub__(self, other):
+            return Entry(int.__sub__(self, other))
+
+        def __rsub__(self, other):
+            return Entry(int.__rsub__(self, other))
+
+        def __floordiv__(self, other):
+            return Entry(int.__floordiv__(self, other))
+
+        def __rfloordiv__(self, other):
+            return Entry(int.__rfloordiv__(self, other))
+
+    kernel([list(map(Entry, row)) for row in rows])
     return tally[0]
 
 
@@ -106,6 +177,40 @@ def random_graphs(draw):
         if component[u] >= 0 and component[u] == component[v] and rng.random() < density
     ]
     return Graph(n, edges)
+
+
+@st.composite
+def elimination_matrices(draw):
+    """Integer matrices of 1..8 rows and columns, square about half the
+    time, with small, negative and +-2^70 entries. A row is drawn, late,
+    and in half the matrices also zero or a combination of two earlier
+    rows. A late row is zero in its first columns, so its entry in the
+    pivot column stays zero for several steps and then becomes nonzero
+    while the row is stale; being sparse, it is often the pivot row too.
+    About half the examples bring a stale pivot row up to date, a quarter
+    update a stale row, and about one in eight is square of full rank."""
+    nrows = draw(st.integers(1, 8))
+    ncols = draw(st.one_of(st.just(nrows), st.integers(1, 8)))
+    entries = st.one_of(st.integers(-9, 9), st.sampled_from((2**70, -(2**70), 2**70 - 1)))
+    kinds = ("drawn", "late")
+    if draw(st.booleans()):
+        kinds += ("zero", "combination")
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "zero":
+            row = [0] * ncols
+        elif kind == "combination" and rows:
+            x, y = draw(st.lists(st.sampled_from(rows), min_size=2, max_size=2))
+            p, q = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2))
+            row = [p * u + q * v for u, v in zip(x, y)]
+        elif kind == "late":
+            lead = draw(st.integers(1, ncols))
+            row = [0] * lead + draw(st.lists(entries, min_size=ncols - lead, max_size=ncols - lead))
+        else:
+            row = draw(st.lists(entries, min_size=ncols, max_size=ncols))
+        rows.append(row)
+    return rows
 
 
 @st.composite
@@ -200,6 +305,44 @@ class TestPureKernels:
         assert r == 1
         assert pivots == [0]
         assert ech[1] == [0, 0]
+
+    def test_bareiss_on_rows_that_go_stale(self):
+        # row 2 is skipped at column 0 and updated at column 1 with its own
+        # divisor 1, not the previous pivot 2; row 3 is skipped twice and
+        # is then the sparsest candidate, so it pivots at column 2 once
+        # brought up to date
+        rows = [[2, 1, 1, 3], [4, 1, 3, 1], [0, 3, 1, 2], [0, 0, 5, 0]]
+        r, sign, pivots, ech = bareiss_echelon(rows)
+        assert (r, pivots) == (4, [0, 1, 2, 3])
+        oracle = eager_bareiss(rows)
+        assert sign * ech[3][3] == oracle[1] * oracle[3][3][3] == -130
+
+    @given(elimination_matrices())
+    @settings(max_examples=400, deadline=None)
+    def test_bareiss_equals_the_eager_loop(self, rows):
+        r, sign, pivots, ech = bareiss_echelon(rows)
+        _, o_sign, o_pivots, o_ech = eager_bareiss(rows)
+        assert r == fraction_rank(IntMatrix(rows))
+        assert pivots == o_pivots
+        n = len(rows)
+        if r == n == len(rows[0]):
+            assert sign * ech[-1][pivots[-1]] == o_sign * o_ech[-1][o_pivots[-1]]
+        for k, c in enumerate(pivots):
+            assert not any(ech[k][:c]), k
+            assert all(ech[i][c] == 0 for i in range(k + 1, n)), k
+        assert not any(map(any, ech[r:]))
+        # exact divisions keep the echelon rows in the input's row space
+        assert fraction_rank(IntMatrix(rows + ech)) == r
+
+    def test_bareiss_scales_only_the_rows_it_updates(self):
+        # lcr(10)'s D + I: 36 of its 90 rows go to zero and stay unscaled,
+        # and sparse pivot rows fill in less; the eager loop rescales every
+        # row at every step (0.66x measured)
+        rows = all_pairs_distances(build_lcr(10)).shift_diagonal(-1).entries
+        assert bareiss_echelon(rows)[0] == 54
+        lazy = all_products(bareiss_echelon, rows)
+        eager = all_products(eager_bareiss, rows)
+        assert lazy <= 0.75 * eager, (lazy, eager)
 
     def test_berkowitz_on_companion_like_matrix(self):
         # det(xI - [[0,1],[1,0]]) = x^2 - 1
