@@ -6,7 +6,6 @@ from orbitspectra.exactla import (
     char_poly,
     eigen_multiplicity,
     integer_roots,
-    rank,
 )
 from orbitspectra.graphs import (
     DisconnectedGraphError,

@@ -9,9 +9,7 @@ byte-identical across runs for identical inputs; timing goes to stderr.
 """
 
 import argparse
-import csv
 import io
-import json
 import sys
 import time
 
@@ -184,9 +182,17 @@ def _report_lines(report):
 
 
 def _emit_csv(header, rows, out):
+    import csv
+
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
+
+
+def _write_json(payload, out):
+    import json
+
+    out.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _parse_generator_list(text, degree):
@@ -226,7 +232,7 @@ def _write_reports(args, reports, out):
         payload = [report.to_json_dict() for _, report in reports]
         if args.command != "scan":
             payload = payload[0]
-        out.write(json.dumps(payload, indent=2) + "\n")
+        _write_json(payload, out)
     elif args.format == "csv":
         # CSV rows carry only integer eigenvalues, so a residual goes to stderr
         for _, r in reports:
@@ -297,7 +303,7 @@ def cmd_verify_lcr(args, out):
                     {"graph": f"lcr n={n}", "verified": False,
                      "stage": exc.stage, "detail": exc.detail}
                 )
-        out.write(json.dumps(payload, indent=2) + "\n")
+        _write_json(payload, out)
     elif args.format == "csv":
         # CSV rows carry only eigenvalues, so a refutation goes to stderr
         for n, report, exc in results:
@@ -334,7 +340,7 @@ def cmd_quotient(args, out):
             "closed_form": closed.to_decimal_rows(),
             "match": match,
         }
-        out.write(json.dumps(payload, indent=2) + "\n")
+        _write_json(payload, out)
     elif args.format == "csv":
         entries = q.matrix.entries
         rows = ((i, j, x) for i, row in enumerate(entries) for j, x in enumerate(row))
@@ -363,7 +369,7 @@ def cmd_distances(args, out):
             "labels": list(g.vertex_labels),
             "rows": d.entries,
         }
-        out.write(json.dumps(payload, indent=2) + "\n")
+        _write_json(payload, out)
     elif args.format == "csv":
         rows = ((u, v, x) for u, row in enumerate(d.entries) for v, x in enumerate(row))
         _emit_csv(("u", "v", "distance"), rows, out)
@@ -397,7 +403,7 @@ def cmd_check_dr(args, out):
                 "pair_b": [g.label(pair_b[0]), g.label(pair_b[1])],
                 "counts_b": list(counts_b),
             }
-        out.write(json.dumps(payload, indent=2) + "\n")
+        _write_json(payload, out)
     else:
         out.write(f"graph: {description}\n")
         if result.is_distance_regular:

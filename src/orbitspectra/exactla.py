@@ -70,17 +70,6 @@ class IntMatrix:
         """Largest entry (a distance matrix's diameter); 0 when there is none."""
         return max((max(row) for row in self.entries if row), default=0)
 
-    def shift_diagonal(self, lam):
-        """self - lam * I."""
-        if not self.is_square:
-            raise ValueError("diagonal shift of a non-square matrix")
-        return IntMatrix(
-            [
-                [x - lam if i == j else x for j, x in enumerate(row)]
-                for i, row in enumerate(self.entries)
-            ]
-        )
-
     def to_decimal_rows(self):
         """Rows as decimal strings, the JSON-safe serialization."""
         return [[str(x) for x in row] for row in self.entries]
@@ -454,19 +443,18 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     return IntPolynomial(berkowitz_charpoly(m.entries))
 
 
-def rank(m: IntMatrix) -> int:
-    """Rank over the rationals, by fraction-free elimination."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    r, _, _, _ = bareiss_echelon(m.entries)
-    return r
-
-
 def eigen_multiplicity(m: IntMatrix, lam) -> int:
-    """Geometric multiplicity of the integer lam: n - rank(m - lam I)."""
+    """Geometric multiplicity of the integer lam: n - rank(m - lam I).
+
+    The rank is Bareiss's over the rationals. The kernel reads m - lam I
+    as a stream of rows, made one at a time, so its working copy is the
+    only full copy of the shifted matrix.
+    """
     if not m.is_square:
         raise ValueError("eigenvalue multiplicity of a non-square matrix")
-    return m.rows - rank(m.shift_diagonal(lam))
+    shifted = (row[:i] + (row[i] - lam,) + row[i + 1:] for i, row in enumerate(m.entries))
+    r, _, _, _ = bareiss_echelon(shifted)
+    return m.rows - r
 
 
 def integer_roots(p: IntPolynomial, bound):

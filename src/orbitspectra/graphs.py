@@ -56,19 +56,31 @@ class Graph:
             raise ValueError("need exactly one label per vertex")
         if len(set(labels)) != vertex_count:
             raise ValueError("vertex labels must be pairwise distinct")
-        nbrs = [set() for _ in range(vertex_count)]
+        # one pass over the edges, which may be a stream, fills the rows;
+        # each row is then sorted and checked once. A self-loop (u, u)
+        # puts u twice in row u, and a duplicate edge (u, v), in either
+        # orientation, puts v twice in row u. An endpoint past the last
+        # row fails its own append; a negative one is checked per edge,
+        # since as an index it would file the edge under another row
+        nbrs = [[] for _ in range(vertex_count)]
         for u, v in edges:
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+            if u < 0 or v < 0:
                 raise ValueError(f"edge ({u},{v}) out of range")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if v in nbrs[u]:
+            try:
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+            except IndexError:
+                raise ValueError(f"edge ({u},{v}) out of range") from None
+        for u, row in enumerate(nbrs):
+            row.sort()
+            if len(set(row)) < len(row):
+                if u in row:
+                    raise ValueError(f"self-loop at vertex {u}")
+                v = next(a for a, b in zip(row, row[1:]) if a == b)
                 raise ValueError(f"duplicate edge ({u},{v})")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
         self.vertex_count = vertex_count
         self.vertex_labels = labels
-        self._adj = tuple(tuple(sorted(s)) for s in nbrs)
+        self._adj = tuple(map(tuple, nbrs))
 
     @property
     def adjacency(self):

@@ -7,9 +7,42 @@ and the induced permutations of pair vertices.
 """
 
 import re
-from dataclasses import dataclass, field
 
 from orbitspectra.graphs import InputError, pair_vertices
+
+
+class Frozen:
+    """Base of the package's immutable records, plain __slots__ classes.
+
+    A subclass lists its attributes in __slots__ and sets them once, in
+    __init__, through Frozen.__init__; _fields names those that ==, hash
+    and repr read. Equal records are of the same class.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init__(self, **values):
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, f) for f in self._fields))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
 class Permutation:
@@ -111,21 +144,18 @@ def parse_cycles(text, degree):
     return Permutation.from_cycles(cycles, degree)
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(Frozen):
     """A nonempty list of same-degree permutations generating a group."""
 
-    degree: int
-    generators: tuple
+    __slots__ = _fields = ("degree", "generators")
 
-    def __post_init__(self):
-        if not self.generators:
+    def __init__(self, degree, generators):
+        if not generators:
             raise ValueError("generator set must be nonempty")
-        for g in self.generators:
-            if g.degree != self.degree:
-                raise ValueError(
-                    f"generator degree {g.degree} != declared degree {self.degree}"
-                )
+        for g in generators:
+            if g.degree != degree:
+                raise ValueError(f"generator degree {g.degree} != declared degree {degree}")
+        super().__init__(degree=degree, generators=generators)
 
     @classmethod
     def of(cls, *gens):
@@ -133,14 +163,15 @@ class GeneratorSet:
         return cls(gens[0].degree, gens)
 
 
-@dataclass(frozen=True)
-class OrbitPartition:
+class OrbitPartition(Frozen):
     """Ordered disjoint cells covering {0..degree-1}, with reverse lookup;
     generators, set by orbits() only and ignored by ==, made the cells."""
 
-    cells: tuple
-    cell_of: tuple
-    generators: GeneratorSet = field(default=None, compare=False, repr=False)
+    __slots__ = ("cells", "cell_of", "generators")
+    _fields = ("cells", "cell_of")
+
+    def __init__(self, cells, cell_of, generators=None):
+        super().__init__(cells=cells, cell_of=cell_of, generators=generators)
 
     @classmethod
     def from_cells(cls, cells, generators=None):

@@ -18,9 +18,8 @@ cell, and D, the quotient's source, is built by a full BFS only when a
 stage reads it, as an exact rank does.
 """
 
-from dataclasses import dataclass, replace
-from functools import cached_property
 from operator import mul
+from typing import NamedTuple
 
 from orbitspectra.exactla import (
     SCREEN_PRIME,
@@ -40,6 +39,7 @@ from orbitspectra.graphs import (
 )
 from orbitspectra.perms import (
     AutomorphismError,
+    Frozen,
     OrbitPartition,
     check_automorphisms,
     is_vertex_transitive_under,
@@ -64,30 +64,37 @@ class VerificationError(ValueError):
         super().__init__(f"verification failed at stage '{stage}': {detail}")
 
 
-@dataclass(frozen=True)
-class QuotientMatrix:
+class QuotientMatrix(Frozen):
     """Cell-sum quotient of a graph's distance matrix over an orbit
     partition; source is that distance matrix, built on first read."""
 
-    matrix: IntMatrix
-    partition: OrbitPartition
-    graph: Graph
+    __slots__ = ("matrix", "partition", "graph", "_source", "_char_roots")
+    _fields = ("matrix", "partition", "graph")
 
-    @cached_property
+    def __init__(self, matrix: IntMatrix, partition: OrbitPartition, graph: Graph):
+        super().__init__(
+            matrix=matrix, partition=partition, graph=graph, _source=None, _char_roots=None
+        )
+
+    @property
     def source(self):
         """The graph's distance matrix D, by BFS from every vertex, once
         per quotient."""
-        return all_pairs_distances(self.graph)
+        if self._source is None:
+            object.__setattr__(self, "_source", all_pairs_distances(self.graph))
+        return self._source
 
-    @cached_property
+    @property
     def char_roots(self):
         """integer_roots of det(xI - Q), computed once per quotient: the
         sorted (root, multiplicity in Q) pairs and the residual factor."""
-        return integer_roots(char_poly(self.matrix), bound=max(self.matrix.row_sums()))
+        if self._char_roots is None:
+            roots = integer_roots(char_poly(self.matrix), bound=max(self.matrix.row_sums()))
+            object.__setattr__(self, "_char_roots", roots)
+        return self._char_roots
 
 
-@dataclass(frozen=True)
-class MomentSolve:
+class MomentSolve(NamedTuple):
     """How the quotient certificate reached its multiplicities: the values
     it ranked, the values it solved from tr D^k, and tr D^3 = |V| (Q^3)_ss,
     which the solved spectrum matched. The Perron value, taken as simple,
@@ -178,15 +185,13 @@ class Spectrum:
         return f"Spectrum({body}{tail})"
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class IntegralityReport:
+class IntegralityReport(NamedTuple):
     """Outcome of a distance-integrality computation, with its check ledger."""
 
     graph: str
@@ -637,4 +642,6 @@ def verify_lcr(n) -> IntegralityReport:
         list(spectrum.integer_part) == expected_d,
         f"certified {certified}; closed form {expected}",
     )
-    return replace(report, checks=tuple(checks) + report.checks)
+    return IntegralityReport(
+        report.graph, report.method, spectrum, tuple(checks) + report.checks
+    )

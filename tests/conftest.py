@@ -63,6 +63,25 @@ def det(m):
     return sign * ech[n - 1][pivot_cols[-1]]
 
 
+def rank(m):
+    """Rank of an IntMatrix over the rationals, by bareiss_echelon."""
+    if m.rows == 0 or m.cols == 0:
+        return 0
+    return bareiss_echelon(m.entries)[0]
+
+
+def shift_diagonal(m, lam):
+    """m - lam * I for a square IntMatrix m."""
+    if not m.is_square:
+        raise ValueError("diagonal shift of a non-square matrix")
+    return IntMatrix(
+        [
+            [x - lam if i == j else x for j, x in enumerate(row)]
+            for i, row in enumerate(m.entries)
+        ]
+    )
+
+
 def fraction_rank(m):
     """Rank of an IntMatrix by textbook Gaussian elimination over Fractions:
     the oracle for exactla.rank and bareiss_echelon."""

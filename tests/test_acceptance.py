@@ -14,7 +14,6 @@ from orbitspectra.exactla import (
     char_poly,
     eigen_multiplicity,
     integer_roots,
-    rank,
 )
 from orbitspectra.graphs import (
     all_pairs_distances,
@@ -42,7 +41,9 @@ from conftest import (
     along_cycle,
     is_isomorphism,
     reflection_perm,
+    rank,
     rotation_perm,
+    shift_diagonal,
     with_cell_indicators,
 )
 
@@ -224,7 +225,7 @@ def test_criterion_09_cell_sums_vanish_outside_quotient_spectrum(lcr_data):
         ]
         for lam in outside:
             # every lam-eigenvector sums to 0 on every cell
-            a = matrix.shift_diagonal(lam)
+            a = shift_diagonal(matrix, lam)
             assert rank(with_cell_indicators(a, pi)) == rank(a), (n, lam)
         # the singleton-cell transitive setup forces the two distinct
         # eigenvalue sets to coincide, so the loop above must be empty

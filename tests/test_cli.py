@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -361,7 +360,7 @@ class TestVerifyCommand:
 
         def misreported(*args, **kwargs):
             wrong = Spectrum(((-6, 4), (-2, 6), (-1, 3), (1, 6), (33, 1)), None, 20)
-            return replace(certify(*args, **kwargs), spectrum=wrong)
+            return certify(*args, **kwargs)._replace(spectrum=wrong)
 
         monkeypatch.setattr(spectral, "is_distance_integral", misreported)
         status, out, _ = run(capsys, "verify-lcr", "--n", "5")
@@ -670,6 +669,24 @@ def test_cli_start_up_imports_no_rational_arithmetic():
     out = subprocess.run(
         [sys.executable, "-c", probe],
         env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "[]\n"
+
+
+def test_cli_import_loads_no_format_or_introspection_modules():
+    # json and csv load in the writers that use them; no record type pulls
+    # in dataclasses, and with it inspect. -S keeps site's .pth imports out
+    src = os.path.dirname(os.path.dirname(orbitspectra.__file__))
+    probe = (
+        "import orbitspectra.cli, sys; "
+        "print(sorted(m for m in ('csv', 'dataclasses', 'inspect', 'json') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
         check=True,

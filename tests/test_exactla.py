@@ -5,6 +5,9 @@ polynomial is recomputed by cofactor expansion over polynomial entries,
 and ranks are recomputed by plain Gaussian elimination over Fractions.
 """
 
+import sys
+import tracemalloc
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -18,7 +21,6 @@ from orbitspectra.exactla import (
     charpoly_mod,
     eigen_multiplicity,
     integer_roots,
-    rank,
 )
 from orbitspectra.graphs import all_pairs_distances, build_lcr
 from orbitspectra.spectral import (
@@ -27,7 +29,7 @@ from orbitspectra.spectral import (
     quotient_matrix,
 )
 
-from conftest import det, fraction_rank
+from conftest import det, fraction_rank, rank, shift_diagonal
 
 small_entries = st.integers(min_value=-8, max_value=8)
 
@@ -270,7 +272,7 @@ class TestGroupedBerkowitz:
         p = IntPolynomial(berkowitz_charpoly(rows))
         assert p.degree == n and p.leading_coefficient == 1
         for x in range(n + 1):
-            assert p.evaluate(x) == (-1) ** n * det(m.shift_diagonal(x)), x
+            assert p.evaluate(x) == (-1) ** n * det(shift_diagonal(m, x)), x
 
 
 class TestSymmetricBerkowitz:
@@ -430,7 +432,7 @@ class TestRank:
 
     def test_perron_multiplicity_via_rank(self):
         d = all_pairs_distances(build_lcr(4))
-        assert rank(d.shift_diagonal(19)) == 11
+        assert rank(shift_diagonal(d, 19)) == 11
 
     @given(rect_matrices())
     @settings(max_examples=80, deadline=None)
@@ -458,6 +460,28 @@ class TestEigenMultiplicity:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             eigen_multiplicity(IntMatrix([[1, 2]]), 1)
+
+    def test_empty_matrix_has_no_eigenvalue(self):
+        assert eigen_multiplicity(IntMatrix([]), 0) == 0
+
+    def test_matches_the_rank_of_the_shifted_matrix(self):
+        d = all_pairs_distances(build_lcr(5))
+        for lam in range(-7, 35):
+            assert eigen_multiplicity(d, lam) == 20 - rank(shift_diagonal(d, lam)), lam
+
+    def test_shifted_rows_are_copied_once(self):
+        # Bareiss's working copy of D + I is one list per row, about the size
+        # of D's row tuples; a second full copy of the shifted rows would lift
+        # the peak above 3x
+        d = all_pairs_distances(build_lcr(13))
+        rows = sys.getsizeof(d.entries) + sum(map(sys.getsizeof, d.entries))
+        tracemalloc.start()
+        try:
+            assert eigen_multiplicity(d, -1) == 66
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * rows, (peak, rows)
 
     @given(st.lists(st.lists(small_entries, min_size=4, max_size=4), min_size=4, max_size=4))
     @settings(max_examples=40, deadline=None)
@@ -501,7 +525,7 @@ class TestIntMatrixType:
             IntMatrix([[1, 2], [3]])
 
     def test_shift_diagonal(self):
-        m = IntMatrix([[1, 2], [3, 4]]).shift_diagonal(1)
+        m = shift_diagonal(IntMatrix([[1, 2], [3, 4]]), 1)
         assert m.entries == ((0, 2), (3, 3))
 
     def test_row_sums_and_max_entry(self):

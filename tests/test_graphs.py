@@ -46,6 +46,37 @@ class TestGraphType:
         with pytest.raises(ValueError, match="duplicate"):
             Graph(3, [(0, 1), (1, 0)])
 
+    @pytest.mark.parametrize("edges", [[(2, 0), (1, 2), (2, 0)], [(2, 0), (1, 2), (0, 2)]])
+    def test_duplicate_is_found_in_either_orientation(self, edges):
+        with pytest.raises(ValueError, match=r"^duplicate edge \(0,2\)$"):
+            Graph(4, edges)
+
+    def test_self_loop_is_not_reported_as_a_duplicate(self):
+        # (3, 3) puts 3 twice in row 3, as a duplicate would
+        with pytest.raises(ValueError, match=r"^self-loop at vertex 3$"):
+            Graph(5, [(0, 1), (3, 3), (1, 4)])
+
+    @pytest.mark.parametrize(
+        "edge", [(-1, 2), (2, -1), (-4, 1), (-9, -7), (1, 4), (4, 1), (9, 0)]
+    )
+    def test_rejects_endpoint_out_of_range(self, edge):
+        # a negative endpoint must not wrap around to another vertex's row
+        u, v = edge
+        with pytest.raises(ValueError, match=rf"^edge \({u},{v}\) out of range$"):
+            Graph(4, [(0, 1), edge, (2, 3)])
+
+    def test_edges_are_read_once_from_a_stream(self):
+        reads = []
+
+        def stream():
+            for e in [(0, 1), (2, 1), (3, 0), (1, 3)]:
+                reads.append(e)
+                yield e
+
+        g = Graph(4, stream())
+        assert reads == [(0, 1), (2, 1), (3, 0), (1, 3)]
+        assert g.adjacency == ((1, 3), (0, 2, 3), (1,), (0, 1))
+
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValueError, match="distinct"):
             Graph(2, [], labels=["a", "a"])

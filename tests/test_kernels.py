@@ -28,7 +28,7 @@ from orbitspectra.graphs import (
     build_lcr,
 )
 
-from conftest import bfs_reference, fraction_rank
+from conftest import bfs_reference, fraction_rank, shift_diagonal
 
 
 def entry_products(rows):
@@ -338,7 +338,7 @@ class TestPureKernels:
         # lcr(10)'s D + I: 36 of its 90 rows go to zero and stay unscaled,
         # and sparse pivot rows fill in less; the eager loop rescales every
         # row at every step (0.66x measured)
-        rows = all_pairs_distances(build_lcr(10)).shift_diagonal(-1).entries
+        rows = shift_diagonal(all_pairs_distances(build_lcr(10)), -1).entries
         assert bareiss_echelon(rows)[0] == 54
         lazy = all_products(bareiss_echelon, rows)
         eager = all_products(eager_bareiss, rows)

@@ -151,6 +151,50 @@ class TestOrbits:
             OrbitPartition.from_cells([(0, 1), (1, 2)])
 
 
+class TestRecords:
+    """GeneratorSet and OrbitPartition: immutable, compared by value."""
+
+    def test_assignment_and_deletion_raise(self):
+        gens = lcr_stabilizer_gens(5)
+        pi = orbits(gens)
+        for record, name in ((gens, "degree"), (gens, "generators"), (pi, "cells"),
+                             (pi, "generators")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        with pytest.raises(AttributeError):
+            pi.extra = 1
+
+    def test_equal_values_compare_and_hash_equal(self):
+        a, b = lcr_stabilizer_gens(5), lcr_stabilizer_gens(5)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != lcr_stabilizer_gens(6) and a != lcr_automorphism_gens(5)
+        pa, pb = orbits(a), orbits(b)
+        assert pa == pb and hash(pa) == hash(pb)
+        assert pa != orbits(lcr_automorphism_gens(5))
+        # equality is per class, as a tuple of the same fields is not a record
+        assert a != (a.degree, a.generators) and pa != (pa.cells, pa.cell_of)
+
+    def test_partition_equality_ignores_generators(self):
+        gens = GeneratorSet.of(Permutation([1, 0, 2, 3]), Permutation([0, 1, 3, 2]))
+        other = GeneratorSet.of(Permutation([1, 0, 3, 2]), Permutation([0, 1, 3, 2]))
+        pi, rho = orbits(gens), orbits(other)
+        assert pi.generators != rho.generators
+        assert pi == rho and hash(pi) == hash(rho)
+        assert pi == OrbitPartition.from_cells(pi.cells)
+        assert "generators" not in repr(pi)
+
+    def test_generator_set_built_directly_is_validated(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            GeneratorSet(3, ())
+        with pytest.raises(ValueError, match="degree 4 != declared degree 3"):
+            GeneratorSet(3, (Permutation.identity(3), Permutation.identity(4)))
+        gens = GeneratorSet(3, (Permutation([1, 2, 0]),))
+        assert gens == GeneratorSet.of(Permutation([1, 2, 0]))
+        assert repr(gens) == "GeneratorSet(degree=3, generators=(Permutation((1 2 3)),))"
+
+
 class TestActions:
     def test_pair_action_of_identity(self):
         assert pair_action(Permutation.identity(4)) == Permutation.identity(12)

@@ -14,7 +14,6 @@ from orbitspectra.exactla import (
     char_poly,
     eigen_multiplicity,
     integer_roots,
-    rank,
 )
 from orbitspectra.graphs import (
     Graph,
@@ -35,6 +34,7 @@ from orbitspectra.perms import (
     orbits,
 )
 from orbitspectra.spectral import (
+    MomentSolve,
     Spectrum,
     VerificationError,
     distance_spectrum,
@@ -49,7 +49,9 @@ from conftest import (
     bfs_reference,
     quotient_reference,
     reflection_perm,
+    rank,
     rotation_perm,
+    shift_diagonal,
     with_cell_indicators,
 )
 
@@ -128,7 +130,7 @@ class TestQuotientMatrix:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert "source" not in vars(q)
+        assert q._source is None
         d = q.source.entries
         square = sys.getsizeof(d) + sum(map(sys.getsizeof, d))
         assert peak <= square / 8, (peak, square)
@@ -149,6 +151,35 @@ class TestQuotientMatrix:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="partition covers 5 vertices, graph has 4"):
             quotient_matrix(build_cycle(4), singletons_partition(5))
+
+    def test_quotient_is_an_immutable_record(self):
+        q, again = lcr_quotient(5), lcr_quotient(5)
+        assert q is not again and q == again
+        assert q != lcr_quotient(6)
+        assert q != (q.matrix, q.partition, q.graph)
+        for name in ("matrix", "partition", "graph", "source", "char_roots"):
+            with pytest.raises(AttributeError):
+                setattr(q, name, None)
+        assert repr(q).startswith("QuotientMatrix(matrix=IntMatrix(7x7), partition=")
+
+    def test_source_and_char_roots_are_computed_once(self, monkeypatch):
+        calls = []
+        for name in ("all_pairs_distances", "char_poly"):
+            original = getattr(spectral, name)
+
+            def counting(m, *args, _name=name, _original=original):
+                calls.append(_name if args in ((), (None,)) else "rows")
+                return _original(m, *args)
+
+            monkeypatch.setattr(spectral, name, counting)
+        q = lcr_quotient(6)
+        assert calls == ["rows"]
+        sources = [q.source for _ in range(3)]
+        roots = [q.char_roots for _ in range(3)]
+        assert calls == ["rows", "all_pairs_distances", "char_poly"]
+        assert sources[0] is sources[1] is sources[2]
+        assert roots[0] is roots[1] is roots[2]
+        assert sources[0] == all_pairs_distances(q.graph)
 
 
 class TestClosedFormQuotient:
@@ -201,7 +232,7 @@ class TestTheoremProperties:
                 if lam in q_values:
                     continue
                 found_any = True
-                a = d.shift_diagonal(lam)
+                a = shift_diagonal(d, lam)
                 assert rank(with_cell_indicators(a, pi)) == rank(a), lam
         assert found_any
 
@@ -214,7 +245,7 @@ class TestTheoremProperties:
             d, pi = q.source, q.partition
             q_poly = char_poly(q.matrix)
             for lam in distance_spectrum(build_lcr(n), "rank-sweep").distinct_values:
-                a = d.shift_diagonal(lam)
+                a = shift_diagonal(d, lam)
                 q_mult = 0
                 poly = q_poly
                 while True:
@@ -576,6 +607,26 @@ class TestIntegralityReports:
             "ranked -1; solved -6^4 -2^4 1^5 from tr D^k, k = 0..2; "
             "sum m lam^3 = |V| (Q^3)_ss = 35040"
         )
+
+    def test_reports_and_checks_are_immutable_records(self):
+        q = lcr_quotient(5)
+        report = is_distance_integral(
+            q.graph, "quotient-assisted", quotient=q, transitive_gens=lcr_automorphism_gens(5),
+        )
+        again = is_distance_integral(
+            q.graph, "quotient-assisted", quotient=q, transitive_gens=lcr_automorphism_gens(5),
+        )
+        moments, check = report.spectrum.moments, report.checks[0]
+        for record in (report, moments, check):
+            with pytest.raises(AttributeError):
+                setattr(record, record._fields[0], None)
+        assert report == again and report.checks == again.checks
+        assert moments == again.spectrum.moments and hash(moments) == hash(again.spectrum.moments)
+        assert check == again.checks[0] and hash(check) == hash(again.checks[0])
+        assert moments == MomentSolve((-1,), (-6, -2, 1), 35040)
+        relabelled = report._replace(graph="lcr five")
+        assert relabelled.graph == "lcr five" and report.graph != "lcr five"
+        assert relabelled.spectrum is report.spectrum and relabelled.checks is report.checks
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_crowns_are_integral(self, n):
