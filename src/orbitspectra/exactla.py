@@ -9,7 +9,13 @@ last update, because the per-step factors piv_k / piv_(k-1) of a row
 with a zero head telescope. A row that reaches zero is never touched
 again; on lcr(10)'s D + I (rank 54 of 90) the kernel makes 0.66x the
 products of rescaling every row at every step with the first nonzero
-row as pivot. Berkowitz needs R M^k C
+row as pivot. An eigenvalue multiplicity can be split by a checked
+involution t that the matrix commutes with: the nullity of m - lam I
+is the sum of the nullities of its blocks on t's +1 and -1
+eigenspaces, so a fixed-point-free t trades one rank of n for two of
+n / 2: summed over lcr(4..13)'s D + I under the coordinate swap, the
+block ranks take about 0.046 s against 0.12 s for the single ranks
+(2-core Xeon, Python 3.11). Berkowitz needs R M^k C
 for each trailing block M with column C and row R; on symmetric input
 (every distance matrix) R = C^T and R M^k C = (M^i C)^T (M^j C) with
 i = k // 2, j = k - i, so about half the mat-vecs suffice.
@@ -443,18 +449,60 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     return IntPolynomial(berkowitz_charpoly(m.entries))
 
 
-def eigen_multiplicity(m: IntMatrix, lam) -> int:
+def eigen_multiplicity(m: IntMatrix, lam, involution=None) -> int:
     """Geometric multiplicity of the integer lam: n - rank(m - lam I).
 
-    The rank is Bareiss's over the rationals. The kernel reads m - lam I
-    as a stream of rows, made one at a time, so its working copy is the
-    only full copy of the shifted matrix.
+    The ranks are Bareiss's over the rationals. involution, when given,
+    holds the images of a permutation t of range(n) with t(t(v)) = v and
+    m[t(u)][t(v)] = m[u][v]; both are checked exactly, and a failure
+    raises ValueError. m then keeps the +1 and -1 eigenspaces of t,
+    spanned by e_f (t(f) = f) and e_v + e_t(v), and by e_v - e_t(v), for
+    v < t(v). In those bases m - lam I is the direct sum of two blocks
+    whose nullities add: with F the fixed points and T the v < t(v),
+    the + block's row u in F + T reads [m_uF, m_uT + m_u,t(T)] (2 m_fT
+    on a fixed row), the - block's row v in T reads m_vT - m_v,t(T).
+    A fixed-point-free t gives two blocks of n / 2, about a quarter of
+    the elimination work of one rank of n. No involution is the single
+    + block m. The blocks are ranked one after the other, each read by
+    the kernel as a stream of shifted rows made one at a time, so the
+    kernel's working copy of one block is the only copy alive.
     """
     if not m.is_square:
         raise ValueError("eigenvalue multiplicity of a non-square matrix")
-    shifted = (row[:i] + (row[i] - lam,) + row[i + 1:] for i, row in enumerate(m.entries))
-    r, _, _, _ = bareiss_echelon(shifted)
-    return m.rows - r
+    rows, n = m.entries, m.rows
+    if involution is None:
+        t = range(n)
+    else:
+        t = tuple(involution)
+        if sorted(t) != list(range(n)) or tuple(map(t.__getitem__, t)) != tuple(range(n)):
+            raise ValueError(f"the images are not an involution of range({n})")
+        for u, row in enumerate(rows):
+            if tuple(map(row.__getitem__, t)) != rows[t[u]]:
+                raise ValueError(f"matrix does not commute with the involution at row {u}")
+    fixed = [v for v in range(n) if t[v] == v]
+    pairs = [v for v in range(n) if v < t[v]]
+    partners = [t[v] for v in pairs]
+
+    def shifted(block):
+        for k, row in enumerate(block):
+            row[k] -= lam
+            yield row
+
+    plus = (
+        [
+            *map(r.__getitem__, fixed),
+            *map(add, map(r.__getitem__, pairs), map(r.__getitem__, partners)),
+        ]
+        for r in map(rows.__getitem__, fixed + pairs)
+    )
+    minus = (
+        list(map(sub, map(r.__getitem__, pairs), map(r.__getitem__, partners)))
+        for r in map(rows.__getitem__, pairs)
+    )
+    rank = bareiss_echelon(shifted(plus))[0]
+    if pairs:
+        rank += bareiss_echelon(shifted(minus))[0]
+    return n - rank
 
 
 def integer_roots(p: IntPolynomial, bound):

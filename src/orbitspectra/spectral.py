@@ -11,14 +11,17 @@ Then the largest value is simple by Perron-Frobenius, the three other
 values of largest |lam| are solved exactly from the trace moments
 tr D^k = |V| (Q^k)_ss (k = 0, 1, 2), only the rest, small |lam| with
 large multiplicity, get an exact rank, and k = 3 cross-checks the
-result. That reduces a |V| x |V| spectrum problem to the quotient size
-plus at most a few exact rank computations. A QuotientMatrix is built
-from its graph: quotient_matrix searches from one representative per
-cell, and D, the quotient's source, is built by a full BFS only when a
-stage reads it, as an exact rank does.
+result. A rank is split in two when a transitive generator is an
+involution that D is checked to commute with: D - lam I is then the
+direct sum of its blocks on the generator's +1 and -1 eigenspaces,
+half the order each on lcr. That reduces a |V| x |V| spectrum problem
+to the quotient size plus at most a few exact rank computations. A
+QuotientMatrix is built from its graph: quotient_matrix searches from
+one representative per cell, and D, the quotient's source, is built by
+a full BFS only when a stage reads it, as an exact rank does.
 """
 
-from operator import mul
+from operator import eq, lt, mul
 from typing import NamedTuple
 
 from orbitspectra.exactla import (
@@ -98,11 +101,13 @@ class MomentSolve(NamedTuple):
     """How the quotient certificate reached its multiplicities: the values
     it ranked, the values it solved from tr D^k, and tr D^3 = |V| (Q^3)_ss,
     which the solved spectrum matched. The Perron value, taken as simple,
-    is the spectrum's largest value."""
+    is the spectrum's largest value. split, when a rank ran split by an
+    involutive generator, is (its index, + block order, - block order)."""
 
     ranked: tuple
     solved: tuple
     cubic: int
+    split: tuple = None
 
 
 class Spectrum:
@@ -288,8 +293,9 @@ def _screened_range(matrix, rho):
             yield lam
 
 
-def _ranked_spectrum(matrix, rho, candidates):
-    """Spectrum from exact ranks of the candidate eigenvalues.
+def _ranked_spectrum(matrix, rho, candidates, involution=None):
+    """Spectrum from exact ranks of the candidate eigenvalues, each split
+    by the involution (images) when one is given.
 
     Stops once the multiplicities reach the order: no further eigenvalue
     exists then. Otherwise det(xI - D) supplies the residual factor, and
@@ -299,7 +305,7 @@ def _ranked_spectrum(matrix, rho, candidates):
     pairs = []
     remaining = matrix.rows
     for lam in candidates:
-        mult = eigen_multiplicity(matrix, lam)
+        mult = eigen_multiplicity(matrix, lam, involution=involution)
         if mult:
             pairs.append((lam, mult))
             remaining -= mult
@@ -333,7 +339,22 @@ def _annihilates(q, values, cell):
     return not any(y)
 
 
-def _moment_spectrum(quotient, cell, rho, values):
+def _split_involution(gens):
+    """The involutive generator with the fewest fixed points, as (its
+    index, its images); None when no generator has order 2. On lcr the
+    coordinate swap, fixed-point-free, wins over the pair action of
+    (1 2)."""
+    best = None
+    for k, p in enumerate(gens.generators):
+        t = p.images
+        fixed = sum(map(eq, t, range(len(t))))
+        involutive = fixed < len(t) and tuple(map(t.__getitem__, t)) == tuple(range(len(t)))
+        if involutive and (best is None or fixed < best[0]):
+            best = fixed, k, t
+    return None if best is None else best[1:]
+
+
+def _moment_spectrum(quotient, cell, rho, values, split=None):
     """Spectrum of D, given that the ascending values hold all of spec(D).
 
     Every value is an eigenvalue of D (Qx = lam x gives D Px = lam Px),
@@ -348,7 +369,10 @@ def _moment_spectrum(quotient, cell, rho, values):
     Q: transitivity gives tr D^k = |V| (D^k)_vv, and D^k P = P Q^k (from
     DP = PQ, P the cell indicator matrix, P e_s = e_v) gives
     (D^k)_vv = (Q^k)_ss. One loop of mat-vecs Q^k e_s yields them all;
-    D, quotient.source, is read only for the exact ranks.
+    D, quotient.source, is read only for the exact ranks. split, from
+    _split_involution, is an involutive automorphism (index, images);
+    each rank then checks that D commutes with it and splits D - lam I
+    into its two eigenspace blocks (eigen_multiplicity).
 
     Of the other values, the three of largest |lam| (ties: the positive
     one) are solved from the power sums k = 0, 1, 2, less the Perron
@@ -374,7 +398,10 @@ def _moment_spectrum(quotient, cell, rho, values):
         raise ArithmeticError(f"largest candidate {top} is not the constant row sum {rho}")
     by_size = sorted(rest, key=lambda lam: (abs(lam), lam))
     solved, ranked = sorted(by_size[-3:]), sorted(by_size[:-3])
-    mult = {lam: eigen_multiplicity(quotient.source, lam) for lam in ranked}
+    involution = split and split[1]
+    mult = {
+        lam: eigen_multiplicity(quotient.source, lam, involution=involution) for lam in ranked
+    }
     mult[top] = 1
     q, order = quotient.matrix, quotient.graph.vertex_count
     power_sums = []
@@ -401,7 +428,12 @@ def _moment_spectrum(quotient, cell, rho, values):
             raise ArithmeticError(
                 f"spare moment k={k}: solved values give {spare}, tr D^{k} leaves {left[k]}"
             )
-    moments = MomentSolve(tuple(ranked), tuple(solved), power_sums[3])
+    blocks = None
+    if ranked and split:
+        k, t = split
+        pairs = sum(map(lt, range(order), t))
+        blocks = k, order - pairs, pairs
+    moments = MomentSolve(tuple(ranked), tuple(solved), power_sums[3], blocks)
     return Spectrum(sorted(mult.items()), None, order, power_sums[1], moments)
 
 
@@ -428,8 +460,12 @@ def distance_spectrum(
     singleton cell's unit vector, S holds every eigenvalue of D, and
     _moment_spectrum certifies the multiplicities from the moments
     |V| (Q^k)_ss with at most a few exact ranks (Spectrum.moments
-    records how). Otherwise every candidate is ranked. When the
-    certified multiplicities do not exhaust the order, rank-sweep and
+    records how). Otherwise every candidate is ranked. Either way a
+    rank is split by the involutive transitive generator with the
+    fewest fixed points, if there is one: eigen_multiplicity checks
+    that it is an involution and that D commutes with it (a failure is
+    a ValueError), and ranks D - lam I as two eigenspace blocks. When
+    the certified multiplicities do not exhaust the order, rank-sweep and
     quotient-assisted expand det(xI - D) for the residual factor and
     require its integer roots to equal the certified ones.
 
@@ -463,9 +499,10 @@ def distance_spectrum(
         raise InputError("orbit partition must contain a singleton cell")
     rho = max(quotient.matrix.row_sums())
     values = [lam for lam, _ in quotient.char_roots[0]]
+    split = _split_involution(transitive_gens)
     if not _annihilates(quotient.matrix, values, singletons[0]):
-        return _ranked_spectrum(quotient.source, rho, values)
-    return _moment_spectrum(quotient, singletons[0], rho, values)
+        return _ranked_spectrum(quotient.source, rho, values, split and split[1])
+    return _moment_spectrum(quotient, singletons[0], rho, values, split)
 
 
 def is_distance_integral(
@@ -490,9 +527,16 @@ def is_distance_integral(
         )
         used = len(moments.solved)
         solved = " ".join(f"{v}^{spectrum.multiplicity(v)}" for v in moments.solved)
+        ranked = f"ranked {' '.join(map(str, moments.ranked)) or 'none'}"
+        if moments.split:
+            k, plus, minus = moments.split
+            ranked += (
+                f" (blocks {plus} + {minus} under involutive generator #{k}, "
+                "commuting with D checked)"
+            )
         steps = [
             f"Perron value {spectrum.distinct_values[-1]} simple (D irreducible, constant row sums)",
-            f"ranked {' '.join(map(str, moments.ranked)) or 'none'}",
+            ranked,
             f"solved {solved} from tr D^k, k = 0..{used - 1}" if used else "solved none",
         ]
         if used < 3:
@@ -557,7 +601,8 @@ def verify_lcr(n) -> IntegralityReport:
     vertex), compares the quotient against the closed form, extracts its
     eigenvalues exactly, and certifies the distance spectrum with
     is_distance_integral on that same quotient, whose exact rank reads
-    the same D (one quotient per n). The certified spectrum must equal
+    the same D (one quotient per n), split by the coordinate swap into
+    two blocks of |V| / 2. The certified spectrum must equal
     the paper's closed form
     (-1-n)^(n-1) (3-n)^(n-1) (-1)^((n-1)(n-2)/2) 1^(n(n-3)/2)
     (2n^2-4n+3)^1, equal values merged; the certificate's own checks

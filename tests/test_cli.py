@@ -138,12 +138,26 @@ class TestSpectrumCommand:
         true_mult = spectral.eigen_multiplicity
         monkeypatch.setattr(
             spectral, "eigen_multiplicity",
-            lambda m, lam: 0 if lam == 12 else true_mult(m, lam),
+            lambda m, lam, involution=None: (
+                0 if lam == 12 else true_mult(m, lam, involution=involution)
+            ),
         )
         status, out, err = run(capsys, "spectrum", "--family", "cycle", "--n", "7")
         assert status == 3
         assert out == ""
         assert err.startswith("internal error: rank certification and characteristic")
+
+    def test_failed_split_premise_exits_three(self, capsys, monkeypatch):
+        # a transposition of two lcr(5) vertices is an involution that D
+        # does not commute with; the rank checks the premise and refuses it
+        bogus = (1, 0, *range(2, 20))
+        monkeypatch.setattr(spectral, "_split_involution", lambda gens: (2, bogus))
+        status, out, err = run(
+            capsys, "spectrum", "--family", "lcr", "--n", "5", "--method", "quotient-assisted"
+        )
+        assert status == 3
+        assert out == ""
+        assert err.startswith("internal error: ValueError: matrix does not commute")
 
     def test_broken_spectrum_invariant_exits_three(self, capsys, monkeypatch):
         # one root of multiplicity 1 and no residual cannot cover order 7;
@@ -180,7 +194,9 @@ class TestSpectrumCommand:
         true_mult = spectral.eigen_multiplicity
         monkeypatch.setattr(
             spectral, "eigen_multiplicity",
-            lambda m, lam: wrong_mult if lam == -1 else true_mult(m, lam),
+            lambda m, lam, involution=None: (
+                wrong_mult if lam == -1 else true_mult(m, lam, involution=involution)
+            ),
         )
         status, out, err = run(
             capsys, "spectrum", "--family", "lcr", "--n", "5", "--method", "quotient-assisted"

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from orbitspectra import exactla
 from orbitspectra.exactla import (
     SCREEN_PRIME,
     IntMatrix,
@@ -22,14 +23,15 @@ from orbitspectra.exactla import (
     eigen_multiplicity,
     integer_roots,
 )
-from orbitspectra.graphs import all_pairs_distances, build_lcr
+from orbitspectra.graphs import all_pairs_distances, build_circulant, build_cycle, build_lcr
+from orbitspectra.perms import Permutation, pair_action, swap_action
 from orbitspectra.spectral import (
     lcr_quotient_closed_form,
     lcr_stabilizer_partition,
     quotient_matrix,
 )
 
-from conftest import det, fraction_rank, rank, shift_diagonal
+from conftest import det, fraction_rank, rank, reflection_perm, shift_diagonal
 
 small_entries = st.integers(min_value=-8, max_value=8)
 
@@ -483,6 +485,22 @@ class TestEigenMultiplicity:
             tracemalloc.stop()
         assert peak <= 2.2 * rows, (peak, rows)
 
+    def test_split_rank_copies_half_of_d_at_a_time(self):
+        # the swap splits D + I into two 78-row blocks, ranked one after
+        # the other from streamed rows: the peak is one half-size working
+        # copy and its pivots' big ints, about 0.89x; materializing a
+        # block's shifted rows first reads about 1.19x
+        n = 13
+        d = all_pairs_distances(build_lcr(n))
+        rows = sys.getsizeof(d.entries) + sum(map(sys.getsizeof, d.entries))
+        tracemalloc.start()
+        try:
+            assert eigen_multiplicity(d, -1, involution=swap_action(n).images) == 66
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * rows, (peak, rows)
+
     @given(st.lists(st.lists(small_entries, min_size=4, max_size=4), min_size=4, max_size=4))
     @settings(max_examples=40, deadline=None)
     def test_matches_charpoly_factor_multiplicity_for_symmetric(self, raw):
@@ -499,6 +517,82 @@ class TestEigenMultiplicity:
                 factor_mult += 1
                 q = quo
             assert eigen_multiplicity(m, lam) == factor_mult
+
+
+def lcr_involutions(n):
+    """The coordinate swap (fixed-point-free) and the pair action of
+    (1 2), which fixes the (n - 2)(n - 3) pairs avoiding 1 and 2."""
+    return {
+        "swap": swap_action(n).images,
+        "pair (1 2)": pair_action(Permutation.from_cycles([[0, 1]], n)).images,
+    }
+
+
+class TestInvolutionSplit:
+    @pytest.mark.parametrize(
+        "d,involutions",
+        [
+            *(
+                pytest.param(all_pairs_distances(build_lcr(n)), lcr_involutions(n), id=f"lcr{n}")
+                for n in range(4, 8)
+            ),
+            # x -> -x fixes 0 on odd n, 0 and n / 2 on even n
+            *(
+                pytest.param(
+                    all_pairs_distances(build_cycle(n)),
+                    {"reflection": reflection_perm(n).images},
+                    id=f"cycle{n}",
+                )
+                for n in (7, 8)
+            ),
+            pytest.param(
+                all_pairs_distances(build_circulant(10, (1, 3))),
+                {"reflection": reflection_perm(10).images},
+                id="circulant10-1-3",
+            ),
+        ],
+    )
+    def test_split_agrees_with_the_single_block(self, d, involutions):
+        # every integer in [-rho, rho] under each involution; the single
+        # block is ranked at the eigenvalues, and elsewhere, D being
+        # symmetric, its nullity is the root multiplicity of det(xI - D)
+        rho = max(d.row_sums())
+        spectrum = dict(integer_roots(char_poly(d), bound=rho)[0])
+        for lam, mult in spectrum.items():
+            assert eigen_multiplicity(d, lam) == mult, lam
+        for name, t in involutions.items():
+            for lam in range(-rho, rho + 1):
+                assert eigen_multiplicity(d, lam, involution=t) == spectrum.get(lam, 0), (name, lam)
+
+    def test_identity_is_the_single_block(self, monkeypatch):
+        blocks = []
+        kernel = exactla.bareiss_echelon
+
+        def counting(rows):
+            rows = list(rows)
+            blocks.append(len(rows))
+            return kernel(rows)
+
+        monkeypatch.setattr(exactla, "bareiss_echelon", counting)
+        d = all_pairs_distances(build_lcr(5))
+        for lam in (-6, -2, -1, 1, 33, 0):
+            assert eigen_multiplicity(d, lam, involution=range(20)) == eigen_multiplicity(d, lam)
+        assert blocks == [20] * 12
+
+    @pytest.mark.parametrize(
+        "images,message",
+        [
+            pytest.param((1, 2, 0, 3, 4), "not an involution", id="three-cycle"),
+            pytest.param((1, 0, 2, 3), "not an involution", id="wrong-length"),
+            pytest.param((1, 0, 2, 3, 7), "not an involution", id="not-a-permutation"),
+            pytest.param((1, 0, 2, 3, 4), "does not commute", id="not-commuting"),
+        ],
+    )
+    def test_a_failed_premise_raises(self, images, message):
+        # the transposition (0 1) is no automorphism of the pentagon:
+        # D[0][2] = 2 but D[1][2] = 1
+        with pytest.raises(ValueError, match=message):
+            eigen_multiplicity(all_pairs_distances(build_cycle(5)), 1, involution=images)
 
 
 class TestPolynomialType:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitspectra import cli, spectral
+from orbitspectra import cli, exactla, spectral
 from orbitspectra.exactla import (
     IntMatrix,
     IntPolynomial,
@@ -308,9 +308,9 @@ class TestDistanceSpectrum:
     def test_screen_leaves_one_rank_per_eigenvalue(self, monkeypatch):
         calls = []
 
-        def counting(matrix, lam):
+        def counting(matrix, lam, involution=None):
             calls.append(lam)
-            return eigen_multiplicity(matrix, lam)
+            return eigen_multiplicity(matrix, lam, involution=involution)
 
         monkeypatch.setattr(spectral, "eigen_multiplicity", counting)
         s = distance_spectrum(build_lcr(5), "rank-sweep")
@@ -325,9 +325,9 @@ class TestDistanceSpectrum:
         # -1-n, 3-n and 1 come from tr D^k; lcr(4) has no fourth non-top value
         calls = []
 
-        def counting(matrix, lam):
+        def counting(matrix, lam, involution=None):
             calls.append(lam)
-            return eigen_multiplicity(matrix, lam)
+            return eigen_multiplicity(matrix, lam, involution=involution)
 
         monkeypatch.setattr(spectral, "eigen_multiplicity", counting)
         q = lcr_quotient(n)
@@ -369,9 +369,9 @@ class TestDistanceSpectrum:
     def test_heptagon_ranks_its_candidate_and_keeps_the_residual(self, monkeypatch):
         calls = []
 
-        def counting(matrix, lam):
+        def counting(matrix, lam, involution=None):
             calls.append(lam)
-            return eigen_multiplicity(matrix, lam)
+            return eigen_multiplicity(matrix, lam, involution=involution)
 
         monkeypatch.setattr(spectral, "eigen_multiplicity", counting)
         g = build_cycle(7)
@@ -385,6 +385,35 @@ class TestDistanceSpectrum:
         assert s.integer_part == ((12, 1),)
         assert s.residual.degree == 6
         assert s.moments is None
+
+    @pytest.mark.parametrize(
+        "name,blocks",
+        [
+            # the swap, generator #2, is fixed-point-free on lcr(5)'s 20 vertices
+            pytest.param("lcr5", [10, 10], id="lcr5-swap-halves"),
+            # a rotation of 7 points has order 7: no split
+            pytest.param("cycle7", [7], id="cycle7-single-block"),
+        ],
+    )
+    def test_ranks_split_by_the_involutive_generator(self, monkeypatch, name, blocks):
+        seen = []
+        kernel = exactla.bareiss_echelon
+
+        def counting(rows):
+            rows = list(rows)
+            seen.append(len(rows))
+            return kernel(rows)
+
+        monkeypatch.setattr(exactla, "bareiss_echelon", counting)
+        if name == "lcr5":
+            q, gens = lcr_quotient(5), lcr_automorphism_gens(5)
+        else:
+            g = build_cycle(7)
+            q = quotient_matrix(g, orbits(GeneratorSet.of(reflection_perm(7))))
+            gens = GeneratorSet.of(rotation_perm(7))
+        s = distance_spectrum(q.graph, "quotient-assisted", quotient=q, transitive_gens=gens)
+        assert seen == blocks
+        assert s == distance_spectrum(q.graph, "char-poly")
 
     def test_quotient_assisted_requires_inputs(self):
         g = build_lcr(4)
@@ -604,7 +633,8 @@ class TestIntegralityReports:
         # 4(-6)^3 + 4(-2)^3 + 6(-1)^3 + 5(1)^3 + 33^3 = 35040
         assert report.checks[1].detail == (
             "Perron value 33 simple (D irreducible, constant row sums); "
-            "ranked -1; solved -6^4 -2^4 1^5 from tr D^k, k = 0..2; "
+            "ranked -1 (blocks 10 + 10 under involutive generator #2, commuting with D "
+            "checked); solved -6^4 -2^4 1^5 from tr D^k, k = 0..2; "
             "sum m lam^3 = |V| (Q^3)_ss = 35040"
         )
 
@@ -623,7 +653,7 @@ class TestIntegralityReports:
         assert report == again and report.checks == again.checks
         assert moments == again.spectrum.moments and hash(moments) == hash(again.spectrum.moments)
         assert check == again.checks[0] and hash(check) == hash(again.checks[0])
-        assert moments == MomentSolve((-1,), (-6, -2, 1), 35040)
+        assert moments == MomentSolve((-1,), (-6, -2, 1), 35040, (2, 10, 10))
         relabelled = report._replace(graph="lcr five")
         assert relabelled.graph == "lcr five" and report.graph != "lcr five"
         assert relabelled.spectrum is report.spectrum and relabelled.checks is report.checks
