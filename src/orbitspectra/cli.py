@@ -248,9 +248,9 @@ def _write_reports(args, reports, out):
 
 def _single_n(args):
     if len(args.n_values) > 1:
-        raise UsageError(
-            f"{args.command} works on one graph; use scan for an n range"
-        )
+        if args.command == "spectrum":
+            raise UsageError("spectrum works on one graph; use scan for an n range")
+        raise UsageError(f"{args.command} takes one integer --n, not a range")
     return args.n_values[0] if args.n_values else None
 
 

@@ -131,12 +131,7 @@ def build_crown(n):
     if n < 3:
         raise InputError("crown graph defined for n >= 3")
     labels = [str(i) for i in range(1, n + 1)] + [f"x{j}" for j in range(1, n + 1)]
-    edges = [
-        (i, n + j)
-        for i in range(n)
-        for j in range(n)
-        if i != j
-    ]
+    edges = ((i, n + j) for i in range(n) for j in range(n) if i != j)
     return Graph(2 * n, edges, labels)
 
 
@@ -156,11 +151,15 @@ def build_circulant(n, connections):
     for c in conns:
         if not (1 <= c <= n // 2):
             raise InputError(f"connection {c} outside 1..{n // 2}")
-    edges = set()
-    for v in range(n):
+
+    def edges():
+        # streamed, each edge once: the chord c = n/2 joins v and v + c
+        # from both ends, so it is emitted from v < c only
         for c in conns:
-            edges.add(tuple(sorted((v, (v + c) % n))))
-    return Graph(n, sorted(edges))
+            for v in range(c if 2 * c == n else n):
+                yield v, (v + c) % n
+
+    return Graph(n, edges())
 
 
 def build_complete(n):
@@ -204,34 +203,39 @@ def build_johnson(n, k):
 
     verts = sorted(combinations(range(1, n + 1), k), key=lambda s: tuple(reversed(s)))
     index = {s: t for t, s in enumerate(verts)}
-    edges = []
-    for t, s in enumerate(verts):
-        inside = set(s)
-        for drop in s:
-            for add in range(1, n + 1):
-                if add not in inside:
-                    other = tuple(sorted(inside - {drop} | {add}))
-                    t2 = index[other]
-                    if t2 > t:
-                        edges.append((t, t2))
+
+    def edges():
+        # streamed, each edge once: (drop, add) names the neighbour
+        for t, s in enumerate(verts):
+            inside = set(s)
+            for drop in s:
+                for add in range(1, n + 1):
+                    if add not in inside:
+                        t2 = index[tuple(sorted(inside - {drop} | {add}))]
+                        if t2 > t:
+                            yield t, t2
+
     labels = ["{" + ",".join(str(x) for x in s) + "}" for s in verts]
-    return Graph(len(verts), sorted(set(edges)), labels)
+    return Graph(len(verts), edges(), labels)
 
 
 def build_line_graph(g):
     """Line graph: one vertex per edge of g, adjacent iff the edges share an endpoint."""
     base_edges = g.edges()
     index = {e: k for k, e in enumerate(base_edges)}
-    edges = []
-    for k, (u, v) in enumerate(base_edges):
-        for w in (u, v):
-            for x in g.adjacency[w]:
-                other = (w, x) if w < x else (x, w)
-                k2 = index[other]
-                if k2 > k:
-                    edges.append((k, k2))
+
+    def edges():
+        # streamed, each edge once: two edges of a simple graph share at
+        # most one endpoint w
+        for k, (u, v) in enumerate(base_edges):
+            for w in (u, v):
+                for x in g.adjacency[w]:
+                    k2 = index[(w, x) if w < x else (x, w)]
+                    if k2 > k:
+                        yield k, k2
+
     labels = ["{" + g.label(u) + "," + g.label(v) + "}" for u, v in base_edges]
-    return Graph(len(base_edges), sorted(set(edges)), labels)
+    return Graph(len(base_edges), edges(), labels)
 
 
 def bfs_all_pairs(n, adj, sources=None):

@@ -61,19 +61,20 @@ class Permutation:
         return cls(range(degree))
 
     @classmethod
-    def from_cycles(cls, cycles, degree):
-        """Build from disjoint cycles of 0-based points; fixed points implied."""
+    def from_cycles(cls, cycles, degree, base=0):
+        """Build from disjoint cycles of points numbered from base (0 or 1);
+        fixed points implied. Errors name the points as numbered."""
         images = list(range(degree))
         seen = set()
         for cyc in cycles:
             for p in cyc:
-                if not 0 <= p < degree:
-                    raise InputError(f"point {p} outside 0..{degree - 1}")
+                if not base <= p < base + degree:
+                    raise InputError(f"point {p} outside {base}..{base + degree - 1}")
                 if p in seen:
                     raise InputError(f"point {p} repeated across cycles")
                 seen.add(p)
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                images[a] = b
+                images[a - base] = b - base
         return cls(images)
 
     @property
@@ -137,11 +138,11 @@ def parse_cycles(text, degree):
         if not points:
             continue
         try:
-            cyc = [int(p) - 1 for p in points]
+            cyc = [int(p) for p in points]
         except ValueError:
             raise InputError(f"non-integer point in cycle: {body!r}") from None
         cycles.append(cyc)
-    return Permutation.from_cycles(cycles, degree)
+    return Permutation.from_cycles(cycles, degree, base=1)
 
 
 class GeneratorSet(Frozen):

@@ -15,7 +15,10 @@ result. A rank is split in two when a transitive generator is an
 involution that D is checked to commute with: D - lam I is then the
 direct sum of its blocks on the generator's +1 and -1 eigenspaces,
 half the order each on lcr. That reduces a |V| x |V| spectrum problem
-to the quotient size plus at most a few exact rank computations. A
+to the quotient size plus at most a few exact rank computations. When
+the product does not send e_s to zero, D has an eigenvalue outside the
+integers, and nothing is ranked: det(xI - D) gives the spectrum, and
+its integer roots must lie among those of det(xI - Q). A
 QuotientMatrix is built from its graph: quotient_matrix searches from
 one representative per cell, and D, the quotient's source, is built by
 a full BFS only when a stage reads it, as an exact rank does.
@@ -171,10 +174,7 @@ class Spectrum:
         return tuple(v for v, _ in self.integer_part)
 
     def multiplicity(self, lam):
-        for v, m in self.integer_part:
-            if v == lam:
-                return m
-        return 0
+        return dict(self.integer_part).get(lam, 0)
 
     def __eq__(self, other):
         return (
@@ -293,9 +293,8 @@ def _screened_range(matrix, rho):
             yield lam
 
 
-def _ranked_spectrum(matrix, rho, candidates, involution=None):
-    """Spectrum from exact ranks of the candidate eigenvalues, each split
-    by the involution (images) when one is given.
+def _ranked_spectrum(matrix, rho, candidates):
+    """Spectrum from exact ranks of the candidate eigenvalues (rank-sweep).
 
     Stops once the multiplicities reach the order: no further eigenvalue
     exists then. Otherwise det(xI - D) supplies the residual factor, and
@@ -305,7 +304,7 @@ def _ranked_spectrum(matrix, rho, candidates, involution=None):
     pairs = []
     remaining = matrix.rows
     for lam in candidates:
-        mult = eigen_multiplicity(matrix, lam, involution=involution)
+        mult = eigen_multiplicity(matrix, lam)
         if mult:
             pairs.append((lam, mult))
             remaining -= mult
@@ -344,17 +343,16 @@ def _split_involution(gens):
     index, its images); None when no generator has order 2. On lcr the
     coordinate swap, fixed-point-free, wins over the pair action of
     (1 2)."""
-    best = None
-    for k, p in enumerate(gens.generators):
-        t = p.images
-        fixed = sum(map(eq, t, range(len(t))))
-        involutive = fixed < len(t) and tuple(map(t.__getitem__, t)) == tuple(range(len(t)))
-        if involutive and (best is None or fixed < best[0]):
-            best = fixed, k, t
-    return None if best is None else best[1:]
+    identity = tuple(range(gens.degree))
+    involutions = [
+        (sum(map(eq, t, identity)), k, t)
+        for k, t in enumerate(p.images for p in gens.generators)
+        if t != identity and tuple(map(t.__getitem__, t)) == identity
+    ]
+    return min(involutions)[1:] if involutions else None
 
 
-def _moment_spectrum(quotient, cell, rho, values, split=None):
+def _moment_spectrum(quotient, cell, rho, values, gens):
     """Spectrum of D, given that the ascending values hold all of spec(D).
 
     Every value is an eigenvalue of D (Qx = lam x gives D Px = lam Px),
@@ -369,10 +367,11 @@ def _moment_spectrum(quotient, cell, rho, values, split=None):
     Q: transitivity gives tr D^k = |V| (D^k)_vv, and D^k P = P Q^k (from
     DP = PQ, P the cell indicator matrix, P e_s = e_v) gives
     (D^k)_vv = (Q^k)_ss. One loop of mat-vecs Q^k e_s yields them all;
-    D, quotient.source, is read only for the exact ranks. split, from
-    _split_involution, is an involutive automorphism (index, images);
-    each rank then checks that D commutes with it and splits D - lam I
-    into its two eigenspace blocks (eigen_multiplicity).
+    D, quotient.source, is read only for the exact ranks. When a value is
+    ranked, _split_involution picks an involutive generator from gens,
+    the checked transitive generators, if there is one; each rank then
+    checks that D commutes with it and splits D - lam I into its two
+    eigenspace blocks (eigen_multiplicity).
 
     Of the other values, the three of largest |lam| (ties: the positive
     one) are solved from the power sums k = 0, 1, 2, less the Perron
@@ -398,12 +397,17 @@ def _moment_spectrum(quotient, cell, rho, values, split=None):
         raise ArithmeticError(f"largest candidate {top} is not the constant row sum {rho}")
     by_size = sorted(rest, key=lambda lam: (abs(lam), lam))
     solved, ranked = sorted(by_size[-3:]), sorted(by_size[:-3])
-    involution = split and split[1]
+    q, order = quotient.matrix, quotient.graph.vertex_count
+    involution = blocks = None
+    split = ranked and _split_involution(gens)
+    if split:
+        k, involution = split
+        pairs = sum(map(lt, range(order), involution))
+        blocks = k, order - pairs, pairs
     mult = {
         lam: eigen_multiplicity(quotient.source, lam, involution=involution) for lam in ranked
     }
     mult[top] = 1
-    q, order = quotient.matrix, quotient.graph.vertex_count
     power_sums = []
     y = [0] * q.rows
     y[cell] = 1
@@ -428,11 +432,6 @@ def _moment_spectrum(quotient, cell, rho, values, split=None):
             raise ArithmeticError(
                 f"spare moment k={k}: solved values give {spare}, tr D^{k} leaves {left[k]}"
             )
-    blocks = None
-    if ranked and split:
-        k, t = split
-        pairs = sum(map(lt, range(order), t))
-        blocks = k, order - pairs, pairs
     moments = MomentSolve(tuple(ranked), tuple(solved), power_sums[3], blocks)
     return Spectrum(sorted(mult.items()), None, order, power_sums[1], moments)
 
@@ -460,14 +459,25 @@ def distance_spectrum(
     singleton cell's unit vector, S holds every eigenvalue of D, and
     _moment_spectrum certifies the multiplicities from the moments
     |V| (Q^k)_ss with at most a few exact ranks (Spectrum.moments
-    records how). Otherwise every candidate is ranked. Either way a
-    rank is split by the involutive transitive generator with the
-    fewest fixed points, if there is one: eigen_multiplicity checks
-    that it is an involution and that D commutes with it (a failure is
-    a ValueError), and ranks D - lam I as two eigenspace blocks. When
-    the certified multiplicities do not exhaust the order, rank-sweep and
-    quotient-assisted expand det(xI - D) for the residual factor and
-    require its integer roots to equal the certified ones.
+    records how). A rank is split by the involutive transitive generator
+    with the fewest fixed points, if there is one: eigen_multiplicity
+    checks that it is an involution and that D commutes with it (a
+    failure is a ValueError), and ranks D - lam I as two eigenspace
+    blocks.
+
+    Otherwise D has an eigenvalue outside the integers, and nothing is
+    ranked: det(xI - D) gives the spectrum. Under these premises spec(D)
+    and spec(Q) are equal as sets. Qx = lam x gives D Px = lam Px. For
+    an eigenvalue mu of D with spectral idempotent E, each stabilizer
+    generator fixes the singleton vertex v and commutes with E, so
+    E e_v = Px for some x; DP = PQ gives Qx = mu x, and transitivity
+    gives E_vv = m_mu / |V| > 0, so x != 0. Hence S annihilates exactly
+    when D is integral, and D's integer eigenvalues lie in S. The route
+    requires det(xI - D) to have a residual factor and its integer roots
+    to lie in S; otherwise it raises ArithmeticError. rank-sweep, when
+    its ranks do not exhaust the order, expands det(xI - D) for the
+    residual factor and requires its integer roots to equal the ranked
+    ones.
 
     quotient and transitive_gens belong to quotient-assisted; passing
     either with another method, or a premise quotient-assisted misses,
@@ -499,10 +509,15 @@ def distance_spectrum(
         raise InputError("orbit partition must contain a singleton cell")
     rho = max(quotient.matrix.row_sums())
     values = [lam for lam, _ in quotient.char_roots[0]]
-    split = _split_involution(transitive_gens)
-    if not _annihilates(quotient.matrix, values, singletons[0]):
-        return _ranked_spectrum(quotient.source, rho, values, split and split[1])
-    return _moment_spectrum(quotient, singletons[0], rho, values, split)
+    if _annihilates(quotient.matrix, values, singletons[0]):
+        return _moment_spectrum(quotient, singletons[0], rho, values, transitive_gens)
+    spectrum = _char_poly_spectrum(quotient.source, rho)
+    if spectrum.is_integral or not set(spectrum.distinct_values) <= set(values):
+        raise ArithmeticError(
+            f"det(xI - D) has integer roots {list(spectrum.distinct_values)}, residual degree "
+            f"{spectrum.residual_degree}; e_s not annihilated: need a residual and roots in {values}"
+        )
+    return spectrum
 
 
 def is_distance_integral(
@@ -517,14 +532,11 @@ def is_distance_integral(
     moments = spectrum.moments
     if moments is not None:
         degree = len(spectrum.integer_part)
-        checks.append(
-            Check(
-                "annihilates",
-                True,
-                f"degree-{degree} product of (Q - lam I) sends e_s to 0, "
-                f"so spec(D) lies among its {degree} roots",
-            )
+        detail = (
+            f"degree-{degree} product of (Q - lam I) sends e_s to 0, "
+            f"so spec(D) lies among its {degree} roots"
         )
+        checks.append(Check("annihilates", True, detail))
         used = len(moments.solved)
         solved = " ".join(f"{v}^{spectrum.multiplicity(v)}" for v in moments.solved)
         ranked = f"ranked {' '.join(map(str, moments.ranked)) or 'none'}"
@@ -543,6 +555,14 @@ def is_distance_integral(
             steps.append(f"spare moments k = {used}..2 agree")
         steps.append(f"sum m lam^3 = |V| (Q^3)_ss = {moments.cubic}")
         checks.append(Check("moments", True, "; ".join(steps)))
+    elif method == "quotient-assisted":
+        d = len(quotient.char_roots[0])
+        detail = (
+            f"product of (Q - lam I) over det(xI - Q)'s {d} integer roots leaves e_s nonzero, "
+            f"so D has an eigenvalue outside the integers; det(xI - D)'s integer roots lie "
+            f"among those {d}"
+        )
+        checks.append(Check("roots-among-quotient", True, detail))
     checks += [
         Check(
             "spectrum-complete",

@@ -147,6 +147,44 @@ class TestSpectrumCommand:
         assert out == ""
         assert err.startswith("internal error: rank certification and characteristic")
 
+    @pytest.mark.parametrize(
+        "family,patch,message",
+        [
+            # the heptagon's 12 leaves e_s nonzero; a stand-in det(xI - D) =
+            # (x - 12)(x + 2)(x^5 + 10x^4 + 1), of the right order and trace,
+            # keeps a residual but gains the root -2
+            pytest.param(
+                ("cycle", "--n", "7", "--stabilizer-gens", "(2 7)(3 6)(4 5)",
+                 "--transitive-gens", "(1 2 3 4 5 6 7)"),
+                "char_poly",
+                "det(xI - D) has integer roots [-2, 12], residual degree 5; "
+                "e_s not annihilated: need a residual and roots in [12]",
+                id="root-outside-the-quotients",
+            ),
+            # lcr(5) is integral, so a failed annihilation there is a contradiction
+            pytest.param(
+                ("lcr", "--n", "5"),
+                "_annihilates",
+                "det(xI - D) has integer roots [-6, -2, -1, 1, 33], residual degree 0; "
+                "e_s not annihilated: need a residual and roots in [-6, -2, -1, 1, 33]",
+                id="no-residual",
+            ),
+        ],
+    )
+    def test_d_against_q_roots_exits_three(self, capsys, monkeypatch, family, patch, message):
+        true_char_poly = spectral.char_poly
+        stand_in = IntPolynomial.from_roots([12, -2]).multiply(IntPolynomial([1, 0, 0, 0, 10, 1]))
+        stand_ins = {
+            "char_poly": lambda m: stand_in if m.rows == 7 else true_char_poly(m),
+            "_annihilates": lambda q, values, cell: False,
+        }
+        monkeypatch.setattr(spectral, patch, stand_ins[patch])
+        status, out, err = run(
+            capsys, "spectrum", "--family", *family, "--method", "quotient-assisted"
+        )
+        assert (status, out) == (3, "")
+        assert err == f"internal error: {message}\n"
+
     def test_failed_split_premise_exits_three(self, capsys, monkeypatch):
         # a transposition of two lcr(5) vertices is an involution that D
         # does not commute with; the rank checks the premise and refuses it
@@ -603,6 +641,43 @@ class TestUsageErrors:
         ):
             status, _, err = run(capsys, *argv)
             assert status == 2, argv
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("spectrum", "--family", "cycle", "--n", "4..5"),
+             "spectrum works on one graph; use scan for an n range"),
+            (("quotient", "--n", "4..5"), "quotient takes one integer --n, not a range"),
+            (("distances", "--family", "cycle", "--n", "4..5"),
+             "distances takes one integer --n, not a range"),
+            (("check-dr", "--family", "cycle", "--n", "4..5"),
+             "check-dr takes one integer --n, not a range"),
+        ],
+        ids=["spectrum", "quotient", "distances", "check-dr"],
+    )
+    def test_only_spectrum_points_a_range_to_scan(self, capsys, argv, message):
+        # scan computes spectra only
+        status, out, err = run(capsys, *argv)
+        assert (status, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "gens,message",
+        [
+            ("(2 7)", "point 7 outside 1..6"),
+            ("(2 6)(6 3)", "point 6 repeated across cycles"),
+            ("(0 1)", "point 0 outside 1..6"),
+        ],
+        ids=["past-the-end", "repeated", "zero"],
+    )
+    def test_generator_points_are_reported_as_typed(self, capsys, gens, message):
+        status, out, err = run(
+            capsys,
+            "spectrum", "--family", "cycle", "--n", "6", "--method", "quotient-assisted",
+            "--stabilizer-gens", gens, "--transitive-gens", "(1 2 3 4 5 6)",
+        )
+        assert (status, out) == (2, "")
+        assert err == f"error: {message}\n"
 
     def test_group_options_are_never_ignored(self, capsys):
         for argv in (

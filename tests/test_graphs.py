@@ -1,5 +1,7 @@
 """Graph builders, BFS distances, and structural predicates."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -196,6 +198,38 @@ class TestBuilders:
             build_circulant(8, (5,))
         with pytest.raises(ValueError, match="nonempty"):
             build_circulant(8, ())
+
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_circulant_matches_its_definition(self, n):
+        # every connection set, so each even n takes the chord c = n/2 too
+        half = n // 2
+        for r in range(1, half + 1):
+            for conns in combinations(range(1, half + 1), r):
+                pairs = combinations(range(n), 2)
+                expected = Graph(n, [(u, v) for u, v in pairs if min(v - u, n - v + u) in conns])
+                assert build_circulant(n, conns) == expected, conns
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_johnson_and_line_graphs_match_their_definitions(self, n):
+        def line_graph(g):
+            base = g.edges()
+            labels = ["{" + g.label(u) + "," + g.label(v) + "}" for u, v in base]
+            pairs = combinations(range(len(base)), 2)
+            shared = [(a, b) for a, b in pairs if set(base[a]) & set(base[b])]
+            return Graph(len(base), shared, labels)
+
+        for k in range(1, n):
+            verts = sorted(combinations(range(1, n + 1), k), key=lambda s: s[::-1])
+            labels = ["{" + ",".join(map(str, s)) + "}" for s in verts]
+            pairs = combinations(range(len(verts)), 2)
+            shares = [(a, b) for a, b in pairs if len(set(verts[a]) & set(verts[b])) == k - 1]
+            g = build_johnson(n, k)
+            assert g == Graph(len(verts), shares, labels), k
+            assert build_line_graph(g) == line_graph(g), k
+        if n >= 3:
+            for g in (build_crown(n), build_cycle(n)):
+                assert build_line_graph(g) == line_graph(g)
 
 
 class TestDistances:

@@ -2,6 +2,7 @@
 
 import sys
 import tracemalloc
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from orbitspectra.perms import (
     Permutation,
     lcr_automorphism_gens,
     orbits,
+    pair_action,
 )
 from orbitspectra.spectral import (
     MomentSolve,
@@ -305,6 +307,40 @@ class TestDistanceSpectrum:
         )
         assert s_rank == s_quot
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_quotient_assisted_ranks_nothing_on_non_integral_circulants(self, data):
+        # random connection sets are mostly non-integral; a union of gcd
+        # classes {x : gcd(x, n) = d} is integral, since the units mod n
+        # fix 0 and keep every distance class a union of gcd classes
+        n = data.draw(st.integers(min_value=5, max_value=30), label="n")
+        gcd_classes = data.draw(st.booleans(), label="gcd classes")
+        if gcd_classes:
+            divisors = [d for d in range(2, n) if n % d == 0]
+            chosen = data.draw(st.sets(st.sampled_from(divisors)) if divisors else st.just(set()))
+            conns = {min(x, n - x) for x in range(1, n) if gcd(x, n) in chosen | {1}}
+        else:
+            conns = {1} | data.draw(st.sets(st.integers(min_value=1, max_value=n // 2)))
+        g = build_circulant(n, conns)
+        calls = []
+
+        def counting(matrix, lam, involution=None):
+            calls.append(lam)
+            return eigen_multiplicity(matrix, lam, involution=involution)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spectral, "eigen_multiplicity", counting)
+            s_quot = distance_spectrum(
+                g,
+                "quotient-assisted",
+                quotient=quotient_matrix(g, orbits(GeneratorSet.of(reflection_perm(n)))),
+                transitive_gens=GeneratorSet.of(rotation_perm(n), reflection_perm(n)),
+            )
+        assert s_quot == distance_spectrum(g, "char-poly")
+        assert s_quot.is_integral or not gcd_classes
+        if not s_quot.is_integral:
+            assert calls == []
+
     def test_screen_leaves_one_rank_per_eigenvalue(self, monkeypatch):
         calls = []
 
@@ -366,14 +402,22 @@ class TestDistanceSpectrum:
         for k in range(len(values)):
             assert not spectral._annihilates(q, values[:k] + values[k + 1:], cell)
 
-    def test_heptagon_ranks_its_candidate_and_keeps_the_residual(self, monkeypatch):
+    def test_heptagon_ranks_nothing_and_keeps_the_residual(self, monkeypatch):
+        # 12 does not annihilate e_s, so D has an eigenvalue outside the
+        # integers: det(xI - D) gives the spectrum, and no rank runs
         calls = []
+        kernel = exactla.bareiss_echelon
 
         def counting(matrix, lam, involution=None):
             calls.append(lam)
             return eigen_multiplicity(matrix, lam, involution=involution)
 
+        def counting_kernel(rows):
+            calls.append("bareiss")
+            return kernel(rows)
+
         monkeypatch.setattr(spectral, "eigen_multiplicity", counting)
+        monkeypatch.setattr(exactla, "bareiss_echelon", counting_kernel)
         g = build_cycle(7)
         s = distance_spectrum(
             g,
@@ -381,21 +425,23 @@ class TestDistanceSpectrum:
             quotient=quotient_matrix(g, orbits(GeneratorSet.of(reflection_perm(7)))),
             transitive_gens=GeneratorSet.of(rotation_perm(7)),
         )
-        assert calls == [12]
+        assert calls == []
         assert s.integer_part == ((12, 1),)
         assert s.residual.degree == 6
         assert s.moments is None
 
     @pytest.mark.parametrize(
-        "name,blocks",
+        "name,blocks,split",
         [
             # the swap, generator #2, is fixed-point-free on lcr(5)'s 20 vertices
-            pytest.param("lcr5", [10, 10], id="lcr5-swap-halves"),
-            # a rotation of 7 points has order 7: no split
-            pytest.param("cycle7", [7], id="cycle7-single-block"),
+            pytest.param("lcr5", [10, 10], (2, 10, 10), id="lcr5-swap-halves"),
+            # the pair actions of (1 2 3 4 5) and (1 2 3) generate A5, which
+            # is 2-transitive, so they are transitive on pairs; neither has
+            # order 2, and the identity, also given, is no involution: no split
+            pytest.param("lcr5-a5", [20], None, id="lcr5-a5-single-block"),
         ],
     )
-    def test_ranks_split_by_the_involutive_generator(self, monkeypatch, name, blocks):
+    def test_ranks_split_by_the_involutive_generator(self, monkeypatch, name, blocks, split):
         seen = []
         kernel = exactla.bareiss_echelon
 
@@ -405,14 +451,16 @@ class TestDistanceSpectrum:
             return kernel(rows)
 
         monkeypatch.setattr(exactla, "bareiss_echelon", counting)
-        if name == "lcr5":
-            q, gens = lcr_quotient(5), lcr_automorphism_gens(5)
-        else:
-            g = build_cycle(7)
-            q = quotient_matrix(g, orbits(GeneratorSet.of(reflection_perm(7))))
-            gens = GeneratorSet.of(rotation_perm(7))
+        q, gens = lcr_quotient(5), lcr_automorphism_gens(5)
+        if name == "lcr5-a5":
+            gens = GeneratorSet.of(
+                Permutation.identity(20),
+                pair_action(Permutation.from_cycles([[0, 1, 2, 3, 4]], 5)),
+                pair_action(Permutation.from_cycles([[0, 1, 2]], 5)),
+            )
         s = distance_spectrum(q.graph, "quotient-assisted", quotient=q, transitive_gens=gens)
         assert seen == blocks
+        assert s.moments.split == split
         assert s == distance_spectrum(q.graph, "char-poly")
 
     def test_quotient_assisted_requires_inputs(self):
@@ -616,6 +664,25 @@ class TestIntegralityReports:
         assert complete.passed and trace.passed
         assert complete.detail == "multiplicities 1 + residual degree 6 = order 7"
         assert trace.detail == "weighted eigenvalue sum 0 equals trace 0"
+
+    def test_ledger_names_the_non_integral_quotient_route(self):
+        g = build_cycle(7)
+        report = is_distance_integral(
+            g,
+            "quotient-assisted",
+            quotient=quotient_matrix(g, orbits(GeneratorSet.of(reflection_perm(7)))),
+            transitive_gens=GeneratorSet.of(rotation_perm(7)),
+        )
+        assert [c.name for c in report.checks] == [
+            "roots-among-quotient", "spectrum-complete", "trace-zero",
+        ]
+        assert report.checks[0] == (
+            "roots-among-quotient",
+            True,
+            "product of (Q - lam I) over det(xI - Q)'s 1 integer roots leaves e_s nonzero, "
+            "so D has an eigenvalue outside the integers; det(xI - D)'s integer roots lie "
+            "among those 1",
+        )
 
     def test_ledger_records_the_moment_solve(self):
         q = lcr_quotient(5)
