@@ -9,13 +9,16 @@ last update, because the per-step factors piv_k / piv_(k-1) of a row
 with a zero head telescope. A row that reaches zero is never touched
 again; on lcr(10)'s D + I (rank 54 of 90) the kernel makes 0.66x the
 products of rescaling every row at every step with the first nonzero
-row as pivot. An eigenvalue multiplicity can be split by a checked
-involution t that the matrix commutes with: the nullity of m - lam I
-is the sum of the nullities of its blocks on t's +1 and -1
-eigenspaces, so a fixed-point-free t trades one rank of n for two of
-n / 2: summed over lcr(4..13)'s D + I under the coordinate swap, the
-block ranks take about 0.046 s against 0.12 s for the single ranks
-(2-core Xeon, Python 3.11). Berkowitz needs R M^k C
+row as pivot. An eigenvalue multiplicity can be split by checked
+involutions that commute pairwise and with the matrix: the nullity of
+m - lam I is the sum of the nullities of its blocks, one for each
+character of the group they generate (character_blocks), so a free
+action of order 2^k trades one rank of n for 2^k of n / 2^k. Summed
+over lcr(4..13)'s D + I, the ranks take about 0.19 s unsplit, 0.064 s
+as the coordinate swap's two halves, 0.023 s as four blocks under the
+swap and tau_n, and 0.025 s as eight with the pair action of (1 2)
+added, whose Bareiss part falls from 0.013 to 0.010 s (2-core Xeon,
+Python 3.11). Berkowitz needs R M^k C
 for each trailing block M with column C and row R; on symmetric input
 (every distance matrix) R = C^T and R M^k C = (M^i C)^T (M^j C) with
 i = k // 2, j = k - i, so about half the mat-vecs suffice.
@@ -449,60 +452,115 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     return IntPolynomial(berkowitz_charpoly(m.entries))
 
 
-def eigen_multiplicity(m: IntMatrix, lam, involution=None) -> int:
+def character_blocks(n, involutions):
+    """The blocks that split a rank under commuting involutions of range(n).
+
+    Each t in involutions is checked to be a permutation with t(t(v)) =
+    v, and each pair to commute; a failure raises ValueError. The ts,
+    less each one already in the group of those before it, generate an
+    elementary abelian 2-group G = {g_s}, g_s the product of the kept ts
+    in the bits of s, with characters chi_c(g_s) = (-1)^popcount(c & s).
+    Returns one (reps, columns, parts) for each character whose block is
+    nonempty. reps are the orbit representatives v (each the least of
+    its orbit) whose stabilizer lies in ker chi_c, grouped by stabilizer
+    and ascending within a group. Each group adds to columns, for one
+    g_s per coset of its stabilizer, the points g_s(v) of its reps, and
+    to parts (its size, the operators add or sub that combine each
+    further coset's points by the sign chi_c(g_s)). An orbit of v lies
+    in |G| / |Stab(v)| = |orbit| blocks, so the blocks' orders sum to n.
+    """
+    identity = tuple(range(n))
+    given, group = [], [identity]
+    for t in map(tuple, involutions):
+        if sorted(t) != list(identity) or tuple(map(t.__getitem__, t)) != identity:
+            raise ValueError(f"the images are not an involution of range({n})")
+        for k, s in enumerate(given):
+            if tuple(map(t.__getitem__, s)) != tuple(map(s.__getitem__, t)):
+                raise ValueError(f"involutions #{k} and #{len(given)} do not commute")
+        given.append(t)
+        if t not in group:
+            group += [tuple(map(t.__getitem__, g)) for g in group]
+    # stabilizer -> (one g_s per coset of it, the representatives it fixes)
+    classes = {}
+    for v, images in enumerate(zip(*group)):
+        if min(images) == v:
+            stab = tuple(s for s, w in enumerate(images) if w == v)
+            if stab not in classes:
+                cosets = {}
+                for s, w in enumerate(images):
+                    cosets.setdefault(w, s)
+                classes[stab] = (tuple(cosets.values()), [])
+            classes[stab][1].append(v)
+    blocks = []
+    for c in range(len(group)):
+        reps, columns, parts = [], [], []
+        for stab, (cosets, members) in classes.items():
+            if not any((c & h).bit_count() & 1 for h in stab):
+                reps += members
+                for s in cosets:
+                    columns += map(group[s].__getitem__, members)
+                signs = [sub if (c & s).bit_count() & 1 else add for s in cosets[1:]]
+                parts.append((len(members), signs))
+        if reps:
+            blocks.append((reps, columns, parts))
+    return blocks
+
+
+def eigen_multiplicity(m: IntMatrix, lam, involutions=()) -> int:
     """Geometric multiplicity of the integer lam: n - rank(m - lam I).
 
-    The ranks are Bareiss's over the rationals. involution, when given,
-    holds the images of a permutation t of range(n) with t(t(v)) = v and
-    m[t(u)][t(v)] = m[u][v]; both are checked exactly, and a failure
-    raises ValueError. m then keeps the +1 and -1 eigenspaces of t,
-    spanned by e_f (t(f) = f) and e_v + e_t(v), and by e_v - e_t(v), for
-    v < t(v). In those bases m - lam I is the direct sum of two blocks
-    whose nullities add: with F the fixed points and T the v < t(v),
-    the + block's row u in F + T reads [m_uF, m_uT + m_u,t(T)] (2 m_fT
-    on a fixed row), the - block's row v in T reads m_vT - m_v,t(T).
-    A fixed-point-free t gives two blocks of n / 2, about a quarter of
-    the elimination work of one rank of n. No involution is the single
-    + block m. The blocks are ranked one after the other, each read by
-    the kernel as a stream of shifted rows made one at a time, so the
-    kernel's working copy of one block is the only copy alive.
+    The ranks are Bareiss's over the rationals. involutions hold the
+    images of permutations t of range(n); character_blocks checks that
+    they are involutions and commute pairwise, and each is checked
+    exactly to commute with m: m[t(u)][t(v)] = m[u][v], on the rows
+    u <= t(u), as the equations of row t(u) are those of row u. A
+    failure raises ValueError. m then keeps each isotypic component
+    V_chi of the group G the ts generate (Serre, *Linear
+    Representations of Finite Groups*, 2.6), spanned by b_v = sum over
+    the orbit of v of chi(g) e_g(v), one g per point, for the orbit
+    representatives v whose stabilizer lies in ker chi. In that basis
+    m - lam I is the direct sum of one block per chi, whose nullities
+    add. The block's entry (u, v) is sum over the orbit of v of
+    chi(g) m[u][g(v)]: sum_g chi(g) m[u][g(v)] over all of G is
+    |Stab(v)| times it, a column scaling that would put lam |Stab(v)|
+    on the diagonal instead of lam. A block row reads one entry of m
+    per point of its orbits, so a rank reads at most n^2 entries
+    whatever |G|. A free action of order 2^k gives 2^k blocks of
+    n / 2^k, about 4^-k of the elimination work of one rank of n. No
+    involution leaves the single block m. The blocks are ranked one
+    after the other, each read by the kernel as a stream of shifted
+    rows made one at a time, so the kernel's working copy of one block
+    is the only copy alive.
     """
     if not m.is_square:
         raise ValueError("eigenvalue multiplicity of a non-square matrix")
     rows, n = m.entries, m.rows
-    if involution is None:
-        t = range(n)
-    else:
-        t = tuple(involution)
-        if sorted(t) != list(range(n)) or tuple(map(t.__getitem__, t)) != tuple(range(n)):
-            raise ValueError(f"the images are not an involution of range({n})")
+    involutions = [tuple(t) for t in involutions]
+    blocks = character_blocks(n, involutions)
+    for t in involutions:
+        # a getter of one index returns no tuple, but on one point t is the identity
+        permuted = itemgetter(*t) if n > 1 else tuple
         for u, row in enumerate(rows):
-            if tuple(map(row.__getitem__, t)) != rows[t[u]]:
+            if u <= t[u] and permuted(row) != rows[t[u]]:
                 raise ValueError(f"matrix does not commute with the involution at row {u}")
-    fixed = [v for v in range(n) if t[v] == v]
-    pairs = [v for v in range(n) if v < t[v]]
-    partners = [t[v] for v in pairs]
 
-    def shifted(block):
-        for k, row in enumerate(block):
+    def shifted(reps, columns, parts):
+        # led by a dummy index, so that one column still gathers a tuple
+        gather = itemgetter(0, *columns)
+        for k, u in enumerate(reps):
+            entries = gather(rows[u])
+            row, end = [], 1
+            for width, signs in parts:
+                start, end = end, end + width
+                part = entries[start:end]
+                for op in signs:
+                    start, end = end, end + width
+                    part = map(op, part, entries[start:end])
+                row += part
             row[k] -= lam
             yield row
 
-    plus = (
-        [
-            *map(r.__getitem__, fixed),
-            *map(add, map(r.__getitem__, pairs), map(r.__getitem__, partners)),
-        ]
-        for r in map(rows.__getitem__, fixed + pairs)
-    )
-    minus = (
-        list(map(sub, map(r.__getitem__, pairs), map(r.__getitem__, partners)))
-        for r in map(rows.__getitem__, pairs)
-    )
-    rank = bareiss_echelon(shifted(plus))[0]
-    if pairs:
-        rank += bareiss_echelon(shifted(minus))[0]
-    return n - rank
+    return n - sum(bareiss_echelon(shifted(*block))[0] for block in blocks)
 
 
 def integer_roots(p: IntPolynomial, bound):

@@ -315,6 +315,10 @@ def lcr_stabilizer_gens(n) -> GeneratorSet:
 
 
 def lcr_automorphism_gens(n) -> GeneratorSet:
-    """Pair actions of Sym([1..n]) generators plus the coordinate swap."""
+    """Pair actions of Sym([1..n]) generators, the coordinate swap, and
+    tau_n, the pair action of (1 2)(3 4)...: it fixes at most one point,
+    so no pair, and commutes with the swap, so the two split a rank into
+    four blocks of about |V| / 4."""
     pairs = [pair_action(a) for a in symmetric_group_gens(n).generators]
-    return GeneratorSet.of(*pairs, swap_action(n))
+    tau = Permutation.from_cycles([[i, i + 1] for i in range(0, n - 1, 2)], n)
+    return GeneratorSet.of(*pairs, swap_action(n), pair_action(tau))

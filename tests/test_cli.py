@@ -138,8 +138,8 @@ class TestSpectrumCommand:
         true_mult = spectral.eigen_multiplicity
         monkeypatch.setattr(
             spectral, "eigen_multiplicity",
-            lambda m, lam, involution=None: (
-                0 if lam == 12 else true_mult(m, lam, involution=involution)
+            lambda m, lam, involutions=(): (
+                0 if lam == 12 else true_mult(m, lam, involutions)
             ),
         )
         status, out, err = run(capsys, "spectrum", "--family", "cycle", "--n", "7")
@@ -189,7 +189,7 @@ class TestSpectrumCommand:
         # a transposition of two lcr(5) vertices is an involution that D
         # does not commute with; the rank checks the premise and refuses it
         bogus = (1, 0, *range(2, 20))
-        monkeypatch.setattr(spectral, "_split_involution", lambda gens: (2, bogus))
+        monkeypatch.setattr(spectral, "_split_involutions", lambda gens: [(2, bogus)])
         status, out, err = run(
             capsys, "spectrum", "--family", "lcr", "--n", "5", "--method", "quotient-assisted"
         )
@@ -232,8 +232,8 @@ class TestSpectrumCommand:
         true_mult = spectral.eigen_multiplicity
         monkeypatch.setattr(
             spectral, "eigen_multiplicity",
-            lambda m, lam, involution=None: (
-                wrong_mult if lam == -1 else true_mult(m, lam, involution=involution)
+            lambda m, lam, involutions=(): (
+                wrong_mult if lam == -1 else true_mult(m, lam, involutions)
             ),
         )
         status, out, err = run(
@@ -461,7 +461,7 @@ class TestVerifyCommand:
             # the pair vertices (1,2) and (1,3) swapped, and nothing else
             extra = Permutation.from_cycles([[0, 1]], 20)
             gens = GeneratorSet.of(*spectral.lcr_automorphism_gens(5).generators, extra)
-            detail = f"generator #3 ({extra!r}) is not an automorphism"
+            detail = f"generator #4 ({extra!r}) is not an automorphism"
         else:
             # automorphisms, but the stabilizer's 7 orbits, not one
             gens = spectral.lcr_stabilizer_gens(5)

@@ -19,6 +19,7 @@ from orbitspectra.exactla import (
     IntPolynomial,
     berkowitz_charpoly,
     char_poly,
+    character_blocks,
     charpoly_mod,
     eigen_multiplicity,
     integer_roots,
@@ -485,21 +486,25 @@ class TestEigenMultiplicity:
             tracemalloc.stop()
         assert peak <= 2.2 * rows, (peak, rows)
 
-    def test_split_rank_copies_half_of_d_at_a_time(self):
-        # the swap splits D + I into two 78-row blocks, ranked one after
-        # the other from streamed rows: the peak is one half-size working
-        # copy and its pivots' big ints, about 0.89x; materializing a
-        # block's shifted rows first reads about 1.19x
+    def test_split_rank_copies_a_quarter_of_d_at_a_time(self):
+        # the swap and tau split D + I into blocks of 42, 36, 36 and 42
+        # rows, ranked one after the other from streamed rows: the peak is
+        # one quarter-size working copy and its pivots' big ints, about
+        # 0.27x; materializing a block's shifted rows first reads about
+        # 0.36x, and all four blocks at once about 0.59x
         n = 13
         d = all_pairs_distances(build_lcr(n))
         rows = sys.getsizeof(d.entries) + sum(map(sys.getsizeof, d.entries))
+        involutions = lcr_involutions(n)["swap, tau"]
+        blocks = character_blocks(d.rows, involutions)
+        assert [len(reps) for reps, _, _ in blocks] == [42, 36, 36, 42]
         tracemalloc.start()
         try:
-            assert eigen_multiplicity(d, -1, involution=swap_action(n).images) == 66
+            assert eigen_multiplicity(d, -1, involutions) == 66
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * rows, (peak, rows)
+        assert peak <= 0.32 * rows, (peak, rows)
 
     @given(st.lists(st.lists(small_entries, min_size=4, max_size=4), min_size=4, max_size=4))
     @settings(max_examples=40, deadline=None)
@@ -520,11 +525,18 @@ class TestEigenMultiplicity:
 
 
 def lcr_involutions(n):
-    """The coordinate swap (fixed-point-free) and the pair action of
-    (1 2), which fixes the (n - 2)(n - 3) pairs avoiding 1 and 2."""
+    """Sets of commuting involutions of lcr(n): the coordinate swap and
+    tau_n, the pair action of (1 2)(3 4)..., both fixed-point-free, and
+    the pair action of (1 2), which fixes the (n - 2)(n - 3) pairs
+    avoiding 1 and 2 and commutes with both."""
+    swap = swap_action(n).images
+    tau = pair_action(Permutation.from_cycles([[i, i + 1] for i in range(0, n - 1, 2)], n)).images
+    transposition = pair_action(Permutation.from_cycles([[0, 1]], n)).images
     return {
-        "swap": swap_action(n).images,
-        "pair (1 2)": pair_action(Permutation.from_cycles([[0, 1]], n)).images,
+        "swap": [swap],
+        "pair (1 2)": [transposition],
+        "swap, tau": [swap, tau],
+        "swap, tau, pair (1 2)": [swap, tau, transposition],
     }
 
 
@@ -540,29 +552,47 @@ class TestInvolutionSplit:
             *(
                 pytest.param(
                     all_pairs_distances(build_cycle(n)),
-                    {"reflection": reflection_perm(n).images},
+                    {"reflection": [reflection_perm(n).images]},
                     id=f"cycle{n}",
                 )
                 for n in (7, 8)
             ),
             pytest.param(
                 all_pairs_distances(build_circulant(10, (1, 3))),
-                {"reflection": reflection_perm(10).images},
+                {"reflection": [reflection_perm(10).images]},
                 id="circulant10-1-3",
             ),
         ],
     )
     def test_split_agrees_with_the_single_block(self, d, involutions):
-        # every integer in [-rho, rho] under each involution; the single
-        # block is ranked at the eigenvalues, and elsewhere, D being
+        # every integer in [-rho, rho] under each set of involutions; the
+        # single block is ranked at the eigenvalues, and elsewhere, D being
         # symmetric, its nullity is the root multiplicity of det(xI - D)
         rho = max(d.row_sums())
         spectrum = dict(integer_roots(char_poly(d), bound=rho)[0])
         for lam, mult in spectrum.items():
             assert eigen_multiplicity(d, lam) == mult, lam
-        for name, t in involutions.items():
+        for name, ts in involutions.items():
+            assert sum(len(reps) for reps, _, _ in character_blocks(d.rows, ts)) == d.rows
             for lam in range(-rho, rho + 1):
-                assert eigen_multiplicity(d, lam, involution=t) == spectrum.get(lam, 0), (name, lam)
+                assert eigen_multiplicity(d, lam, ts) == spectrum.get(lam, 0), (name, lam)
+
+    def test_a_repeated_involution_or_the_identity_changes_nothing(self):
+        # neither adds a generator to the group: the same blocks, the same
+        # nullities
+        d = all_pairs_distances(build_lcr(6))
+        swap, tau = lcr_involutions(6)["swap, tau"]
+        product = tuple(map(swap.__getitem__, tau))
+        padded = [range(30), swap, swap, tau, product, range(30)]
+        assert character_blocks(30, padded) == character_blocks(30, [swap, tau])
+        for lam in (-7, -3, -1, 0, 1, 51):
+            assert eigen_multiplicity(d, lam, padded) == eigen_multiplicity(d, lam, [swap, tau])
+
+    def test_one_point_under_its_identity(self):
+        # one point: the only involution is the identity, and the one
+        # block has one column
+        m = IntMatrix([[5]])
+        assert [eigen_multiplicity(m, lam, [(0,)]) for lam in (4, 5)] == [0, 1]
 
     def test_identity_is_the_single_block(self, monkeypatch):
         blocks = []
@@ -576,23 +606,31 @@ class TestInvolutionSplit:
         monkeypatch.setattr(exactla, "bareiss_echelon", counting)
         d = all_pairs_distances(build_lcr(5))
         for lam in (-6, -2, -1, 1, 33, 0):
-            assert eigen_multiplicity(d, lam, involution=range(20)) == eigen_multiplicity(d, lam)
+            assert eigen_multiplicity(d, lam, [range(20)]) == eigen_multiplicity(d, lam)
         assert blocks == [20] * 12
 
     @pytest.mark.parametrize(
-        "images,message",
+        "n,involutions,message",
         [
-            pytest.param((1, 2, 0, 3, 4), "not an involution", id="three-cycle"),
-            pytest.param((1, 0, 2, 3), "not an involution", id="wrong-length"),
-            pytest.param((1, 0, 2, 3, 7), "not an involution", id="not-a-permutation"),
-            pytest.param((1, 0, 2, 3, 4), "does not commute", id="not-commuting"),
+            pytest.param(5, [(1, 2, 0, 3, 4)], "not an involution", id="three-cycle"),
+            pytest.param(5, [(1, 0, 2, 3)], "not an involution", id="wrong-length"),
+            pytest.param(5, [(1, 0, 2, 3, 7)], "not an involution", id="not-a-permutation"),
+            # the transposition (0 1) is no automorphism of the pentagon:
+            # D[0][2] = 2 but D[1][2] = 1
+            pytest.param(5, [(1, 0, 2, 3, 4)], "does not commute", id="not-commuting"),
+            # x -> -x and x -> 1 - x are automorphisms of the heptagon, but
+            # their product is a rotation of order 7
+            pytest.param(
+                7,
+                [reflection_perm(7).images, tuple((1 - v) % 7 for v in range(7))],
+                "involutions #0 and #1 do not commute",
+                id="reflections-not-commuting",
+            ),
         ],
     )
-    def test_a_failed_premise_raises(self, images, message):
-        # the transposition (0 1) is no automorphism of the pentagon:
-        # D[0][2] = 2 but D[1][2] = 1
+    def test_a_failed_premise_raises(self, n, involutions, message):
         with pytest.raises(ValueError, match=message):
-            eigen_multiplicity(all_pairs_distances(build_cycle(5)), 1, involution=images)
+            eigen_multiplicity(all_pairs_distances(build_cycle(n)), 1, involutions)
 
 
 class TestPolynomialType:

@@ -234,6 +234,24 @@ class TestAutomorphisms:
             assert is_automorphism(g, pair_action(alpha))
         assert is_automorphism(g, swap_action(n))
 
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_lcr_automorphism_gens_are_transitive_automorphisms(self, n):
+        g = build_lcr(n)
+        gens = lcr_automorphism_gens(n)
+        assert all(is_automorphism(g, p) for p in gens.generators)
+        assert is_vertex_transitive_under(g, gens)
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_tau_fixes_no_pair_and_commutes_with_the_swap(self, n):
+        # tau_n, the pair action of (1 2)(3 4)..., is the last generator
+        tau, swap = lcr_automorphism_gens(n).generators[-1], swap_action(n)
+        verts = pair_vertices(n)
+        images = [verts[tau(verts.index(p))] for p in ((1, 2), (3, 1))]
+        assert images == [(2, 1), (4, 2)]
+        assert tau * tau == Permutation.identity(n * (n - 1))
+        assert all(tau(v) != v for v in range(n * (n - 1)))
+        assert tau * swap == swap * tau
+
     def test_arbitrary_transposition_is_not_an_automorphism(self):
         g = build_lcr(4)
         verts = pair_vertices(4)

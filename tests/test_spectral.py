@@ -34,6 +34,7 @@ from orbitspectra.perms import (
     lcr_automorphism_gens,
     orbits,
     pair_action,
+    swap_action,
 )
 from orbitspectra.spectral import (
     MomentSolve,
@@ -324,9 +325,9 @@ class TestDistanceSpectrum:
         g = build_circulant(n, conns)
         calls = []
 
-        def counting(matrix, lam, involution=None):
+        def counting(matrix, lam, involutions=()):
             calls.append(lam)
-            return eigen_multiplicity(matrix, lam, involution=involution)
+            return eigen_multiplicity(matrix, lam, involutions)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(spectral, "eigen_multiplicity", counting)
@@ -344,9 +345,9 @@ class TestDistanceSpectrum:
     def test_screen_leaves_one_rank_per_eigenvalue(self, monkeypatch):
         calls = []
 
-        def counting(matrix, lam, involution=None):
+        def counting(matrix, lam, involutions=()):
             calls.append(lam)
-            return eigen_multiplicity(matrix, lam, involution=involution)
+            return eigen_multiplicity(matrix, lam, involutions)
 
         monkeypatch.setattr(spectral, "eigen_multiplicity", counting)
         s = distance_spectrum(build_lcr(5), "rank-sweep")
@@ -361,9 +362,9 @@ class TestDistanceSpectrum:
         # -1-n, 3-n and 1 come from tr D^k; lcr(4) has no fourth non-top value
         calls = []
 
-        def counting(matrix, lam, involution=None):
+        def counting(matrix, lam, involutions=()):
             calls.append(lam)
-            return eigen_multiplicity(matrix, lam, involution=involution)
+            return eigen_multiplicity(matrix, lam, involutions)
 
         monkeypatch.setattr(spectral, "eigen_multiplicity", counting)
         q = lcr_quotient(n)
@@ -408,9 +409,9 @@ class TestDistanceSpectrum:
         calls = []
         kernel = exactla.bareiss_echelon
 
-        def counting(matrix, lam, involution=None):
+        def counting(matrix, lam, involutions=()):
             calls.append(lam)
-            return eigen_multiplicity(matrix, lam, involution=involution)
+            return eigen_multiplicity(matrix, lam, involutions)
 
         def counting_kernel(rows):
             calls.append("bareiss")
@@ -433,11 +434,18 @@ class TestDistanceSpectrum:
     @pytest.mark.parametrize(
         "name,blocks,split",
         [
-            # the swap, generator #2, is fixed-point-free on lcr(5)'s 20 vertices
-            pytest.param("lcr5", [10, 10], (2, 10, 10), id="lcr5-swap-halves"),
             # the pair actions of (1 2 3 4 5) and (1 2 3) generate A5, which
             # is 2-transitive, so they are transitive on pairs; neither has
-            # order 2, and the identity, also given, is no involution: no split
+            # order 2, and the identity, also given, is no involution, so the
+            # swap, generator #3, alone splits lcr(5)'s 20 vertices in halves
+            pytest.param("lcr5-a5-swap", [10, 10], ((3,), (10, 10)), id="lcr5-swap-halves"),
+            # lcr_automorphism_gens(5): the swap #2 and tau_5 #3 fix no pair,
+            # the pair action of (1 2), #0, fixes 6 and commutes with both
+            pytest.param(
+                "lcr5", [5, 3, 2, 3, 1, 1, 2, 3], ((2, 3, 0), (5, 3, 2, 3, 1, 1, 2, 3)),
+                id="lcr5-eight-blocks",
+            ),
+            # no involution at all: no split
             pytest.param("lcr5-a5", [20], None, id="lcr5-a5-single-block"),
         ],
     )
@@ -451,17 +459,39 @@ class TestDistanceSpectrum:
             return kernel(rows)
 
         monkeypatch.setattr(exactla, "bareiss_echelon", counting)
-        q, gens = lcr_quotient(5), lcr_automorphism_gens(5)
-        if name == "lcr5-a5":
-            gens = GeneratorSet.of(
-                Permutation.identity(20),
-                pair_action(Permutation.from_cycles([[0, 1, 2, 3, 4]], 5)),
-                pair_action(Permutation.from_cycles([[0, 1, 2]], 5)),
-            )
+        q = lcr_quotient(5)
+        a5 = (
+            Permutation.identity(20),
+            pair_action(Permutation.from_cycles([[0, 1, 2, 3, 4]], 5)),
+            pair_action(Permutation.from_cycles([[0, 1, 2]], 5)),
+        )
+        gens = {
+            "lcr5": lcr_automorphism_gens(5),
+            "lcr5-a5": GeneratorSet.of(*a5),
+            "lcr5-a5-swap": GeneratorSet.of(*a5, swap_action(5)),
+        }[name]
         s = distance_spectrum(q.graph, "quotient-assisted", quotient=q, transitive_gens=gens)
         assert seen == blocks
         assert s.moments.split == split
         assert s == distance_spectrum(q.graph, "char-poly")
+
+    def test_split_keeps_commuting_involutions_in_a_group_of_at_most_the_degree(self):
+        # on 12 points: (1 3)(2 4), #7, fixes 8, the fewest, and is kept;
+        # the transpositions (1 2), ..., (11 12), #1..#6, each fix 10;
+        # (1 2) and (3 4) do not commute with #7, (5 6) and (7 8) do, and
+        # (9 10) would take the group's order from 8 to 16 > 12
+        transpositions = [Permutation.from_cycles([[i, i + 1]], 12) for i in range(0, 12, 2)]
+        cross = Permutation.from_cycles([[0, 2], [1, 3]], 12)
+        gens = GeneratorSet.of(
+            Permutation.from_cycles([list(range(12))], 12), *transpositions, cross
+        )
+        kept = spectral._split_involutions(gens)
+        assert [k for k, _ in kept] == [7, 3, 4]
+        # a repeated involution and one already in the group are skipped too
+        swap = swap_action(5)
+        tau = lcr_automorphism_gens(5).generators[3]
+        gens = GeneratorSet.of(swap, swap, tau, swap * tau, pair_action(Permutation.identity(5)))
+        assert [k for k, _ in spectral._split_involutions(gens)] == [0, 2]
 
     def test_quotient_assisted_requires_inputs(self):
         g = build_lcr(4)
@@ -700,9 +730,22 @@ class TestIntegralityReports:
         # 4(-6)^3 + 4(-2)^3 + 6(-1)^3 + 5(1)^3 + 33^3 = 35040
         assert report.checks[1].detail == (
             "Perron value 33 simple (D irreducible, constant row sums); "
-            "ranked -1 (blocks 10 + 10 under involutive generator #2, commuting with D "
-            "checked); solved -6^4 -2^4 1^5 from tr D^k, k = 0..2; "
-            "sum m lam^3 = |V| (Q^3)_ss = 35040"
+            "ranked -1 (blocks 5 + 3 + 2 + 3 + 1 + 1 + 2 + 3 under involutive generators "
+            "#2, #3, #0, commuting with D and pairwise checked); solved -6^4 -2^4 1^5 from "
+            "tr D^k, k = 0..2; sum m lam^3 = |V| (Q^3)_ss = 35040"
+        )
+        # one involutive generator: the swap alone, behind the A5 pair actions
+        a5_swap = GeneratorSet.of(
+            pair_action(Permutation.from_cycles([[0, 1, 2, 3, 4]], 5)),
+            pair_action(Permutation.from_cycles([[0, 1, 2]], 5)),
+            swap_action(5),
+        )
+        report = is_distance_integral(
+            q.graph, "quotient-assisted", quotient=q, transitive_gens=a5_swap
+        )
+        assert (
+            "; ranked -1 (blocks 10 + 10 under involutive generator #2, commuting with D "
+            "checked); " in report.checks[1].detail
         )
 
     def test_reports_and_checks_are_immutable_records(self):
@@ -720,7 +763,8 @@ class TestIntegralityReports:
         assert report == again and report.checks == again.checks
         assert moments == again.spectrum.moments and hash(moments) == hash(again.spectrum.moments)
         assert check == again.checks[0] and hash(check) == hash(again.checks[0])
-        assert moments == MomentSolve((-1,), (-6, -2, 1), 35040, (2, 10, 10))
+        split = (2, 3, 0), (5, 3, 2, 3, 1, 1, 2, 3)
+        assert moments == MomentSolve((-1,), (-6, -2, 1), 35040, split)
         relabelled = report._replace(graph="lcr five")
         assert relabelled.graph == "lcr five" and report.graph != "lcr five"
         assert relabelled.spectrum is report.spectrum and relabelled.checks is report.checks
