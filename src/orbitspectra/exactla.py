@@ -31,7 +31,11 @@ D a 60-wide mat-vec takes about 100 us against 160 us for the grouped
 rows it replaced. Long cycles, circulants, generic matrices and
 non-symmetric input such as the quotient Q keep the direct form.
 Hessenberg reduction modulo a prime screens candidate roots: a nonzero
-residue proves a value is not a root; a zero one concludes nothing.
+residue proves a value is not a root, and a root's multiplicity mod p
+bounds its multiplicity over Z from above; neither decides a result.
+Each elimination step applies its row updates first and its column
+update in one pass over the rows, as the step's elementary matrices
+commute.
 """
 
 from bisect import bisect_right
@@ -403,6 +407,14 @@ def charpoly_mod(rows, p):
     characteristic polynomials p_1, ..., p_n (Cohen, *A Course in
     Computational Algebraic Number Theory*, 2.2.4). O(n^3) word-size
     operations, against Berkowitz's O(n^4) big-integer ones.
+
+    The elementary matrices I - u_i e_i e_m^T of one elimination step
+    (i > m, one pivot row m) commute, and their product L leaves row m
+    alone. So each step first applies every row update from the
+    unchanged pivot row, then the column update of L^-1 in one pass over
+    the rows, r[m] += sum_i u_i r[i], with the rows already updated: the
+    same matrix L H L^-1 as one update pair per row, in one pass instead
+    of one per eliminated row.
     """
     n = len(rows)
     h = [[x % p for x in row] for row in rows]
@@ -417,13 +429,19 @@ def charpoly_mod(rows, p):
                 row[piv], row[m] = row[m], row[piv]
         inv = pow(h[m][c], p - 2, p)
         hm = h[m]
+        targets, factors = [m], [1]
         for i in range(m + 1, n):
             u = h[i][c] * inv % p
             if u:
-                # row_i -= u row_m, then column_m += u column_i
+                # row_i -= u row_m; row m itself is left as it was
                 h[i] = [(a - u * b) % p for a, b in zip(h[i], hm)]
-                for row in h:
-                    row[m] = (row[m] + u * row[i]) % p
+                targets.append(i)
+                factors.append(u)
+        if len(targets) > 1:
+            # then column_m += sum of u_i column_i, in one pass over the rows
+            gather = itemgetter(*targets)
+            for row in h:
+                row[m] = sum(map(mul, factors, gather(row))) % p
     # polys[k] is the characteristic polynomial of the leading k x k block
     polys = [[1]]
     for m in range(n):
@@ -506,7 +524,7 @@ def character_blocks(n, involutions):
     return blocks
 
 
-def eigen_multiplicity(m: IntMatrix, lam, involutions=()) -> int:
+def eigen_multiplicity(m: IntMatrix, lam, involutions=(), blocks=None) -> int:
     """Geometric multiplicity of the integer lam: n - rank(m - lam I).
 
     The ranks are Bareiss's over the rationals. involutions hold the
@@ -530,13 +548,17 @@ def eigen_multiplicity(m: IntMatrix, lam, involutions=()) -> int:
     involution leaves the single block m. The blocks are ranked one
     after the other, each read by the kernel as a stream of shifted
     rows made one at a time, so the kernel's working copy of one block
-    is the only copy alive.
+    is the only copy alive. blocks, when given, must be
+    character_blocks(n, involutions), which then ran its checks already:
+    a caller that ranks several values, or reports the blocks, builds
+    them once.
     """
     if not m.is_square:
         raise ValueError("eigenvalue multiplicity of a non-square matrix")
     rows, n = m.entries, m.rows
     involutions = [tuple(t) for t in involutions]
-    blocks = character_blocks(n, involutions)
+    if blocks is None:
+        blocks = character_blocks(n, involutions)
     for t in involutions:
         # a getter of one index returns no tuple, but on one point t is the identity
         permuted = itemgetter(*t) if n > 1 else tuple

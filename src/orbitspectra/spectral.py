@@ -26,6 +26,12 @@ those of det(xI - Q). A
 QuotientMatrix is built from its graph: quotient_matrix searches from
 one representative per cell, and D, the quotient's source, is built by
 a full BFS only when a stage reads it, as an exact rank does.
+
+rank-sweep needs no group. The roots of det(xI - D) mod p in [-rho,
+rho], with multiplicity, bound D's integer eigenvalues: when they fall
+short of |V|, det(xI - D) gives the spectrum and nothing is ranked;
+otherwise every value but the last is ranked, and the last is read
+from tr D.
 """
 
 from operator import eq, mul
@@ -118,16 +124,28 @@ class MomentSolve(NamedTuple):
     split: tuple = None
 
 
+class Sweep(NamedTuple):
+    """How rank-sweep reached its spectrum: the roots of det(xI - D) mod p
+    in [-rho, rho] counted with multiplicity, the values it ranked in
+    ascending order, and the last value taken from tr D, if any. A count
+    below the order means that nothing was ranked."""
+
+    count: int
+    ranked: tuple
+    last: int
+
+
 class Spectrum:
     """Exact spectrum: integer eigenvalues with multiplicities, plus an
     optional residual factor witnessing non-integrality. The one place
     that checks a spectrum's invariants: a spectrum is always computed,
     never read from input, so a broken one is an ArithmeticError.
-    moments is the quotient certificate's MomentSolve, when one ran."""
+    moments is the quotient certificate's MomentSolve, when one ran, and
+    sweep rank-sweep's Sweep."""
 
-    __slots__ = ("integer_part", "residual", "order", "trace", "moments")
+    __slots__ = ("integer_part", "residual", "order", "trace", "moments", "sweep")
 
-    def __init__(self, integer_part, residual, order, trace=0, moments=None):
+    def __init__(self, integer_part, residual, order, trace=0, moments=None, sweep=None):
         integer_part = tuple(integer_part)
         if list(integer_part) != sorted(integer_part):
             raise ArithmeticError("eigenvalues must be sorted ascending")
@@ -146,6 +164,7 @@ class Spectrum:
         self.order = order
         self.trace = trace
         self.moments = moments
+        self.sweep = sweep
         total, res_deg = self.multiplicity_sum, self.residual_degree
         if total + res_deg != order:
             raise ArithmeticError(
@@ -284,47 +303,101 @@ def lcr_stabilizer_partition(n) -> OrbitPartition:
 
 
 def _screened_range(matrix, rho):
-    """Integers in [-rho, rho] that may be eigenvalues, in ascending order.
+    """Integers lam in [-rho, rho] that may be eigenvalues, ascending, each
+    as (lam, m_p(lam)), its multiplicity as a root of chi_D mod p.
 
     chi_D(lam) != 0 mod p implies chi_D(lam) != 0, so D - lam I is
-    nonsingular; only the survivors need an exact rank.
+    nonsingular. At a survivor, synthetic division mod p finds m_p: if
+    (x - lam)^m divides chi_D over Z, it divides it mod p, so m_p(lam) is
+    at least lam's multiplicity as a root of chi_D. Integers in [-rho,
+    rho] stay distinct mod p (2 rho < p), so the m_p sum to at most |V|.
     """
-    chi = charpoly_mod(matrix.entries, SCREEN_PRIME)
+    p = SCREEN_PRIME
+    chi = charpoly_mod(matrix.entries, p)
+    survivors = []
     for lam in range(-rho, rho + 1):
         value = 0
         for c in reversed(chi):
-            value = (value * lam + c) % SCREEN_PRIME
-        if not value:
-            yield lam
+            value = (value * lam + c) % p
+        if value:
+            continue
+        poly, mult = chi, 0
+        while True:
+            # poly / (x - lam): the quotient, constant term first, and remainder value
+            quotient, value = [], 0
+            for c in reversed(poly):
+                value = (value * lam + c) % p
+                quotient.append(value)
+            if value:
+                break
+            poly, mult = quotient[-2::-1], mult + 1
+        survivors.append((lam, mult))
+    return survivors
 
 
-def _ranked_spectrum(matrix, rho, candidates):
-    """Spectrum from exact ranks of the candidate eigenvalues (rank-sweep).
+def _ranked_spectrum(matrix, rho, survivors):
+    """Spectrum from the screen's survivors (rank-sweep), on one of two routes.
 
-    Stops once the multiplicities reach the order: no further eigenvalue
-    exists then. Otherwise det(xI - D) supplies the residual factor, and
+    Each eigenvalue of D lies in [-rho, rho], and its multiplicity as a
+    root of chi_D, which D's symmetry makes its eigenvalue multiplicity,
+    is at most its m_p. So if the m_p sum to less than |V|, D has an
+    eigenvalue outside the integers: nothing is ranked, det(xI - D) gives
+    the spectrum, and it must keep a residual factor and give each
+    integer root lam a multiplicity of at most m_p(lam).
+
+    Otherwise the survivors are ranked in ascending order. Once the ranked
+    multiplicities reach |V| - 1, the one eigenvalue left is real (D is
+    symmetric), an integer, mu = tr D - sum m lam, and simple: mu must be
+    a survivor not yet ranked. Ranks that reach |V| leave nothing. Ranks
+    that fall short leave det(xI - D) to supply the residual factor, and
     its integer roots must equal the ranked pairs: a symmetric matrix's
-    geometric and algebraic multiplicities agree.
+    geometric and algebraic multiplicities agree. Any failed requirement
+    raises ArithmeticError; Spectrum.sweep records the route.
     """
-    pairs = []
-    remaining = matrix.rows
-    for lam in candidates:
+    order, trace = matrix.rows, matrix.trace()
+    bound = dict(survivors)
+    count = sum(bound.values())
+    if count < order:
+        spectrum = _char_poly_spectrum(matrix, rho, Sweep(count, (), None))
+        over = any(m > bound.get(lam, 0) for lam, m in spectrum.integer_part)
+        if spectrum.is_integral or over:
+            raise ArithmeticError(
+                f"det(xI - D) has integer roots {list(spectrum.integer_part)}, residual degree "
+                f"{spectrum.residual_degree}; roots mod p {survivors} fall short of "
+                f"|V| = {order}: need a residual and no root above its multiplicity mod p"
+            )
+        return spectrum
+    pairs, ranked, remaining, last = [], [], order, None
+    for lam, _ in survivors:
+        if remaining < 2:
+            break
         mult = eigen_multiplicity(matrix, lam)
+        ranked.append(lam)
         if mult:
             pairs.append((lam, mult))
             remaining -= mult
-            if remaining == 0:
-                return Spectrum(pairs, None, matrix.rows, matrix.trace())
-    spectrum = _char_poly_spectrum(matrix, rho)
+    if remaining == 1:
+        last = trace - sum(lam * m for lam, m in pairs)
+        unranked = [lam for lam, _ in survivors[len(ranked):]]
+        if last not in unranked:
+            raise ArithmeticError(
+                f"last value {last} from tr D is not among the unranked survivors {unranked}"
+            )
+        pairs.append((last, 1))
+        remaining = 0
+    sweep = Sweep(count, tuple(ranked), last)
+    if remaining == 0:
+        return Spectrum(pairs, None, order, trace, sweep=sweep)
+    spectrum = _char_poly_spectrum(matrix, rho, sweep)
     if spectrum.integer_part != tuple(pairs):
         raise ArithmeticError("rank certification and characteristic polynomial disagree")
     return spectrum
 
 
-def _char_poly_spectrum(matrix, rho):
+def _char_poly_spectrum(matrix, rho, sweep=None):
     """Spectrum from the integer roots and residual factor of det(xI - D)."""
     roots, residual = integer_roots(char_poly(matrix), bound=rho)
-    return Spectrum(roots, residual, matrix.rows, matrix.trace())
+    return Spectrum(roots, residual, matrix.rows, matrix.trace(), sweep=sweep)
 
 
 def _annihilates(q, values, cell):
@@ -384,10 +457,11 @@ def _moment_spectrum(quotient, cell, rho, values, gens):
     (D^k)_vv = (Q^k)_ss. One loop of mat-vecs Q^k e_s yields them all;
     D, quotient.source, is read only for the exact ranks. When a value is
     ranked, _split_involutions picks commuting involutive generators
-    from gens, the checked transitive generators; each rank then checks
-    that they are involutions that commute pairwise and with D, and
-    splits D - lam I into one block per character of their group
-    (eigen_multiplicity).
+    from gens, the checked transitive generators; character_blocks,
+    built once, checks that they are involutions that commute pairwise,
+    and gives the ledger its block orders; each rank checks that they
+    commute with D and splits D - lam I into those blocks, one per
+    character of their group (eigen_multiplicity).
 
     Of the other values, the three of largest |lam| (ties: the positive
     one) are solved from the power sums k = 0, 1, 2, less the Perron
@@ -416,10 +490,12 @@ def _moment_spectrum(quotient, cell, rho, values, gens):
     q, order = quotient.matrix, quotient.graph.vertex_count
     kept = _split_involutions(gens) if ranked else []
     involutions = [t for _, t in kept]
-    mult = {lam: eigen_multiplicity(quotient.source, lam, involutions) for lam in ranked}
+    blocks = character_blocks(order, involutions) if ranked else None
+    mult = {
+        lam: eigen_multiplicity(quotient.source, lam, involutions, blocks) for lam in ranked
+    }
     split = None
     if kept:
-        blocks = character_blocks(order, involutions)
         split = tuple(k for k, _ in kept), tuple(len(reps) for reps, _, _ in blocks)
     mult[top] = 1
     power_sums = []
@@ -456,9 +532,14 @@ def distance_spectrum(
     """Complete exact distance spectrum of a connected graph.
 
     rank-sweep screens every integer in [-rho, rho] (rho = max row sum,
-    a spectral radius bound) against det(xI - D) mod a prime, and gives
-    each survivor an exact rank. char-poly always expands det(xI - D).
-    Both run BFS. quotient-assisted starts from the caller's
+    a spectral radius bound) against chi_D = det(xI - D) mod a prime p,
+    with each survivor's multiplicity m_p as a root mod p: (x - lam)^m
+    dividing chi_D over Z divides it mod p, so m_p bounds lam's
+    multiplicity. If the m_p sum to less than |V|, nothing is ranked and
+    det(xI - D) gives the spectrum; otherwise the survivors are ranked in
+    ascending order up to |V| - 1, and the last value comes from tr D
+    (_ranked_spectrum). char-poly always expands det(xI - D). Both run
+    BFS. quotient-assisted starts from the caller's
     QuotientMatrix, which must have been built from g itself
     (quotient.graph == g) over a singleton-cell orbit partition, and g
     must be vertex-transitive under transitive_gens. quotient_matrix
@@ -475,9 +556,10 @@ def distance_spectrum(
     |V| (Q^k)_ss with at most a few exact ranks (Spectrum.moments
     records how). A rank is split by the involutive transitive
     generators that _split_involutions keeps, fewest fixed points first:
-    eigen_multiplicity checks that they are involutions that commute
-    pairwise and with D (a failure is a ValueError), and ranks D - lam I
-    as one block per character of the group they generate.
+    character_blocks checks that they are involutions that commute
+    pairwise, eigen_multiplicity that they commute with D (a failure is
+    a ValueError), and it ranks D - lam I as one block per character of
+    the group they generate.
 
     Otherwise D has an eigenvalue outside the integers, and nothing is
     ranked: det(xI - D) gives the spectrum. Under these premises spec(D)
@@ -489,7 +571,7 @@ def distance_spectrum(
     when D is integral, and D's integer eigenvalues lie in S. The route
     requires det(xI - D) to have a residual factor and its integer roots
     to lie in S; otherwise it raises ArithmeticError. rank-sweep, when
-    its ranks do not exhaust the order, expands det(xI - D) for the
+    its ranks fall short of |V| - 1, expands det(xI - D) for the
     residual factor and requires its integer roots to equal the ranked
     ones.
 
@@ -579,6 +661,21 @@ def is_distance_integral(
             f"among those {d}"
         )
         checks.append(Check("roots-among-quotient", True, detail))
+    elif spectrum.sweep is not None:
+        count, ranked, last = spectrum.sweep
+        roots = f"det(xI - D) mod p: roots in [-rho, rho] with multiplicity {count}"
+        if count < order:
+            detail = (
+                f"{roots} < |V| = {order}, so D has an eigenvalue outside the integers; "
+                "det(xI - D)'s integer roots lie among them"
+            )
+        else:
+            detail = f"{roots} = |V|; ranked {' '.join(map(str, ranked)) or 'none'}"
+            if last is not None:
+                detail += f"; last value {last} from tr D"
+            elif not spectrum.is_integral:
+                detail += "; det(xI - D)'s integer roots equal the ranked ones"
+        checks.append(Check("screen", True, detail))
     checks += [
         Check(
             "spectrum-complete",

@@ -25,9 +25,13 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 STAND_INS = {
     "verify-lcr": (("verify-lcr", "--n", "4..5"),),
     "structure": (("quotient", "--n", "5"),),
-    # the heptagon is not distance integral: rank-sweep ranks its Perron
-    # value, then expands det(xI - D) for the residual factor
-    "rank-sweep": (("spectrum", "--family", "cycle", "--n", "7"),),
+    # as on the workload, one integral graph and one that is not: lcr(5)
+    # ranks all but its Perron value; the heptagon's roots mod p fall
+    # short of its order, so it ranks nothing and expands det(xI - D)
+    "rank-sweep": (
+        ("spectrum", "--family", "lcr", "--n", "5"),
+        ("spectrum", "--family", "cycle", "--n", "7"),
+    ),
     "char-poly": (("spectrum", "--family", "cycle", "--n", "7", "--method", "char-poly"),),
 }
 

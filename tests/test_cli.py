@@ -134,18 +134,62 @@ class TestSpectrumCommand:
         assert "NOT distance integral" in out
 
     def test_internal_disagreement_exits_three(self, capsys, monkeypatch):
-        # the ranks miss the heptagon's Perron value 12; det(xI - D) has it
+        # lcr(5)'s roots mod p cover its order, so its values are ranked;
+        # with the rank of -2 lost the ranks fall short, and det(xI - D) has -2^4
         true_mult = spectral.eigen_multiplicity
         monkeypatch.setattr(
             spectral, "eigen_multiplicity",
-            lambda m, lam, involutions=(): (
-                0 if lam == 12 else true_mult(m, lam, involutions)
-            ),
+            lambda m, lam, *rest: 0 if lam == -2 else true_mult(m, lam, *rest),
         )
-        status, out, err = run(capsys, "spectrum", "--family", "cycle", "--n", "7")
+        status, out, err = run(capsys, "spectrum", "--family", "lcr", "--n", "5")
         assert status == 3
         assert out == ""
         assert err.startswith("internal error: rank certification and characteristic")
+
+    @pytest.mark.parametrize(
+        "stand_in,roots,degree",
+        [
+            # (x - 12)^2 (x^5 + 24x^4 + 1): the right order and trace, and a
+            # residual, but 12 twice where the screen found it once
+            pytest.param(
+                IntPolynomial.from_roots([12, 12]).multiply(IntPolynomial([1, 0, 0, 0, 24, 1])),
+                "[(12, 2)]", 5, id="root-above-its-multiplicity-mod-p",
+            ),
+            # (x - 12)(x + 2)^6: the right order and trace, but no residual
+            pytest.param(
+                IntPolynomial.from_roots([12] + [-2] * 6), "[(-2, 6), (12, 1)]", 0,
+                id="no-residual",
+            ),
+        ],
+    )
+    def test_det_against_the_roots_mod_p_exits_three(
+        self, capsys, monkeypatch, stand_in, roots, degree
+    ):
+        # the heptagon's one root mod p is 12, simple: 1 < 7, so D has an
+        # eigenvalue outside the integers, and det(xI - D) must agree
+        monkeypatch.setattr(spectral, "char_poly", lambda m: stand_in)
+        status, out, err = run(capsys, "spectrum", "--family", "cycle", "--n", "7")
+        assert (status, out) == (3, "")
+        assert err == (
+            f"internal error: det(xI - D) has integer roots {roots}, residual degree {degree}; "
+            "roots mod p [(12, 1)] fall short of |V| = 7: need a residual and no root above "
+            "its multiplicity mod p\n"
+        )
+
+    def test_last_value_outside_the_survivors_exits_three(self, capsys, monkeypatch):
+        # lcr(5) with -6 and 1 ranked 5 and 4, not 4 and 5: the ranks still
+        # reach |V| - 1 = 19, but tr D - sum m lam = 40, which the screen ruled out
+        true_mult = spectral.eigen_multiplicity
+        wrong = {-6: 5, 1: 4}
+        monkeypatch.setattr(
+            spectral, "eigen_multiplicity",
+            lambda m, lam, *rest: wrong.get(lam) or true_mult(m, lam, *rest),
+        )
+        status, out, err = run(capsys, "spectrum", "--family", "lcr", "--n", "5")
+        assert (status, out) == (3, "")
+        assert err == (
+            "internal error: last value 40 from tr D is not among the unranked survivors [33]\n"
+        )
 
     @pytest.mark.parametrize(
         "family,patch,message",
@@ -232,9 +276,7 @@ class TestSpectrumCommand:
         true_mult = spectral.eigen_multiplicity
         monkeypatch.setattr(
             spectral, "eigen_multiplicity",
-            lambda m, lam, involutions=(): (
-                wrong_mult if lam == -1 else true_mult(m, lam, involutions)
-            ),
+            lambda m, lam, *rest: wrong_mult if lam == -1 else true_mult(m, lam, *rest),
         )
         status, out, err = run(
             capsys, "spectrum", "--family", "lcr", "--n", "5", "--method", "quotient-assisted"

@@ -76,6 +76,23 @@ def non_singleton_cycle_cases():
     ]
 
 
+def draw_circulant(data):
+    """(n, a connected circulant of order n, whether it is a union of gcd
+    classes), drawn for a Hypothesis test. Random connection sets are
+    mostly non-integral; a union of gcd classes {x : gcd(x, n) = d} is
+    integral, since the units mod n fix 0 and keep every distance class a
+    union of gcd classes."""
+    n = data.draw(st.integers(min_value=5, max_value=30), label="n")
+    gcd_classes = data.draw(st.booleans(), label="gcd classes")
+    if gcd_classes:
+        divisors = [d for d in range(2, n) if n % d == 0]
+        chosen = data.draw(st.sets(st.sampled_from(divisors)) if divisors else st.just(set()))
+        conns = {min(x, n - x) for x in range(1, n) if gcd(x, n) in chosen | {1}}
+    else:
+        conns = {1} | data.draw(st.sets(st.integers(min_value=1, max_value=n // 2)))
+    return n, build_circulant(n, conns), gcd_classes
+
+
 class TestQuotientMatrix:
     def test_all_singletons_gives_the_distance_matrix(self):
         g = build_cycle(5)
@@ -311,23 +328,12 @@ class TestDistanceSpectrum:
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_quotient_assisted_ranks_nothing_on_non_integral_circulants(self, data):
-        # random connection sets are mostly non-integral; a union of gcd
-        # classes {x : gcd(x, n) = d} is integral, since the units mod n
-        # fix 0 and keep every distance class a union of gcd classes
-        n = data.draw(st.integers(min_value=5, max_value=30), label="n")
-        gcd_classes = data.draw(st.booleans(), label="gcd classes")
-        if gcd_classes:
-            divisors = [d for d in range(2, n) if n % d == 0]
-            chosen = data.draw(st.sets(st.sampled_from(divisors)) if divisors else st.just(set()))
-            conns = {min(x, n - x) for x in range(1, n) if gcd(x, n) in chosen | {1}}
-        else:
-            conns = {1} | data.draw(st.sets(st.integers(min_value=1, max_value=n // 2)))
-        g = build_circulant(n, conns)
+        n, g, gcd_classes = draw_circulant(data)
         calls = []
 
-        def counting(matrix, lam, involutions=()):
+        def counting(matrix, lam, *rest):
             calls.append(lam)
-            return eigen_multiplicity(matrix, lam, involutions)
+            return eigen_multiplicity(matrix, lam, *rest)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(spectral, "eigen_multiplicity", counting)
@@ -342,17 +348,52 @@ class TestDistanceSpectrum:
         if not s_quot.is_integral:
             assert calls == []
 
-    def test_screen_leaves_one_rank_per_eigenvalue(self, monkeypatch):
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_rank_sweep_ranks_all_but_the_last_value_or_nothing(self, data):
+        # a non-integral circulant's roots mod p fall short of its order, so
+        # nothing is ranked; an integral one ranks every value but its
+        # Perron value, which comes from tr D
+        _, g, gcd_classes = draw_circulant(data)
         calls = []
 
-        def counting(matrix, lam, involutions=()):
+        def counting(matrix, lam, *rest):
             calls.append(lam)
-            return eigen_multiplicity(matrix, lam, involutions)
+            return eigen_multiplicity(matrix, lam, *rest)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spectral, "eigen_multiplicity", counting)
+            s = distance_spectrum(g, "rank-sweep")
+        assert s == distance_spectrum(g, "char-poly")
+        assert s.is_integral or not gcd_classes
+        assert calls == (list(s.distinct_values[:-1]) if s.is_integral else [])
+
+    def test_screen_leaves_one_rank_per_eigenvalue(self, monkeypatch):
+        # the ranks of -6, -2, -1 and 1 reach |V| - 1 = 19; 33 is tr D less them
+        calls = []
+
+        def counting(matrix, lam, *rest):
+            calls.append(lam)
+            return eigen_multiplicity(matrix, lam, *rest)
 
         monkeypatch.setattr(spectral, "eigen_multiplicity", counting)
         s = distance_spectrum(build_lcr(5), "rank-sweep")
-        assert calls == [-6, -2, -1, 1, 33]
+        assert calls == [-6, -2, -1, 1]
+        assert s.sweep == (20, (-6, -2, -1, 1), 33)
         assert s == distance_spectrum(build_lcr(5), "char-poly")
+
+    def test_spurious_roots_mod_p_fall_back_to_det(self, monkeypatch):
+        # a screen that claimed 0^6 for the heptagon sends it down the
+        # ranked route; the ranks fall short, and det(xI - D) must give
+        # the ranked values as its integer roots
+        monkeypatch.setattr(spectral, "_screened_range", lambda d, rho: [(0, 6), (12, 1)])
+        report = is_distance_integral(build_cycle(7))
+        assert report.spectrum == distance_spectrum(build_cycle(7), "char-poly")
+        assert report.spectrum.sweep == (7, (0, 12), None)
+        assert report.checks[0].detail == (
+            "det(xI - D) mod p: roots in [-rho, rho] with multiplicity 7 = |V|; ranked 0 12; "
+            "det(xI - D)'s integer roots equal the ranked ones"
+        )
 
     @pytest.mark.parametrize(
         "n,ranked",
@@ -362,9 +403,9 @@ class TestDistanceSpectrum:
         # -1-n, 3-n and 1 come from tr D^k; lcr(4) has no fourth non-top value
         calls = []
 
-        def counting(matrix, lam, involutions=()):
+        def counting(matrix, lam, *rest):
             calls.append(lam)
-            return eigen_multiplicity(matrix, lam, involutions)
+            return eigen_multiplicity(matrix, lam, *rest)
 
         monkeypatch.setattr(spectral, "eigen_multiplicity", counting)
         q = lcr_quotient(n)
@@ -409,9 +450,9 @@ class TestDistanceSpectrum:
         calls = []
         kernel = exactla.bareiss_echelon
 
-        def counting(matrix, lam, involutions=()):
+        def counting(matrix, lam, *rest):
             calls.append(lam)
-            return eigen_multiplicity(matrix, lam, involutions)
+            return eigen_multiplicity(matrix, lam, *rest)
 
         def counting_kernel(rows):
             calls.append("bareiss")
@@ -690,10 +731,24 @@ class TestIntegralityReports:
     def test_ledger_details_come_from_the_spectrum(self):
         report = is_distance_integral(build_cycle(7), description="cycle n=7")
         assert report.spectrum.trace == 0
-        complete, trace = report.checks
-        assert complete.passed and trace.passed
+        screen, complete, trace = report.checks
+        assert screen.passed and complete.passed and trace.passed
+        assert screen.detail == (
+            "det(xI - D) mod p: roots in [-rho, rho] with multiplicity 1 < |V| = 7, so D has "
+            "an eigenvalue outside the integers; det(xI - D)'s integer roots lie among them"
+        )
         assert complete.detail == "multiplicities 1 + residual degree 6 = order 7"
         assert trace.detail == "weighted eigenvalue sum 0 equals trace 0"
+
+    def test_ledger_names_the_integral_rank_sweep_route(self):
+        report = is_distance_integral(build_lcr(5))
+        assert [c.name for c in report.checks] == ["screen", "spectrum-complete", "trace-zero"]
+        assert report.checks[0] == (
+            "screen",
+            True,
+            "det(xI - D) mod p: roots in [-rho, rho] with multiplicity 20 = |V|; "
+            "ranked -6 -2 -1 1; last value 33 from tr D",
+        )
 
     def test_ledger_names_the_non_integral_quotient_route(self):
         g = build_cycle(7)
