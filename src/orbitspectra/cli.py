@@ -475,15 +475,22 @@ def _build_parser():
 
 
 def _normalize_args(args):
-    """Parse --n and --connections in place and check the graph source."""
+    """Parse --n and --connections in place and check the graph source;
+    a source flag the chosen source would not read is a usage error."""
     args.n_values = _parse_n_range(args.n) if args.n else ()
     if args.command in ("verify-lcr", "quotient"):
         return
-    args.connections = _parse_connections(args.connections) if args.connections else ()
     if args.family is not None and not args.n_values:
         raise UsageError("--family needs --n")
     if (args.family is None) == (args.input is None):
         raise UsageError("exactly one graph source: --family with --n, or --input")
+    if args.input is not None and args.n_values:
+        raise UsageError("--n goes with --family, not with --input")
+    if args.k is not None and args.family not in ("johnson", "line-johnson"):
+        raise UsageError("--k goes with --family johnson or line-johnson only")
+    if args.connections is not None and args.family != "circulant":
+        raise UsageError("--connections goes with --family circulant only")
+    args.connections = _parse_connections(args.connections) if args.connections else ()
     if args.command in ("spectrum", "scan"):
         given = (args.stabilizer_gens is not None) + (args.transitive_gens is not None)
         if given == 1 or given and args.method != "quotient-assisted":

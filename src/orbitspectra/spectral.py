@@ -111,41 +111,17 @@ class QuotientMatrix(Frozen):
         return self._char_roots
 
 
-class MomentSolve(NamedTuple):
-    """How the quotient certificate reached its multiplicities: the values
-    it ranked, the values it solved from tr D^k, and tr D^3 = |V| (Q^3)_ss,
-    which the solved spectrum matched. The Perron value, taken as simple,
-    is the spectrum's largest value. split, when a rank ran split by
-    involutive generators, is (their indices, the block orders)."""
-
-    ranked: tuple
-    solved: tuple
-    cubic: int
-    split: tuple = None
-
-
-class Sweep(NamedTuple):
-    """How rank-sweep reached its spectrum: the roots of det(xI - D) mod p
-    in [-rho, rho] counted with multiplicity, the values it ranked in
-    ascending order, and the last value taken from tr D, if any. A count
-    below the order means that nothing was ranked."""
-
-    count: int
-    ranked: tuple
-    last: int
-
-
 class Spectrum:
     """Exact spectrum: integer eigenvalues with multiplicities, plus an
     optional residual factor witnessing non-integrality. The one place
     that checks a spectrum's invariants: a spectrum is always computed,
     never read from input, so a broken one is an ArithmeticError.
-    moments is the quotient certificate's MomentSolve, when one ran, and
-    sweep rank-sweep's Sweep."""
+    checks holds the ledger entries of the exact route that computed it,
+    written where that route was decided; equality ignores them."""
 
-    __slots__ = ("integer_part", "residual", "order", "trace", "moments", "sweep")
+    __slots__ = ("integer_part", "residual", "order", "trace", "checks")
 
-    def __init__(self, integer_part, residual, order, trace=0, moments=None, sweep=None):
+    def __init__(self, integer_part, residual, order, trace=0, checks=()):
         integer_part = tuple(integer_part)
         if list(integer_part) != sorted(integer_part):
             raise ArithmeticError("eigenvalues must be sorted ascending")
@@ -163,8 +139,7 @@ class Spectrum:
         self.residual = residual
         self.order = order
         self.trace = trace
-        self.moments = moments
-        self.sweep = sweep
+        self.checks = checks
         total, res_deg = self.multiplicity_sum, self.residual_degree
         if total + res_deg != order:
             raise ArithmeticError(
@@ -197,9 +172,6 @@ class Spectrum:
     def distinct_values(self):
         return tuple(v for v, _ in self.integer_part)
 
-    def multiplicity(self, lam):
-        return dict(self.integer_part).get(lam, 0)
-
     def __eq__(self, other):
         return (
             isinstance(other, Spectrum)
@@ -215,8 +187,9 @@ class Spectrum:
 
 
 class Check(NamedTuple):
+    """One passed entry of a check ledger: a failed check raises instead."""
+
     name: str
-    passed: bool
     detail: str
 
 
@@ -240,9 +213,7 @@ class IntegralityReport(NamedTuple):
         if spectrum.residual is not None:
             out["residual_coefficients"] = [str(c) for c in spectrum.residual.coefficients]
         out["distinct"] = list(spectrum.distinct_values)
-        out["checks"] = [
-            {"name": c.name, "pass": c.passed, "detail": c.detail} for c in self.checks
-        ]
+        out["checks"] = [{"name": c.name, "pass": True, "detail": c.detail} for c in self.checks]
         return out
 
 
@@ -352,13 +323,19 @@ def _ranked_spectrum(matrix, rho, survivors):
     that fall short leave det(xI - D) to supply the residual factor, and
     its integer roots must equal the ranked pairs: a symmetric matrix's
     geometric and algebraic multiplicities agree. Any failed requirement
-    raises ArithmeticError; Spectrum.sweep records the route.
+    raises ArithmeticError; each return carries a "screen" check naming
+    its route.
     """
     order, trace = matrix.rows, matrix.trace()
     bound = dict(survivors)
     count = sum(bound.values())
+    roots = f"det(xI - D) mod p: roots in [-rho, rho] with multiplicity {count}"
     if count < order:
-        spectrum = _char_poly_spectrum(matrix, rho, Sweep(count, (), None))
+        detail = (
+            f"{roots} < |V| = {order}, so D has an eigenvalue outside the integers; "
+            "det(xI - D)'s integer roots lie among them"
+        )
+        spectrum = _char_poly_spectrum(matrix, rho, Check("screen", detail))
         over = any(m > bound.get(lam, 0) for lam, m in spectrum.integer_part)
         if spectrum.is_integral or over:
             raise ArithmeticError(
@@ -367,7 +344,7 @@ def _ranked_spectrum(matrix, rho, survivors):
                 f"|V| = {order}: need a residual and no root above its multiplicity mod p"
             )
         return spectrum
-    pairs, ranked, remaining, last = [], [], order, None
+    pairs, ranked, remaining = [], [], order
     for lam, _ in survivors:
         if remaining < 2:
             break
@@ -376,6 +353,7 @@ def _ranked_spectrum(matrix, rho, survivors):
         if mult:
             pairs.append((lam, mult))
             remaining -= mult
+    detail = f"{roots} = |V|; ranked {' '.join(map(str, ranked)) or 'none'}"
     if remaining == 1:
         last = trace - sum(lam * m for lam, m in pairs)
         unranked = [lam for lam, _ in survivors[len(ranked):]]
@@ -385,19 +363,21 @@ def _ranked_spectrum(matrix, rho, survivors):
             )
         pairs.append((last, 1))
         remaining = 0
-    sweep = Sweep(count, tuple(ranked), last)
+        detail += f"; last value {last} from tr D"
     if remaining == 0:
-        return Spectrum(pairs, None, order, trace, sweep=sweep)
-    spectrum = _char_poly_spectrum(matrix, rho, sweep)
+        return Spectrum(pairs, None, order, trace, (Check("screen", detail),))
+    detail += "; det(xI - D)'s integer roots equal the ranked ones"
+    spectrum = _char_poly_spectrum(matrix, rho, Check("screen", detail))
     if spectrum.integer_part != tuple(pairs):
         raise ArithmeticError("rank certification and characteristic polynomial disagree")
     return spectrum
 
 
-def _char_poly_spectrum(matrix, rho, sweep=None):
-    """Spectrum from the integer roots and residual factor of det(xI - D)."""
+def _char_poly_spectrum(matrix, rho, *checks):
+    """Spectrum from the integer roots and residual factor of det(xI - D),
+    carrying the given ledger entries."""
     roots, residual = integer_roots(char_poly(matrix), bound=rho)
-    return Spectrum(roots, residual, matrix.rows, matrix.trace(), sweep=sweep)
+    return Spectrum(roots, residual, matrix.rows, matrix.trace(), checks)
 
 
 def _annihilates(q, values, cell):
@@ -481,6 +461,11 @@ def _moment_spectrum(quotient, cell, rho, values, gens):
     power sums k = 0..2 still hold. The change lives on four distinct
     values, whose 4 x 4 Vandermonde system is nonsingular, so the power
     sum k = 3 then fails.
+
+    The spectrum carries the route's two ledger entries: "annihilates",
+    the degree of the product that sent e_s to 0, and "moments", the
+    Perron premise, the ranked values and their blocks, the solved
+    values and the cubic moment.
     """
     *rest, top = values
     if top != rho:
@@ -494,9 +479,17 @@ def _moment_spectrum(quotient, cell, rho, values, gens):
     mult = {
         lam: eigen_multiplicity(quotient.source, lam, involutions, blocks) for lam in ranked
     }
-    split = None
+    steps = [
+        f"Perron value {top} simple (D irreducible, constant row sums)",
+        f"ranked {' '.join(map(str, ranked)) or 'none'}",
+    ]
     if kept:
-        split = tuple(k for k, _ in kept), tuple(len(reps) for reps, _, _ in blocks)
+        many = len(kept) > 1
+        steps[1] += (
+            f" (blocks {' + '.join(str(len(reps)) for reps, _, _ in blocks)} under involutive"
+            f" generator{'s' * many} {', '.join(f'#{k}' for k, _ in kept)}, "
+            f"commuting with D {'and pairwise ' * many}checked)"
+        )
     mult[top] = 1
     power_sums = []
     y = [0] * q.rows
@@ -522,8 +515,19 @@ def _moment_spectrum(quotient, cell, rho, values, gens):
             raise ArithmeticError(
                 f"spare moment k={k}: solved values give {spare}, tr D^{k} leaves {left[k]}"
             )
-    moments = MomentSolve(tuple(ranked), tuple(solved), power_sums[3], split)
-    return Spectrum(sorted(mult.items()), None, order, power_sums[1], moments)
+    used = len(solved)
+    solved_text = " ".join(f"{a}^{mult[a]}" for a in solved)
+    steps.append(f"solved {solved_text} from tr D^k, k = 0..{used - 1}" if used else "solved none")
+    if used < 3:
+        steps.append(f"spare moments k = {used}..2 agree")
+    steps.append(f"sum m lam^3 = |V| (Q^3)_ss = {power_sums[3]}")
+    degree = len(values)
+    annihilates = (
+        f"degree-{degree} product of (Q - lam I) sends e_s to 0, "
+        f"so spec(D) lies among its {degree} roots"
+    )
+    checks = Check("annihilates", annihilates), Check("moments", "; ".join(steps))
+    return Spectrum(sorted(mult.items()), None, order, power_sums[1], checks)
 
 
 def distance_spectrum(
@@ -553,13 +557,13 @@ def distance_spectrum(
     quotient. When the product of (Q - lam I) over S annihilates the
     singleton cell's unit vector, S holds every eigenvalue of D, and
     _moment_spectrum certifies the multiplicities from the moments
-    |V| (Q^k)_ss with at most a few exact ranks (Spectrum.moments
-    records how). A rank is split by the involutive transitive
-    generators that _split_involutions keeps, fewest fixed points first:
-    character_blocks checks that they are involutions that commute
-    pairwise, eigen_multiplicity that they commute with D (a failure is
-    a ValueError), and it ranks D - lam I as one block per character of
-    the group they generate.
+    |V| (Q^k)_ss with at most a few exact ranks (its "annihilates" and
+    "moments" checks record how). A rank is split by the involutive
+    transitive generators that _split_involutions keeps, fewest fixed
+    points first: character_blocks checks that they are involutions
+    that commute pairwise, eigen_multiplicity that they commute with D
+    (a failure is a ValueError), and it ranks D - lam I as one block per
+    character of the group they generate.
 
     Otherwise D has an eigenvalue outside the integers, and nothing is
     ranked: det(xI - D) gives the spectrum. Under these premises spec(D)
@@ -570,10 +574,10 @@ def distance_spectrum(
     gives E_vv = m_mu / |V| > 0, so x != 0. Hence S annihilates exactly
     when D is integral, and D's integer eigenvalues lie in S. The route
     requires det(xI - D) to have a residual factor and its integer roots
-    to lie in S; otherwise it raises ArithmeticError. rank-sweep, when
-    its ranks fall short of |V| - 1, expands det(xI - D) for the
-    residual factor and requires its integer roots to equal the ranked
-    ones.
+    to lie in S, or it raises ArithmeticError; its ledger entry is
+    "roots-among-quotient". rank-sweep, when its ranks fall short of
+    |V| - 1, expands det(xI - D) for the residual factor and requires
+    its integer roots to equal the ranked ones.
 
     quotient and transitive_gens belong to quotient-assisted; passing
     either with another method, or a premise quotient-assisted misses,
@@ -607,7 +611,12 @@ def distance_spectrum(
     values = [lam for lam, _ in quotient.char_roots[0]]
     if _annihilates(quotient.matrix, values, singletons[0]):
         return _moment_spectrum(quotient, singletons[0], rho, values, transitive_gens)
-    spectrum = _char_poly_spectrum(quotient.source, rho)
+    detail = (
+        f"product of (Q - lam I) over det(xI - Q)'s {len(values)} integer roots leaves e_s "
+        f"nonzero, so D has an eigenvalue outside the integers; det(xI - D)'s integer roots "
+        f"lie among those {len(values)}"
+    )
+    spectrum = _char_poly_spectrum(quotient.source, rho, Check("roots-among-quotient", detail))
     if spectrum.is_integral or not set(spectrum.distinct_values) <= set(values):
         raise ArithmeticError(
             f"det(xI - D) has integer roots {list(spectrum.distinct_values)}, residual degree "
@@ -619,82 +628,23 @@ def distance_spectrum(
 def is_distance_integral(
     g, method="rank-sweep", description=None, quotient=None, transitive_gens=None
 ) -> IntegralityReport:
-    """Full integrality report; Spectrum has enforced the ledger's figures."""
+    """Full integrality report. The ledger is the spectrum's own route
+    checks, then spectrum-complete and trace-zero, whose figures Spectrum
+    has enforced."""
     spectrum = distance_spectrum(
         g, method, quotient=quotient, transitive_gens=transitive_gens
     )
-    order = spectrum.order
-    checks = []
-    moments = spectrum.moments
-    if moments is not None:
-        degree = len(spectrum.integer_part)
-        detail = (
-            f"degree-{degree} product of (Q - lam I) sends e_s to 0, "
-            f"so spec(D) lies among its {degree} roots"
-        )
-        checks.append(Check("annihilates", True, detail))
-        used = len(moments.solved)
-        solved = " ".join(f"{v}^{spectrum.multiplicity(v)}" for v in moments.solved)
-        ranked = f"ranked {' '.join(map(str, moments.ranked)) or 'none'}"
-        if moments.split:
-            kept, orders = moments.split
-            many = len(kept) > 1
-            ranked += (
-                f" (blocks {' + '.join(map(str, orders))} under involutive generator"
-                f"{'s' * many} {', '.join(f'#{k}' for k in kept)}, "
-                f"commuting with D {'and pairwise ' * many}checked)"
-            )
-        steps = [
-            f"Perron value {spectrum.distinct_values[-1]} simple (D irreducible, constant row sums)",
-            ranked,
-            f"solved {solved} from tr D^k, k = 0..{used - 1}" if used else "solved none",
-        ]
-        if used < 3:
-            steps.append(f"spare moments k = {used}..2 agree")
-        steps.append(f"sum m lam^3 = |V| (Q^3)_ss = {moments.cubic}")
-        checks.append(Check("moments", True, "; ".join(steps)))
-    elif method == "quotient-assisted":
-        d = len(quotient.char_roots[0])
-        detail = (
-            f"product of (Q - lam I) over det(xI - Q)'s {d} integer roots leaves e_s nonzero, "
-            f"so D has an eigenvalue outside the integers; det(xI - D)'s integer roots lie "
-            f"among those {d}"
-        )
-        checks.append(Check("roots-among-quotient", True, detail))
-    elif spectrum.sweep is not None:
-        count, ranked, last = spectrum.sweep
-        roots = f"det(xI - D) mod p: roots in [-rho, rho] with multiplicity {count}"
-        if count < order:
-            detail = (
-                f"{roots} < |V| = {order}, so D has an eigenvalue outside the integers; "
-                "det(xI - D)'s integer roots lie among them"
-            )
-        else:
-            detail = f"{roots} = |V|; ranked {' '.join(map(str, ranked)) or 'none'}"
-            if last is not None:
-                detail += f"; last value {last} from tr D"
-            elif not spectrum.is_integral:
-                detail += "; det(xI - D)'s integer roots equal the ranked ones"
-        checks.append(Check("screen", True, detail))
-    checks += [
-        Check(
-            "spectrum-complete",
-            True,
-            f"multiplicities {spectrum.multiplicity_sum} + residual degree "
-            f"{spectrum.residual_degree} = order {order}",
-        ),
-        Check(
-            "trace-zero",
-            True,
-            f"weighted eigenvalue sum {spectrum.eigenvalue_sum} "
-            f"equals trace {spectrum.trace}",
-        ),
-    ]
+    complete = (
+        f"multiplicities {spectrum.multiplicity_sum} + residual degree "
+        f"{spectrum.residual_degree} = order {spectrum.order}"
+    )
+    trace = f"weighted eigenvalue sum {spectrum.eigenvalue_sum} equals trace {spectrum.trace}"
+    checks = spectrum.checks + (Check("spectrum-complete", complete), Check("trace-zero", trace))
     return IntegralityReport(
         graph=description or repr(g),
         method=method,
         spectrum=spectrum,
-        checks=tuple(checks),
+        checks=checks,
     )
 
 
@@ -752,7 +702,7 @@ def verify_lcr(n) -> IntegralityReport:
     def stage(name, ok, detail):
         if not ok:
             raise VerificationError(name, detail)
-        checks.append(Check(name, True, detail))
+        checks.append(Check(name, detail))
 
     g = build_lcr(n)
     order = n * (n - 1)
@@ -788,7 +738,7 @@ def verify_lcr(n) -> IntegralityReport:
     )
     gens = len(pi.generators.generators)
     detail = f"{gens} generators map edges to edges, so their orbits are equitable"
-    checks.append(Check("stabilizer-automorphisms", True, detail))
+    checks.append(Check("stabilizer-automorphisms", detail))
 
     stage(
         "quotient-closed-form",

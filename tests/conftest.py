@@ -6,9 +6,10 @@ vertex-transitivity, so the quotient-assisted method is applicable
 everywhere and the three spectrum methods can be cross-validated.
 """
 
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -46,6 +47,62 @@ def bfs_reference(n, adj):
                     queue.append(w)
         dist.append(tuple(row))
     return dist
+
+
+def _totient(n):
+    return sum(1 for j in range(1, n + 1) if gcd(j, n) == 1)
+
+
+def _mobius(n):
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+def ramanujan_sum(q, k):
+    """c_q(k), the sum of zeta_q^(jk) over the units j mod q, by von
+    Sterneck's formula: mu(q/g) phi(q) / phi(q/g), g = gcd(q, k)."""
+    m = q // gcd(q, k)
+    return _mobius(m) * _totient(q) // _totient(m)
+
+
+def circulant_spectrum(n, connections):
+    """Distance spectrum of the connected circulant C(n, connections) with
+    no matrix, as ascending (value, multiplicity) pairs, or None when it
+    is not integral: the oracle for the spectrum methods on circulants.
+
+    f(j), the distance from 0 to j, comes from one BFS over j +- s mod n.
+    D is circulant with first row f, so its eigenvalues are
+    lam_k = sum_j f(j) zeta^(jk), k = 0..n-1. They are integers iff f is
+    constant on each class {j : gcd(j, n) = d} (So, "Integral circulant
+    graphs", Discrete Math. 306, 2006). The class of d sums zeta^(jk) to
+    the Ramanujan sum c_(n/d)(k), so lam_k = sum_(d | n) f_d c_(n/d)(k).
+    """
+    f = [0] + [-1] * (n - 1)
+    level = [0]
+    while level:
+        succ = []
+        for u in level:
+            for w in {(u + s) % n for s in connections} | {(u - s) % n for s in connections}:
+                if f[w] < 0:
+                    f[w] = f[u] + 1
+                    succ.append(w)
+        level = succ
+    classes = {}
+    for j in range(1, n):
+        classes.setdefault(gcd(j, n), set()).add(f[j])
+    if any(len(values) > 1 for values in classes.values()):
+        return None
+    values = Counter(
+        sum(f_d * ramanujan_sum(n // d, k) for d, (f_d,) in classes.items()) for k in range(n)
+    )
+    return sorted(values.items())
 
 
 def det(m):

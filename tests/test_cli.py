@@ -610,6 +610,25 @@ class TestUsageErrors:
         )
         assert status == 2
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("spectrum", "--input", "{square}", "--n", "9"),
+             "--n goes with --family, not with --input"),
+            (("scan", "--family", "cycle", "--n", "4..5", "--k", "2"),
+             "--k goes with --family johnson or line-johnson only"),
+            (("distances", "--family", "lcr", "--n", "4", "--connections", "1,2"),
+             "--connections goes with --family circulant only"),
+        ],
+        ids=["n-with-input", "k-outside-johnson", "connections-outside-circulant"],
+    )
+    def test_flags_the_source_would_ignore_are_refused(self, capsys, tmp_path, argv, message):
+        square = tmp_path / "square.edges"
+        square.write_text("p 4\ne 0 1\ne 1 2\ne 2 3\ne 3 0\n", encoding="utf-8")
+        status, out, err = run(capsys, *(arg.format(square=square) for arg in argv))
+        assert (status, out) == (2, "")
+        assert err == f"error: {message}\n"
+
     def test_family_parameter_out_of_range(self, capsys):
         status, out, err = run(capsys, "spectrum", "--family", "cycle", "--n", "2")
         assert status == 2

@@ -37,7 +37,6 @@ from orbitspectra.perms import (
     swap_action,
 )
 from orbitspectra.spectral import (
-    MomentSolve,
     Spectrum,
     VerificationError,
     distance_spectrum,
@@ -50,6 +49,7 @@ from orbitspectra.spectral import (
 
 from conftest import (
     bfs_reference,
+    circulant_spectrum,
     quotient_reference,
     reflection_perm,
     rank,
@@ -77,8 +77,8 @@ def non_singleton_cycle_cases():
 
 
 def draw_circulant(data):
-    """(n, a connected circulant of order n, whether it is a union of gcd
-    classes), drawn for a Hypothesis test. Random connection sets are
+    """(n, a connected circulant of order n, its connection set, whether
+    it is a union of gcd classes), drawn for a Hypothesis test. Random connection sets are
     mostly non-integral; a union of gcd classes {x : gcd(x, n) = d} is
     integral, since the units mod n fix 0 and keep every distance class a
     union of gcd classes."""
@@ -90,7 +90,7 @@ def draw_circulant(data):
         conns = {min(x, n - x) for x in range(1, n) if gcd(x, n) in chosen | {1}}
     else:
         conns = {1} | data.draw(st.sets(st.integers(min_value=1, max_value=n // 2)))
-    return n, build_circulant(n, conns), gcd_classes
+    return n, build_circulant(n, conns), conns, gcd_classes
 
 
 class TestQuotientMatrix:
@@ -328,7 +328,7 @@ class TestDistanceSpectrum:
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_quotient_assisted_ranks_nothing_on_non_integral_circulants(self, data):
-        n, g, gcd_classes = draw_circulant(data)
+        n, g, _, gcd_classes = draw_circulant(data)
         calls = []
 
         def counting(matrix, lam, *rest):
@@ -354,7 +354,7 @@ class TestDistanceSpectrum:
         # a non-integral circulant's roots mod p fall short of its order, so
         # nothing is ranked; an integral one ranks every value but its
         # Perron value, which comes from tr D
-        _, g, gcd_classes = draw_circulant(data)
+        _, g, _, gcd_classes = draw_circulant(data)
         calls = []
 
         def counting(matrix, lam, *rest):
@@ -368,6 +368,19 @@ class TestDistanceSpectrum:
         assert s.is_integral or not gcd_classes
         assert calls == (list(s.distinct_values[:-1]) if s.is_integral else [])
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_methods_agree_with_the_matrix_free_circulant_oracle(self, data):
+        n, g, conns, gcd_classes = draw_circulant(data)
+        expected = circulant_spectrum(n, conns)
+        assert expected is not None or not gcd_classes
+        for method in ("char-poly", "rank-sweep"):
+            s = distance_spectrum(g, method)
+            if expected is None:
+                assert not s.is_integral, method
+            else:
+                assert s.is_integral and list(s.integer_part) == expected, method
+
     def test_screen_leaves_one_rank_per_eigenvalue(self, monkeypatch):
         # the ranks of -6, -2, -1 and 1 reach |V| - 1 = 19; 33 is tr D less them
         calls = []
@@ -379,7 +392,13 @@ class TestDistanceSpectrum:
         monkeypatch.setattr(spectral, "eigen_multiplicity", counting)
         s = distance_spectrum(build_lcr(5), "rank-sweep")
         assert calls == [-6, -2, -1, 1]
-        assert s.sweep == (20, (-6, -2, -1, 1), 33)
+        assert s.checks == (
+            (
+                "screen",
+                "det(xI - D) mod p: roots in [-rho, rho] with multiplicity 20 = |V|; "
+                "ranked -6 -2 -1 1; last value 33 from tr D",
+            ),
+        )
         assert s == distance_spectrum(build_lcr(5), "char-poly")
 
     def test_spurious_roots_mod_p_fall_back_to_det(self, monkeypatch):
@@ -389,17 +408,20 @@ class TestDistanceSpectrum:
         monkeypatch.setattr(spectral, "_screened_range", lambda d, rho: [(0, 6), (12, 1)])
         report = is_distance_integral(build_cycle(7))
         assert report.spectrum == distance_spectrum(build_cycle(7), "char-poly")
-        assert report.spectrum.sweep == (7, (0, 12), None)
+        assert report.spectrum.checks == report.checks[:1]
         assert report.checks[0].detail == (
             "det(xI - D) mod p: roots in [-rho, rho] with multiplicity 7 = |V|; ranked 0 12; "
             "det(xI - D)'s integer roots equal the ranked ones"
         )
 
     @pytest.mark.parametrize(
-        "n,ranked",
-        [pytest.param(4, [], id="lcr4-no-rank"), pytest.param(5, [-1], id="lcr5-ranks-minus-1")],
+        "n,ranked,step",
+        [
+            pytest.param(4, [], "; ranked none; ", id="lcr4-no-rank"),
+            pytest.param(5, [-1], "; ranked -1 (blocks ", id="lcr5-ranks-minus-1"),
+        ],
     )
-    def test_quotient_assisted_ranks_only_small_values(self, monkeypatch, n, ranked):
+    def test_quotient_assisted_ranks_only_small_values(self, monkeypatch, n, ranked, step):
         # -1-n, 3-n and 1 come from tr D^k; lcr(4) has no fourth non-top value
         calls = []
 
@@ -414,7 +436,8 @@ class TestDistanceSpectrum:
             g, "quotient-assisted", quotient=q, transitive_gens=lcr_automorphism_gens(n),
         )
         assert calls == ranked
-        assert s.moments.ranked == tuple(ranked)
+        assert [c.name for c in s.checks] == ["annihilates", "moments"]
+        assert step in s.checks[1].detail
         assert s == distance_spectrum(g, "char-poly")
 
     @pytest.mark.parametrize("name", ["johnson(5,1)", "cycle(4)", "johnson(6,2)"])
@@ -428,9 +451,13 @@ class TestDistanceSpectrum:
             g, "quotient-assisted", quotient=quotient_matrix(g, pi), transitive_gens=gens
         )
         s = report.spectrum
-        used = len(s.moments.solved)
-        assert used == len(s.integer_part) - 1 < 3
-        assert f"; spare moments k = {used}..2 agree;" in report.checks[1].detail
+        used = len(s.integer_part) - 1
+        solved = " ".join(f"{v}^{m}" for v, m in s.integer_part[:-1])
+        assert used < 3
+        assert (
+            f"; ranked none; solved {solved} from tr D^k, k = 0..{used - 1}; "
+            f"spare moments k = {used}..2 agree;" in report.checks[1].detail
+        )
         assert s == expected
 
     @pytest.mark.parametrize("n", range(4, 9))
@@ -470,7 +497,7 @@ class TestDistanceSpectrum:
         assert calls == []
         assert s.integer_part == ((12, 1),)
         assert s.residual.degree == 6
-        assert s.moments is None
+        assert [c.name for c in s.checks] == ["roots-among-quotient"]
 
     @pytest.mark.parametrize(
         "name,blocks,split",
@@ -479,15 +506,21 @@ class TestDistanceSpectrum:
             # is 2-transitive, so they are transitive on pairs; neither has
             # order 2, and the identity, also given, is no involution, so the
             # swap, generator #3, alone splits lcr(5)'s 20 vertices in halves
-            pytest.param("lcr5-a5-swap", [10, 10], ((3,), (10, 10)), id="lcr5-swap-halves"),
+            pytest.param(
+                "lcr5-a5-swap", [10, 10],
+                " (blocks 10 + 10 under involutive generator #3, commuting with D checked)",
+                id="lcr5-swap-halves",
+            ),
             # lcr_automorphism_gens(5): the swap #2 and tau_5 #3 fix no pair,
             # the pair action of (1 2), #0, fixes 6 and commutes with both
             pytest.param(
-                "lcr5", [5, 3, 2, 3, 1, 1, 2, 3], ((2, 3, 0), (5, 3, 2, 3, 1, 1, 2, 3)),
+                "lcr5", [5, 3, 2, 3, 1, 1, 2, 3],
+                " (blocks 5 + 3 + 2 + 3 + 1 + 1 + 2 + 3 under involutive generators #2, #3, #0, "
+                "commuting with D and pairwise checked)",
                 id="lcr5-eight-blocks",
             ),
             # no involution at all: no split
-            pytest.param("lcr5-a5", [20], None, id="lcr5-a5-single-block"),
+            pytest.param("lcr5-a5", [20], "", id="lcr5-a5-single-block"),
         ],
     )
     def test_ranks_split_by_the_involutive_generator(self, monkeypatch, name, blocks, split):
@@ -513,7 +546,7 @@ class TestDistanceSpectrum:
         }[name]
         s = distance_spectrum(q.graph, "quotient-assisted", quotient=q, transitive_gens=gens)
         assert seen == blocks
-        assert s.moments.split == split
+        assert f"; ranked -1{split}; " in s.checks[1].detail
         assert s == distance_spectrum(q.graph, "char-poly")
 
     def test_split_keeps_commuting_involutions_in_a_group_of_at_most_the_degree(self):
@@ -645,7 +678,7 @@ class TestSpectrumType:
         residual = IntPolynomial([6, 13, 1])  # x^2 + 13x + 6, root sum -13
         s = Spectrum([(6, 1), (7, 1)], residual, 4, trace=0)
         assert not s.is_integral
-        assert s.multiplicity(6) == 1 and s.multiplicity(5) == 0
+        assert dict(s.integer_part) == {6: 1, 7: 1}
 
     def test_rejects_unsorted(self):
         with pytest.raises(ArithmeticError, match="sorted"):
@@ -661,7 +694,8 @@ class TestVerifier:
         report = verify_lcr(n)
         assert report.spectrum.is_integral
         assert report.spectrum.distinct_values == expected
-        assert all(c.passed for c in report.checks)
+        assert all(c["pass"] is True for c in report.to_json_dict()["checks"])
+        assert report.checks[-4:] == report.spectrum.checks + report.checks[-2:]
 
     def test_small_n_rejected(self):
         with pytest.raises(VerificationError, match="n >= 4"):
@@ -706,11 +740,21 @@ class TestVerifier:
         assert payload["integral"] is True
         assert payload["eigenvalues"] == [[-5, 3], [-1, 6], [1, 2], [19, 1]]
         assert payload["distinct"] == [-5, -1, 1, 19]
-        assert {c["name"] for c in payload["checks"]} >= {
+        assert [c["name"] for c in payload["checks"]] == [
             "graph-shape",
+            "stabilizer-orbits",
+            "orbit-sizes",
+            "distances",
+            "stabilizer-automorphisms",
             "quotient-closed-form",
             "quotient-spectrum",
-        }
+            "distance-spectrum",
+            "annihilates",
+            "moments",
+            "spectrum-complete",
+            "trace-zero",
+        ]
+        assert all(c["pass"] is True for c in payload["checks"])
         assert "residual_coefficients" not in payload
 
 
@@ -732,7 +776,8 @@ class TestIntegralityReports:
         report = is_distance_integral(build_cycle(7), description="cycle n=7")
         assert report.spectrum.trace == 0
         screen, complete, trace = report.checks
-        assert screen.passed and complete.passed and trace.passed
+        assert report.spectrum.checks == (screen,)
+        assert (complete.name, trace.name) == ("spectrum-complete", "trace-zero")
         assert screen.detail == (
             "det(xI - D) mod p: roots in [-rho, rho] with multiplicity 1 < |V| = 7, so D has "
             "an eigenvalue outside the integers; det(xI - D)'s integer roots lie among them"
@@ -745,7 +790,6 @@ class TestIntegralityReports:
         assert [c.name for c in report.checks] == ["screen", "spectrum-complete", "trace-zero"]
         assert report.checks[0] == (
             "screen",
-            True,
             "det(xI - D) mod p: roots in [-rho, rho] with multiplicity 20 = |V|; "
             "ranked -6 -2 -1 1; last value 33 from tr D",
         )
@@ -763,7 +807,6 @@ class TestIntegralityReports:
         ]
         assert report.checks[0] == (
             "roots-among-quotient",
-            True,
             "product of (Q - lam I) over det(xI - Q)'s 1 integer roots leaves e_s nonzero, "
             "so D has an eigenvalue outside the integers; det(xI - D)'s integer roots lie "
             "among those 1",
@@ -777,7 +820,7 @@ class TestIntegralityReports:
         assert [c.name for c in report.checks] == [
             "annihilates", "moments", "spectrum-complete", "trace-zero",
         ]
-        assert all(c.passed for c in report.checks)
+        assert report.spectrum.checks == report.checks[:2]
         assert report.checks[0].detail == (
             "degree-5 product of (Q - lam I) sends e_s to 0, "
             "so spec(D) lies among its 5 roots"
@@ -811,15 +854,14 @@ class TestIntegralityReports:
         again = is_distance_integral(
             q.graph, "quotient-assisted", quotient=q, transitive_gens=lcr_automorphism_gens(5),
         )
-        moments, check = report.spectrum.moments, report.checks[0]
-        for record in (report, moments, check):
+        route, check = report.spectrum.checks, report.checks[0]
+        for record in (report, check):
             with pytest.raises(AttributeError):
                 setattr(record, record._fields[0], None)
         assert report == again and report.checks == again.checks
-        assert moments == again.spectrum.moments and hash(moments) == hash(again.spectrum.moments)
+        assert route == again.spectrum.checks and hash(route) == hash(again.spectrum.checks)
         assert check == again.checks[0] and hash(check) == hash(again.checks[0])
-        split = (2, 3, 0), (5, 3, 2, 3, 1, 1, 2, 3)
-        assert moments == MomentSolve((-1,), (-6, -2, 1), 35040, split)
+        assert route == report.checks[:2] and route[0] is check
         relabelled = report._replace(graph="lcr five")
         assert relabelled.graph == "lcr five" and report.graph != "lcr five"
         assert relabelled.spectrum is report.spectrum and relabelled.checks is report.checks
