@@ -297,7 +297,7 @@ def cmd_verify_lcr(args, out):
         payload = []
         for n, report, exc in results:
             if report is not None:
-                payload.append(report.to_json_dict())
+                payload.append({**report.to_json_dict(), "verified": True})
             else:
                 payload.append(
                     {"graph": f"lcr n={n}", "verified": False,

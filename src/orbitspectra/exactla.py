@@ -10,18 +10,18 @@ with a zero head telescope. A row that reaches zero is never touched
 again; on lcr(10)'s D + I (rank 54 of 90) the kernel makes 0.66x the
 products of rescaling every row at every step with the first nonzero
 row as pivot. An eigenvalue multiplicity can be split by checked
-involutions that commute pairwise and with the matrix: the nullity of
-m - lam I is the sum of the nullities of its blocks, one for each
-character of the group they generate (character_blocks), so a free
-action of order 2^k trades one rank of n for 2^k of n / 2^k. Summed
-over lcr(4..13)'s D + I, the ranks take about 0.19 s unsplit, 0.064 s
-as the coordinate swap's two halves, 0.023 s as four blocks under the
-swap and tau_n, and 0.025 s as eight with the pair action of (1 2)
-added, whose Bareiss part falls from 0.013 to 0.010 s (2-core Xeon,
-Python 3.11). Berkowitz needs R M^k C
-for each trailing block M with column C and row R; on symmetric input
-(every distance matrix) R = C^T and R M^k C = (M^i C)^T (M^j C) with
-i = k // 2, j = k - i, so about half the mat-vecs suffice.
+involutions that commute pairwise and with the matrix m, one block per
+character chi of the group G they generate: its rows and columns are
+the orbit representatives whose stabilizer lies in ker chi, and its
+entry (u, v) is sum_g chi(g) m[u][g(v)] / |Stab(v)|, less lam when u =
+v. Its columns are m - lam I applied to a basis of the isotypic
+component V_chi, read at those representatives, and a vector of V_chi
+is determined by its values there, so the block ranks sum to
+rank(m - lam I). A free action of order 2^k trades one rank of n for
+2^k of n / 2^k. Berkowitz needs R M^k C for each trailing block M
+with column C and row R; on symmetric input (every distance matrix)
+R = C^T and R M^k C = (M^i C)^T (M^j C) with i = k // 2, j = k - i,
+so about half the mat-vecs suffice.
 Non-symmetric input takes (R M^i) from M^T. A mat-vec takes one
 product per entry (the direct form) or, on a symmetric block whose
 rows hold few values, mostly one w0 per row (a distance matrix's
@@ -40,7 +40,7 @@ commute.
 
 from bisect import bisect_right
 from itertools import accumulate, compress, repeat
-from operator import add, itemgetter, mul, sub
+from operator import add, floordiv, itemgetter, mul, sub
 
 # Mersenne prime used for modular screening of eigenvalue candidates
 SCREEN_PRIME = (1 << 61) - 1
@@ -470,23 +470,38 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     return IntPolynomial(berkowitz_charpoly(m.entries))
 
 
-def character_blocks(n, involutions):
-    """The blocks that split a rank under commuting involutions of range(n).
+def eigen_multiplicity(m: IntMatrix, lam, involutions=()) -> int:
+    """Geometric multiplicity of the integer lam: n - rank(m - lam I).
 
-    Each t in involutions is checked to be a permutation with t(t(v)) =
-    v, and each pair to commute; a failure raises ValueError. The ts,
+    The ranks are Bareiss's over the rationals. involutions hold the
+    images of permutations t of range(n), each checked to be an
+    involution, to commute with those before it, and to commute with m:
+    m[t(u)][t(v)] = m[u][v], on the rows u <= t(u), as the equations of
+    row t(u) are those of row u. A failure raises ValueError. The ts,
     less each one already in the group of those before it, generate an
-    elementary abelian 2-group G = {g_s}, g_s the product of the kept ts
-    in the bits of s, with characters chi_c(g_s) = (-1)^popcount(c & s).
-    Returns one (reps, columns, parts) for each character whose block is
-    nonempty. reps are the orbit representatives v (each the least of
-    its orbit) whose stabilizer lies in ker chi_c, grouped by stabilizer
-    and ascending within a group. Each group adds to columns, for one
-    g_s per coset of its stabilizer, the points g_s(v) of its reps, and
-    to parts (its size, the operators add or sub that combine each
-    further coset's points by the sign chi_c(g_s)). An orbit of v lies
-    in |G| / |Stab(v)| = |orbit| blocks, so the blocks' orders sum to n.
+    elementary abelian 2-group G = {g_s}, g_s the product of the kept
+    ts in the bits of s, with characters chi_c(g_s) = (-1)^popcount(c &
+    s). m keeps each isotypic component V_c of G (Serre, *Linear
+    Representations of Finite Groups*, 2.6). For each chi_c, the block
+    rows are the orbit representatives u (each the least of its orbit)
+    whose stabilizer lies in ker chi_c, and its entry at representative
+    v is sum_g chi_c(g) m[u][g(v)] / |Stab(v)| - lam [u = v]; the other
+    representatives' rows are zero and are skipped. Column v is m - lam
+    I applied to b_v = sum_g chi_c(g) e_g(v) / |Stab(v)|, read at the
+    representatives: the b_v span V_c, which m - lam I maps into
+    itself, and a vector of V_c is determined by its values at those
+    representatives. So the block ranks sum to rank(m - lam I), and an
+    orbit of v lies in |G| / |Stab(v)| = |orbit| blocks, so the blocks'
+    orders sum to n. The division is exact, as chi_c is 1 on Stab(v),
+    and keeps the entries of one signed sum over the orbit. No
+    involution leaves the single block m. The blocks are ranked one
+    after the other, each read by the kernel as a stream of shifted
+    rows made one at a time, so the kernel's working copy of one block
+    is the only copy alive.
     """
+    if not m.is_square:
+        raise ValueError("eigenvalue multiplicity of a non-square matrix")
+    rows, n = m.entries, m.rows
     identity = tuple(range(n))
     given, group = [], [identity]
     for t in map(tuple, involutions):
@@ -495,94 +510,38 @@ def character_blocks(n, involutions):
         for k, s in enumerate(given):
             if tuple(map(t.__getitem__, s)) != tuple(map(s.__getitem__, t)):
                 raise ValueError(f"involutions #{k} and #{len(given)} do not commute")
-        given.append(t)
-        if t not in group:
-            group += [tuple(map(t.__getitem__, g)) for g in group]
-    # stabilizer -> (one g_s per coset of it, the representatives it fixes)
-    classes = {}
-    for v, images in enumerate(zip(*group)):
-        if min(images) == v:
-            stab = tuple(s for s, w in enumerate(images) if w == v)
-            if stab not in classes:
-                cosets = {}
-                for s, w in enumerate(images):
-                    cosets.setdefault(w, s)
-                classes[stab] = (tuple(cosets.values()), [])
-            classes[stab][1].append(v)
-    blocks = []
-    for c in range(len(group)):
-        reps, columns, parts = [], [], []
-        for stab, (cosets, members) in classes.items():
-            if not any((c & h).bit_count() & 1 for h in stab):
-                reps += members
-                for s in cosets:
-                    columns += map(group[s].__getitem__, members)
-                signs = [sub if (c & s).bit_count() & 1 else add for s in cosets[1:]]
-                parts.append((len(members), signs))
-        if reps:
-            blocks.append((reps, columns, parts))
-    return blocks
-
-
-def eigen_multiplicity(m: IntMatrix, lam, involutions=(), blocks=None) -> int:
-    """Geometric multiplicity of the integer lam: n - rank(m - lam I).
-
-    The ranks are Bareiss's over the rationals. involutions hold the
-    images of permutations t of range(n); character_blocks checks that
-    they are involutions and commute pairwise, and each is checked
-    exactly to commute with m: m[t(u)][t(v)] = m[u][v], on the rows
-    u <= t(u), as the equations of row t(u) are those of row u. A
-    failure raises ValueError. m then keeps each isotypic component
-    V_chi of the group G the ts generate (Serre, *Linear
-    Representations of Finite Groups*, 2.6), spanned by b_v = sum over
-    the orbit of v of chi(g) e_g(v), one g per point, for the orbit
-    representatives v whose stabilizer lies in ker chi. In that basis
-    m - lam I is the direct sum of one block per chi, whose nullities
-    add. The block's entry (u, v) is sum over the orbit of v of
-    chi(g) m[u][g(v)]: sum_g chi(g) m[u][g(v)] over all of G is
-    |Stab(v)| times it, a column scaling that would put lam |Stab(v)|
-    on the diagonal instead of lam. A block row reads one entry of m
-    per point of its orbits, so a rank reads at most n^2 entries
-    whatever |G|. A free action of order 2^k gives 2^k blocks of
-    n / 2^k, about 4^-k of the elimination work of one rank of n. No
-    involution leaves the single block m. The blocks are ranked one
-    after the other, each read by the kernel as a stream of shifted
-    rows made one at a time, so the kernel's working copy of one block
-    is the only copy alive. blocks, when given, must be
-    character_blocks(n, involutions), which then ran its checks already:
-    a caller that ranks several values, or reports the blocks, builds
-    them once.
-    """
-    if not m.is_square:
-        raise ValueError("eigenvalue multiplicity of a non-square matrix")
-    rows, n = m.entries, m.rows
-    involutions = [tuple(t) for t in involutions]
-    if blocks is None:
-        blocks = character_blocks(n, involutions)
-    for t in involutions:
         # a getter of one index returns no tuple, but on one point t is the identity
         permuted = itemgetter(*t) if n > 1 else tuple
         for u, row in enumerate(rows):
             if u <= t[u] and permuted(row) != rows[t[u]]:
                 raise ValueError(f"matrix does not commute with the involution at row {u}")
+        given.append(t)
+        if t not in group:
+            group += [tuple(map(t.__getitem__, g)) for g in group]
+    # each orbit's least point -> the indices s of the g_s that fix it
+    stabilizers = {
+        v: [s for s, w in enumerate(images) if w == v]
+        for v, images in enumerate(zip(*group))
+        if min(images) == v
+    }
 
-    def shifted(reps, columns, parts):
+    def shifted(c):
+        ops = [sub if (c & s).bit_count() & 1 else add for s in range(len(group))]
+        reps = [v for v, stab in stabilizers.items() if all(ops[s] is add for s in stab)]
+        sizes = [len(stabilizers[v]) for v in reps]
+        width = len(reps)
         # led by a dummy index, so that one column still gathers a tuple
-        gather = itemgetter(0, *columns)
+        gather = itemgetter(0, *(g[v] for g in group for v in reps))
         for k, u in enumerate(reps):
             entries = gather(rows[u])
-            row, end = [], 1
-            for width, signs in parts:
-                start, end = end, end + width
-                part = entries[start:end]
-                for op in signs:
-                    start, end = end, end + width
-                    part = map(op, part, entries[start:end])
-                row += part
+            row = entries[1:width + 1]
+            for s in range(1, len(group)):
+                row = map(ops[s], row, entries[s * width + 1:(s + 1) * width + 1])
+            row = list(map(floordiv, row, sizes))
             row[k] -= lam
             yield row
 
-    return n - sum(bareiss_echelon(shifted(*block))[0] for block in blocks)
+    return n - sum(bareiss_echelon(shifted(c))[0] for c in range(len(group)))
 
 
 def integer_roots(p: IntPolynomial, bound):

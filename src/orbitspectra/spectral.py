@@ -11,18 +11,17 @@ Then the largest value is simple by Perron-Frobenius, the three other
 values of largest |lam| are solved exactly from the trace moments
 tr D^k = |V| (Q^k)_ss (k = 0, 1, 2), only the rest, small |lam| with
 large multiplicity, get an exact rank, and k = 3 cross-checks the
-result. A rank is split when transitive generators are involutions
-that commute pairwise and that D is checked to commute with: D - lam I
-is then the direct sum of its blocks on the isotypic components of the
-group they generate, one per character. On lcr(n) the coordinate
-swap, tau_n and the pair action of (1 2) give 8 blocks. verify_lcr(n)
-over n = 14..20 takes about 0.28 s in all, against 0.87 s with the
-swap's two halves alone (2-core Xeon, Python 3.11). That reduces a
-|V| x |V| spectrum problem to the quotient size plus at most a few
-exact rank computations. When the product does not send e_s to zero,
-D has an eigenvalue outside the integers, and nothing is ranked:
-det(xI - D) gives the spectrum, and its integer roots must lie among
-those of det(xI - Q). A
+result. A rank is split when transitive generators are fixed-point-free
+involutions that commute pairwise and that D is checked to commute
+with: D - lam I keeps each isotypic component of the group they
+generate, and one block per character, built by one signed row sum
+per group element, ranks D - lam I on its component, so the block
+ranks add up to the rank of D - lam I. On lcr(n) the coordinate swap
+and tau_n give 4 blocks. That reduces a |V| x |V| spectrum problem to
+the quotient size plus at most a few exact rank computations. When the
+product does not send e_s to zero, D has an eigenvalue outside the
+integers, and nothing is ranked: det(xI - D) gives the spectrum, and
+its integer roots must lie among those of det(xI - Q). A
 QuotientMatrix is built from its graph: quotient_matrix searches from
 one representative per cell, and D, the quotient's source, is built by
 a full BFS only when a stage reads it, as an exact rank does.
@@ -42,7 +41,6 @@ from orbitspectra.exactla import (
     IntMatrix,
     IntPolynomial,
     char_poly,
-    character_blocks,
     charpoly_mod,
     eigen_multiplicity,
     integer_roots,
@@ -397,23 +395,21 @@ def _annihilates(q, values, cell):
 
 
 def _split_involutions(gens):
-    """The involutive generators that split a rank, as (index, images)
-    pairs. A greedy choice, fewest fixed points first (then index),
-    keeps each involution that commutes with those already kept and is
-    not in their group, while the group stays no larger than the degree,
-    which bounds the characters that character_blocks enumerates. On
-    lcr(n) it keeps the coordinate swap and tau_n, both fixed-point-free,
-    then the pair action of (1 2)."""
+    """The fixed-point-free involutive generators that split a rank, as
+    (index, images) pairs. A greedy choice, in index order, keeps each
+    one that commutes with those already kept and is not in their group,
+    while the group stays no larger than the degree, which bounds the
+    characters that eigen_multiplicity ranks a block for. On lcr(n) it
+    keeps the coordinate swap and tau_n."""
     identity = tuple(range(gens.degree))
-    involutions = sorted(
-        (sum(map(eq, t, identity)), k, t)
-        for k, t in enumerate(p.images for p in gens.generators)
-        if t != identity and tuple(map(t.__getitem__, t)) == identity
-    )
     kept, group = [], [identity]
-    for _, k, t in involutions:
-        if 2 * len(group) <= gens.degree and t not in group and all(
-            tuple(map(t.__getitem__, s)) == tuple(map(s.__getitem__, t)) for _, s in kept
+    for k, t in enumerate(p.images for p in gens.generators):
+        if (
+            2 * len(group) <= gens.degree
+            and tuple(map(t.__getitem__, t)) == identity
+            and not any(map(eq, t, identity))
+            and t not in group
+            and all(tuple(map(t.__getitem__, s)) == tuple(map(s.__getitem__, t)) for _, s in kept)
         ):
             kept.append((k, t))
             group += [tuple(map(t.__getitem__, g)) for g in group]
@@ -436,12 +432,11 @@ def _moment_spectrum(quotient, cell, rho, values, gens):
     DP = PQ, P the cell indicator matrix, P e_s = e_v) gives
     (D^k)_vv = (Q^k)_ss. One loop of mat-vecs Q^k e_s yields them all;
     D, quotient.source, is read only for the exact ranks. When a value is
-    ranked, _split_involutions picks commuting involutive generators
-    from gens, the checked transitive generators; character_blocks,
-    built once, checks that they are involutions that commute pairwise,
-    and gives the ledger its block orders; each rank checks that they
-    commute with D and splits D - lam I into those blocks, one per
-    character of their group (eigen_multiplicity).
+    ranked, _split_involutions picks commuting fixed-point-free
+    involutive generators from gens, the checked transitive generators;
+    each rank checks that they are involutions that commute pairwise and
+    with D, and splits D - lam I into one block per character of their
+    group (eigen_multiplicity).
 
     Of the other values, the three of largest |lam| (ties: the positive
     one) are solved from the power sums k = 0, 1, 2, less the Perron
@@ -464,8 +459,9 @@ def _moment_spectrum(quotient, cell, rho, values, gens):
 
     The spectrum carries the route's two ledger entries: "annihilates",
     the degree of the product that sent e_s to 0, and "moments", the
-    Perron premise, the ranked values and their blocks, the solved
-    values and the cubic moment.
+    Perron premise, the ranked values with their number of character
+    blocks and the generators that split them, the solved values and the
+    cubic moment.
     """
     *rest, top = values
     if top != rho:
@@ -475,10 +471,7 @@ def _moment_spectrum(quotient, cell, rho, values, gens):
     q, order = quotient.matrix, quotient.graph.vertex_count
     kept = _split_involutions(gens) if ranked else []
     involutions = [t for _, t in kept]
-    blocks = character_blocks(order, involutions) if ranked else None
-    mult = {
-        lam: eigen_multiplicity(quotient.source, lam, involutions, blocks) for lam in ranked
-    }
+    mult = {lam: eigen_multiplicity(quotient.source, lam, involutions) for lam in ranked}
     steps = [
         f"Perron value {top} simple (D irreducible, constant row sums)",
         f"ranked {' '.join(map(str, ranked)) or 'none'}",
@@ -486,7 +479,7 @@ def _moment_spectrum(quotient, cell, rho, values, gens):
     if kept:
         many = len(kept) > 1
         steps[1] += (
-            f" (blocks {' + '.join(str(len(reps)) for reps, _, _ in blocks)} under involutive"
+            f" ({2 ** len(kept)} character blocks under involutive"
             f" generator{'s' * many} {', '.join(f'#{k}' for k, _ in kept)}, "
             f"commuting with D {'and pairwise ' * many}checked)"
         )
@@ -558,12 +551,11 @@ def distance_spectrum(
     singleton cell's unit vector, S holds every eigenvalue of D, and
     _moment_spectrum certifies the multiplicities from the moments
     |V| (Q^k)_ss with at most a few exact ranks (its "annihilates" and
-    "moments" checks record how). A rank is split by the involutive
-    transitive generators that _split_involutions keeps, fewest fixed
-    points first: character_blocks checks that they are involutions
-    that commute pairwise, eigen_multiplicity that they commute with D
-    (a failure is a ValueError), and it ranks D - lam I as one block per
-    character of the group they generate.
+    "moments" checks record how). A rank is split by the fixed-point-free
+    involutive transitive generators that _split_involutions keeps:
+    eigen_multiplicity checks that they are involutions that commute
+    pairwise and with D (a failure is a ValueError), and it ranks D -
+    lam I as one block per character of the group they generate.
 
     Otherwise D has an eigenvalue outside the integers, and nothing is
     ranked: det(xI - D) gives the spectrum. Under these premises spec(D)
@@ -684,9 +676,8 @@ def verify_lcr(n) -> IntegralityReport:
     vertex), compares the quotient against the closed form, extracts its
     eigenvalues exactly, and certifies the distance spectrum with
     is_distance_integral on that same quotient, whose exact rank reads
-    the same D (one quotient per n), split under the coordinate swap,
-    tau_n and the pair action of (1 2) into 8 blocks. The certified
-    spectrum must equal
+    the same D (one quotient per n), split under the coordinate swap
+    and tau_n into 4 character blocks. The certified spectrum must equal
     the paper's closed form
     (-1-n)^(n-1) (3-n)^(n-1) (-1)^((n-1)(n-2)/2) 1^(n(n-3)/2)
     (2n^2-4n+3)^1, equal values merged; the certificate's own checks

@@ -441,6 +441,8 @@ class TestVerifyCommand:
         assert status == 0
         payload = json.loads(out)
         assert payload[0]["graph"] == "lcr n=4"
+        # a passing entry says so, as a failing one says "verified": false
+        assert payload[0]["verified"] is True
         assert all(check["pass"] for check in payload[0]["checks"])
         assert [check["name"] for check in payload[0]["checks"]] == [
             "graph-shape", "stabilizer-orbits", "orbit-sizes", "distances",

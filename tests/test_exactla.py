@@ -19,7 +19,6 @@ from orbitspectra.exactla import (
     IntPolynomial,
     berkowitz_charpoly,
     char_poly,
-    character_blocks,
     charpoly_mod,
     eigen_multiplicity,
     integer_roots,
@@ -486,7 +485,7 @@ class TestEigenMultiplicity:
             tracemalloc.stop()
         assert peak <= 2.2 * rows, (peak, rows)
 
-    def test_split_rank_copies_a_quarter_of_d_at_a_time(self):
+    def test_split_rank_copies_a_quarter_of_d_at_a_time(self, monkeypatch):
         # the swap and tau split D + I into blocks of 42, 36, 36 and 42
         # rows, ranked one after the other from streamed rows: the peak is
         # one quarter-size working copy and its pivots' big ints, about
@@ -496,8 +495,7 @@ class TestEigenMultiplicity:
         d = all_pairs_distances(build_lcr(n))
         rows = sys.getsizeof(d.entries) + sum(map(sys.getsizeof, d.entries))
         involutions = lcr_involutions(n)["swap, tau"]
-        blocks = character_blocks(d.rows, involutions)
-        assert [len(reps) for reps, _, _ in blocks] == [42, 36, 36, 42]
+        assert block_orders(monkeypatch, d, -1, involutions) == [42, 36, 36, 42]
         tracemalloc.start()
         try:
             assert eigen_multiplicity(d, -1, involutions) == 66
@@ -522,6 +520,23 @@ class TestEigenMultiplicity:
                 factor_mult += 1
                 q = quo
             assert eigen_multiplicity(m, lam) == factor_mult
+
+
+def block_orders(monkeypatch, d, lam, involutions):
+    """The row counts of the blocks that eigen_multiplicity(d, lam,
+    involutions) hands Bareiss, in order."""
+    orders = []
+    kernel = exactla.bareiss_echelon
+
+    def counting(rows):
+        rows = list(rows)
+        orders.append(len(rows))
+        return kernel(rows)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(exactla, "bareiss_echelon", counting)
+        eigen_multiplicity(d, lam, involutions)
+    return orders
 
 
 def lcr_involutions(n):
@@ -564,7 +579,7 @@ class TestInvolutionSplit:
             ),
         ],
     )
-    def test_split_agrees_with_the_single_block(self, d, involutions):
+    def test_split_agrees_with_the_single_block(self, monkeypatch, d, involutions):
         # every integer in [-rho, rho] under each set of involutions; the
         # single block is ranked at the eigenvalues, and elsewhere, D being
         # symmetric, its nullity is the root multiplicity of det(xI - D)
@@ -573,18 +588,19 @@ class TestInvolutionSplit:
         for lam, mult in spectrum.items():
             assert eigen_multiplicity(d, lam) == mult, lam
         for name, ts in involutions.items():
-            assert sum(len(reps) for reps, _, _ in character_blocks(d.rows, ts)) == d.rows
+            assert sum(block_orders(monkeypatch, d, 0, ts)) == d.rows
             for lam in range(-rho, rho + 1):
                 assert eigen_multiplicity(d, lam, ts) == spectrum.get(lam, 0), (name, lam)
 
-    def test_a_repeated_involution_or_the_identity_changes_nothing(self):
+    def test_a_repeated_involution_or_the_identity_changes_nothing(self, monkeypatch):
         # neither adds a generator to the group: the same blocks, the same
         # nullities
         d = all_pairs_distances(build_lcr(6))
         swap, tau = lcr_involutions(6)["swap, tau"]
         product = tuple(map(swap.__getitem__, tau))
         padded = [range(30), swap, swap, tau, product, range(30)]
-        assert character_blocks(30, padded) == character_blocks(30, [swap, tau])
+        blocks = block_orders(monkeypatch, d, -1, [swap, tau])
+        assert block_orders(monkeypatch, d, -1, padded) == blocks == [9, 6, 6, 9]
         for lam in (-7, -3, -1, 0, 1, 51):
             assert eigen_multiplicity(d, lam, padded) == eigen_multiplicity(d, lam, [swap, tau])
 
@@ -595,19 +611,11 @@ class TestInvolutionSplit:
         assert [eigen_multiplicity(m, lam, [(0,)]) for lam in (4, 5)] == [0, 1]
 
     def test_identity_is_the_single_block(self, monkeypatch):
-        blocks = []
-        kernel = exactla.bareiss_echelon
-
-        def counting(rows):
-            rows = list(rows)
-            blocks.append(len(rows))
-            return kernel(rows)
-
-        monkeypatch.setattr(exactla, "bareiss_echelon", counting)
         d = all_pairs_distances(build_lcr(5))
         for lam in (-6, -2, -1, 1, 33, 0):
             assert eigen_multiplicity(d, lam, [range(20)]) == eigen_multiplicity(d, lam)
-        assert blocks == [20] * 12
+            assert block_orders(monkeypatch, d, lam, [range(20)]) == [20]
+            assert block_orders(monkeypatch, d, lam, ()) == [20]
 
     @pytest.mark.parametrize(
         "n,involutions,message",

@@ -5,7 +5,7 @@ import tracemalloc
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbitspectra import cli, exactla, spectral
@@ -381,6 +381,31 @@ class TestDistanceSpectrum:
             else:
                 assert s.is_integral and list(s.integer_part) == expected, method
 
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_split_by_commuting_circulant_involutions_keeps_every_nullity(self, data):
+        # x -> -x, x -> x + n / 2 and x -> n / 2 - x commute, and the third
+        # is the product of the other two; x -> -x fixes 0 and n / 2, so
+        # its sign character has zero rows, and those points' stabilizers
+        # divide their columns
+        n, g, _, _ = draw_circulant(data)
+        assume(n % 2 == 0)
+        d = all_pairs_distances(g)
+        maps = [
+            tuple((-x) % n for x in range(n)),
+            tuple((x + n // 2) % n for x in range(n)),
+            tuple((n // 2 - x) % n for x in range(n)),
+        ]
+        subsets = [[t for k, t in enumerate(maps) if bits >> k & 1] for bits in range(1, 8)]
+        rho = max(d.row_sums())
+        roots = dict(integer_roots(char_poly(d), bound=rho)[0])
+        other = min((lam for lam in range(-rho, rho + 1) if lam not in roots), key=abs)
+        for lam in [*roots, other]:
+            single = eigen_multiplicity(d, lam)
+            assert single == roots.get(lam, 0), lam
+            for ts in subsets:
+                assert eigen_multiplicity(d, lam, ts) == single, (lam, ts)
+
     def test_screen_leaves_one_rank_per_eigenvalue(self, monkeypatch):
         # the ranks of -6, -2, -1 and 1 reach |V| - 1 = 19; 33 is tr D less them
         calls = []
@@ -418,7 +443,7 @@ class TestDistanceSpectrum:
         "n,ranked,step",
         [
             pytest.param(4, [], "; ranked none; ", id="lcr4-no-rank"),
-            pytest.param(5, [-1], "; ranked -1 (blocks ", id="lcr5-ranks-minus-1"),
+            pytest.param(5, [-1], "; ranked -1 (4 character blocks ", id="lcr5-ranks-minus-1"),
         ],
     )
     def test_quotient_assisted_ranks_only_small_values(self, monkeypatch, n, ranked, step):
@@ -508,16 +533,19 @@ class TestDistanceSpectrum:
             # swap, generator #3, alone splits lcr(5)'s 20 vertices in halves
             pytest.param(
                 "lcr5-a5-swap", [10, 10],
-                " (blocks 10 + 10 under involutive generator #3, commuting with D checked)",
+                " (2 character blocks under involutive generator #3, commuting with D checked)",
                 id="lcr5-swap-halves",
             ),
-            # lcr_automorphism_gens(5): the swap #2 and tau_5 #3 fix no pair,
-            # the pair action of (1 2), #0, fixes 6 and commutes with both
+            # lcr_automorphism_gens(5): the swap #2 and tau_5 #3 fix no pair;
+            # the pair action of (1 2), #0, fixes 6 and is left out. The
+            # product of the swap and tau_5 fixes the pairs (1 2), (2 1),
+            # (3 4) and (4 3), whose rows lie in the two blocks of characters
+            # that are 1 on it
             pytest.param(
-                "lcr5", [5, 3, 2, 3, 1, 1, 2, 3],
-                " (blocks 5 + 3 + 2 + 3 + 1 + 1 + 2 + 3 under involutive generators #2, #3, #0, "
+                "lcr5", [6, 4, 4, 6],
+                " (4 character blocks under involutive generators #2, #3, "
                 "commuting with D and pairwise checked)",
-                id="lcr5-eight-blocks",
+                id="lcr5-four-blocks",
             ),
             # no involution at all: no split
             pytest.param("lcr5-a5", [20], "", id="lcr5-a5-single-block"),
@@ -549,18 +577,43 @@ class TestDistanceSpectrum:
         assert f"; ranked -1{split}; " in s.checks[1].detail
         assert s == distance_spectrum(q.graph, "char-poly")
 
+    @pytest.mark.parametrize("n", range(5, 10))
+    def test_verify_lcr_ranks_four_character_blocks(self, monkeypatch, n):
+        # the swap #2 and tau_n #3 fix no pair; the pair action of (1 2),
+        # #0, does, and is left out, so the one rank is four blocks
+        assert [k for k, _ in spectral._split_involutions(lcr_automorphism_gens(n))] == [2, 3]
+        calls = []
+        kernel = exactla.bareiss_echelon
+
+        def counting(rows):
+            calls.append(n)
+            return kernel(rows)
+
+        monkeypatch.setattr(exactla, "bareiss_echelon", counting)
+        verify_lcr(n)
+        assert len(calls) == 4
+
     def test_split_keeps_commuting_involutions_in_a_group_of_at_most_the_degree(self):
-        # on 12 points: (1 3)(2 4), #7, fixes 8, the fewest, and is kept;
-        # the transpositions (1 2), ..., (11 12), #1..#6, each fix 10;
-        # (1 2) and (3 4) do not commute with #7, (5 6) and (7 8) do, and
-        # (9 10) would take the group's order from 8 to 16 > 12
-        transpositions = [Permutation.from_cycles([[i, i + 1]], 12) for i in range(0, 12, 2)]
-        cross = Permutation.from_cycles([[0, 2], [1, 3]], 12)
+        # on 12 points v, three fibres of 4 by v // 4, and involutions
+        # v -> v ^ f(v): #1 (f = 1), #4 (f = 2) and #5 (1, 1, 2 by fibre)
+        # fix no point, commute, and generate a group of order 8, so they
+        # are kept; the 12-cycle #0 is no involution, (1 2)(3 4), #2, fixes
+        # 8 points, #3 does not commute with #1, and #6 (1, 2, 2 by fibre)
+        # commutes with all three but would take the order to 16 > 12
+        def xor(f):
+            return Permutation(v ^ f(v) for v in range(12))
+
         gens = GeneratorSet.of(
-            Permutation.from_cycles([list(range(12))], 12), *transpositions, cross
+            Permutation.from_cycles([list(range(12))], 12),
+            xor(lambda v: 1),
+            Permutation.from_cycles([[0, 1], [2, 3]], 12),
+            Permutation.from_cycles([[0, 4], [1, 6], [2, 5], [3, 7], [8, 9], [10, 11]], 12),
+            xor(lambda v: 2),
+            xor(lambda v: 1 if v < 8 else 2),
+            xor(lambda v: 1 if v < 4 else 2),
         )
         kept = spectral._split_involutions(gens)
-        assert [k for k, _ in kept] == [7, 3, 4]
+        assert [k for k, _ in kept] == [1, 4, 5]
         # a repeated involution and one already in the group are skipped too
         swap = swap_action(5)
         tau = lcr_automorphism_gens(5).generators[3]
@@ -828,9 +881,9 @@ class TestIntegralityReports:
         # 4(-6)^3 + 4(-2)^3 + 6(-1)^3 + 5(1)^3 + 33^3 = 35040
         assert report.checks[1].detail == (
             "Perron value 33 simple (D irreducible, constant row sums); "
-            "ranked -1 (blocks 5 + 3 + 2 + 3 + 1 + 1 + 2 + 3 under involutive generators "
-            "#2, #3, #0, commuting with D and pairwise checked); solved -6^4 -2^4 1^5 from "
-            "tr D^k, k = 0..2; sum m lam^3 = |V| (Q^3)_ss = 35040"
+            "ranked -1 (4 character blocks under involutive generators #2, #3, commuting "
+            "with D and pairwise checked); solved -6^4 -2^4 1^5 from tr D^k, k = 0..2; "
+            "sum m lam^3 = |V| (Q^3)_ss = 35040"
         )
         # one involutive generator: the swap alone, behind the A5 pair actions
         a5_swap = GeneratorSet.of(
@@ -842,8 +895,8 @@ class TestIntegralityReports:
             q.graph, "quotient-assisted", quotient=q, transitive_gens=a5_swap
         )
         assert (
-            "; ranked -1 (blocks 10 + 10 under involutive generator #2, commuting with D "
-            "checked); " in report.checks[1].detail
+            "; ranked -1 (2 character blocks under involutive generator #2, commuting "
+            "with D checked); " in report.checks[1].detail
         )
 
     def test_reports_and_checks_are_immutable_records(self):
