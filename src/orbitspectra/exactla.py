@@ -1,4 +1,5 @@
-"""Arbitrary-precision integer matrix kernel.
+"""Arbitrary-precision integer matrix kernel, and Frozen, the base of the
+package's immutable values, here because this module imports no other.
 
 Characteristic polynomials are computed with the division-free
 Berkowitz recurrence, ranks with fraction-free Bareiss elimination, so
@@ -46,26 +47,56 @@ from operator import add, floordiv, itemgetter, mul, sub
 SCREEN_PRIME = (1 << 61) - 1
 
 
-class IntMatrix:
+class Frozen:
+    """Base of the package's immutable values, plain __slots__ classes.
+
+    A subclass lists its attributes in __slots__ and sets them once, in
+    __init__, through Frozen.__init__, after its constructor has checked
+    them; _fields names those that ==, hash and the default repr read.
+    Equal values are of the same class.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init__(self, **values):
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, f) for f in self._fields))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class IntMatrix(Frozen):
     """Dense matrix of arbitrary-precision integers, distance matrices included.
 
     Entries are stored as given, without conversion: callers pass ints.
     """
 
     __slots__ = ("rows", "cols", "entries")
+    _fields = ("entries",)
 
     def __init__(self, entries):
         entries = tuple(map(tuple, entries))
-        if entries:
-            width = len(entries[0])
-            for row in entries:
-                if len(row) != width:
-                    raise ValueError("ragged rows")
-        else:
-            width = 0
-        self.rows = len(entries)
-        self.cols = width
-        self.entries = entries
+        width = len(entries[0]) if entries else 0
+        if any(len(row) != width for row in entries):
+            raise ValueError("ragged rows")
+        super().__init__(rows=len(entries), cols=width, entries=entries)
 
     @property
     def is_square(self):
@@ -87,23 +118,20 @@ class IntMatrix:
         """Rows as decimal strings, the JSON-safe serialization."""
         return [[str(x) for x in row] for row in self.entries]
 
-    def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.entries == other.entries
-
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols})"
 
 
-class IntPolynomial:
+class IntPolynomial(Frozen):
     """Univariate polynomial with integer coefficients, constant term first."""
 
-    __slots__ = ("coefficients",)
+    __slots__ = _fields = ("coefficients",)
 
     def __init__(self, coefficients):
         coeffs = list(coefficients)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        self.coefficients = tuple(coeffs)
+        super().__init__(coefficients=tuple(coeffs))
 
     @classmethod
     def one(cls):
@@ -159,15 +187,6 @@ class IntPolynomial:
             quotient[k - 1] = acc
         remainder = acc * r + self.coefficients[0]
         return IntPolynomial(quotient), remainder
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, IntPolynomial)
-            and self.coefficients == other.coefficients
-        )
-
-    def __hash__(self):
-        return hash(self.coefficients)
 
     def __str__(self):
         if self.is_zero:

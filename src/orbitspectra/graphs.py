@@ -20,7 +20,7 @@ instead of one OR and one write each.
 from bisect import bisect_left
 from typing import NamedTuple
 
-from orbitspectra.exactla import IntMatrix
+from orbitspectra.exactla import Frozen, IntMatrix
 
 
 class InputError(ValueError):
@@ -41,10 +41,10 @@ class DisconnectedGraphError(InputError):
         )
 
 
-class Graph:
+class Graph(Frozen):
     """Immutable undirected simple graph with labeled vertices."""
 
-    __slots__ = ("vertex_count", "vertex_labels", "_adj")
+    __slots__ = _fields = ("vertex_count", "vertex_labels", "_adj")
 
     def __init__(self, vertex_count, edges, labels=None):
         if vertex_count < 0:
@@ -78,9 +78,9 @@ class Graph:
                     raise ValueError(f"self-loop at vertex {u}")
                 v = next(a for a, b in zip(row, row[1:]) if a == b)
                 raise ValueError(f"duplicate edge ({u},{v})")
-        self.vertex_count = vertex_count
-        self.vertex_labels = labels
-        self._adj = tuple(map(tuple, nbrs))
+        super().__init__(
+            vertex_count=vertex_count, vertex_labels=labels, _adj=tuple(map(tuple, nbrs))
+        )
 
     @property
     def adjacency(self):
@@ -104,17 +104,6 @@ class Graph:
         nbrs = self._adj[u]
         k = bisect_left(nbrs, v)
         return k < len(nbrs) and nbrs[k] == v
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Graph)
-            and self.vertex_count == other.vertex_count
-            and self.vertex_labels == other.vertex_labels
-            and self._adj == other._adj
-        )
-
-    def __hash__(self):
-        return hash((self.vertex_count, self.vertex_labels, self._adj))
 
     def __repr__(self):
         edges = sum(map(len, self._adj)) // 2

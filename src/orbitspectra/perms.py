@@ -8,53 +8,20 @@ and the induced permutations of pair vertices.
 
 import re
 
+from orbitspectra.exactla import Frozen
 from orbitspectra.graphs import InputError, pair_vertices
 
 
-class Frozen:
-    """Base of the package's immutable records, plain __slots__ classes.
-
-    A subclass lists its attributes in __slots__ and sets them once, in
-    __init__, through Frozen.__init__; _fields names those that ==, hash
-    and repr read. Equal records are of the same class.
-    """
-
-    __slots__ = ()
-    _fields = ()
-
-    def __init__(self, **values):
-        for name, value in values.items():
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
-
-    def __hash__(self):
-        return hash(tuple(getattr(self, f) for f in self._fields))
-
-    def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-
-class Permutation:
+class Permutation(Frozen):
     """A bijection of {0..m-1}, stored as the image list."""
 
-    __slots__ = ("images",)
+    __slots__ = _fields = ("images",)
 
     def __init__(self, images):
         images = tuple(images)
         if sorted(images) != list(range(len(images))):
             raise ValueError("images do not form a permutation")
-        self.images = images
+        super().__init__(images=images)
 
     @classmethod
     def identity(cls, degree):
@@ -106,12 +73,6 @@ class Permutation:
                 out.append(tuple(cyc))
         return out
 
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
     def __repr__(self):
         cycs = self.cycles()
         if not cycs:
@@ -130,7 +91,7 @@ def parse_cycles(text, degree):
     the identity.
     """
     stripped = text.strip()
-    if stripped and not re.fullmatch(r"(\s*\([^()]*\)\s*)+", stripped):
+    if stripped and not re.fullmatch(r"\([^()]*\)(?:\s*\([^()]*\))*", stripped):
         raise InputError(f"malformed cycle notation: {text!r}")
     cycles = []
     for body in _CYCLE_RE.findall(stripped):

@@ -38,6 +38,7 @@ from typing import NamedTuple
 
 from orbitspectra.exactla import (
     SCREEN_PRIME,
+    Frozen,
     IntMatrix,
     IntPolynomial,
     char_poly,
@@ -54,7 +55,6 @@ from orbitspectra.graphs import (
 )
 from orbitspectra.perms import (
     AutomorphismError,
-    Frozen,
     OrbitPartition,
     check_automorphisms,
     is_vertex_transitive_under,
@@ -109,15 +109,18 @@ class QuotientMatrix(Frozen):
         return self._char_roots
 
 
-class Spectrum:
+class Spectrum(Frozen):
     """Exact spectrum: integer eigenvalues with multiplicities, plus an
     optional residual factor witnessing non-integrality. The one place
     that checks a spectrum's invariants: a spectrum is always computed,
     never read from input, so a broken one is an ArithmeticError.
     checks holds the ledger entries of the exact route that computed it,
-    written where that route was decided; equality ignores them."""
+    written where that route was decided. == and hash read only the
+    eigenvalues, residual and order: not checks, and not trace, which
+    the eigenvalues fix."""
 
     __slots__ = ("integer_part", "residual", "order", "trace", "checks")
+    _fields = ("integer_part", "residual", "order")
 
     def __init__(self, integer_part, residual, order, trace=0, checks=()):
         integer_part = tuple(integer_part)
@@ -133,11 +136,9 @@ class Spectrum:
                 raise ArithmeticError("residual factor must have degree >= 2")
             if residual.leading_coefficient != 1:
                 raise ArithmeticError("residual factor must be monic")
-        self.integer_part = integer_part
-        self.residual = residual
-        self.order = order
-        self.trace = trace
-        self.checks = checks
+        super().__init__(
+            integer_part=integer_part, residual=residual, order=order, trace=trace, checks=checks
+        )
         total, res_deg = self.multiplicity_sum, self.residual_degree
         if total + res_deg != order:
             raise ArithmeticError(
@@ -169,14 +170,6 @@ class Spectrum:
     @property
     def distinct_values(self):
         return tuple(v for v, _ in self.integer_part)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Spectrum)
-            and self.integer_part == other.integer_part
-            and self.residual == other.residual
-            and self.order == other.order
-        )
 
     def __repr__(self):
         body = ", ".join(f"{v}^{m}" for v, m in self.integer_part)

@@ -846,3 +846,20 @@ def test_cli_import_loads_no_format_or_introspection_modules():
         check=True,
     ).stdout
     assert out == "[]\n"
+
+
+def test_malformed_generators_are_refused_in_linear_time():
+    # a whitespace run between two groups has one parse; with many, each
+    # further group would double or treble a backtracking check's time
+    src = os.path.dirname(os.path.dirname(orbitspectra.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    argv = [
+        sys.executable, "-m", "orbitspectra.cli",
+        "spectrum", "--family", "cycle", "--n", "7", "--method", "quotient-assisted",
+        "--stabilizer-gens", "(1 2)  " * 16 + "x", "--transitive-gens", "(1 2 3 4 5 6 7)",
+    ]
+    done = subprocess.run(
+        argv, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=1
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: malformed cycle notation: '(1 2)  (1 2)")

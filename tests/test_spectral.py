@@ -64,6 +64,20 @@ def lcr_quotient(n):
     return quotient_matrix(build_lcr(n), lcr_stabilizer_partition(n))
 
 
+def assert_immutable_value(value, same, other):
+    """value equals same, a separately built value, and hashes equal; other,
+    of value's type, and the tuple of value's fields compare unequal; no
+    slot of value can be assigned or deleted."""
+    assert value is not same and value == same and hash(value) == hash(same)
+    assert value != other
+    assert value != tuple(getattr(value, f) for f in value._fields)
+    for name in type(value).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+
+
 def singletons_partition(n):
     return orbits(GeneratorSet.of(Permutation.identity(n)))
 
@@ -173,11 +187,19 @@ class TestQuotientMatrix:
             quotient_matrix(build_cycle(4), singletons_partition(5))
 
     def test_quotient_is_an_immutable_record(self):
-        q, again = lcr_quotient(5), lcr_quotient(5)
-        assert q is not again and q == again
-        assert q != lcr_quotient(6)
-        assert q != (q.matrix, q.partition, q.graph)
-        for name in ("matrix", "partition", "graph", "source", "char_roots"):
+        q = lcr_quotient(5)
+        # the values a quotient is built from are immutable records too;
+        # graphs with the same edges but other labels differ
+        pentagon = build_cycle(5).edges()
+        for value, same, other in (
+            (q, lcr_quotient(5), lcr_quotient(6)),
+            (IntMatrix([[0, 1], [1, 0]]), IntMatrix(((0, 1), (1, 0))), IntMatrix([[0, 1], [1, 1]])),
+            (IntPolynomial([1, 2, 0]), IntPolynomial((1, 2)), IntPolynomial([1, 3])),
+            (Graph(5, pentagon), build_cycle(5), Graph(5, pentagon, "abcde")),
+            (Permutation([1, 0, 2]), Permutation.from_cycles([[0, 1]], 3), Permutation.identity(3)),
+        ):
+            assert_immutable_value(value, same, other)
+        for name in ("source", "char_roots"):
             with pytest.raises(AttributeError):
                 setattr(q, name, None)
         assert repr(q).startswith("QuotientMatrix(matrix=IntMatrix(7x7), partition=")
@@ -911,6 +933,11 @@ class TestIntegralityReports:
         for record in (report, check):
             with pytest.raises(AttributeError):
                 setattr(record, record._fields[0], None)
+        # a spectrum's == reads its values and order, not its ledger
+        spectrum = report.spectrum
+        unledgered = Spectrum(spectrum.integer_part, spectrum.residual, spectrum.order)
+        assert unledgered.checks != route and unledgered.trace == spectrum.trace
+        assert_immutable_value(spectrum, unledgered, Spectrum([(-1, 1), (1, 1)], None, 2))
         assert report == again and report.checks == again.checks
         assert route == again.spectrum.checks and hash(route) == hash(again.spectrum.checks)
         assert check == again.checks[0] and hash(check) == hash(again.checks[0])
