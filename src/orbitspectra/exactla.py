@@ -31,6 +31,14 @@ rows hold few values, mostly one w0 per row (a distance matrix's
 D a 60-wide mat-vec takes about 100 us against 160 us for the grouped
 rows it replaced. Long cycles, circulants, generic matrices and
 non-symmetric input such as the quotient Q keep the direct form.
+Each block's column R M^k C depends on the matrix alone, so above a
+size the blocks are cut into ranges of about equal estimated work and
+all but the range of smallest blocks are computed in forked workers,
+one per further usable CPU, which send their columns back over a pipe;
+the columns are folded into the polynomial in the same order as in one
+process. Below that size, on one usable CPU, without os.fork, beside
+other threads or where they cannot be counted, or with SIGCHLD
+ignored, one process computes every block.
 Hessenberg reduction modulo a prime screens candidate roots: a nonzero
 residue proves a value is not a root, and a root's multiplicity mod p
 bounds its multiplicity over Z from above; neither decides a result.
@@ -39,12 +47,22 @@ update in one pass over the rows, as the step's elementary matrices
 commute.
 """
 
+import marshal
+import os
 from bisect import bisect_right
+from functools import partial
 from itertools import accumulate, compress, repeat
 from operator import add, floordiv, itemgetter, mul, sub
 
 # Mersenne prime used for modular screening of eigenvalue candidates
 SCREEN_PRIME = (1 << 61) - 1
+
+# Berkowitz's estimated work (see berkowitz_charpoly) that each part of a
+# split call must get. Work runs at about 110 ns a unit, and starting and
+# collecting a worker costs about 2 ms (2-vCPU VM, Python 3.11): two parts
+# took 16.8 ms against 13.8 ms for one on cycle(30)'s 100,920 units, and
+# 19.4 ms against 29.4 ms on lcr(7)'s 235,845
+PART_MIN_WORK = 100_000
 
 
 class Frozen:
@@ -352,6 +370,126 @@ def _flat_mat_vec(plan, vec):
     return list(map(add, map(mul, w0s, repeat(sum(vec))), map(sub, q[1:], q)))
 
 
+def _block_columns(rows, symmetric, values, flat, starts):
+    """Yield the first Toeplitz column [1, -a, -R C, -R M C, ...] of the
+    trailing block after each start, in the order given.
+
+    values holds _value_columns's w0s and layout on symmetric input;
+    flat[start] says whether that block takes the flat form.
+    """
+    n = len(rows)
+    for start in starts:
+        m = n - start
+        col = [1, -rows[start][start]]
+        if m > 1:
+            tail = range(start + 1, n)
+            plan = flat[start] and _block_plan(*values, start)
+            block = None if plan else [rows[i][start + 1:] for i in tail]
+            block_t = None if symmetric else list(zip(*block))
+            # the direct mat-vecs stay inline: a call per mat-vec costs a
+            # small matrix such as the 7 x 7 quotient about a tenth
+            left = rows[start][start + 1:]
+            right = [rows[i][start] for i in tail]
+            for k in range(m - 1):
+                if k % 2:
+                    right = (
+                        _flat_mat_vec(plan, right) if plan
+                        else [sum(map(mul, mr, right)) for mr in block]
+                    )
+                elif k and symmetric:
+                    left = right
+                elif k:
+                    left = [sum(map(mul, mc, left)) for mc in block_t]
+                col.append(-sum(map(mul, left, right)))
+        yield col
+
+
+def _usable_cpus():
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _may_fork():
+    """Whether a worker may be forked: os.fork exists, this process runs
+    no other thread, which could hold a lock the worker would copy
+    (Python 3.12 warns), and SIGCHLD is not ignored, which would have
+    the system reap a worker before it is waited for. Threads are
+    counted as the tasks in /proc; where they cannot be, no worker is
+    forked."""
+    if not hasattr(os, "fork"):
+        return False
+    from signal import SIG_IGN, SIGCHLD, getsignal
+
+    try:
+        tasks = len(os.listdir("/proc/self/task"))
+    except OSError:
+        return False
+    return tasks == 1 and getsignal(SIGCHLD) != SIG_IGN
+
+
+def _parts(work, count):
+    """The starts n - 1, ..., 0, cut into count contiguous ranges of about
+    equal work, empty ranges dropped.
+
+    Range k ends at the block where the running sum of work, from the
+    smallest block up, first reaches (k + 1) / count of the total.
+    """
+    n, total = len(work), sum(work)
+    bounds, done = [n], 0
+    for start in range(n - 1, -1, -1):
+        done += work[start]
+        while len(bounds) < count and done * count >= total * len(bounds):
+            bounds.append(start)
+    bounds.append(0)
+    return [range(hi - 1, lo - 1, -1) for hi, lo in zip(bounds, bounds[1:]) if hi > lo]
+
+
+def _fork_columns(columns, starts):
+    """(pid, read end) of a forked worker that writes the list of
+    columns(starts), marshalled, to a pipe and leaves with os._exit,
+    status 1 if anything raised; None when os.pipe or os.fork fails."""
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(marshal.dumps(list(columns(starts))))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _collect(worker, count):
+    """The count columns a worker wrote, once it is reaped and its pipe
+    closed; None when it exited nonzero or wrote short data."""
+    pid, pipe = worker
+    data = pipe.read()
+    status = os.waitpid(pid, 0)[1]
+    pipe.close()
+    if status:
+        return None
+    try:
+        columns = marshal.loads(data)
+    except (EOFError, ValueError):
+        return None
+    return columns if len(columns) == count else None
+
+
 def berkowitz_charpoly(rows):
     """Characteristic polynomial of a square integer matrix, division-free.
 
@@ -375,44 +513,67 @@ def berkowitz_charpoly(rows):
     and an add) and a group 3 (two fetches, a difference, a product, an
     add and its offset): a block takes the flat form when its summed
     costs (_value_columns) are below its entry count.
+
+    A block's column depends on the matrix alone, not on the polynomial
+    so far (Berkowitz, Inf. Process. Lett. 18, 1984); only the fold into
+    the polynomial is sequential. So the blocks are cut into contiguous
+    ranges (_parts) of about equal work, priced as the block's
+    mat-vecs at the cost of its form plus its m - 1 dot products of
+    length m - 1: one range per usable CPU, each of at least
+    PART_MIN_WORK, and one range where no worker may be forked
+    (_may_fork). Each range but the first, which holds the smallest
+    blocks, goes to a forked worker (_fork_columns). This process
+    computes the first range, folding each column as it comes, then
+    folds each worker's columns, so the fold runs over the blocks in the
+    same order, from the trailing 1x1 block outward, however they were
+    split. A range whose worker could not be started, exited nonzero or
+    wrote short data is computed here. On the way out of an exception,
+    the workers still running are killed; every worker is reaped before
+    the call returns or raises.
     """
     n = len(rows)
     symmetric = all(tuple(row) == col for row, col in zip(rows, zip(*rows)))
+    values = None
     if symmetric:
-        w0s, layout, costs = _value_columns(rows)
+        *values, costs = _value_columns(rows)
+    flat, work = [False] * n, [0] * n
     cost = 0
-    poly = [1]
-    for start in range(n - 1, -1, -1):
+    for start in range(n - 2, -1, -1):
         m = n - start
-        col = [1, -rows[start][start]]
-        if m > 1:
-            tail = range(start + 1, n)
-            if symmetric:
-                cost += costs[start + 1]
-            plan = symmetric and cost < (m - 1) ** 2 and _block_plan(w0s, layout, start)
-            block = None if plan else [rows[i][start + 1:] for i in tail]
-            block_t = None if symmetric else list(zip(*block))
-            # the direct mat-vecs stay inline: a call per mat-vec costs a
-            # small matrix such as the 7 x 7 quotient about a tenth
-            left = rows[start][start + 1:]
-            right = [rows[i][start] for i in tail]
-            for k in range(m - 1):
-                if k % 2:
-                    right = (
-                        _flat_mat_vec(plan, right) if plan
-                        else [sum(map(mul, mr, right)) for mr in block]
-                    )
-                elif k and symmetric:
-                    left = right
-                elif k:
-                    left = [sum(map(mul, mc, left)) for mc in block_t]
-                col.append(-sum(map(mul, left, right)))
-        # poly <- T . poly, T the (m+1) x m lower-triangular Toeplitz matrix
-        # with first column col in highest-degree-first order; with both
-        # vectors stored constant term first, T[k][t] = col[t + 1 - k]
-        poly = [sum(map(mul, col[1:], poly))] + [
-            sum(map(mul, col, poly[k - 1:])) for k in range(1, m + 1)
-        ]
+        direct = (m - 1) ** 2
+        if symmetric:
+            cost += costs[start + 1]
+            flat[start] = cost < direct
+            work[start] = (m - 1) // 2 * min(cost, direct) + direct
+        else:
+            work[start] = (m - 1) * direct
+    columns = partial(_block_columns, rows, symmetric, values, flat)
+    # a part for each usable CPU, but none that would get less than PART_MIN_WORK
+    count = min(_usable_cpus(), sum(work) // PART_MIN_WORK)
+    parts = _parts(work, count if count > 1 and _may_fork() else 1)
+    poly = [1]
+    workers = []
+    try:
+        for starts in parts[1:]:
+            workers.append(_fork_columns(columns, starts))
+        for starts, worker in zip(parts, [None, *workers]):
+            cols = worker and _collect(worker, len(starts))
+            for col in columns(starts) if cols is None else cols:
+                # poly <- T . poly, T the (m+1) x m lower-triangular Toeplitz
+                # matrix (m + 1 = len(col)) with first column col in
+                # highest-degree-first order; with both vectors stored
+                # constant term first, T[k][t] = col[t + 1 - k]
+                poly = [sum(map(mul, col[1:], poly))] + [
+                    sum(map(mul, col, poly[k - 1:])) for k in range(1, len(col))
+                ]
+    finally:
+        for pid, pipe in filter(None, workers):
+            if not pipe.closed:  # left running by an exception
+                from signal import SIGKILL
+
+                pipe.close()
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
     return poly
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, formats, exit codes, determinism."""
 
+import errno
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 import orbitspectra
-from orbitspectra import cli, spectral
+from orbitspectra import cli, exactla, spectral
 from orbitspectra.cli import main, parse_edge_list
 from orbitspectra.exactla import IntMatrix, IntPolynomial
 from orbitspectra.graphs import pair_vertices
@@ -132,6 +133,47 @@ class TestSpectrumCommand:
         assert len(lines(out)) == 2
         assert lines(out) == lines(out_rank)
         assert "NOT distance integral" in out
+
+    def test_char_poly_without_fork_exits_zero(self, capsys, monkeypatch):
+        # lcr(7)'s D is enough work to fork a worker on two usable CPUs; an
+        # OSError that reached main would be reported as a usage error
+        argv = ("spectrum", "--family", "lcr", "--n", "7", "--method", "char-poly")
+        monkeypatch.setattr(exactla, "_usable_cpus", lambda: 1)
+        status, expected, _ = run(capsys, *argv)
+        assert status == 0
+        monkeypatch.setattr(exactla, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(exactla, "_may_fork", lambda: True)
+
+        refused = []
+
+        def refuse():
+            refused.append(True)
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", refuse)
+        assert run(capsys, *argv) == (0, expected, "")
+        assert refused
+
+    def test_char_poly_with_sigchld_ignored_exits_zero(self):
+        # an ignored SIGCHLD, inherited through exec, has the system reap
+        # every child, so a worker could not be waited for
+        src = os.path.dirname(os.path.dirname(orbitspectra.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        argv = [sys.executable, "-m", "orbitspectra.cli", "spectrum", "--family", "lcr",
+                "--n", "7", "--method", "char-poly"]
+        ignoring = [sys.executable, "-c", (
+            "import os, signal, sys; signal.signal(signal.SIGCHLD, signal.SIG_IGN); "
+            "os.execv(sys.executable, sys.argv[1:])"
+        )]
+        runs = [
+            subprocess.run(
+                prefix + argv, env=dict(os.environ, PYTHONPATH=path),
+                capture_output=True, text=True, timeout=60,
+            )
+            for prefix in ([], ignoring)
+        ]
+        assert [(r.returncode, r.stderr) for r in runs] == [(0, ""), (0, "")]
+        assert runs[0].stdout == runs[1].stdout
 
     def test_internal_disagreement_exits_three(self, capsys, monkeypatch):
         # lcr(5)'s roots mod p cover its order, so its values are ranked;

@@ -10,10 +10,13 @@ fails here: delete it, or give it a caller.
 
 import inspect
 import io
+import os
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+
+import pytest
 
 import orbitspectra
 from orbitspectra import cli, exactla, graphs, perms, spectral
@@ -47,6 +50,8 @@ def _invocations(tmp):
          "--method", "char-poly"),
         # lcr(6)'s 30 x 30 D is wide enough for Berkowitz's grouped mat-vec rows
         ("spectrum", "--family", "lcr", "--n", "6", "--method", "char-poly"),
+        # lcr(7)'s 42 x 42 D is enough work for Berkowitz to fork a worker
+        ("spectrum", "--family", "lcr", "--n", "7", "--method", "char-poly"),
         ("spectrum", "--input", str(square)),
         ("quotient", "--n", "4"),
         ("quotient", "--n", "4", "--format", "json"),
@@ -97,7 +102,20 @@ def _defined_functions():
     return found
 
 
-def test_every_function_is_reached_by_a_command(tmp_path):
+# Python 3.12+ warns on a fork beside numpy's idle BLAS thread
+@pytest.mark.filterwarnings("ignore:This process .*multi-threaded:DeprecationWarning")
+def test_every_function_is_reached_by_a_command(tmp_path, monkeypatch):
+    # Berkowitz's split is entered on any machine: two usable CPUs, and a
+    # worker may be forked, though numpy, once another test has imported
+    # it, leaves an idle BLAS thread in this process
+    may_fork = exactla._may_fork
+
+    def may_fork_beside_blas():
+        may_fork()  # entered all the same
+        return True
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(exactla, "_may_fork", may_fork_beside_blas)
     defined = _defined_functions()
     assert set(ALLOWED) <= set(defined.values())
     invocations = _invocations(tmp_path)
