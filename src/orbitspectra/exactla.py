@@ -10,19 +10,22 @@ last update, because the per-step factors piv_k / piv_(k-1) of a row
 with a zero head telescope. A row that reaches zero is never touched
 again; on lcr(10)'s D + I (rank 54 of 90) the kernel makes 0.66x the
 products of rescaling every row at every step with the first nonzero
-row as pivot. An eigenvalue multiplicity can be split by checked
-involutions that commute pairwise and with the matrix m, one block per
-character chi of the group G they generate: its rows and columns are
-the orbit representatives whose stabilizer lies in ker chi, and its
-entry (u, v) is sum_g chi(g) m[u][g(v)] / |Stab(v)|, less lam when u =
-v. Its columns are m - lam I applied to a basis of the isotypic
-component V_chi, read at those representatives, and a vector of V_chi
-is determined by its values there, so the block ranks sum to
-rank(m - lam I). A free action of order 2^k trades one rank of n for
-2^k of n / 2^k. Berkowitz needs R M^k C for each trailing block M
-with column C and row R; on symmetric input (every distance matrix)
-R = C^T and R M^k C = (M^i C)^T (M^j C) with i = k // 2, j = k - i,
-so about half the mat-vecs suffice.
+row as pivot. Checked involutions that commute pairwise and with the
+matrix m split it into one block per character chi of the group G they
+generate (isotypic_blocks), and both an eigenvalue multiplicity and
+the characteristic polynomial are read off the blocks: its rows and
+columns are the orbit representatives whose stabilizer lies in ker
+chi, and its entry (u, v) is sum_g chi(g) m[u][g(v)] / |Stab(v)|, less
+lam when u = v. The block is m - lam I on the isotypic component
+V_chi, in a basis read at those representatives, so the block ranks
+sum to rank(m - lam I) and the blocks' characteristic polynomials
+multiply to det(xI - m). A free action of order 2^k trades one rank of
+n for 2^k of n / 2^k, and one Berkowitz expansion, about n^4 / 8
+direct products on symmetric input, for 2^k of (n / 2^k)^4 / 8: one
+fixed-point-free involution cuts it eightfold. Berkowitz needs R M^k C
+for each trailing block M with column C and row R; on symmetric input
+(every distance matrix) R = C^T and R M^k C = (M^i C)^T (M^j C) with
+i = k // 2, j = k - i, so about half the mat-vecs suffice.
 Non-symmetric input takes (R M^i) from M^T. A mat-vec takes one
 product per entry (the direct form) or, on a symmetric block whose
 rows hold few values, mostly one w0 per row (a distance matrix's
@@ -643,44 +646,36 @@ def charpoly_mod(rows, p):
     return polys[n]
 
 
-def char_poly(m: IntMatrix) -> IntPolynomial:
-    """Exact characteristic polynomial det(xI - m), monic of degree n."""
-    if not m.is_square:
-        raise ValueError("characteristic polynomial of a non-square matrix")
-    return IntPolynomial(berkowitz_charpoly(m.entries))
+def isotypic_blocks(m: IntMatrix, involutions=(), lam=0):
+    """The blocks of m - lam I, one per character of the group that the
+    involutions generate, each an iterator of its rows made one at a time.
 
-
-def eigen_multiplicity(m: IntMatrix, lam, involutions=()) -> int:
-    """Geometric multiplicity of the integer lam: n - rank(m - lam I).
-
-    The ranks are Bareiss's over the rationals. involutions hold the
-    images of permutations t of range(n), each checked to be an
-    involution, to commute with those before it, and to commute with m:
-    m[t(u)][t(v)] = m[u][v], on the rows u <= t(u), as the equations of
-    row t(u) are those of row u. A failure raises ValueError. The ts,
-    less each one already in the group of those before it, generate an
-    elementary abelian 2-group G = {g_s}, g_s the product of the kept
-    ts in the bits of s, with characters chi_c(g_s) = (-1)^popcount(c &
-    s). m keeps each isotypic component V_c of G (Serre, *Linear
-    Representations of Finite Groups*, 2.6). For each chi_c, the block
-    rows are the orbit representatives u (each the least of its orbit)
-    whose stabilizer lies in ker chi_c, and its entry at representative
-    v is sum_g chi_c(g) m[u][g(v)] / |Stab(v)| - lam [u = v]; the other
-    representatives' rows are zero and are skipped. Column v is m - lam
-    I applied to b_v = sum_g chi_c(g) e_g(v) / |Stab(v)|, read at the
-    representatives: the b_v span V_c, which m - lam I maps into
-    itself, and a vector of V_c is determined by its values at those
-    representatives. So the block ranks sum to rank(m - lam I), and an
-    orbit of v lies in |G| / |Stab(v)| = |orbit| blocks, so the blocks'
-    orders sum to n. The division is exact, as chi_c is 1 on Stab(v),
-    and keeps the entries of one signed sum over the orbit. No
-    involution leaves the single block m. The blocks are ranked one
-    after the other, each read by the kernel as a stream of shifted
-    rows made one at a time, so the kernel's working copy of one block
-    is the only copy alive.
+    involutions hold the images of permutations t of range(n), each
+    checked to be an involution, to commute with those before it, and to
+    commute with m: m[t(u)][t(v)] = m[u][v], on the rows u <= t(u), as
+    the equations of row t(u) are those of row u. A failure raises
+    ValueError. The ts, less each one already in the group of those
+    before it, generate an elementary abelian 2-group G = {g_s}, g_s the
+    product of the kept ts in the bits of s, with characters chi_c(g_s)
+    = (-1)^popcount(c & s). m keeps each isotypic component V_c of G
+    (Serre, *Linear Representations of Finite Groups*, 2.6). For each
+    chi_c, the block rows are the orbit representatives u (each the
+    least of its orbit) whose stabilizer lies in ker chi_c, and its
+    entry at representative v is sum_g chi_c(g) m[u][g(v)] / |Stab(v)| -
+    lam [u = v]; the other representatives' rows are zero and are
+    skipped. Column v is m - lam I applied to b_v = sum_g chi_c(g)
+    e_g(v) / |Stab(v)|, read at the representatives. The b_v are a basis
+    of V_c (b_v is 1 at v and 0 at every other representative), which
+    m - lam I maps into itself, so block c is the matrix of m - lam I on
+    V_c in that basis: the block ranks sum to rank(m - lam I), and the
+    blocks' characteristic polynomials multiply to det(xI - m) at lam =
+    0. An orbit of v lies in |G| / |Stab(v)| = |orbit| blocks, so the
+    blocks' orders sum to n. The division is exact, as chi_c is 1 on
+    Stab(v), and keeps the entries of one signed sum over the orbit. No
+    involution leaves the single block m - lam I; one fixed-point-free t
+    leaves the blocks m[u][v] + m[u][t(v)] and m[u][v] - m[u][t(v)],
+    less lam on the diagonal, over u < t(u).
     """
-    if not m.is_square:
-        raise ValueError("eigenvalue multiplicity of a non-square matrix")
     rows, n = m.entries, m.rows
     identity = tuple(range(n))
     given, group = [], [identity]
@@ -721,7 +716,33 @@ def eigen_multiplicity(m: IntMatrix, lam, involutions=()) -> int:
             row[k] -= lam
             yield row
 
-    return n - sum(bareiss_echelon(shifted(c))[0] for c in range(len(group)))
+    return [shifted(c) for c in range(len(group))]
+
+
+def char_poly(m: IntMatrix, involutions=()) -> IntPolynomial:
+    """Exact characteristic polynomial det(xI - m), monic of degree n: the
+    product of Berkowitz's over the isotypic_blocks of m under the
+    involutions, checked as isotypic_blocks says."""
+    if not m.is_square:
+        raise ValueError("characteristic polynomial of a non-square matrix")
+    poly = IntPolynomial.one()
+    for rows in isotypic_blocks(m, involutions):
+        poly = poly.multiply(IntPolynomial(berkowitz_charpoly(list(rows))))
+    return poly
+
+
+def eigen_multiplicity(m: IntMatrix, lam, involutions=()) -> int:
+    """Geometric multiplicity of the integer lam: n - rank(m - lam I).
+
+    The ranks are Bareiss's over the rationals, one per block of
+    isotypic_blocks(m, involutions, lam), whose ranks sum to rank(m -
+    lam I). The blocks are ranked one after the other, each read by the
+    kernel as a stream of shifted rows made one at a time, so the
+    kernel's working copy of one block is the only copy alive.
+    """
+    if not m.is_square:
+        raise ValueError("eigenvalue multiplicity of a non-square matrix")
+    return m.rows - sum(bareiss_echelon(rows)[0] for rows in isotypic_blocks(m, involutions, lam))
 
 
 def integer_roots(p: IntPolynomial, bound):

@@ -30,10 +30,15 @@ rank-sweep needs no group. The roots of det(xI - D) mod p in [-rho,
 rho], with multiplicity, bound D's integer eigenvalues: when they fall
 short of |V|, det(xI - D) gives the spectrum and nothing is ranked;
 otherwise every value but the last is ranked, and the last is read
-from tr D.
+from tr D. rank-sweep and char-poly read one symmetry off D itself:
+when each row holds its largest entry once, at t(u), and t is a
+fixed-point-free involution that D commutes with (on lcr(n) the
+coordinate swap, whose image is the one vertex at distance 3), D is
+the direct sum of two blocks of order |V| / 2 (exactla.isotypic_blocks),
+and det(xI - D), its screen mod p and each rank are taken blockwise.
 """
 
-from operator import eq, mul
+from operator import eq, itemgetter, mul
 from typing import NamedTuple
 
 from orbitspectra.exactla import (
@@ -45,6 +50,7 @@ from orbitspectra.exactla import (
     charpoly_mod,
     eigen_multiplicity,
     integer_roots,
+    isotypic_blocks,
 )
 from orbitspectra.graphs import (
     Graph,
@@ -264,18 +270,53 @@ def lcr_stabilizer_partition(n) -> OrbitPartition:
     )
 
 
-def _screened_range(matrix, rho):
+def _antipodal_involution(matrix):
+    """The images of the pairing t that splits D, or None.
+
+    t(u) is the column of row u's largest entry, which must occur once
+    in that row. t must be a fixed-point-free involution, and D must
+    commute with it: D[t(u)][t(v)] = D[u][v] for all u, v, checked
+    exactly in the equivalent form D[u][t(v)] = D[t(u)][v]. Any failure
+    returns None, and D is not split; nothing raises. On a distance
+    matrix a commuting t is an isometry, which keeps each eccentricity
+    e(u), so d(t(u), u) = e(u) = e(t(u)) makes u the one farthest vertex
+    from t(u): t(t(u)) = u, and the involution check guards other
+    matrices. On lcr(n) t is the coordinate swap (i, j) -> (j, i), the
+    one vertex at distance 3; on crown(n), even cycles and J(2k, k) it
+    is the antipode.
+    """
+    rows = matrix.entries
+    t = []
+    for row in rows:
+        top = max(row)
+        if row.count(top) != 1:
+            return None
+        t.append(row.index(top))
+    if not t or any(v == u or t[v] != u for u, v in enumerate(t)):
+        return None
+    permuted = itemgetter(*t)
+    if any(permuted(row) != rows[v] for row, v in zip(rows, t)):
+        return None
+    return tuple(t)
+
+
+def _screened_range(matrix, rho, involutions):
     """Integers lam in [-rho, rho] that may be eigenvalues, ascending, each
     as (lam, m_p(lam)), its multiplicity as a root of chi_D mod p.
 
-    chi_D(lam) != 0 mod p implies chi_D(lam) != 0, so D - lam I is
-    nonsingular. At a survivor, synthetic division mod p finds m_p: if
-    (x - lam)^m divides chi_D over Z, it divides it mod p, so m_p(lam) is
-    at least lam's multiplicity as a root of chi_D. Integers in [-rho,
-    rho] stay distinct mod p (2 rho < p), so the m_p sum to at most |V|.
+    chi_D mod p is the product of charpoly_mod over the isotypic_blocks
+    of D under the involutions. chi_D(lam) != 0 mod p implies chi_D(lam)
+    != 0, so D - lam I is nonsingular. At a survivor, synthetic division
+    mod p finds m_p: if (x - lam)^m divides chi_D over Z, it divides it
+    mod p, so m_p(lam) is at least lam's multiplicity as a root of
+    chi_D. Integers in [-rho, rho] stay distinct mod p (2 rho < p), so
+    the m_p sum to at most |V|.
     """
     p = SCREEN_PRIME
-    chi = charpoly_mod(matrix.entries, p)
+    product = IntPolynomial.one()
+    for rows in isotypic_blocks(matrix, involutions):
+        product = product.multiply(IntPolynomial(charpoly_mod(list(rows), p)))
+    chi = [c % p for c in product.coefficients]
     survivors = []
     for lam in range(-rho, rho + 1):
         value = 0
@@ -297,7 +338,7 @@ def _screened_range(matrix, rho):
     return survivors
 
 
-def _ranked_spectrum(matrix, rho, survivors):
+def _ranked_spectrum(matrix, rho, survivors, involutions, checks):
     """Spectrum from the screen's survivors (rank-sweep), on one of two routes.
 
     Each eigenvalue of D lies in [-rho, rho], and its multiplicity as a
@@ -314,8 +355,9 @@ def _ranked_spectrum(matrix, rho, survivors):
     that fall short leave det(xI - D) to supply the residual factor, and
     its integer roots must equal the ranked pairs: a symmetric matrix's
     geometric and algebraic multiplicities agree. Any failed requirement
-    raises ArithmeticError; each return carries a "screen" check naming
-    its route.
+    raises ArithmeticError; each return carries the given checks, then a
+    "screen" check naming its route. Each rank and det(xI - D) are split
+    by the involutions.
     """
     order, trace = matrix.rows, matrix.trace()
     bound = dict(survivors)
@@ -326,7 +368,7 @@ def _ranked_spectrum(matrix, rho, survivors):
             f"{roots} < |V| = {order}, so D has an eigenvalue outside the integers; "
             "det(xI - D)'s integer roots lie among them"
         )
-        spectrum = _char_poly_spectrum(matrix, rho, Check("screen", detail))
+        spectrum = _char_poly_spectrum(matrix, rho, involutions, *checks, Check("screen", detail))
         over = any(m > bound.get(lam, 0) for lam, m in spectrum.integer_part)
         if spectrum.is_integral or over:
             raise ArithmeticError(
@@ -339,7 +381,7 @@ def _ranked_spectrum(matrix, rho, survivors):
     for lam, _ in survivors:
         if remaining < 2:
             break
-        mult = eigen_multiplicity(matrix, lam)
+        mult = eigen_multiplicity(matrix, lam, involutions)
         ranked.append(lam)
         if mult:
             pairs.append((lam, mult))
@@ -356,18 +398,19 @@ def _ranked_spectrum(matrix, rho, survivors):
         remaining = 0
         detail += f"; last value {last} from tr D"
     if remaining == 0:
-        return Spectrum(pairs, None, order, trace, (Check("screen", detail),))
+        return Spectrum(pairs, None, order, trace, (*checks, Check("screen", detail)))
     detail += "; det(xI - D)'s integer roots equal the ranked ones"
-    spectrum = _char_poly_spectrum(matrix, rho, Check("screen", detail))
+    spectrum = _char_poly_spectrum(matrix, rho, involutions, *checks, Check("screen", detail))
     if spectrum.integer_part != tuple(pairs):
         raise ArithmeticError("rank certification and characteristic polynomial disagree")
     return spectrum
 
 
-def _char_poly_spectrum(matrix, rho, *checks):
+def _char_poly_spectrum(matrix, rho, involutions, *checks):
     """Spectrum from the integer roots and residual factor of det(xI - D),
-    carrying the given ledger entries."""
-    roots, residual = integer_roots(char_poly(matrix), bound=rho)
+    expanded over D's blocks under the involutions, carrying the given
+    ledger entries."""
+    roots, residual = integer_roots(char_poly(matrix, involutions), bound=rho)
     return Spectrum(roots, residual, matrix.rows, matrix.trace(), checks)
 
 
@@ -529,7 +572,13 @@ def distance_spectrum(
     det(xI - D) gives the spectrum; otherwise the survivors are ranked in
     ascending order up to |V| - 1, and the last value comes from tr D
     (_ranked_spectrum). char-poly always expands det(xI - D). Both run
-    BFS. quotient-assisted starts from the caller's
+    BFS, and both split D when _antipodal_involution finds its pairing
+    t: the screen multiplies charpoly_mod over the two blocks D[u][v] +-
+    D[u][t(v)], u < t(u), char_poly multiplies Berkowitz over them, and
+    each rank sums their two Bareiss ranks. The blocks are the
+    isotypic components of the group {1, t}, so the result is the same
+    as on D whole; the spectrum's ledger then leads with an
+    "antipodal-split" entry. quotient-assisted starts from the caller's
     QuotientMatrix, which must have been built from g itself
     (quotient.graph == g) over a singleton-cell orbit partition, and g
     must be vertex-transitive under transitive_gens. quotient_matrix
@@ -576,9 +625,21 @@ def distance_spectrum(
             raise InputError("quotient and transitive_gens need method 'quotient-assisted'")
         matrix = all_pairs_distances(g)
         rho = max(matrix.row_sums())
+        t = _antipodal_involution(matrix)
+        involutions, checks = (), ()
+        if t is not None:
+            involutions = (t,)
+            detail = (
+                "each row of D holds its largest entry once, at t(u); t is a fixed-point-free "
+                "involution and D[t(u)][t(v)] = D[u][v], checked, so det(xI - D) and each rank "
+                "split into the blocks D[u][v] +- D[u][t(v)], u < t(u), "
+                f"of order {matrix.rows // 2}"
+            )
+            checks = (Check("antipodal-split", detail),)
         if method == "rank-sweep":
-            return _ranked_spectrum(matrix, rho, _screened_range(matrix, rho))
-        return _char_poly_spectrum(matrix, rho)
+            survivors = _screened_range(matrix, rho, involutions)
+            return _ranked_spectrum(matrix, rho, survivors, involutions, checks)
+        return _char_poly_spectrum(matrix, rho, involutions, *checks)
 
     if quotient is None or transitive_gens is None:
         raise InputError(
@@ -601,7 +662,7 @@ def distance_spectrum(
         f"nonzero, so D has an eigenvalue outside the integers; det(xI - D)'s integer roots "
         f"lie among those {len(values)}"
     )
-    spectrum = _char_poly_spectrum(quotient.source, rho, Check("roots-among-quotient", detail))
+    spectrum = _char_poly_spectrum(quotient.source, rho, (), Check("roots-among-quotient", detail))
     if spectrum.is_integral or not set(spectrum.distinct_values) <= set(values):
         raise ArithmeticError(
             f"det(xI - D) has integer roots {list(spectrum.distinct_values)}, residual degree "

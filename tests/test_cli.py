@@ -135,9 +135,10 @@ class TestSpectrumCommand:
         assert "NOT distance integral" in out
 
     def test_char_poly_without_fork_exits_zero(self, capsys, monkeypatch):
-        # lcr(7)'s D is enough work to fork a worker on two usable CPUs; an
-        # OSError that reached main would be reported as a usage error
-        argv = ("spectrum", "--family", "lcr", "--n", "7", "--method", "char-poly")
+        # cycle(37)'s D is enough work to fork a worker on two usable CPUs,
+        # and an odd cycle is not split; an OSError that reached main
+        # would be reported as a usage error
+        argv = ("spectrum", "--family", "cycle", "--n", "37", "--method", "char-poly")
         monkeypatch.setattr(exactla, "_usable_cpus", lambda: 1)
         status, expected, _ = run(capsys, *argv)
         assert status == 0
@@ -159,8 +160,8 @@ class TestSpectrumCommand:
         # every child, so a worker could not be waited for
         src = os.path.dirname(os.path.dirname(orbitspectra.__file__))
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        argv = [sys.executable, "-m", "orbitspectra.cli", "spectrum", "--family", "lcr",
-                "--n", "7", "--method", "char-poly"]
+        argv = [sys.executable, "-m", "orbitspectra.cli", "spectrum", "--family", "cycle",
+                "--n", "37", "--method", "char-poly"]
         ignoring = [sys.executable, "-c", (
             "import os, signal, sys; signal.signal(signal.SIGCHLD, signal.SIG_IGN); "
             "os.execv(sys.executable, sys.argv[1:])"
@@ -209,7 +210,7 @@ class TestSpectrumCommand:
     ):
         # the heptagon's one root mod p is 12, simple: 1 < 7, so D has an
         # eigenvalue outside the integers, and det(xI - D) must agree
-        monkeypatch.setattr(spectral, "char_poly", lambda m: stand_in)
+        monkeypatch.setattr(spectral, "char_poly", lambda m, *rest: stand_in)
         status, out, err = run(capsys, "spectrum", "--family", "cycle", "--n", "7")
         assert (status, out) == (3, "")
         assert err == (
@@ -261,7 +262,7 @@ class TestSpectrumCommand:
         true_char_poly = spectral.char_poly
         stand_in = IntPolynomial.from_roots([12, -2]).multiply(IntPolynomial([1, 0, 0, 0, 10, 1]))
         stand_ins = {
-            "char_poly": lambda m: stand_in if m.rows == 7 else true_char_poly(m),
+            "char_poly": lambda m, *rest: stand_in if m.rows == 7 else true_char_poly(m, *rest),
             "_annihilates": lambda q, values, cell: False,
         }
         monkeypatch.setattr(spectral, patch, stand_ins[patch])

@@ -29,6 +29,7 @@ from orbitspectra.exactla import (
     charpoly_mod,
     eigen_multiplicity,
     integer_roots,
+    isotypic_blocks,
 )
 from orbitspectra.graphs import all_pairs_distances, build_circulant, build_cycle, build_lcr
 from orbitspectra.perms import Permutation, pair_action, swap_action
@@ -800,10 +801,13 @@ class TestInvolutionSplit:
         spectrum = dict(integer_roots(char_poly(d), bound=rho)[0])
         for lam, mult in spectrum.items():
             assert eigen_multiplicity(d, lam) == mult, lam
+        whole = char_poly(d)
         for name, ts in involutions.items():
             assert sum(block_orders(monkeypatch, d, 0, ts)) == d.rows
             for lam in range(-rho, rho + 1):
                 assert eigen_multiplicity(d, lam, ts) == spectrum.get(lam, 0), (name, lam)
+            # the same blocks at lam = 0 multiply to det(xI - D), fixed points or not
+            assert char_poly(d, ts) == whole, name
 
     def test_a_repeated_involution_or_the_identity_changes_nothing(self, monkeypatch):
         # neither adds a generator to the group: the same blocks, the same
@@ -850,8 +854,19 @@ class TestInvolutionSplit:
         ],
     )
     def test_a_failed_premise_raises(self, n, involutions, message):
+        d = all_pairs_distances(build_cycle(n))
         with pytest.raises(ValueError, match=message):
-            eigen_multiplicity(all_pairs_distances(build_cycle(n)), 1, involutions)
+            eigen_multiplicity(d, 1, involutions)
+        with pytest.raises(ValueError, match=message):
+            char_poly(d, involutions)
+
+    def test_a_non_symmetric_matrix_splits_too(self):
+        # m commutes with the swap (0 1)(2 3) though m is not symmetric:
+        # its blocks m[u][v] +- m[u][t(v)] over u = 0, 2 are not either
+        m = IntMatrix([[1, 2, 3, 4], [2, 1, 4, 3], [5, 6, 7, 8], [6, 5, 8, 7]])
+        plus, minus = (list(rows) for rows in isotypic_blocks(m, [(1, 0, 3, 2)]))
+        assert (plus, minus) == ([[3, 7], [11, 15]], [[-1, -1], [-1, -1]])
+        assert char_poly(m, [(1, 0, 3, 2)]) == char_poly(m)
 
 
 class TestPolynomialType:

@@ -50,8 +50,9 @@ def _invocations(tmp):
          "--method", "char-poly"),
         # lcr(6)'s 30 x 30 D is wide enough for Berkowitz's grouped mat-vec rows
         ("spectrum", "--family", "lcr", "--n", "6", "--method", "char-poly"),
-        # lcr(7)'s 42 x 42 D is enough work for Berkowitz to fork a worker
-        ("spectrum", "--family", "lcr", "--n", "7", "--method", "char-poly"),
+        # cycle(37)'s D, which has no antipode to split it, is enough work
+        # for Berkowitz to fork a worker
+        ("spectrum", "--family", "cycle", "--n", "37", "--method", "char-poly"),
         ("spectrum", "--input", str(square)),
         ("quotient", "--n", "4"),
         ("quotient", "--n", "4", "--format", "json"),

@@ -90,6 +90,16 @@ def non_singleton_cycle_cases():
     ]
 
 
+# the entry that leads rank-sweep's and char-poly's ledger on lcr(5), split
+# by the coordinate swap
+LCR5_SPLIT = (
+    "antipodal-split",
+    "each row of D holds its largest entry once, at t(u); t is a fixed-point-free involution "
+    "and D[t(u)][t(v)] = D[u][v], checked, so det(xI - D) and each rank split into the blocks "
+    "D[u][v] +- D[u][t(v)], u < t(u), of order 10",
+)
+
+
 def draw_circulant(data):
     """(n, a connected circulant of order n, its connection set, whether
     it is a union of gcd classes), drawn for a Hypothesis test. Random connection sets are
@@ -440,6 +450,7 @@ class TestDistanceSpectrum:
         s = distance_spectrum(build_lcr(5), "rank-sweep")
         assert calls == [-6, -2, -1, 1]
         assert s.checks == (
+            LCR5_SPLIT,
             (
                 "screen",
                 "det(xI - D) mod p: roots in [-rho, rho] with multiplicity 20 = |V|; "
@@ -452,7 +463,9 @@ class TestDistanceSpectrum:
         # a screen that claimed 0^6 for the heptagon sends it down the
         # ranked route; the ranks fall short, and det(xI - D) must give
         # the ranked values as its integer roots
-        monkeypatch.setattr(spectral, "_screened_range", lambda d, rho: [(0, 6), (12, 1)])
+        monkeypatch.setattr(
+            spectral, "_screened_range", lambda d, rho, involutions: [(0, 6), (12, 1)]
+        )
         report = is_distance_integral(build_cycle(7))
         assert report.spectrum == distance_spectrum(build_cycle(7), "char-poly")
         assert report.spectrum.checks == report.checks[:1]
@@ -740,6 +753,130 @@ class TestDistanceSpectrum:
             assert res_deg == non_integer, name
 
 
+def kernel_orders(monkeypatch):
+    """(Berkowitz's, Bareiss's) lists of the orders of the matrices each
+    kernel is handed from now on, in call order."""
+    berkowitz, bareiss = [], []
+    expand, eliminate = exactla.berkowitz_charpoly, exactla.bareiss_echelon
+
+    def counting_expand(rows):
+        berkowitz.append(len(rows))
+        return expand(rows)
+
+    def counting_eliminate(rows):
+        rows = list(rows)
+        bareiss.append(len(rows))
+        return eliminate(rows)
+
+    monkeypatch.setattr(exactla, "berkowitz_charpoly", counting_expand)
+    monkeypatch.setattr(exactla, "bareiss_echelon", counting_eliminate)
+    return berkowitz, bareiss
+
+
+class TestAntipodalSplit:
+    """rank-sweep and char-poly split D by the pairing of each row's
+    largest entry, when it is a fixed-point-free involution D commutes with."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            *(pytest.param(build_lcr(n), id=f"lcr{n}") for n in range(4, 10)),
+            *(pytest.param(build_crown(n), id=f"crown{n}") for n in range(3, 9)),
+            *(pytest.param(build_cycle(n), id=f"cycle{n}") for n in range(4, 21, 2)),
+            # the complement of a k-set is the one k-set at distance k
+            pytest.param(build_johnson(4, 2), id="johnson4-2"),
+            pytest.param(build_johnson(6, 3), id="johnson6-3"),
+        ],
+    )
+    def test_split_char_poly_is_berkowitz_of_d(self, monkeypatch, g):
+        d = all_pairs_distances(g)
+        rho = max(d.row_sums())
+        whole = tuple(exactla.berkowitz_charpoly(d.entries))
+        t = spectral._antipodal_involution(d)
+        assert t is not None
+        assert spectral._screened_range(d, rho, [t]) == spectral._screened_range(d, rho, ())
+        berkowitz, _ = kernel_orders(monkeypatch)
+        assert char_poly(d, [t]).coefficients == whole
+        assert berkowitz == [d.rows // 2] * 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_split_char_poly_on_antipodal_circulants(self, data):
+        # a unique farthest vertex from 0 is its own negative, n / 2, and
+        # t is the rotation by n / 2; odd n has no unique farthest vertex
+        n, g, _, _ = draw_circulant(data)
+        d = all_pairs_distances(g)
+        t = spectral._antipodal_involution(d)
+        row = d.entries[0]
+        if row.count(max(row)) > 1:
+            assert t is None
+        else:
+            assert n % 2 == 0 and t == tuple((v + n // 2) % n for v in range(n))
+            assert char_poly(d, [t]).coefficients == tuple(exactla.berkowitz_charpoly(d.entries))
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            *(pytest.param(build_cycle(n), id=f"cycle{n}") for n in (5, 7, 9, 11)),
+            *(
+                pytest.param(build_line_graph(build_johnson(n, 2)), id=f"line-johnson{n}-2")
+                for n in (5, 6)
+            ),
+            *(
+                pytest.param(build_johnson(n, k), id=f"johnson{n}-{k}")
+                for n, k in ((5, 1), (5, 2), (6, 2), (7, 3))
+            ),
+        ],
+    )
+    def test_no_unique_antipode_leaves_d_whole(self, monkeypatch, g):
+        d = all_pairs_distances(g)
+        assert spectral._antipodal_involution(d) is None
+        berkowitz, _ = kernel_orders(monkeypatch)
+        s = distance_spectrum(g, "char-poly")
+        assert berkowitz == [d.rows]
+        assert s.checks == ()
+
+    def test_a_pairing_d_does_not_commute_with_leaves_it_whole(self, monkeypatch):
+        # each row holds its largest entry 3 once, and t = (0 1)(2 3) is a
+        # fixed-point-free involution, but D[t(0)][t(2)] = D[1][3] = 2
+        # while D[0][2] = 1; the block builder would refuse t
+        rows = [[0, 3, 1, 2], [3, 0, 1, 2], [1, 1, 0, 3], [2, 2, 3, 0]]
+        m = IntMatrix(rows)
+        assert spectral._antipodal_involution(m) is None
+        with pytest.raises(ValueError, match="does not commute"):
+            char_poly(m, [(1, 0, 3, 2)])
+        berkowitz, _ = kernel_orders(monkeypatch)
+        assert char_poly(m).coefficients == tuple(exactla.berkowitz_charpoly(rows))
+        assert berkowitz == [4, 4]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # rows 1 and 2 pair with each other, row 0 with row 1: t(t(0)) = 2
+            pytest.param([[0, 3, 1], [3, 0, 5], [1, 5, 0]], id="no-involution"),
+            # row 0's largest entry is on the diagonal
+            pytest.param([[5, 1], [1, 0]], id="fixed-point"),
+            pytest.param([[0, 2, 2], [2, 0, 1], [2, 1, 0]], id="largest-twice"),
+            pytest.param([], id="empty"),
+        ],
+    )
+    def test_no_pairing_no_split(self, rows):
+        assert spectral._antipodal_involution(IntMatrix(rows)) is None
+
+    def test_lcr8_expands_and_ranks_two_half_blocks(self, monkeypatch):
+        g = build_lcr(8)
+        berkowitz, bareiss = kernel_orders(monkeypatch)
+        expanded = distance_spectrum(g, "char-poly")
+        assert (berkowitz, bareiss) == ([28, 28], [])
+        del berkowitz[:]
+        ranked = distance_spectrum(g, "rank-sweep")
+        # four ranks, -9, -5, -1 and 1, of two blocks each; 99 from tr D
+        assert (berkowitz, bareiss) == ([], [28] * 8)
+        assert ranked == expanded
+        assert expanded.checks[0].name == ranked.checks[0].name == "antipodal-split"
+        assert ranked.checks[0].detail.endswith("of order 28")
+
+
 class TestSpectrumType:
     def test_rejects_incomplete_multiplicities(self):
         with pytest.raises(ArithmeticError, match="order"):
@@ -862,8 +999,11 @@ class TestIntegralityReports:
 
     def test_ledger_names_the_integral_rank_sweep_route(self):
         report = is_distance_integral(build_lcr(5))
-        assert [c.name for c in report.checks] == ["screen", "spectrum-complete", "trace-zero"]
-        assert report.checks[0] == (
+        assert [c.name for c in report.checks] == [
+            "antipodal-split", "screen", "spectrum-complete", "trace-zero",
+        ]
+        assert report.checks[0] == LCR5_SPLIT
+        assert report.checks[1] == (
             "screen",
             "det(xI - D) mod p: roots in [-rho, rho] with multiplicity 20 = |V|; "
             "ranked -6 -2 -1 1; last value 33 from tr D",
