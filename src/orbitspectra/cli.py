@@ -152,10 +152,14 @@ def _parse_n_range(text):
 
 
 def _parse_connections(text):
+    """A nonempty comma-separated set of integers; empty items are skipped."""
     try:
-        return tuple(int(x) for x in text.split(",") if x)
+        connections = tuple(int(x) for x in text.split(",") if x)
     except ValueError:
-        raise UsageError(f"bad connection set {text!r}: expected e.g. '1,2'") from None
+        connections = ()
+    if not connections:
+        raise UsageError(f"bad connection set {text!r}: expected e.g. '1,2'")
+    return connections
 
 
 def _load_graph(args):
@@ -490,7 +494,7 @@ def _normalize_args(args):
         raise UsageError("--k goes with --family johnson or line-johnson only")
     if args.connections is not None and args.family != "circulant":
         raise UsageError("--connections goes with --family circulant only")
-    args.connections = _parse_connections(args.connections) if args.connections else ()
+    args.connections = () if args.connections is None else _parse_connections(args.connections)
     if args.command in ("spectrum", "scan"):
         given = (args.stabilizer_gens is not None) + (args.transitive_gens is not None)
         if given == 1 or given and args.method != "quotient-assisted":

@@ -10,22 +10,23 @@ last update, because the per-step factors piv_k / piv_(k-1) of a row
 with a zero head telescope. A row that reaches zero is never touched
 again; on lcr(10)'s D + I (rank 54 of 90) the kernel makes 0.66x the
 products of rescaling every row at every step with the first nonzero
-row as pivot. Checked involutions that commute pairwise and with the
-matrix m split it into one block per character chi of the group G they
-generate (isotypic_blocks), and both an eigenvalue multiplicity and
-the characteristic polynomial are read off the blocks: its rows and
-columns are the orbit representatives whose stabilizer lies in ker
-chi, and its entry (u, v) is sum_g chi(g) m[u][g(v)] / |Stab(v)|, less
-lam when u = v. The block is m - lam I on the isotypic component
-V_chi, in a basis read at those representatives, so the block ranks
-sum to rank(m - lam I) and the blocks' characteristic polynomials
-multiply to det(xI - m). A free action of order 2^k trades one rank of
-n for 2^k of n / 2^k, and one Berkowitz expansion, about n^4 / 8
-direct products on symmetric input, for 2^k of (n / 2^k)^4 / 8: one
-fixed-point-free involution cuts it eightfold. Berkowitz needs R M^k C
-for each trailing block M with column C and row R; on symmetric input
-(every distance matrix) R = C^T and R M^k C = (M^i C)^T (M^j C) with
-i = k // 2, j = k - i, so about half the mat-vecs suffice.
+row as pivot. IsotypicSplit keeps the candidate involutions that
+commute pairwise and with the matrix m, checked once, and splits m
+into one block per character chi of the group G they generate; both an
+eigenvalue multiplicity and the characteristic polynomial are read off
+the blocks: its rows and columns are the orbit representatives whose
+stabilizer lies in ker chi, and its entry (u, v) is sum_g chi(g)
+m[u][g(v)] / |Stab(v)|, less lam when u = v. The block is m - lam I on
+the isotypic component V_chi, in a basis read at those
+representatives, so the block ranks sum to rank(m - lam I) and the
+blocks' characteristic polynomials multiply to det(xI - m). A free
+action of order 2^k trades one rank of n for 2^k of n / 2^k, and one
+Berkowitz expansion, about n^4 / 8 direct products on symmetric input,
+for 2^k of (n / 2^k)^4 / 8: one fixed-point-free involution cuts it
+eightfold. Berkowitz needs R M^k C for each trailing block M with
+column C and row R; on symmetric input (every distance matrix) R = C^T
+and R M^k C = (M^i C)^T (M^j C) with i = k // 2, j = k - i, so about
+half the mat-vecs suffice.
 Non-symmetric input takes (R M^i) from M^T. A mat-vec takes one
 product per entry (the direct form) or, on a symmetric block whose
 rows hold few values, mostly one w0 per row (a distance matrix's
@@ -646,103 +647,117 @@ def charpoly_mod(rows, p):
     return polys[n]
 
 
-def isotypic_blocks(m: IntMatrix, involutions=(), lam=0):
-    """The blocks of m - lam I, one per character of the group that the
-    involutions generate, each an iterator of its rows made one at a time.
+class IsotypicSplit(Frozen):
+    """The involutions among candidates that split m, checked once, and
+    m's isotypic blocks under them.
 
-    involutions hold the images of permutations t of range(n), each
-    checked to be an involution, to commute with those before it, and to
-    commute with m: m[t(u)][t(v)] = m[u][v], on the rows u <= t(u), as
-    the equations of row t(u) are those of row u. A failure raises
-    ValueError. The ts, less each one already in the group of those
-    before it, generate an elementary abelian 2-group G = {g_s}, g_s the
-    product of the kept ts in the bits of s, with characters chi_c(g_s)
-    = (-1)^popcount(c & s). m keeps each isotypic component V_c of G
-    (Serre, *Linear Representations of Finite Groups*, 2.6). For each
-    chi_c, the block rows are the orbit representatives u (each the
-    least of its orbit) whose stabilizer lies in ker chi_c, and its
-    entry at representative v is sum_g chi_c(g) m[u][g(v)] / |Stab(v)| -
-    lam [u = v]; the other representatives' rows are zero and are
-    skipped. Column v is m - lam I applied to b_v = sum_g chi_c(g)
-    e_g(v) / |Stab(v)|, read at the representatives. The b_v are a basis
-    of V_c (b_v is 1 at v and 0 at every other representative), which
-    m - lam I maps into itself, so block c is the matrix of m - lam I on
-    V_c in that basis: the block ranks sum to rank(m - lam I), and the
-    blocks' characteristic polynomials multiply to det(xI - m) at lam =
-    0. An orbit of v lies in |G| / |Stab(v)| = |orbit| blocks, so the
-    blocks' orders sum to n. The division is exact, as chi_c is 1 on
-    Stab(v), and keeps the entries of one signed sum over the orbit. No
-    involution leaves the single block m - lam I; one fixed-point-free t
-    leaves the blocks m[u][v] + m[u][t(v)] and m[u][v] - m[u][t(v)],
-    less lam on the diagonal, over u < t(u).
+    The candidates are images of maps of range(n), walked in order. Each
+    is kept when it is a permutation and an involution, lies outside the
+    group of those kept before it and commutes with it, keeps the group
+    no larger than n, which bounds the blocks, and commutes with m:
+    m[t(u)][t(v)] = m[u][v], on the rows u <= t(u), as the equations of
+    row t(u) are those of row u. Any other candidate is dropped, never
+    raised on, so only checked involutions split m; kept holds the kept
+    candidates' indices. They generate an elementary abelian 2-group G =
+    {g_s}, g_s the product of the kept ts in the bits of s, with
+    characters chi_c(g_s) = (-1)^popcount(c & s), and m keeps each
+    isotypic component V_c of G (Serre, *Linear Representations of
+    Finite Groups*, 2.6).
+
+    blocks(lam) gives one block of m - lam I per chi_c, each an iterator
+    of its rows made one at a time. Its rows and columns are the orbit
+    representatives u (each the least of its orbit) whose stabilizer lies
+    in ker chi_c, and its entry at representative v is sum_g chi_c(g)
+    m[u][g(v)] / |Stab(v)| - lam [u = v]; the other representatives' rows
+    are zero and are skipped. Column v is m - lam I applied to b_v =
+    sum_g chi_c(g) e_g(v) / |Stab(v)|, read at the representatives. The
+    b_v are a basis of V_c (b_v is 1 at v and 0 at every other
+    representative), which m - lam I maps into itself, so block c is the
+    matrix of m - lam I on V_c in that basis: the block ranks sum to
+    rank(m - lam I), and the blocks' characteristic polynomials multiply
+    to det(xI - m) at lam = 0. An orbit of v lies in |G| / |Stab(v)| =
+    |orbit| blocks, so the blocks' orders sum to n. The division is
+    exact, as chi_c is 1 on Stab(v). No kept candidate leaves the single
+    block m - lam I; one fixed-point-free t leaves the blocks m[u][v] +
+    m[u][t(v)] and m[u][v] - m[u][t(v)], less lam on the diagonal, over
+    u < t(u).
     """
-    rows, n = m.entries, m.rows
-    identity = tuple(range(n))
-    given, group = [], [identity]
-    for t in map(tuple, involutions):
-        if sorted(t) != list(identity) or tuple(map(t.__getitem__, t)) != identity:
-            raise ValueError(f"the images are not an involution of range({n})")
-        for k, s in enumerate(given):
-            if tuple(map(t.__getitem__, s)) != tuple(map(s.__getitem__, t)):
-                raise ValueError(f"involutions #{k} and #{len(given)} do not commute")
-        # a getter of one index returns no tuple, but on one point t is the identity
-        permuted = itemgetter(*t) if n > 1 else tuple
-        for u, row in enumerate(rows):
-            if u <= t[u] and permuted(row) != rows[t[u]]:
-                raise ValueError(f"matrix does not commute with the involution at row {u}")
-        given.append(t)
-        if t not in group:
-            group += [tuple(map(t.__getitem__, g)) for g in group]
-    # each orbit's least point -> the indices s of the g_s that fix it
-    stabilizers = {
-        v: [s for s, w in enumerate(images) if w == v]
-        for v, images in enumerate(zip(*group))
-        if min(images) == v
-    }
 
-    def shifted(c):
-        ops = [sub if (c & s).bit_count() & 1 else add for s in range(len(group))]
-        reps = [v for v, stab in stabilizers.items() if all(ops[s] is add for s in stab)]
-        sizes = [len(stabilizers[v]) for v in reps]
-        width = len(reps)
-        # led by a dummy index, so that one column still gathers a tuple
-        gather = itemgetter(0, *(g[v] for g in group for v in reps))
-        for k, u in enumerate(reps):
-            entries = gather(rows[u])
-            row = entries[1:width + 1]
-            for s in range(1, len(group)):
-                row = map(ops[s], row, entries[s * width + 1:(s + 1) * width + 1])
-            row = list(map(floordiv, row, sizes))
-            row[k] -= lam
-            yield row
+    __slots__ = ("matrix", "kept", "group", "stabilizers")
+    _fields = ("matrix", "group")
 
-    return [shifted(c) for c in range(len(group))]
+    def __init__(self, m: IntMatrix, candidates=()):
+        rows, n = m.entries, m.rows
+        identity = tuple(range(n))
+        kept, group = [], [identity]
+        for k, t in enumerate(map(tuple, candidates)):
+            image = t.__getitem__
+            if (
+                sorted(t) == list(identity)
+                and tuple(map(image, t)) == identity
+                and t not in group
+                and all(tuple(map(image, g)) == tuple(map(g.__getitem__, t)) for g in group)
+                and 2 * len(group) <= n
+                and all(itemgetter(*t)(rows[u]) == rows[v] for u, v in enumerate(t) if u <= v)
+            ):
+                kept.append(k)
+                group += [tuple(map(image, g)) for g in group]
+        # each orbit's least point -> the indices s of the g_s that fix it
+        stabilizers = {
+            v: [s for s, w in enumerate(images) if w == v]
+            for v, images in enumerate(zip(*group))
+            if min(images) == v
+        }
+        super().__init__(matrix=m, kept=tuple(kept), group=tuple(group), stabilizers=stabilizers)
+
+    def blocks(self, lam=0):
+        rows, group, stabilizers = self.matrix.entries, self.group, self.stabilizers
+
+        def shifted(c):
+            ops = [sub if (c & s).bit_count() & 1 else add for s in range(len(group))]
+            reps = [v for v, stab in stabilizers.items() if all(ops[s] is add for s in stab)]
+            sizes = [len(stabilizers[v]) for v in reps]
+            width = len(reps)
+            # led by a dummy index, so that one column still gathers a tuple
+            gather = itemgetter(0, *(g[v] for g in group for v in reps))
+            for k, u in enumerate(reps):
+                entries = gather(rows[u])
+                row = entries[1:width + 1]
+                for s in range(1, len(group)):
+                    row = map(ops[s], row, entries[s * width + 1:(s + 1) * width + 1])
+                row = list(map(floordiv, row, sizes))
+                row[k] -= lam
+                yield row
+
+        return [shifted(c) for c in range(len(group))]
 
 
-def char_poly(m: IntMatrix, involutions=()) -> IntPolynomial:
+def char_poly(m: IntMatrix, split=None) -> IntPolynomial:
     """Exact characteristic polynomial det(xI - m), monic of degree n: the
-    product of Berkowitz's over the isotypic_blocks of m under the
-    involutions, checked as isotypic_blocks says."""
+    product of Berkowitz's over the blocks of split, an IsotypicSplit of
+    m, or over m whole when no split is given."""
     if not m.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
     poly = IntPolynomial.one()
-    for rows in isotypic_blocks(m, involutions):
+    for rows in (split or IsotypicSplit(m)).blocks():
         poly = poly.multiply(IntPolynomial(berkowitz_charpoly(list(rows))))
     return poly
 
 
-def eigen_multiplicity(m: IntMatrix, lam, involutions=()) -> int:
+def eigen_multiplicity(m: IntMatrix, lam, split=None) -> int:
     """Geometric multiplicity of the integer lam: n - rank(m - lam I).
 
-    The ranks are Bareiss's over the rationals, one per block of
-    isotypic_blocks(m, involutions, lam), whose ranks sum to rank(m -
-    lam I). The blocks are ranked one after the other, each read by the
-    kernel as a stream of shifted rows made one at a time, so the
-    kernel's working copy of one block is the only copy alive.
+    The ranks are Bareiss's over the rationals, one per block of split,
+    an IsotypicSplit of m (m whole when no split is given), whose ranks
+    sum to rank(m - lam I). The blocks are ranked one after the other,
+    each read by the kernel as a stream of shifted rows made one at a
+    time, so the kernel's working copy of one block is the only copy
+    alive.
     """
     if not m.is_square:
         raise ValueError("eigenvalue multiplicity of a non-square matrix")
-    return m.rows - sum(bareiss_echelon(rows)[0] for rows in isotypic_blocks(m, involutions, lam))
+    blocks = (split or IsotypicSplit(m)).blocks(lam)
+    return m.rows - sum(bareiss_echelon(rows)[0] for rows in blocks)
 
 
 def integer_roots(p: IntPolynomial, bound):

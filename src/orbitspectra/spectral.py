@@ -1,44 +1,46 @@
 """Quotient matrices over orbit partitions and exact distance spectra.
 
 The pipeline: the orbits of checked automorphism generators form an
-equitable partition of the distance matrix, so each cell's first row of
-D gives its row of the cell-sum quotient matrix Q. Q carries eigenvalues
-of D, and when the graph is vertex-transitive and the partition has a
-singleton cell, the distinct eigenvalue sets of Q and D coincide. That
-is checked, not assumed: the product of (Q - lam I) over the integer
-roots of det(xI - Q) must send the singleton cell's unit vector to zero.
-Then the largest value is simple by Perron-Frobenius, the three other
-values of largest |lam| are solved exactly from the trace moments
-tr D^k = |V| (Q^k)_ss (k = 0, 1, 2), only the rest, small |lam| with
-large multiplicity, get an exact rank, and k = 3 cross-checks the
-result. A rank is split when transitive generators are fixed-point-free
-involutions that commute pairwise and that D is checked to commute
-with: D - lam I keeps each isotypic component of the group they
-generate, and one block per character, built by one signed row sum
-per group element, ranks D - lam I on its component, so the block
-ranks add up to the rank of D - lam I. On lcr(n) the coordinate swap
-and tau_n give 4 blocks. That reduces a |V| x |V| spectrum problem to
-the quotient size plus at most a few exact rank computations. When the
-product does not send e_s to zero, D has an eigenvalue outside the
-integers, and nothing is ranked: det(xI - D) gives the spectrum, and
-its integer roots must lie among those of det(xI - Q). A
-QuotientMatrix is built from its graph: quotient_matrix searches from
-one representative per cell, and D, the quotient's source, is built by
-a full BFS only when a stage reads it, as an exact rank does.
+equitable partition of the distance matrix, so each cell's first row
+of D gives its row of the cell-sum quotient matrix Q. Q carries
+eigenvalues of D, and when the graph is vertex-transitive and the
+partition has a singleton cell, the distinct eigenvalue sets of Q and
+D coincide. That is checked, not assumed: the product of (Q - lam I)
+over the integer roots of det(xI - Q) must send the singleton cell's
+unit vector to zero. Then the largest value is simple by
+Perron-Frobenius, the three other values of largest |lam| are solved
+exactly from the trace moments tr D^k = |V| (Q^k)_ss (k = 0, 1, 2),
+only the rest, small |lam| with large multiplicity, get an exact rank,
+and k = 3 cross-checks the result. Every split of D is one
+exactla.IsotypicSplit, built once per D from the candidates a method
+offers: it keeps the involutions that commute pairwise and with D,
+checked, and drops the rest. D - lam I keeps each isotypic component
+of their group, and one block per character ranks it there, so the
+block ranks add up to the rank of D - lam I. quotient-assisted offers
+its fixed-point-free transitive generators; on lcr(n) the coordinate
+swap and tau_n give 4 blocks. That reduces a |V| x |V| spectrum
+problem to the quotient size plus at most a few exact rank
+computations. When the product does not send e_s to zero, D has an
+eigenvalue outside the integers, and nothing is ranked: det(xI - D)
+gives the spectrum, and its integer roots must lie among those of
+det(xI - Q). A QuotientMatrix is built from its graph: quotient_matrix
+searches from one representative per cell, and D, the quotient's
+source, is built by a full BFS only when a stage reads it, as an exact
+rank does.
 
 rank-sweep needs no group. The roots of det(xI - D) mod p in [-rho,
 rho], with multiplicity, bound D's integer eigenvalues: when they fall
 short of |V|, det(xI - D) gives the spectrum and nothing is ranked;
 otherwise every value but the last is ranked, and the last is read
-from tr D. rank-sweep and char-poly read one symmetry off D itself:
-when each row holds its largest entry once, at t(u), and t is a
-fixed-point-free involution that D commutes with (on lcr(n) the
-coordinate swap, whose image is the one vertex at distance 3), D is
-the direct sum of two blocks of order |V| / 2 (exactla.isotypic_blocks),
-and det(xI - D), its screen mod p and each rank are taken blockwise.
+from tr D. rank-sweep and char-poly offer one symmetry read off D: the
+pairing t of each row with the column of its largest entry, when that
+occurs once. When the split keeps t (on lcr(n) the coordinate swap,
+whose image is the one vertex at distance 3), D is the direct sum of
+two blocks of order |V| / 2, and det(xI - D), its screen mod p and
+each rank are taken blockwise.
 """
 
-from operator import eq, itemgetter, mul
+from operator import eq, mul
 from typing import NamedTuple
 
 from orbitspectra.exactla import (
@@ -46,11 +48,11 @@ from orbitspectra.exactla import (
     Frozen,
     IntMatrix,
     IntPolynomial,
+    IsotypicSplit,
     char_poly,
     charpoly_mod,
     eigen_multiplicity,
     integer_roots,
-    isotypic_blocks,
 )
 from orbitspectra.graphs import (
     Graph,
@@ -271,50 +273,36 @@ def lcr_stabilizer_partition(n) -> OrbitPartition:
 
 
 def _antipodal_involution(matrix):
-    """The images of the pairing t that splits D, or None.
+    """The images of the pairing t that may split D, or None: t(u) is the
+    column of row u's largest entry, which must occur once in that row.
 
-    t(u) is the column of row u's largest entry, which must occur once
-    in that row. t must be a fixed-point-free involution, and D must
-    commute with it: D[t(u)][t(v)] = D[u][v] for all u, v, checked
-    exactly in the equivalent form D[u][t(v)] = D[t(u)][v]. Any failure
-    returns None, and D is not split; nothing raises. On a distance
-    matrix a commuting t is an isometry, which keeps each eccentricity
-    e(u), so d(t(u), u) = e(u) = e(t(u)) makes u the one farthest vertex
-    from t(u): t(t(u)) = u, and the involution check guards other
-    matrices. On lcr(n) t is the coordinate swap (i, j) -> (j, i), the
-    one vertex at distance 3; on crown(n), even cycles and J(2k, k) it
-    is the antipode.
+    IsotypicSplit keeps t only if it is an involution that D commutes
+    with. On a distance matrix a commuting t is an isometry, which keeps
+    each eccentricity e(u), so d(t(u), u) = e(u) = e(t(u)) makes u the
+    one farthest vertex from t(u): t(t(u)) = u, and on two or more
+    vertices t fixes none, as D[u][u] = 0 is row u's least entry. On
+    lcr(n) t is the coordinate swap (i, j) -> (j, i), the one vertex at
+    distance 3; on crown(n), even cycles and J(2k, k) it is the antipode.
     """
-    rows = matrix.entries
-    t = []
-    for row in rows:
-        top = max(row)
-        if row.count(top) != 1:
-            return None
-        t.append(row.index(top))
-    if not t or any(v == u or t[v] != u for u, v in enumerate(t)):
-        return None
-    permuted = itemgetter(*t)
-    if any(permuted(row) != rows[v] for row, v in zip(rows, t)):
-        return None
-    return tuple(t)
+    t = tuple(row.index(max(row)) for row in matrix.entries)
+    return t if all(row.count(row[v]) == 1 for row, v in zip(matrix.entries, t)) else None
 
 
-def _screened_range(matrix, rho, involutions):
-    """Integers lam in [-rho, rho] that may be eigenvalues, ascending, each
-    as (lam, m_p(lam)), its multiplicity as a root of chi_D mod p.
+def _screened_range(split, rho):
+    """Integers lam in [-rho, rho] that may be eigenvalues of D, the
+    split's matrix, ascending, each as (lam, m_p(lam)), its multiplicity
+    as a root of chi_D mod p.
 
-    chi_D mod p is the product of charpoly_mod over the isotypic_blocks
-    of D under the involutions. chi_D(lam) != 0 mod p implies chi_D(lam)
-    != 0, so D - lam I is nonsingular. At a survivor, synthetic division
-    mod p finds m_p: if (x - lam)^m divides chi_D over Z, it divides it
-    mod p, so m_p(lam) is at least lam's multiplicity as a root of
-    chi_D. Integers in [-rho, rho] stay distinct mod p (2 rho < p), so
-    the m_p sum to at most |V|.
+    chi_D mod p is the product of charpoly_mod over the split's blocks.
+    chi_D(lam) != 0 mod p implies chi_D(lam) != 0, so D - lam I is
+    nonsingular. At a survivor, synthetic division mod p finds m_p: if
+    (x - lam)^m divides chi_D over Z, it divides it mod p, so m_p(lam) is
+    at least lam's multiplicity as a root of chi_D. Integers in [-rho,
+    rho] stay distinct mod p (2 rho < p), so the m_p sum to at most |V|.
     """
     p = SCREEN_PRIME
     product = IntPolynomial.one()
-    for rows in isotypic_blocks(matrix, involutions):
+    for rows in split.blocks():
         product = product.multiply(IntPolynomial(charpoly_mod(list(rows), p)))
     chi = [c % p for c in product.coefficients]
     survivors = []
@@ -338,15 +326,15 @@ def _screened_range(matrix, rho, involutions):
     return survivors
 
 
-def _ranked_spectrum(matrix, rho, survivors, involutions, checks):
+def _ranked_spectrum(split, rho, survivors, checks):
     """Spectrum from the screen's survivors (rank-sweep), on one of two routes.
 
     Each eigenvalue of D lies in [-rho, rho], and its multiplicity as a
     root of chi_D, which D's symmetry makes its eigenvalue multiplicity,
     is at most its m_p. So if the m_p sum to less than |V|, D has an
-    eigenvalue outside the integers: nothing is ranked, det(xI - D) gives
-    the spectrum, and it must keep a residual factor and give each
-    integer root lam a multiplicity of at most m_p(lam).
+    eigenvalue outside the integers: nothing is ranked, and
+    _residual_spectrum bounds each integer root lam of det(xI - D) by
+    m_p(lam).
 
     Otherwise the survivors are ranked in ascending order. Once the ranked
     multiplicities reach |V| - 1, the one eigenvalue left is real (D is
@@ -356,10 +344,10 @@ def _ranked_spectrum(matrix, rho, survivors, involutions, checks):
     its integer roots must equal the ranked pairs: a symmetric matrix's
     geometric and algebraic multiplicities agree. Any failed requirement
     raises ArithmeticError; each return carries the given checks, then a
-    "screen" check naming its route. Each rank and det(xI - D) are split
-    by the involutions.
+    "screen" check naming its route. Each rank and det(xI - D) are taken
+    over the split's blocks.
     """
-    order, trace = matrix.rows, matrix.trace()
+    order, trace = split.matrix.rows, split.matrix.trace()
     bound = dict(survivors)
     count = sum(bound.values())
     roots = f"det(xI - D) mod p: roots in [-rho, rho] with multiplicity {count}"
@@ -368,20 +356,12 @@ def _ranked_spectrum(matrix, rho, survivors, involutions, checks):
             f"{roots} < |V| = {order}, so D has an eigenvalue outside the integers; "
             "det(xI - D)'s integer roots lie among them"
         )
-        spectrum = _char_poly_spectrum(matrix, rho, involutions, *checks, Check("screen", detail))
-        over = any(m > bound.get(lam, 0) for lam, m in spectrum.integer_part)
-        if spectrum.is_integral or over:
-            raise ArithmeticError(
-                f"det(xI - D) has integer roots {list(spectrum.integer_part)}, residual degree "
-                f"{spectrum.residual_degree}; roots mod p {survivors} fall short of "
-                f"|V| = {order}: need a residual and no root above its multiplicity mod p"
-            )
-        return spectrum
+        return _residual_spectrum(split, rho, bound, (*checks, Check("screen", detail)))
     pairs, ranked, remaining = [], [], order
     for lam, _ in survivors:
         if remaining < 2:
             break
-        mult = eigen_multiplicity(matrix, lam, involutions)
+        mult = eigen_multiplicity(split.matrix, lam, split)
         ranked.append(lam)
         if mult:
             pairs.append((lam, mult))
@@ -400,18 +380,33 @@ def _ranked_spectrum(matrix, rho, survivors, involutions, checks):
     if remaining == 0:
         return Spectrum(pairs, None, order, trace, (*checks, Check("screen", detail)))
     detail += "; det(xI - D)'s integer roots equal the ranked ones"
-    spectrum = _char_poly_spectrum(matrix, rho, involutions, *checks, Check("screen", detail))
+    spectrum = _char_poly_spectrum(split, rho, *checks, Check("screen", detail))
     if spectrum.integer_part != tuple(pairs):
         raise ArithmeticError("rank certification and characteristic polynomial disagree")
     return spectrum
 
 
-def _char_poly_spectrum(matrix, rho, involutions, *checks):
+def _char_poly_spectrum(split, rho, *checks):
     """Spectrum from the integer roots and residual factor of det(xI - D),
-    expanded over D's blocks under the involutions, carrying the given
+    D the split's matrix, expanded over its blocks, carrying the given
     ledger entries."""
-    roots, residual = integer_roots(char_poly(matrix, involutions), bound=rho)
-    return Spectrum(roots, residual, matrix.rows, matrix.trace(), checks)
+    m = split.matrix
+    return Spectrum(*integer_roots(char_poly(m, split), bound=rho), m.rows, m.trace(), checks)
+
+
+def _residual_spectrum(split, rho, bound, checks):
+    """Spectrum from det(xI - D), on a route that found an eigenvalue of
+    D outside the integers: det(xI - D) must keep a residual factor, and
+    each integer root lam a multiplicity of at most bound[lam] (absent:
+    0), or ArithmeticError. The last check names the route."""
+    spectrum = _char_poly_spectrum(split, rho, *checks)
+    if spectrum.is_integral or any(m > bound.get(lam, 0) for lam, m in spectrum.integer_part):
+        raise ArithmeticError(
+            f"det(xI - D) has integer roots {list(spectrum.integer_part)}, residual degree "
+            f"{spectrum.residual_degree}; the {checks[-1].name} route needs a residual and "
+            f"multiplicities within {sorted(bound.items())}"
+        )
+    return spectrum
 
 
 def _annihilates(q, values, cell):
@@ -430,26 +425,14 @@ def _annihilates(q, values, cell):
     return not any(y)
 
 
-def _split_involutions(gens):
-    """The fixed-point-free involutive generators that split a rank, as
-    (index, images) pairs. A greedy choice, in index order, keeps each
-    one that commutes with those already kept and is not in their group,
-    while the group stays no larger than the degree, which bounds the
-    characters that eigen_multiplicity ranks a block for. On lcr(n) it
-    keeps the coordinate swap and tau_n."""
-    identity = tuple(range(gens.degree))
-    kept, group = [], [identity]
-    for k, t in enumerate(p.images for p in gens.generators):
-        if (
-            2 * len(group) <= gens.degree
-            and tuple(map(t.__getitem__, t)) == identity
-            and not any(map(eq, t, identity))
-            and t not in group
-            and all(tuple(map(t.__getitem__, s)) == tuple(map(s.__getitem__, t)) for _, s in kept)
-        ):
-            kept.append((k, t))
-            group += [tuple(map(t.__getitem__, g)) for g in group]
-    return kept
+def _generator_split(matrix, gens):
+    """The IsotypicSplit of D offered the fixed-point-free generators in
+    gens, and the generator index of each one it keeps. On lcr(n) it
+    keeps the coordinate swap and tau_n, #2 and #3."""
+    identity = range(gens.degree)
+    free = [k for k, p in enumerate(gens.generators) if not any(map(eq, p.images, identity))]
+    split = IsotypicSplit(matrix, [gens.generators[k].images for k in free])
+    return split, [free[i] for i in split.kept]
 
 
 def _moment_spectrum(quotient, cell, rho, values, gens):
@@ -468,11 +451,10 @@ def _moment_spectrum(quotient, cell, rho, values, gens):
     DP = PQ, P the cell indicator matrix, P e_s = e_v) gives
     (D^k)_vv = (Q^k)_ss. One loop of mat-vecs Q^k e_s yields them all;
     D, quotient.source, is read only for the exact ranks. When a value is
-    ranked, _split_involutions picks commuting fixed-point-free
-    involutive generators from gens, the checked transitive generators;
-    each rank checks that they are involutions that commute pairwise and
-    with D, and splits D - lam I into one block per character of their
-    group (eigen_multiplicity).
+    ranked, gens, the checked transitive generators, offer their
+    fixed-point-free members to one IsotypicSplit of D, which keeps the
+    involutions that commute pairwise and with D, and each rank splits
+    D - lam I into one block per character of their group.
 
     Of the other values, the three of largest |lam| (ties: the positive
     one) are solved from the power sums k = 0, 1, 2, less the Perron
@@ -505,9 +487,8 @@ def _moment_spectrum(quotient, cell, rho, values, gens):
     by_size = sorted(rest, key=lambda lam: (abs(lam), lam))
     solved, ranked = sorted(by_size[-3:]), sorted(by_size[:-3])
     q, order = quotient.matrix, quotient.graph.vertex_count
-    kept = _split_involutions(gens) if ranked else []
-    involutions = [t for _, t in kept]
-    mult = {lam: eigen_multiplicity(quotient.source, lam, involutions) for lam in ranked}
+    split, kept = _generator_split(quotient.source, gens) if ranked else (None, ())
+    mult = {lam: eigen_multiplicity(split.matrix, lam, split) for lam in ranked}
     steps = [
         f"Perron value {top} simple (D irreducible, constant row sums)",
         f"ranked {' '.join(map(str, ranked)) or 'none'}",
@@ -516,7 +497,7 @@ def _moment_spectrum(quotient, cell, rho, values, gens):
         many = len(kept) > 1
         steps[1] += (
             f" ({2 ** len(kept)} character blocks under involutive"
-            f" generator{'s' * many} {', '.join(f'#{k}' for k, _ in kept)}, "
+            f" generator{'s' * many} {', '.join(f'#{k}' for k in kept)}, "
             f"commuting with D {'and pairwise ' * many}checked)"
         )
     mult[top] = 1
@@ -569,35 +550,35 @@ def distance_spectrum(
     with each survivor's multiplicity m_p as a root mod p: (x - lam)^m
     dividing chi_D over Z divides it mod p, so m_p bounds lam's
     multiplicity. If the m_p sum to less than |V|, nothing is ranked and
-    det(xI - D) gives the spectrum; otherwise the survivors are ranked in
-    ascending order up to |V| - 1, and the last value comes from tr D
+    det(xI - D) gives the spectrum; otherwise the survivors are ranked
+    in ascending order up to |V| - 1, and the last value comes from tr D
     (_ranked_spectrum). char-poly always expands det(xI - D). Both run
-    BFS, and both split D when _antipodal_involution finds its pairing
-    t: the screen multiplies charpoly_mod over the two blocks D[u][v] +-
-    D[u][t(v)], u < t(u), char_poly multiplies Berkowitz over them, and
-    each rank sums their two Bareiss ranks. The blocks are the
-    isotypic components of the group {1, t}, so the result is the same
-    as on D whole; the spectrum's ledger then leads with an
-    "antipodal-split" entry. quotient-assisted starts from the caller's
-    QuotientMatrix, which must have been built from g itself
-    (quotient.graph == g) over a singleton-cell orbit partition, and g
-    must be vertex-transitive under transitive_gens. quotient_matrix
-    checked that the partition's generators are automorphisms of g, and
-    Q's rows are sums of rows of g's distance matrix D, which is
-    invariant under g's automorphisms. Every row of D, and so of Q, sums
-    to rho under a transitive group, so rho is read from Q, and D, read
-    through quotient.source, is built by BFS only for an exact rank or
-    the residual factor. The candidates S are the integer roots of
-    det(xI - Q), read from quotient.char_roots, which expands it once per
-    quotient. When the product of (Q - lam I) over S annihilates the
-    singleton cell's unit vector, S holds every eigenvalue of D, and
-    _moment_spectrum certifies the multiplicities from the moments
-    |V| (Q^k)_ss with at most a few exact ranks (its "annihilates" and
-    "moments" checks record how). A rank is split by the fixed-point-free
-    involutive transitive generators that _split_involutions keeps:
-    eigen_multiplicity checks that they are involutions that commute
-    pairwise and with D (a failure is a ValueError), and it ranks D -
-    lam I as one block per character of the group they generate.
+    BFS and build one IsotypicSplit of D, offered the pairing t of
+    _antipodal_involution. When it keeps t, the screen multiplies
+    charpoly_mod over the two blocks D[u][v] +- D[u][t(v)], u < t(u),
+    char_poly multiplies Berkowitz over them, and each rank sums their
+    two Bareiss ranks. The blocks are the isotypic components of the
+    group {1, t}, so the result is the same as on D whole; the
+    spectrum's ledger then leads with an "antipodal-split" entry.
+    quotient-assisted starts from the caller's QuotientMatrix, which
+    must have been built from g itself (quotient.graph == g) over a
+    singleton-cell orbit partition, and g must be vertex-transitive
+    under transitive_gens. quotient_matrix checked that the partition's
+    generators are automorphisms of g, and Q's rows are sums of rows of
+    g's distance matrix D, which is invariant under g's automorphisms.
+    Every row of D, and so of Q, sums to rho under a transitive group,
+    so rho is read from Q, and D, read through quotient.source, is built
+    by BFS only for an exact rank or the residual factor. The candidates
+    S are the integer roots of det(xI - Q), read from
+    quotient.char_roots, which expands it once per quotient. When the
+    product of (Q - lam I) over S annihilates the singleton cell's unit
+    vector, S holds every eigenvalue of D, and _moment_spectrum
+    certifies the multiplicities from the moments |V| (Q^k)_ss with at
+    most a few exact ranks (its "annihilates" and "moments" checks
+    record how). Its ranks share one IsotypicSplit of D, offered the
+    fixed-point-free transitive generators: it keeps the involutions
+    that commute pairwise and with D, and each rank takes D - lam I as
+    one block per character of the group they generate.
 
     Otherwise D has an eigenvalue outside the integers, and nothing is
     ranked: det(xI - D) gives the spectrum. Under these premises spec(D)
@@ -626,20 +607,16 @@ def distance_spectrum(
         matrix = all_pairs_distances(g)
         rho = max(matrix.row_sums())
         t = _antipodal_involution(matrix)
-        involutions, checks = (), ()
-        if t is not None:
-            involutions = (t,)
-            detail = (
-                "each row of D holds its largest entry once, at t(u); t is a fixed-point-free "
-                "involution and D[t(u)][t(v)] = D[u][v], checked, so det(xI - D) and each rank "
-                "split into the blocks D[u][v] +- D[u][t(v)], u < t(u), "
-                f"of order {matrix.rows // 2}"
-            )
-            checks = (Check("antipodal-split", detail),)
+        split = IsotypicSplit(matrix, [t] if t else ())
+        detail = (
+            "each row of D holds its largest entry once, at t(u); t is a fixed-point-free "
+            "involution and D[t(u)][t(v)] = D[u][v], checked, so det(xI - D) and each rank "
+            f"split into the blocks D[u][v] +- D[u][t(v)], u < t(u), of order {matrix.rows // 2}"
+        )
+        checks = (Check("antipodal-split", detail),) if split.kept else ()
         if method == "rank-sweep":
-            survivors = _screened_range(matrix, rho, involutions)
-            return _ranked_spectrum(matrix, rho, survivors, involutions, checks)
-        return _char_poly_spectrum(matrix, rho, involutions, *checks)
+            return _ranked_spectrum(split, rho, _screened_range(split, rho), checks)
+        return _char_poly_spectrum(split, rho, *checks)
 
     if quotient is None or transitive_gens is None:
         raise InputError(
@@ -662,13 +639,9 @@ def distance_spectrum(
         f"nonzero, so D has an eigenvalue outside the integers; det(xI - D)'s integer roots "
         f"lie among those {len(values)}"
     )
-    spectrum = _char_poly_spectrum(quotient.source, rho, (), Check("roots-among-quotient", detail))
-    if spectrum.is_integral or not set(spectrum.distinct_values) <= set(values):
-        raise ArithmeticError(
-            f"det(xI - D) has integer roots {list(spectrum.distinct_values)}, residual degree "
-            f"{spectrum.residual_degree}; e_s not annihilated: need a residual and roots in {values}"
-        )
-    return spectrum
+    d = quotient.source
+    checks = (Check("roots-among-quotient", detail),)
+    return _residual_spectrum(IsotypicSplit(d), rho, dict.fromkeys(values, d.rows), checks)
 
 
 def is_distance_integral(

@@ -215,8 +215,7 @@ class TestSpectrumCommand:
         assert (status, out) == (3, "")
         assert err == (
             f"internal error: det(xI - D) has integer roots {roots}, residual degree {degree}; "
-            "roots mod p [(12, 1)] fall short of |V| = 7: need a residual and no root above "
-            "its multiplicity mod p\n"
+            "the screen route needs a residual and multiplicities within [(12, 1)]\n"
         )
 
     def test_last_value_outside_the_survivors_exits_three(self, capsys, monkeypatch):
@@ -244,16 +243,18 @@ class TestSpectrumCommand:
                 ("cycle", "--n", "7", "--stabilizer-gens", "(2 7)(3 6)(4 5)",
                  "--transitive-gens", "(1 2 3 4 5 6 7)"),
                 "char_poly",
-                "det(xI - D) has integer roots [-2, 12], residual degree 5; "
-                "e_s not annihilated: need a residual and roots in [12]",
+                "det(xI - D) has integer roots [(-2, 1), (12, 1)], residual degree 5; "
+                "the roots-among-quotient route needs a residual and multiplicities within "
+                "[(12, 7)]",
                 id="root-outside-the-quotients",
             ),
             # lcr(5) is integral, so a failed annihilation there is a contradiction
             pytest.param(
                 ("lcr", "--n", "5"),
                 "_annihilates",
-                "det(xI - D) has integer roots [-6, -2, -1, 1, 33], residual degree 0; "
-                "e_s not annihilated: need a residual and roots in [-6, -2, -1, 1, 33]",
+                "det(xI - D) has integer roots [(-6, 4), (-2, 4), (-1, 6), (1, 5), (33, 1)], "
+                "residual degree 0; the roots-among-quotient route needs a residual and "
+                "multiplicities within [(-6, 20), (-2, 20), (-1, 20), (1, 20), (33, 20)]",
                 id="no-residual",
             ),
         ],
@@ -274,15 +275,19 @@ class TestSpectrumCommand:
 
     def test_failed_split_premise_exits_three(self, capsys, monkeypatch):
         # a transposition of two lcr(5) vertices is an involution that D
-        # does not commute with; the rank checks the premise and refuses it
+        # does not commute with; offered as the pairing, the split drops
+        # it, and rank-sweep ranks D whole, exactly
+        argv = ("spectrum", "--family", "lcr", "--n", "5", "--format", "json")
+        status, expected, _ = run(capsys, *argv, "--method", "char-poly")
+        assert status == 0
         bogus = (1, 0, *range(2, 20))
-        monkeypatch.setattr(spectral, "_split_involutions", lambda gens: [(2, bogus)])
-        status, out, err = run(
-            capsys, "spectrum", "--family", "lcr", "--n", "5", "--method", "quotient-assisted"
-        )
-        assert status == 3
-        assert out == ""
-        assert err.startswith("internal error: ValueError: matrix does not commute")
+        monkeypatch.setattr(spectral, "_antipodal_involution", lambda matrix: bogus)
+        status, out, err = run(capsys, *argv, "--method", "rank-sweep")
+        assert (status, err) == (0, "")
+        whole, split = json.loads(out), json.loads(expected)
+        assert whole["eigenvalues"] == split["eigenvalues"]
+        assert [c["name"] for c in whole["checks"]] == ["screen", "spectrum-complete", "trace-zero"]
+        assert split["checks"][0]["name"] == "antipodal-split"
 
     def test_broken_spectrum_invariant_exits_three(self, capsys, monkeypatch):
         # one root of multiplicity 1 and no residual cannot cover order 7;
@@ -673,6 +678,13 @@ class TestUsageErrors:
         status, out, err = run(capsys, *(arg.format(square=square) for arg in argv))
         assert (status, out) == (2, "")
         assert err == f"error: {message}\n"
+
+    def test_an_empty_connection_set_is_a_bad_one(self, capsys):
+        status, out, err = run(
+            capsys, "spectrum", "--family", "circulant", "--n", "8", "--connections", ","
+        )
+        assert (status, out) == (2, "")
+        assert err == "error: bad connection set ',': expected e.g. '1,2'\n"
 
     def test_family_parameter_out_of_range(self, capsys):
         status, out, err = run(capsys, "spectrum", "--family", "cycle", "--n", "2")

@@ -24,14 +24,21 @@ from orbitspectra.exactla import (
     SCREEN_PRIME,
     IntMatrix,
     IntPolynomial,
+    IsotypicSplit,
     berkowitz_charpoly,
     char_poly,
     charpoly_mod,
     eigen_multiplicity,
     integer_roots,
-    isotypic_blocks,
 )
-from orbitspectra.graphs import all_pairs_distances, build_circulant, build_cycle, build_lcr
+from orbitspectra.graphs import (
+    all_pairs_distances,
+    build_circulant,
+    build_complete,
+    build_crown,
+    build_cycle,
+    build_lcr,
+)
 from orbitspectra.perms import Permutation, pair_action, swap_action
 from orbitspectra.spectral import (
     lcr_quotient_closed_form,
@@ -708,11 +715,11 @@ class TestEigenMultiplicity:
         n = 13
         d = all_pairs_distances(build_lcr(n))
         rows = sys.getsizeof(d.entries) + sum(map(sys.getsizeof, d.entries))
-        involutions = lcr_involutions(n)["swap, tau"]
-        assert block_orders(monkeypatch, d, -1, involutions) == [42, 36, 36, 42]
+        split = IsotypicSplit(d, lcr_involutions(n)["swap, tau"])
+        assert block_orders(monkeypatch, split, -1) == [42, 36, 36, 42]
         tracemalloc.start()
         try:
-            assert eigen_multiplicity(d, -1, involutions) == 66
+            assert eigen_multiplicity(d, -1, split) == 66
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -736,9 +743,9 @@ class TestEigenMultiplicity:
             assert eigen_multiplicity(m, lam) == factor_mult
 
 
-def block_orders(monkeypatch, d, lam, involutions):
-    """The row counts of the blocks that eigen_multiplicity(d, lam,
-    involutions) hands Bareiss, in order."""
+def block_orders(monkeypatch, split, lam):
+    """The row counts of the blocks that eigen_multiplicity(split.matrix,
+    lam, split) hands Bareiss, in order."""
     orders = []
     kernel = exactla.bareiss_echelon
 
@@ -749,7 +756,7 @@ def block_orders(monkeypatch, d, lam, involutions):
 
     with monkeypatch.context() as patch:
         patch.setattr(exactla, "bareiss_echelon", counting)
-        eigen_multiplicity(d, lam, involutions)
+        eigen_multiplicity(split.matrix, lam, split)
     return orders
 
 
@@ -803,70 +810,102 @@ class TestInvolutionSplit:
             assert eigen_multiplicity(d, lam) == mult, lam
         whole = char_poly(d)
         for name, ts in involutions.items():
-            assert sum(block_orders(monkeypatch, d, 0, ts)) == d.rows
+            split = IsotypicSplit(d, ts)
+            assert split.kept == tuple(range(len(ts))), name
+            assert sum(block_orders(monkeypatch, split, 0)) == d.rows
             for lam in range(-rho, rho + 1):
-                assert eigen_multiplicity(d, lam, ts) == spectrum.get(lam, 0), (name, lam)
+                assert eigen_multiplicity(d, lam, split) == spectrum.get(lam, 0), (name, lam)
             # the same blocks at lam = 0 multiply to det(xI - D), fixed points or not
-            assert char_poly(d, ts) == whole, name
+            assert char_poly(d, split) == whole, name
 
     def test_a_repeated_involution_or_the_identity_changes_nothing(self, monkeypatch):
-        # neither adds a generator to the group: the same blocks, the same
-        # nullities
+        # neither adds a generator to the group, so both are dropped: the
+        # same blocks, the same nullities
         d = all_pairs_distances(build_lcr(6))
         swap, tau = lcr_involutions(6)["swap, tau"]
         product = tuple(map(swap.__getitem__, tau))
-        padded = [range(30), swap, swap, tau, product, range(30)]
-        blocks = block_orders(monkeypatch, d, -1, [swap, tau])
-        assert block_orders(monkeypatch, d, -1, padded) == blocks == [9, 6, 6, 9]
+        padded = IsotypicSplit(d, [range(30), swap, swap, tau, product, range(30)])
+        pair = IsotypicSplit(d, [swap, tau])
+        assert padded.kept == (1, 3)
+        assert block_orders(monkeypatch, padded, -1) == block_orders(monkeypatch, pair, -1)
+        assert block_orders(monkeypatch, pair, -1) == [9, 6, 6, 9]
         for lam in (-7, -3, -1, 0, 1, 51):
-            assert eigen_multiplicity(d, lam, padded) == eigen_multiplicity(d, lam, [swap, tau])
+            assert eigen_multiplicity(d, lam, padded) == eigen_multiplicity(d, lam, pair)
 
     def test_one_point_under_its_identity(self):
         # one point: the only involution is the identity, and the one
         # block has one column
         m = IntMatrix([[5]])
-        assert [eigen_multiplicity(m, lam, [(0,)]) for lam in (4, 5)] == [0, 1]
+        split = IsotypicSplit(m, [(0,)])
+        assert [eigen_multiplicity(m, lam, split) for lam in (4, 5)] == [0, 1]
 
     def test_identity_is_the_single_block(self, monkeypatch):
         d = all_pairs_distances(build_lcr(5))
+        split = IsotypicSplit(d, [range(20)])
+        assert split.kept == ()
         for lam in (-6, -2, -1, 1, 33, 0):
-            assert eigen_multiplicity(d, lam, [range(20)]) == eigen_multiplicity(d, lam)
-            assert block_orders(monkeypatch, d, lam, [range(20)]) == [20]
-            assert block_orders(monkeypatch, d, lam, ()) == [20]
+            assert eigen_multiplicity(d, lam, split) == eigen_multiplicity(d, lam)
+            assert block_orders(monkeypatch, split, lam) == [20]
+            assert block_orders(monkeypatch, IsotypicSplit(d), lam) == [20]
 
     @pytest.mark.parametrize(
-        "n,involutions,message",
+        "graph,candidates,kept",
         [
-            pytest.param(5, [(1, 2, 0, 3, 4)], "not an involution", id="three-cycle"),
-            pytest.param(5, [(1, 0, 2, 3)], "not an involution", id="wrong-length"),
-            pytest.param(5, [(1, 0, 2, 3, 7)], "not an involution", id="not-a-permutation"),
+            pytest.param(build_cycle(5), [(1, 2, 0, 3, 4)], (), id="three-cycle"),
+            pytest.param(build_cycle(5), [(1, 0, 2, 3)], (), id="wrong-length"),
+            pytest.param(build_cycle(5), [(1, 0, 2, 3, 7)], (), id="not-a-permutation"),
             # the transposition (0 1) is no automorphism of the pentagon:
             # D[0][2] = 2 but D[1][2] = 1
-            pytest.param(5, [(1, 0, 2, 3, 4)], "does not commute", id="not-commuting"),
+            pytest.param(build_cycle(5), [(1, 0, 2, 3, 4)], (), id="not-commuting"),
             # x -> -x and x -> 1 - x are automorphisms of the heptagon, but
             # their product is a rotation of order 7
             pytest.param(
-                7,
+                build_cycle(7),
                 [reflection_perm(7).images, tuple((1 - v) % 7 for v in range(7))],
-                "involutions #0 and #1 do not commute",
+                (0,),
                 id="reflections-not-commuting",
+            ),
+            # x -> n / 2 - x is the product of x -> -x and x -> x + n / 2
+            pytest.param(
+                build_cycle(8),
+                [reflection_perm(8).images, tuple((v + 4) % 8 for v in range(8)),
+                 tuple((4 - v) % 8 for v in range(8))],
+                (0, 1),
+                id="already-in-the-group",
+            ),
+            # every permutation of K6 is an automorphism, but (0 1), (2 3)
+            # and (4 5) generate a group of order 8 > 6
+            pytest.param(
+                build_complete(6),
+                [(1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5), (0, 1, 2, 3, 5, 4)],
+                (0, 1),
+                id="group-above-the-order",
+            ),
+            # the side swap i <-> xi, the one vertex at distance 3, is kept
+            pytest.param(
+                build_crown(5), [(*range(5, 10), *range(5))], (0,), id="crown-side-swap"
             ),
         ],
     )
-    def test_a_failed_premise_raises(self, n, involutions, message):
-        d = all_pairs_distances(build_cycle(n))
-        with pytest.raises(ValueError, match=message):
-            eigen_multiplicity(d, 1, involutions)
-        with pytest.raises(ValueError, match=message):
-            char_poly(d, involutions)
+    def test_a_failed_premise_raises(self, graph, candidates, kept):
+        # no candidate raises: one that fails a premise of the split is
+        # dropped, and the kept ones leave every nullity and det(xI - D)
+        d = all_pairs_distances(graph)
+        split = IsotypicSplit(d, candidates)
+        assert split.kept == kept
+        rho = max(d.row_sums())
+        for lam in range(-rho, rho + 1):
+            assert eigen_multiplicity(d, lam, split) == eigen_multiplicity(d, lam), lam
+        assert char_poly(d, split) == char_poly(d)
 
     def test_a_non_symmetric_matrix_splits_too(self):
         # m commutes with the swap (0 1)(2 3) though m is not symmetric:
         # its blocks m[u][v] +- m[u][t(v)] over u = 0, 2 are not either
         m = IntMatrix([[1, 2, 3, 4], [2, 1, 4, 3], [5, 6, 7, 8], [6, 5, 8, 7]])
-        plus, minus = (list(rows) for rows in isotypic_blocks(m, [(1, 0, 3, 2)]))
+        split = IsotypicSplit(m, [(1, 0, 3, 2)])
+        plus, minus = (list(rows) for rows in split.blocks())
         assert (plus, minus) == ([[3, 7], [11, 15]], [[-1, -1], [-1, -1]])
-        assert char_poly(m, [(1, 0, 3, 2)]) == char_poly(m)
+        assert char_poly(m, split) == char_poly(m)
 
 
 class TestPolynomialType:

@@ -12,6 +12,7 @@ from orbitspectra import cli, exactla, spectral
 from orbitspectra.exactla import (
     IntMatrix,
     IntPolynomial,
+    IsotypicSplit,
     char_poly,
     eigen_multiplicity,
     integer_roots,
@@ -432,11 +433,14 @@ class TestDistanceSpectrum:
         rho = max(d.row_sums())
         roots = dict(integer_roots(char_poly(d), bound=rho)[0])
         other = min((lam for lam in range(-rho, rho + 1) if lam not in roots), key=abs)
+        splits = [IsotypicSplit(d, ts) for ts in subsets]
+        # the three maps together keep two: the third is in their group
+        assert [len(split.kept) for split in splits] == [1, 1, 2, 1, 2, 2, 2]
         for lam in [*roots, other]:
             single = eigen_multiplicity(d, lam)
             assert single == roots.get(lam, 0), lam
-            for ts in subsets:
-                assert eigen_multiplicity(d, lam, ts) == single, (lam, ts)
+            for ts, split in zip(subsets, splits):
+                assert eigen_multiplicity(d, lam, split) == single, (lam, ts)
 
     def test_screen_leaves_one_rank_per_eigenvalue(self, monkeypatch):
         # the ranks of -6, -2, -1 and 1 reach |V| - 1 = 19; 33 is tr D less them
@@ -464,7 +468,7 @@ class TestDistanceSpectrum:
         # ranked route; the ranks fall short, and det(xI - D) must give
         # the ranked values as its integer roots
         monkeypatch.setattr(
-            spectral, "_screened_range", lambda d, rho, involutions: [(0, 6), (12, 1)]
+            spectral, "_screened_range", lambda split, rho: [(0, 6), (12, 1)]
         )
         report = is_distance_integral(build_cycle(7))
         assert report.spectrum == distance_spectrum(build_cycle(7), "char-poly")
@@ -615,8 +619,9 @@ class TestDistanceSpectrum:
     @pytest.mark.parametrize("n", range(5, 10))
     def test_verify_lcr_ranks_four_character_blocks(self, monkeypatch, n):
         # the swap #2 and tau_n #3 fix no pair; the pair action of (1 2),
-        # #0, does, and is left out, so the one rank is four blocks
-        assert [k for k, _ in spectral._split_involutions(lcr_automorphism_gens(n))] == [2, 3]
+        # #0, does, and is not offered, so the one rank is four blocks
+        d = all_pairs_distances(build_lcr(n))
+        assert spectral._generator_split(d, lcr_automorphism_gens(n))[1] == [2, 3]
         calls = []
         kernel = exactla.bareiss_echelon
 
@@ -647,13 +652,15 @@ class TestDistanceSpectrum:
             xor(lambda v: 1 if v < 8 else 2),
             xor(lambda v: 1 if v < 4 else 2),
         )
-        kept = spectral._split_involutions(gens)
-        assert [k for k, _ in kept] == [1, 4, 5]
+        # every permutation commutes with a constant matrix
+        constant = IntMatrix([[1] * 12] * 12)
+        assert spectral._generator_split(constant, gens)[1] == [1, 4, 5]
         # a repeated involution and one already in the group are skipped too
         swap = swap_action(5)
         tau = lcr_automorphism_gens(5).generators[3]
         gens = GeneratorSet.of(swap, swap, tau, swap * tau, pair_action(Permutation.identity(5)))
-        assert [k for k, _ in spectral._split_involutions(gens)] == [0, 2]
+        d = all_pairs_distances(build_lcr(5))
+        assert spectral._generator_split(d, gens)[1] == [0, 2]
 
     def test_quotient_assisted_requires_inputs(self):
         g = build_lcr(4)
@@ -775,7 +782,7 @@ def kernel_orders(monkeypatch):
 
 class TestAntipodalSplit:
     """rank-sweep and char-poly split D by the pairing of each row's
-    largest entry, when it is a fixed-point-free involution D commutes with."""
+    largest entry, when IsotypicSplit keeps it."""
 
     @pytest.mark.parametrize(
         "g",
@@ -792,11 +799,12 @@ class TestAntipodalSplit:
         d = all_pairs_distances(g)
         rho = max(d.row_sums())
         whole = tuple(exactla.berkowitz_charpoly(d.entries))
-        t = spectral._antipodal_involution(d)
-        assert t is not None
-        assert spectral._screened_range(d, rho, [t]) == spectral._screened_range(d, rho, ())
+        split = IsotypicSplit(d, [spectral._antipodal_involution(d)])
+        assert split.kept == (0,)
+        screened = spectral._screened_range(split, rho)
+        assert screened == spectral._screened_range(IsotypicSplit(d), rho)
         berkowitz, _ = kernel_orders(monkeypatch)
-        assert char_poly(d, [t]).coefficients == whole
+        assert char_poly(d, split).coefficients == whole
         assert berkowitz == [d.rows // 2] * 2
 
     @settings(max_examples=100, deadline=None)
@@ -812,7 +820,9 @@ class TestAntipodalSplit:
             assert t is None
         else:
             assert n % 2 == 0 and t == tuple((v + n // 2) % n for v in range(n))
-            assert char_poly(d, [t]).coefficients == tuple(exactla.berkowitz_charpoly(d.entries))
+            split = IsotypicSplit(d, [t])
+            assert split.kept == (0,)
+            assert char_poly(d, split).coefficients == tuple(exactla.berkowitz_charpoly(d.entries))
 
     @pytest.mark.parametrize(
         "g",
@@ -839,14 +849,15 @@ class TestAntipodalSplit:
     def test_a_pairing_d_does_not_commute_with_leaves_it_whole(self, monkeypatch):
         # each row holds its largest entry 3 once, and t = (0 1)(2 3) is a
         # fixed-point-free involution, but D[t(0)][t(2)] = D[1][3] = 2
-        # while D[0][2] = 1; the block builder would refuse t
+        # while D[0][2] = 1; the split drops t
         rows = [[0, 3, 1, 2], [3, 0, 1, 2], [1, 1, 0, 3], [2, 2, 3, 0]]
         m = IntMatrix(rows)
-        assert spectral._antipodal_involution(m) is None
-        with pytest.raises(ValueError, match="does not commute"):
-            char_poly(m, [(1, 0, 3, 2)])
+        t = spectral._antipodal_involution(m)
+        assert t == (1, 0, 3, 2)
+        split = IsotypicSplit(m, [t])
+        assert split.kept == ()
         berkowitz, _ = kernel_orders(monkeypatch)
-        assert char_poly(m).coefficients == tuple(exactla.berkowitz_charpoly(rows))
+        assert char_poly(m, split).coefficients == tuple(exactla.berkowitz_charpoly(rows))
         assert berkowitz == [4, 4]
 
     @pytest.mark.parametrize(
@@ -861,7 +872,9 @@ class TestAntipodalSplit:
         ],
     )
     def test_no_pairing_no_split(self, rows):
-        assert spectral._antipodal_involution(IntMatrix(rows)) is None
+        m = IntMatrix(rows)
+        t = spectral._antipodal_involution(m)
+        assert IsotypicSplit(m, [t] if t else ()).kept == ()
 
     def test_lcr8_expands_and_ranks_two_half_blocks(self, monkeypatch):
         g = build_lcr(8)
@@ -875,6 +888,26 @@ class TestAntipodalSplit:
         assert ranked == expanded
         assert expanded.checks[0].name == ranked.checks[0].name == "antipodal-split"
         assert ranked.checks[0].detail.endswith("of order 28")
+
+    def test_one_split_per_d(self, monkeypatch):
+        # rank-sweep on lcr(8) checks its pairing once, for the screen and
+        # its 8 block ranks; verify_lcr splits Q's det(xI - Q) trivially,
+        # then builds one split of D for its rank
+        built = []
+        build = exactla.IsotypicSplit.__init__
+
+        def counting(split, m, candidates=()):
+            built.append(m.rows)
+            build(split, m, candidates)
+
+        monkeypatch.setattr(exactla.IsotypicSplit, "__init__", counting)
+        _, bareiss = kernel_orders(monkeypatch)
+        distance_spectrum(build_lcr(8), "rank-sweep")
+        assert (built, bareiss) == ([56], [28] * 8)
+        for n in range(5, 10):
+            del built[:]
+            verify_lcr(n)
+            assert built == [7, n * (n - 1)]
 
 
 class TestSpectrumType:
