@@ -35,14 +35,6 @@ rows hold few values, mostly one w0 per row (a distance matrix's
 D a 60-wide mat-vec takes about 100 us against 160 us for the grouped
 rows it replaced. Long cycles, circulants, generic matrices and
 non-symmetric input such as the quotient Q keep the direct form.
-Each block's column R M^k C depends on the matrix alone, so above a
-size the blocks are cut into ranges of about equal estimated work and
-all but the range of smallest blocks are computed in forked workers,
-one per further usable CPU, which send their columns back over a pipe;
-the columns are folded into the polynomial in the same order as in one
-process. Below that size, on one usable CPU, without os.fork, beside
-other threads or where they cannot be counted, or with SIGCHLD
-ignored, one process computes every block.
 Hessenberg reduction modulo a prime screens candidate roots: a nonzero
 residue proves a value is not a root, and a root's multiplicity mod p
 bounds its multiplicity over Z from above; neither decides a result.
@@ -51,22 +43,12 @@ update in one pass over the rows, as the step's elementary matrices
 commute.
 """
 
-import marshal
-import os
 from bisect import bisect_right
-from functools import partial
 from itertools import accumulate, compress, repeat
 from operator import add, floordiv, itemgetter, mul, sub
 
 # Mersenne prime used for modular screening of eigenvalue candidates
 SCREEN_PRIME = (1 << 61) - 1
-
-# Berkowitz's estimated work (see berkowitz_charpoly) that each part of a
-# split call must get. Work runs at about 110 ns a unit, and starting and
-# collecting a worker costs about 2 ms (2-vCPU VM, Python 3.11): two parts
-# took 16.8 ms against 13.8 ms for one on cycle(30)'s 100,920 units, and
-# 19.4 ms against 29.4 ms on lcr(7)'s 235,845
-PART_MIN_WORK = 100_000
 
 
 class Frozen:
@@ -374,126 +356,6 @@ def _flat_mat_vec(plan, vec):
     return list(map(add, map(mul, w0s, repeat(sum(vec))), map(sub, q[1:], q)))
 
 
-def _block_columns(rows, symmetric, values, flat, starts):
-    """Yield the first Toeplitz column [1, -a, -R C, -R M C, ...] of the
-    trailing block after each start, in the order given.
-
-    values holds _value_columns's w0s and layout on symmetric input;
-    flat[start] says whether that block takes the flat form.
-    """
-    n = len(rows)
-    for start in starts:
-        m = n - start
-        col = [1, -rows[start][start]]
-        if m > 1:
-            tail = range(start + 1, n)
-            plan = flat[start] and _block_plan(*values, start)
-            block = None if plan else [rows[i][start + 1:] for i in tail]
-            block_t = None if symmetric else list(zip(*block))
-            # the direct mat-vecs stay inline: a call per mat-vec costs a
-            # small matrix such as the 7 x 7 quotient about a tenth
-            left = rows[start][start + 1:]
-            right = [rows[i][start] for i in tail]
-            for k in range(m - 1):
-                if k % 2:
-                    right = (
-                        _flat_mat_vec(plan, right) if plan
-                        else [sum(map(mul, mr, right)) for mr in block]
-                    )
-                elif k and symmetric:
-                    left = right
-                elif k:
-                    left = [sum(map(mul, mc, left)) for mc in block_t]
-                col.append(-sum(map(mul, left, right)))
-        yield col
-
-
-def _usable_cpus():
-    """CPUs this process may run on: its affinity mask where the platform has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _may_fork():
-    """Whether a worker may be forked: os.fork exists, this process runs
-    no other thread, which could hold a lock the worker would copy
-    (Python 3.12 warns), and SIGCHLD is not ignored, which would have
-    the system reap a worker before it is waited for. Threads are
-    counted as the tasks in /proc; where they cannot be, no worker is
-    forked."""
-    if not hasattr(os, "fork"):
-        return False
-    from signal import SIG_IGN, SIGCHLD, getsignal
-
-    try:
-        tasks = len(os.listdir("/proc/self/task"))
-    except OSError:
-        return False
-    return tasks == 1 and getsignal(SIGCHLD) != SIG_IGN
-
-
-def _parts(work, count):
-    """The starts n - 1, ..., 0, cut into count contiguous ranges of about
-    equal work, empty ranges dropped.
-
-    Range k ends at the block where the running sum of work, from the
-    smallest block up, first reaches (k + 1) / count of the total.
-    """
-    n, total = len(work), sum(work)
-    bounds, done = [n], 0
-    for start in range(n - 1, -1, -1):
-        done += work[start]
-        while len(bounds) < count and done * count >= total * len(bounds):
-            bounds.append(start)
-    bounds.append(0)
-    return [range(hi - 1, lo - 1, -1) for hi, lo in zip(bounds, bounds[1:]) if hi > lo]
-
-
-def _fork_columns(columns, starts):
-    """(pid, read end) of a forked worker that writes the list of
-    columns(starts), marshalled, to a pipe and leaves with os._exit,
-    status 1 if anything raised; None when os.pipe or os.fork fails."""
-    try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(marshal.dumps(list(columns(starts))))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
-def _collect(worker, count):
-    """The count columns a worker wrote, once it is reaped and its pipe
-    closed; None when it exited nonzero or wrote short data."""
-    pid, pipe = worker
-    data = pipe.read()
-    status = os.waitpid(pid, 0)[1]
-    pipe.close()
-    if status:
-        return None
-    try:
-        columns = marshal.loads(data)
-    except (EOFError, ValueError):
-        return None
-    return columns if len(columns) == count else None
-
-
 def berkowitz_charpoly(rows):
     """Characteristic polynomial of a square integer matrix, division-free.
 
@@ -517,67 +379,44 @@ def berkowitz_charpoly(rows):
     and an add) and a group 3 (two fetches, a difference, a product, an
     add and its offset): a block takes the flat form when its summed
     costs (_value_columns) are below its entry count.
-
-    A block's column depends on the matrix alone, not on the polynomial
-    so far (Berkowitz, Inf. Process. Lett. 18, 1984); only the fold into
-    the polynomial is sequential. So the blocks are cut into contiguous
-    ranges (_parts) of about equal work, priced as the block's
-    mat-vecs at the cost of its form plus its m - 1 dot products of
-    length m - 1: one range per usable CPU, each of at least
-    PART_MIN_WORK, and one range where no worker may be forked
-    (_may_fork). Each range but the first, which holds the smallest
-    blocks, goes to a forked worker (_fork_columns). This process
-    computes the first range, folding each column as it comes, then
-    folds each worker's columns, so the fold runs over the blocks in the
-    same order, from the trailing 1x1 block outward, however they were
-    split. A range whose worker could not be started, exited nonzero or
-    wrote short data is computed here. On the way out of an exception,
-    the workers still running are killed; every worker is reaped before
-    the call returns or raises.
     """
     n = len(rows)
     symmetric = all(tuple(row) == col for row, col in zip(rows, zip(*rows)))
-    values = None
     if symmetric:
-        *values, costs = _value_columns(rows)
-    flat, work = [False] * n, [0] * n
+        w0s, layout, costs = _value_columns(rows)
     cost = 0
-    for start in range(n - 2, -1, -1):
-        m = n - start
-        direct = (m - 1) ** 2
-        if symmetric:
-            cost += costs[start + 1]
-            flat[start] = cost < direct
-            work[start] = (m - 1) // 2 * min(cost, direct) + direct
-        else:
-            work[start] = (m - 1) * direct
-    columns = partial(_block_columns, rows, symmetric, values, flat)
-    # a part for each usable CPU, but none that would get less than PART_MIN_WORK
-    count = min(_usable_cpus(), sum(work) // PART_MIN_WORK)
-    parts = _parts(work, count if count > 1 and _may_fork() else 1)
     poly = [1]
-    workers = []
-    try:
-        for starts in parts[1:]:
-            workers.append(_fork_columns(columns, starts))
-        for starts, worker in zip(parts, [None, *workers]):
-            cols = worker and _collect(worker, len(starts))
-            for col in columns(starts) if cols is None else cols:
-                # poly <- T . poly, T the (m+1) x m lower-triangular Toeplitz
-                # matrix (m + 1 = len(col)) with first column col in
-                # highest-degree-first order; with both vectors stored
-                # constant term first, T[k][t] = col[t + 1 - k]
-                poly = [sum(map(mul, col[1:], poly))] + [
-                    sum(map(mul, col, poly[k - 1:])) for k in range(1, len(col))
-                ]
-    finally:
-        for pid, pipe in filter(None, workers):
-            if not pipe.closed:  # left running by an exception
-                from signal import SIGKILL
-
-                pipe.close()
-                os.kill(pid, SIGKILL)
-                os.waitpid(pid, 0)
+    for start in range(n - 1, -1, -1):
+        m = n - start
+        col = [1, -rows[start][start]]
+        if m > 1:
+            tail = range(start + 1, n)
+            if symmetric:
+                cost += costs[start + 1]
+            plan = symmetric and cost < (m - 1) ** 2 and _block_plan(w0s, layout, start)
+            block = None if plan else [rows[i][start + 1:] for i in tail]
+            block_t = None if symmetric else list(zip(*block))
+            # the direct mat-vecs stay inline: a call per mat-vec costs a
+            # small matrix such as the 7 x 7 quotient about a tenth
+            left = rows[start][start + 1:]
+            right = [rows[i][start] for i in tail]
+            for k in range(m - 1):
+                if k % 2:
+                    right = (
+                        _flat_mat_vec(plan, right) if plan
+                        else [sum(map(mul, mr, right)) for mr in block]
+                    )
+                elif k and symmetric:
+                    left = right
+                elif k:
+                    left = [sum(map(mul, mc, left)) for mc in block_t]
+                col.append(-sum(map(mul, left, right)))
+        # poly <- T . poly, T the (m+1) x m lower-triangular Toeplitz matrix
+        # with first column col in highest-degree-first order; with both
+        # vectors stored constant term first, T[k][t] = col[t + 1 - k]
+        poly = [sum(map(mul, col[1:], poly))] + [
+            sum(map(mul, col, poly[k - 1:])) for k in range(1, m + 1)
+        ]
     return poly
 
 
@@ -647,18 +486,42 @@ def charpoly_mod(rows, p):
     return polys[n]
 
 
+def join_involution(rows, group, t):
+    """Join the involution t to group, in place; whether it was joined.
+
+    group lists the elements of an elementary abelian 2-group of
+    permutations of range(n), n = len(rows), as image tuples led by the
+    identity; rows are those of an n x n matrix m. The tuple t joins
+    when it is a permutation and an involution, lies outside the group
+    and commutes with each element, keeps the group no larger than n,
+    which bounds the blocks of IsotypicSplit, and commutes with m:
+    m[t(u)][t(v)] = m[u][v], on the rows u <= t(u), as the equations of
+    row t(u) are those of row u. The group then gains t times each
+    element.
+    """
+    identity, image = group[0], t.__getitem__
+    if not (
+        sorted(t) == list(identity)
+        and tuple(map(image, t)) == identity
+        and t not in group
+        and all(tuple(map(image, g)) == tuple(map(g.__getitem__, t)) for g in group)
+        and 2 * len(group) <= len(rows)
+        and all(itemgetter(*t)(rows[u]) == rows[v] for u, v in enumerate(t) if u <= v)
+    ):
+        return False
+    group += [tuple(map(image, g)) for g in group]
+    return True
+
+
 class IsotypicSplit(Frozen):
     """The involutions among candidates that split m, checked once, and
     m's isotypic blocks under them.
 
     The candidates are images of maps of range(n), walked in order. Each
-    is kept when it is a permutation and an involution, lies outside the
-    group of those kept before it and commutes with it, keeps the group
-    no larger than n, which bounds the blocks, and commutes with m:
-    m[t(u)][t(v)] = m[u][v], on the rows u <= t(u), as the equations of
-    row t(u) are those of row u. Any other candidate is dropped, never
-    raised on, so only checked involutions split m; kept holds the kept
-    candidates' indices. They generate an elementary abelian 2-group G =
+    is kept when join_involution joins it to the group of those kept
+    before it. Any other candidate is dropped, never raised on, so only
+    checked involutions split m; kept holds the kept candidates'
+    indices. They generate an elementary abelian 2-group G =
     {g_s}, g_s the product of the kept ts in the bits of s, with
     characters chi_c(g_s) = (-1)^popcount(c & s), and m keeps each
     isotypic component V_c of G (Serre, *Linear Representations of
@@ -683,40 +546,40 @@ class IsotypicSplit(Frozen):
     u < t(u).
     """
 
-    __slots__ = ("matrix", "kept", "group", "stabilizers")
+    __slots__ = ("matrix", "kept", "group", "characters")
     _fields = ("matrix", "group")
 
     def __init__(self, m: IntMatrix, candidates=()):
-        rows, n = m.entries, m.rows
-        identity = tuple(range(n))
-        kept, group = [], [identity]
-        for k, t in enumerate(map(tuple, candidates)):
-            image = t.__getitem__
-            if (
-                sorted(t) == list(identity)
-                and tuple(map(image, t)) == identity
-                and t not in group
-                and all(tuple(map(image, g)) == tuple(map(g.__getitem__, t)) for g in group)
-                and 2 * len(group) <= n
-                and all(itemgetter(*t)(rows[u]) == rows[v] for u, v in enumerate(t) if u <= v)
-            ):
+        kept, group = [], [tuple(range(m.rows))]
+        for k, t in enumerate(candidates):
+            if join_involution(m.entries, group, tuple(t)):
                 kept.append(k)
-                group += [tuple(map(image, g)) for g in group]
         # each orbit's least point -> the indices s of the g_s that fix it
         stabilizers = {
             v: [s for s, w in enumerate(images) if w == v]
             for v, images in enumerate(zip(*group))
             if min(images) == v
         }
-        super().__init__(matrix=m, kept=tuple(kept), group=tuple(group), stabilizers=stabilizers)
-
-    def blocks(self, lam=0):
-        rows, group, stabilizers = self.matrix.entries, self.group, self.stabilizers
-
-        def shifted(c):
+        # per chi_c, read once for every blocks call: chi_c(g_s) as add for
+        # 1 and sub for -1, the representatives whose stabilizer lies in
+        # ker chi_c, and their stabilizer orders
+        characters = []
+        for c in range(len(group)):
             ops = [sub if (c & s).bit_count() & 1 else add for s in range(len(group))]
             reps = [v for v, stab in stabilizers.items() if all(ops[s] is add for s in stab)]
-            sizes = [len(stabilizers[v]) for v in reps]
+            characters.append((ops, reps, [len(stabilizers[v]) for v in reps]))
+        super().__init__(
+            matrix=m, kept=tuple(kept), group=tuple(group), characters=tuple(characters)
+        )
+
+    def orders(self):
+        """The order of each block, in the order of blocks()."""
+        return [len(reps) for _, reps, _ in self.characters]
+
+    def blocks(self, lam=0):
+        rows, group = self.matrix.entries, self.group
+
+        def shifted(ops, reps, sizes):
             width = len(reps)
             # led by a dummy index, so that one column still gathers a tuple
             gather = itemgetter(0, *(g[v] for g in group for v in reps))
@@ -729,7 +592,7 @@ class IsotypicSplit(Frozen):
                 row[k] -= lam
                 yield row
 
-        return [shifted(c) for c in range(len(group))]
+        return [shifted(*character) for character in self.characters]
 
 
 def char_poly(m: IntMatrix, split=None) -> IntPolynomial:

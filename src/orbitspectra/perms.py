@@ -3,13 +3,22 @@
 Orbits are computed by closure under generators; the group itself is
 never enumerated (two-point stabilizers already have (n-2)! elements).
 This module also owns the translation between permutations of [1..n]
-and the induced permutations of pair vertices.
+and the induced permutations of pair vertices, and the search for
+commuting involutive automorphisms that split a distance matrix.
 """
 
 import re
 
-from orbitspectra.exactla import Frozen
+from orbitspectra.exactla import Frozen, join_involution
 from orbitspectra.graphs import InputError, pair_vertices
+
+# Refinements that involution_candidates may run on one graph, over all
+# its tries. One refinement of both colourings takes 0.3 to 0.7 ms on
+# graphs of 56 to 168 vertices (2-core Xeon, Python 3.11), so the search
+# costs at most about 20 to 45 ms there. On the benchmark's seed-1 inputs
+# the last involution kept comes at refinement 13 (lcr(10)) and 42
+# (line-johnson(7, 2)); crown(20) takes 18 to reach its first leaf
+SEARCH_BUDGET = 64
 
 
 class Permutation(Frozen):
@@ -283,3 +292,117 @@ def lcr_automorphism_gens(n) -> GeneratorSet:
     pairs = [pair_action(a) for a in symmetric_group_gens(n).generators]
     tau = Permutation.from_cycles([[i, i + 1] for i in range(0, n - 1, 2)], n)
     return GeneratorSet.of(*pairs, swap_action(n), pair_action(tau))
+
+
+def _refined(adj, left, right, table):
+    """The two colourings refined in lockstep to a stable pair, or None
+    when their colour multisets part.
+
+    Each round recolours every vertex by its signature, its colour and
+    the sorted colours of its neighbours, numbered through the one table
+    on both sides, so equal signatures get equal colours. A map that
+    keeps adjacency and sends each left colour class onto the right one
+    of the same colour keeps the classes of every round, so when the
+    multisets differ no such map exists.
+    """
+    cells = len(set(left))
+    while True:
+        left, right = (
+            [
+                table.setdefault((c, tuple(sorted(map(colour.__getitem__, nbrs)))), len(table))
+                for c, nbrs in zip(colour, adj)
+            ]
+            for colour in (left, right)
+        )
+        if sorted(left) != sorted(right):
+            return None
+        count = len(set(left))
+        if count == cells:
+            return left, right
+        cells = count
+
+
+def _individualised(group, left, right, v, u):
+    """left and right with sigma(h(v)) = h(u) and sigma(h(u)) = h(v)
+    prescribed for each h in group, each pair given a new colour on both
+    sides; None when no involution commuting with the group and keeping
+    the colours meets those pairs."""
+    pairs = {x: y for h in group for x, y in ((h[v], h[u]), (h[u], h[v]))}
+    if any(pairs[y] != x or left[x] != right[y] for x, y in pairs.items()):
+        return None
+    left, right = left[:], right[:]
+    for k, (x, y) in enumerate(pairs.items()):
+        left[x] = right[y] = -1 - k
+    return left, right
+
+
+def _leaves(adj, group, left, right, table):
+    """Walk the individualisation-refinement tree below the colourings
+    left and right, depth first, and yield once per refinement: the map
+    sending each vertex to the right vertex of its colour at a discrete
+    leaf, else None.
+
+    A node branches on the least vertex x of the smallest left cell of
+    two or more, and maps x to each right vertex y of its colour in
+    turn, x itself first, so that the maps found fix many points (McKay
+    & Piperno, "Practical graph isomorphism, II", J. Symbolic Comput. 60,
+    2014): _individualised prescribes x and y swapped, with their images
+    under the group, so that every leaf is an involution commuting with
+    it unless its refinement parts. Refined colours are never negative,
+    so each prescribed pair's colour is new.
+    """
+    refined = _refined(adj, left, right, table)
+    if refined is None:
+        yield None
+        return
+    left, right = refined
+    cells = {}
+    for v, c in enumerate(left):
+        cells.setdefault(c, []).append(v)
+    if len(cells) == len(left):
+        where = dict(zip(right, range(len(right))))
+        yield tuple(where[c] for c in left)
+        return
+    yield None
+    x = min((vs for vs in cells.values() if len(vs) > 1), key=len)[0]
+    for y in sorted((y for y, c in enumerate(right) if c == left[x]), key=lambda y: y != x):
+        pair = _individualised(group, left, right, x, y)
+        if pair:
+            yield from _leaves(adj, group, *pair, table)
+
+
+def involution_candidates(g, rows, first=None):
+    """Involutive automorphisms of g that commute pairwise and with its
+    distance matrix, whose rows are given: candidates to split it, in the
+    order found. Only proposals: IsotypicSplit checks each again.
+
+    first, when given, is offered first. Then colour refinement on the
+    adjacency: when it is discrete, g is asymmetric and nothing is
+    searched. Otherwise, for v = 0 and each u outside v's orbit under the
+    group G of those kept, one try looks for sigma with sigma(v) = u.
+    Commuting with G, sigma swaps h(v) and h(u) for each h in G; those
+    pairs are individualised, h(v) against h(u) on the left and h(u)
+    against h(v) on the right, with a new signature table, and _leaves
+    walks the tree below. A leaf joins G (join_involution) when it is an
+    involution outside G that commutes with G and with the matrix, and
+    ends the try. The search stops when the group cannot double within
+    |V| or SEARCH_BUDGET refinements have run.
+    """
+    n, adj = g.vertex_count, g.adjacency
+    group, found = [tuple(range(n))], []
+    if first is not None and join_involution(rows, group, first):
+        found.append(first)
+    base = _refined(adj, [0] * n, [0] * n, {})[0]
+    budget = SEARCH_BUDGET if len(set(base)) < n else 0
+    for u in range(1, n):
+        if not budget or 2 * len(group) > n:
+            break
+        pair = None if any(h[0] == u for h in group) else _individualised(group, base, base, 0, u)
+        for sigma in _leaves(adj, group, *pair, {}) if pair else ():
+            budget -= 1
+            if sigma and join_involution(rows, group, sigma):
+                found.append(sigma)
+                break
+            if not budget:
+                break
+    return found

@@ -32,12 +32,18 @@ rank-sweep needs no group. The roots of det(xI - D) mod p in [-rho,
 rho], with multiplicity, bound D's integer eigenvalues: when they fall
 short of |V|, det(xI - D) gives the spectrum and nothing is ranked;
 otherwise every value but the last is ranked, and the last is read
-from tr D. rank-sweep and char-poly offer one symmetry read off D: the
-pairing t of each row with the column of its largest entry, when that
-occurs once. When the split keeps t (on lcr(n) the coordinate swap,
-whose image is the one vertex at distance 3), D is the direct sum of
-two blocks of order |V| / 2, and det(xI - D), its screen mod p and
-each rank are taken blockwise.
+from tr D. rank-sweep and char-poly offer D's split two sources of
+involutions. First the pairing t of each row with the column of its
+largest entry, when that occurs once (on lcr(n) the coordinate swap,
+whose image is the one vertex at distance 3). Then the involutive
+automorphisms that perms.involution_candidates finds by a budgeted
+individualisation-refinement search, each commuting with those before
+it. The split checks each again and keeps k of them, and D is the
+direct sum of the 2^k isotypic blocks of their group: det(xI - D), its
+screen mod p and each rank are taken blockwise. line-johnson(7, 2)
+has no unique antipode; which involutions the search finds depends on
+the vertex numbering, and its 105 x 105 D splits into 4 blocks of order
+at most 46 as built here, 8 of order at most 22 under some relabellings.
 """
 
 from operator import eq, mul
@@ -65,6 +71,7 @@ from orbitspectra.perms import (
     AutomorphismError,
     OrbitPartition,
     check_automorphisms,
+    involution_candidates,
     is_vertex_transitive_under,
     lcr_automorphism_gens,
     lcr_stabilizer_gens,
@@ -286,6 +293,26 @@ def _antipodal_involution(matrix):
     """
     t = tuple(row.index(max(row)) for row in matrix.entries)
     return t if all(row.count(row[v]) == 1 for row, v in zip(matrix.entries, t)) else None
+
+
+def _split_check(split, candidates, t):
+    """The involution-split ledger entry of a split of D that kept an
+    involution: each kept one's source, the antipodal pairing t or the
+    search, and fixed points, then the block orders."""
+    kept = [candidates[k] for k in split.kept]
+    fixed = [sum(map(eq, s, range(len(s)))) for s in kept]
+    named = ", ".join(
+        f"{'antipode' if s == t else 'search'} ({f} fixed point{'s' * (f != 1)})"
+        for s, f in zip(kept, fixed)
+    )
+    many = len(kept) > 1
+    orders = split.orders()
+    detail = (
+        f"{len(kept)} involution{'s' * many} commuting with D {'and pairwise ' * many}"
+        f"checked: {named}; det(xI - D) and each rank split into {len(orders)} isotypic "
+        f"blocks of orders {' '.join(map(str, orders))}"
+    )
+    return Check("involution-split", detail)
 
 
 def _screened_range(split, rho):
@@ -554,12 +581,16 @@ def distance_spectrum(
     in ascending order up to |V| - 1, and the last value comes from tr D
     (_ranked_spectrum). char-poly always expands det(xI - D). Both run
     BFS and build one IsotypicSplit of D, offered the pairing t of
-    _antipodal_involution. When it keeps t, the screen multiplies
-    charpoly_mod over the two blocks D[u][v] +- D[u][t(v)], u < t(u),
-    char_poly multiplies Berkowitz over them, and each rank sums their
-    two Bareiss ranks. The blocks are the isotypic components of the
-    group {1, t}, so the result is the same as on D whole; the
-    spectrum's ledger then leads with an "antipodal-split" entry.
+    _antipodal_involution, then the involutive automorphisms of g that
+    perms.involution_candidates finds. The search only proposes: the
+    split checks each candidate and keeps the involutions that commute
+    with D and pairwise. When it keeps any, the screen multiplies
+    charpoly_mod over the isotypic blocks of their group, char_poly
+    multiplies Berkowitz over them, and each rank sums their Bareiss
+    ranks, so the result is the same as on D whole; the spectrum's
+    ledger then leads with an "involution-split" entry naming each
+    kept involution's source, antipode or search, its fixed points and
+    the block orders.
     quotient-assisted starts from the caller's QuotientMatrix, which
     must have been built from g itself (quotient.graph == g) over a
     singleton-cell orbit partition, and g must be vertex-transitive
@@ -607,13 +638,9 @@ def distance_spectrum(
         matrix = all_pairs_distances(g)
         rho = max(matrix.row_sums())
         t = _antipodal_involution(matrix)
-        split = IsotypicSplit(matrix, [t] if t else ())
-        detail = (
-            "each row of D holds its largest entry once, at t(u); t is a fixed-point-free "
-            "involution and D[t(u)][t(v)] = D[u][v], checked, so det(xI - D) and each rank "
-            f"split into the blocks D[u][v] +- D[u][t(v)], u < t(u), of order {matrix.rows // 2}"
-        )
-        checks = (Check("antipodal-split", detail),) if split.kept else ()
+        candidates = involution_candidates(g, matrix.entries, t)
+        split = IsotypicSplit(matrix, candidates)
+        checks = (_split_check(split, candidates, t),) if split.kept else ()
         if method == "rank-sweep":
             return _ranked_spectrum(split, rho, _screened_range(split, rho), checks)
         return _char_poly_spectrum(split, rho, *checks)

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import orbitspectra
-from orbitspectra import cli, exactla, spectral
+from orbitspectra import cli, spectral
 from orbitspectra.cli import main, parse_edge_list
 from orbitspectra.exactla import IntMatrix, IntPolynomial
 from orbitspectra.graphs import pair_vertices
@@ -135,15 +135,12 @@ class TestSpectrumCommand:
         assert "NOT distance integral" in out
 
     def test_char_poly_without_fork_exits_zero(self, capsys, monkeypatch):
-        # cycle(37)'s D is enough work to fork a worker on two usable CPUs,
-        # and an odd cycle is not split; an OSError that reached main
-        # would be reported as a usage error
+        # char-poly computes every block of cycle(37)'s D in this process:
+        # with os.fork refused, it prints the same and never calls it; an
+        # OSError that reached main would be reported as a usage error
         argv = ("spectrum", "--family", "cycle", "--n", "37", "--method", "char-poly")
-        monkeypatch.setattr(exactla, "_usable_cpus", lambda: 1)
         status, expected, _ = run(capsys, *argv)
         assert status == 0
-        monkeypatch.setattr(exactla, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(exactla, "_may_fork", lambda: True)
 
         refused = []
 
@@ -153,11 +150,11 @@ class TestSpectrumCommand:
 
         monkeypatch.setattr(os, "fork", refuse)
         assert run(capsys, *argv) == (0, expected, "")
-        assert refused
+        assert refused == []
 
     def test_char_poly_with_sigchld_ignored_exits_zero(self):
         # an ignored SIGCHLD, inherited through exec, has the system reap
-        # every child, so a worker could not be waited for
+        # every child; char-poly waits for none, and prints the same
         src = os.path.dirname(os.path.dirname(orbitspectra.__file__))
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         argv = [sys.executable, "-m", "orbitspectra.cli", "spectrum", "--family", "cycle",
@@ -275,19 +272,19 @@ class TestSpectrumCommand:
 
     def test_failed_split_premise_exits_three(self, capsys, monkeypatch):
         # a transposition of two lcr(5) vertices is an involution that D
-        # does not commute with; offered as the pairing, the split drops
-        # it, and rank-sweep ranks D whole, exactly
+        # does not commute with; offered as the only candidate, the split
+        # drops it, and rank-sweep ranks D whole, exactly
         argv = ("spectrum", "--family", "lcr", "--n", "5", "--format", "json")
         status, expected, _ = run(capsys, *argv, "--method", "char-poly")
         assert status == 0
         bogus = (1, 0, *range(2, 20))
-        monkeypatch.setattr(spectral, "_antipodal_involution", lambda matrix: bogus)
+        monkeypatch.setattr(spectral, "involution_candidates", lambda g, rows, first: [bogus])
         status, out, err = run(capsys, *argv, "--method", "rank-sweep")
         assert (status, err) == (0, "")
         whole, split = json.loads(out), json.loads(expected)
         assert whole["eigenvalues"] == split["eigenvalues"]
         assert [c["name"] for c in whole["checks"]] == ["screen", "spectrum-complete", "trace-zero"]
-        assert split["checks"][0]["name"] == "antipodal-split"
+        assert split["checks"][0]["name"] == "involution-split"
 
     def test_broken_spectrum_invariant_exits_three(self, capsys, monkeypatch):
         # one root of multiplicity 1 and no residual cannot cover order 7;

@@ -8,11 +8,7 @@ and ranks are recomputed by plain Gaussian elimination over Fractions.
 import errno
 import os
 import random
-import signal
-import subprocess
 import sys
-import threading
-import time
 import tracemalloc
 
 import pytest
@@ -39,7 +35,7 @@ from orbitspectra.graphs import (
     build_cycle,
     build_lcr,
 )
-from orbitspectra.perms import Permutation, pair_action, swap_action
+from orbitspectra.perms import Permutation, involution_candidates, pair_action, swap_action
 from orbitspectra.spectral import (
     lcr_quotient_closed_form,
     lcr_stabilizer_partition,
@@ -345,204 +341,92 @@ def random_rows(n, seed):
     return [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
 
 
-# inputs of the split tests; the first three are wide enough to fork
+def searched(g):
+    rows = all_pairs_distances(g).entries
+    return rows, list(involution_candidates(g, rows))
+
+
+def reversal(n):
+    return [tuple(range(n - 1, -1, -1))]
+
+
+# inputs of the split tests, each with the involutions offered to split it
 SPLIT_INPUTS = {
-    # symmetric with rows of few values: the wide blocks take the flat form
-    "lcr-8": lambda: all_pairs_distances(build_lcr(8)).entries,
-    # symmetric with rows of many values: every block takes the direct form
-    "cycle-60": lambda: all_pairs_distances(build_cycle(60)).entries,
-    "random-45": lambda: random_rows(45, 45),
-    # every block's estimated work is zero, or the largest block holds most of it
-    "order-0": lambda: [],
-    "zero-1": lambda: [[0]],
-    "order-1": lambda: [[7]],
-    "zero-2": lambda: [[0, 0], [0, 0]],
-    "zero-3": lambda: [[0] * 3 for _ in range(3)],
+    # the searched involutions of a graph, every one kept
+    "lcr-8": lambda: searched(build_lcr(8)),
+    "cycle-60": lambda: searched(build_cycle(60)),
+    # the reversal does not commute with it, and is dropped
+    "random-45": lambda: (random_rows(45, 45), reversal(45)),
+    # the reversal of order 0 or 1 is the identity, and is dropped
+    "order-0": lambda: ([], reversal(0)),
+    "zero-1": lambda: ([[0]], reversal(1)),
+    "order-1": lambda: ([[7]], reversal(1)),
+    # the zero matrix commutes with the reversal, which is kept
+    "zero-2": lambda: ([[0, 0], [0, 0]], reversal(2)),
+    "zero-3": lambda: ([[0] * 3 for _ in range(3)], reversal(3)),
 }
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture
 def split(monkeypatch):
-    """Run Berkowitz as on the given number of usable CPUs, with any work
-    enough to split; .forks lists the parent's calls of os.fork."""
-    parent, real_fork = os.getpid(), os.fork
+    """Berkowitz over the isotypic blocks of rows under the offered
+    involutions, as char_poly takes them; .forks lists any call of
+    os.fork, .kept the kept involutions' indices."""
+    real_fork = os.fork
 
     def counted_fork():
-        if os.getpid() == parent:
-            run.forks.append(True)
+        run.forks.append(True)
         return real_fork()
 
-    def run(rows, cpus):
-        monkeypatch.setattr(exactla, "_usable_cpus", lambda: cpus)
-        return berkowitz_charpoly(rows)
+    def run(rows, candidates):
+        s = IsotypicSplit(IntMatrix(rows), candidates)
+        run.kept = s.kept
+        return list(char_poly(s.matrix, s).coefficients)
 
-    monkeypatch.setattr(exactla, "PART_MIN_WORK", 1)
-    # numpy, once another test has imported it, leaves an idle BLAS thread
-    # in this process; the workers run no BLAS
-    monkeypatch.setattr(exactla, "_may_fork", lambda: True)
     monkeypatch.setattr(os, "fork", counted_fork)
     run.forks = []
     return run
 
 
-def in_workers(monkeypatch, action):
-    """Make exactla._block_columns call action(real, args) in a forked worker
-    and compute as before in this process; returns the list of the
-    ranges it computes here."""
-    parent, real = os.getpid(), exactla._block_columns
-    here = []
-
-    def columns(*args):
-        if os.getpid() != parent:
-            return action(real, args)
-        here.append(args[-1])
-        return real(*args)
-
-    monkeypatch.setattr(exactla, "_block_columns", columns)
-    return here
-
-
-def exit_nonzero_after_writing(real, args):
-    """The worker's columns, in full, from a worker that then exits 3."""
-    exit_now = os._exit
-    os._exit = lambda status: exit_now(3)  # this forked worker ends anyway
-    return real(*args)
-
-
-# Python 3.12+ warns on a fork beside another thread (see the split fixture)
-@pytest.mark.filterwarnings("ignore:This process .*multi-threaded:DeprecationWarning")
 class TestSplitBerkowitz:
-    """Above a size, the blocks' columns are computed in forked workers
-    and folded here in the same order: the polynomial is the same, and
-    no worker outlives the call."""
+    """D split into the isotypic blocks of the kept involutions: Berkowitz
+    over the parts, in this process, gives the polynomial of D whole, and
+    no worker is forked, so none can fail or outlive the call."""
 
     @pytest.mark.parametrize("name", SPLIT_INPUTS)
     def test_parts_give_the_same_polynomial(self, split, name):
-        rows = SPLIT_INPUTS[name]()
-        one = split(rows, 1)
+        rows, candidates = SPLIT_INPUTS[name]()
+        one = berkowitz_charpoly(rows)
+        assert split(rows, candidates) == one
+        assert bool(split.kept) == (name in ("lcr-8", "cycle-60", "zero-2", "zero-3"))
+        assert split(rows, []) == one
         assert split.forks == []
-        for cpus in (2, 3):
-            assert split(rows, cpus) == one
-            assert_no_child_left()
-        assert bool(split.forks) == (len(rows) > 3)
         assert [c % SCREEN_PRIME for c in one] == charpoly_mod(rows, SCREEN_PRIME)
 
-    @given(st.lists(st.integers(0, 50), max_size=12), st.integers(1, 4))
-    @settings(max_examples=200, deadline=None)
-    def test_parts_cover_the_blocks_in_order(self, work, count):
-        parts = exactla._parts(work, count)
-        assert [s for part in parts for s in part] == list(range(len(work) - 1, -1, -1))
-        assert all(parts) and len(parts) <= count
-
-    def test_the_quotients_run_in_one_process(self, monkeypatch):
-        # verify-lcr's 7 x 7 quotients are below the break-even; lcr(7)'s
-        # 42 x 42 D, the reachability test's split, is above it
-        started = []
-        monkeypatch.setattr(exactla, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(exactla, "_may_fork", lambda: True)
-        # records the range and returns None, as a refused fork does
-        monkeypatch.setattr(exactla, "_fork_columns", lambda columns, starts: started.append(starts))
+    def test_the_quotients_run_in_one_process(self, split):
+        # verify-lcr's 7 x 7 quotients, and lcr(7)'s 42 x 42 D whole and split
         for n in (4, 13, 24):
-            berkowitz_charpoly(lcr_quotient_closed_form(n).entries)
-        assert started == []
-        berkowitz_charpoly(all_pairs_distances(build_lcr(7)).entries)
-        assert len(started) == 1
-
-    def test_one_part_where_no_worker_may_be_forked(self, split, monkeypatch):
-        rows = SPLIT_INPUTS["lcr-8"]()
-        monkeypatch.setattr(exactla, "_may_fork", lambda: False)
-        assert split(rows, 2) == split(rows, 1)
+            rows = lcr_quotient_closed_form(n).entries
+            assert split(rows, []) == berkowitz_charpoly(rows)
+        rows, candidates = searched(build_lcr(7))
+        assert split(rows, candidates) == berkowitz_charpoly(rows)
+        assert split.kept != ()
         assert split.forks == []
-
-    def test_no_fork_beside_a_thread_with_sigchld_ignored_or_without_os_fork(self):
-        # in a fresh interpreter: numpy, once another test has imported it,
-        # leaves a BLAS thread in this one
-        probe = (
-            "import os, signal, threading\n"
-            "from orbitspectra.exactla import _may_fork\n"
-            "alone = _may_fork()\n"
-            "signal.signal(signal.SIGCHLD, signal.SIG_IGN)\n"
-            "ignored = _may_fork()\n"
-            "signal.signal(signal.SIGCHLD, signal.SIG_DFL)\n"
-            "fork = os.fork\n"
-            "del os.fork\n"
-            "unsupported = _may_fork()\n"
-            "os.fork = fork\n"
-            "done = threading.Event()\n"
-            "thread = threading.Thread(target=done.wait)\n"
-            "thread.start()\n"
-            "beside = _may_fork()\n"
-            "done.set()\n"
-            "thread.join()\n"
-            "print(alone, ignored, unsupported, beside)\n"
-        )
-        src = os.path.dirname(os.path.dirname(exactla.__file__))
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        out = subprocess.run(
-            [sys.executable, "-c", probe],
-            env=dict(os.environ, PYTHONPATH=path),
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=60,
-        ).stdout
-        assert out.split() == ["True", "False", "False", "False"]
-
-    @pytest.mark.parametrize(
-        "action",
-        [
-            pytest.param(lambda real, args: 1 // 0, id="raises"),
-            pytest.param(lambda real, args: list(real(*args))[:-1], id="short"),
-            pytest.param(lambda real, args: [object()], id="unmarshallable"),
-            pytest.param(lambda real, args: os.kill(os.getpid(), signal.SIGKILL), id="killed"),
-            pytest.param(exit_nonzero_after_writing, id="exit-status"),
-        ],
-    )
-    def test_a_failed_worker_is_computed_here(self, split, monkeypatch, action):
-        rows = SPLIT_INPUTS["lcr-8"]()
-        expected = split(rows, 1)
-        here = in_workers(monkeypatch, action)
-        assert split(rows, 3) == expected
-        assert len(split.forks) == 2
-        # this process's own range, then both workers' again
-        assert len(here) == 3
-        assert [s for starts in here for s in starts] == list(range(len(rows) - 1, -1, -1))
-        assert_no_child_left()
 
     @pytest.mark.parametrize("call", ["fork", "pipe"])
     def test_no_worker_when_the_system_refuses(self, split, monkeypatch, call):
-        rows = SPLIT_INPUTS["cycle-60"]()
-        expected = split(rows, 1)
+        rows, candidates = SPLIT_INPUTS["cycle-60"]()
+        expected = berkowitz_charpoly(rows)
+        refused = []
 
         def refuse(*args):
+            refused.append(args)
             raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
         monkeypatch.setattr(os, call, refuse)
-        assert split(rows, 3) == expected
-        assert split.forks == []
-        assert_no_child_left()
-
-    def test_an_exception_here_stops_the_workers(self, split, monkeypatch):
-        rows = SPLIT_INPUTS["lcr-8"]()
-        parent = os.getpid()
-
-        def columns(*args):
-            if os.getpid() != parent:
-                time.sleep(30)  # a worker left running would hold up the wait
-            raise KeyError("in the parent")
-
-        monkeypatch.setattr(exactla, "_block_columns", columns)
-        start = time.monotonic()
-        with pytest.raises(KeyError, match="in the parent"):
-            split(rows, 3)
-        assert time.monotonic() - start < 10
-        assert len(split.forks) == 2
-        assert_no_child_left()
+        assert split(rows, candidates) == expected
+        assert berkowitz_charpoly(rows) == expected
+        assert refused == []
 
 
 def cauchy_bound(p):

@@ -10,13 +10,11 @@ fails here: delete it, or give it a caller.
 
 import inspect
 import io
-import os
+import random
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-
-import pytest
 
 import orbitspectra
 from orbitspectra import cli, exactla, graphs, perms, spectral
@@ -42,17 +40,20 @@ def _invocations(tmp):
     split.write_text("p 4\ne 0 1\ne 2 3\n", encoding="utf-8")
     malformed = tmp / "malformed.edges"
     malformed.write_text("p 3\ne 0 0\n", encoding="utf-8")
+    # a seeded random graph that nothing splits: its whole D, symmetric
+    # with rows of the values 0, 1 and 2, takes Berkowitz's flat mat-vecs
+    rng = random.Random(0)
+    dense = tmp / "dense.edges"
+    dense.write_text("p 16\n" + "".join(
+        f"e {u} {v}\n" for u in range(16) for v in range(u + 1, 16) if rng.random() < 0.5
+    ), encoding="utf-8")
     hexagon = ("spectrum", "--family", "cycle", "--n", "6", "--method", "quotient-assisted")
     return [
         *(argv for invocations in STAND_INS.values() for argv in invocations),
         ("spectrum", "--family", "lcr", "--n", "5", "--format", "json"),
         ("spectrum", "--family", "line-johnson", "--n", "4", "--k", "2",
          "--method", "char-poly"),
-        # lcr(6)'s 30 x 30 D is wide enough for Berkowitz's grouped mat-vec rows
-        ("spectrum", "--family", "lcr", "--n", "6", "--method", "char-poly"),
-        # cycle(37)'s D, which has no antipode to split it, is enough work
-        # for Berkowitz to fork a worker
-        ("spectrum", "--family", "cycle", "--n", "37", "--method", "char-poly"),
+        ("spectrum", "--input", str(dense), "--method", "char-poly"),
         ("spectrum", "--input", str(square)),
         ("quotient", "--n", "4"),
         ("quotient", "--n", "4", "--format", "json"),
@@ -103,20 +104,7 @@ def _defined_functions():
     return found
 
 
-# Python 3.12+ warns on a fork beside numpy's idle BLAS thread
-@pytest.mark.filterwarnings("ignore:This process .*multi-threaded:DeprecationWarning")
-def test_every_function_is_reached_by_a_command(tmp_path, monkeypatch):
-    # Berkowitz's split is entered on any machine: two usable CPUs, and a
-    # worker may be forked, though numpy, once another test has imported
-    # it, leaves an idle BLAS thread in this process
-    may_fork = exactla._may_fork
-
-    def may_fork_beside_blas():
-        may_fork()  # entered all the same
-        return True
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(exactla, "_may_fork", may_fork_beside_blas)
+def test_every_function_is_reached_by_a_command(tmp_path):
     defined = _defined_functions()
     assert set(ALLOWED) <= set(defined.values())
     invocations = _invocations(tmp_path)

@@ -1,5 +1,6 @@
 """Quotient matrices, the quotient-assisted certificate, and the spectrum pipeline."""
 
+import random
 import sys
 import tracemalloc
 from math import gcd
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orbitspectra import cli, exactla, spectral
+from orbitspectra import cli, exactla, perms, spectral
 from orbitspectra.exactla import (
     IntMatrix,
     IntPolynomial,
@@ -21,6 +22,7 @@ from orbitspectra.graphs import (
     Graph,
     all_pairs_distances,
     build_circulant,
+    build_complete,
     build_crown,
     build_cycle,
     build_johnson,
@@ -92,12 +94,20 @@ def non_singleton_cycle_cases():
 
 
 # the entry that leads rank-sweep's and char-poly's ledger on lcr(5), split
-# by the coordinate swap
+# by the coordinate swap and two involutions the search finds
 LCR5_SPLIT = (
-    "antipodal-split",
-    "each row of D holds its largest entry once, at t(u); t is a fixed-point-free involution "
-    "and D[t(u)][t(v)] = D[u][v], checked, so det(xI - D) and each rank split into the blocks "
-    "D[u][v] +- D[u][t(v)], u < t(u), of order 10",
+    "involution-split",
+    "3 involutions commuting with D and pairwise checked: antipode (0 fixed points), "
+    "search (6 fixed points), search (2 fixed points); det(xI - D) and each rank split "
+    "into 8 isotypic blocks of orders 5 3 2 1 2 3 1 3",
+)
+
+
+# the reflection x -> -x, the one involution the search keeps on the heptagon
+HEPTAGON_SPLIT = (
+    "involution-split",
+    "1 involution commuting with D checked: search (1 fixed point); det(xI - D) and each "
+    "rank split into 2 isotypic blocks of orders 4 3",
 )
 
 
@@ -472,8 +482,9 @@ class TestDistanceSpectrum:
         )
         report = is_distance_integral(build_cycle(7))
         assert report.spectrum == distance_spectrum(build_cycle(7), "char-poly")
-        assert report.spectrum.checks == report.checks[:1]
-        assert report.checks[0].detail == (
+        assert report.spectrum.checks == report.checks[:2]
+        assert report.checks[0] == HEPTAGON_SPLIT
+        assert report.checks[1].detail == (
             "det(xI - D) mod p: roots in [-rho, rho] with multiplicity 7 = |V|; ranked 0 12; "
             "det(xI - D)'s integer roots equal the ranked ones"
         )
@@ -781,8 +792,9 @@ def kernel_orders(monkeypatch):
 
 
 class TestAntipodalSplit:
-    """rank-sweep and char-poly split D by the pairing of each row's
-    largest entry, when IsotypicSplit keeps it."""
+    """rank-sweep and char-poly offer D's pairing of each row's largest
+    entry first; with the search given no refinement, it alone splits D,
+    when IsotypicSplit keeps it."""
 
     @pytest.mark.parametrize(
         "g",
@@ -841,6 +853,7 @@ class TestAntipodalSplit:
     def test_no_unique_antipode_leaves_d_whole(self, monkeypatch, g):
         d = all_pairs_distances(g)
         assert spectral._antipodal_involution(d) is None
+        monkeypatch.setattr(perms, "SEARCH_BUDGET", 0)
         berkowitz, _ = kernel_orders(monkeypatch)
         s = distance_spectrum(g, "char-poly")
         assert berkowitz == [d.rows]
@@ -878,6 +891,7 @@ class TestAntipodalSplit:
 
     def test_lcr8_expands_and_ranks_two_half_blocks(self, monkeypatch):
         g = build_lcr(8)
+        monkeypatch.setattr(perms, "SEARCH_BUDGET", 0)
         berkowitz, bareiss = kernel_orders(monkeypatch)
         expanded = distance_spectrum(g, "char-poly")
         assert (berkowitz, bareiss) == ([28, 28], [])
@@ -886,13 +900,16 @@ class TestAntipodalSplit:
         # four ranks, -9, -5, -1 and 1, of two blocks each; 99 from tr D
         assert (berkowitz, bareiss) == ([], [28] * 8)
         assert ranked == expanded
-        assert expanded.checks[0].name == ranked.checks[0].name == "antipodal-split"
-        assert ranked.checks[0].detail.endswith("of order 28")
+        assert expanded.checks[0] == ranked.checks[0] == (
+            "involution-split",
+            "1 involution commuting with D checked: antipode (0 fixed points); det(xI - D) "
+            "and each rank split into 2 isotypic blocks of orders 28 28",
+        )
 
     def test_one_split_per_d(self, monkeypatch):
-        # rank-sweep on lcr(8) checks its pairing once, for the screen and
-        # its 8 block ranks; verify_lcr splits Q's det(xI - Q) trivially,
-        # then builds one split of D for its rank
+        # rank-sweep on lcr(8) checks its involutions once, for the screen
+        # and each block of its 4 ranks; verify_lcr splits Q's det(xI - Q)
+        # trivially, then builds one split of D for its rank
         built = []
         build = exactla.IsotypicSplit.__init__
 
@@ -903,11 +920,131 @@ class TestAntipodalSplit:
         monkeypatch.setattr(exactla.IsotypicSplit, "__init__", counting)
         _, bareiss = kernel_orders(monkeypatch)
         distance_spectrum(build_lcr(8), "rank-sweep")
-        assert (built, bareiss) == ([56], [28] * 8)
+        blocks = len(bareiss) // 4
+        assert built == [56] and blocks > 2
+        assert bareiss == bareiss[:blocks] * 4 and sum(bareiss[:blocks]) == 56
         for n in range(5, 10):
             del built[:]
             verify_lcr(n)
             assert built == [7, n * (n - 1)]
+
+
+def relabelled(g, seed):
+    """g with its vertices renumbered by a seeded random permutation."""
+    perm = list(range(g.vertex_count))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def random_cubic(n, seed):
+    """A seeded random connected 3-regular graph on an even n: a random
+    Hamiltonian cycle and a random perfect matching of its chords."""
+    rng = random.Random(seed)
+    order = list(range(n))
+    rng.shuffle(order)
+    cycle = {frozenset(e) for e in zip(order, order[1:] + order[:1])}
+    while True:
+        rng.shuffle(order)
+        matching = {frozenset(order[i:i + 2]) for i in range(0, n, 2)}
+        if not matching & cycle:
+            return Graph(n, [tuple(e) for e in cycle | matching])
+
+
+def searched_split(g):
+    """(D, the candidates distance_spectrum offers, D's IsotypicSplit over them)."""
+    d = all_pairs_distances(g)
+    candidates = perms.involution_candidates(g, d.entries, spectral._antipodal_involution(d))
+    return d, candidates, IsotypicSplit(d, candidates)
+
+
+def assert_split_keeps_chi_and_ranks(d, split):
+    """char_poly over split is Berkowitz's det(xI - D) of D whole, and the
+    split rank of D - lam I is the whole one at each integer root of it
+    and at the integer of least |lam| that is none."""
+    whole = exactla.berkowitz_charpoly(d.entries)
+    assert char_poly(d, split).coefficients == tuple(whole)
+    rho = max(d.row_sums())
+    roots = dict(integer_roots(IntPolynomial(whole), bound=rho)[0])
+    other = min((lam for lam in range(-rho, rho + 1) if lam not in roots), key=abs)
+    for lam in [*roots, other]:
+        assert eigen_multiplicity(d, lam, split) == eigen_multiplicity(d, lam), lam
+
+
+class TestInvolutionSearch:
+    """After the antipodal pairing, rank-sweep and char-poly offer the
+    involutive automorphisms perms.involution_candidates finds; only
+    those IsotypicSplit keeps split D."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            *(
+                pytest.param(
+                    relabelled(build_line_graph(build_johnson(n, 2)), n), id=f"line-johnson{n}-2"
+                )
+                for n in (5, 6, 7)
+            ),
+            pytest.param(relabelled(build_johnson(5, 2), 1), id="johnson5-2"),
+            pytest.param(relabelled(build_johnson(7, 3), 1), id="johnson7-3"),
+            *(pytest.param(relabelled(build_cycle(n), n), id=f"cycle{n}") for n in (5, 9, 15)),
+            *(pytest.param(relabelled(build_crown(n), n), id=f"crown{n}") for n in (4, 7)),
+            *(pytest.param(relabelled(build_complete(n), n), id=f"complete{n}") for n in (5, 8)),
+        ],
+    )
+    def test_split_keeps_chi_d_and_every_rank(self, g):
+        d, candidates, split = searched_split(g)
+        assert split.kept == tuple(range(len(candidates))) != ()
+        assert_split_keeps_chi_and_ranks(d, split)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_split_keeps_chi_d_and_every_rank_on_circulants(self, data):
+        _, g, _, _ = draw_circulant(data)
+        d, candidates, split = searched_split(g)
+        assert split.kept == tuple(range(len(candidates)))
+        assert_split_keeps_chi_and_ranks(d, split)
+
+    def test_an_asymmetric_tree_runs_no_try(self, monkeypatch):
+        # legs of 1, 2 and 3 edges from the centre 0: colour refinement
+        # on the adjacency alone is discrete
+        g = Graph(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
+        tries = []
+        monkeypatch.setattr(perms, "_leaves", lambda *args: tries.append(args) or iter(()))
+        s = distance_spectrum(g, "char-poly")
+        assert (tries, s.checks) == ([], ())
+        assert distance_spectrum(g, "rank-sweep") == s
+
+    def test_a_proposal_that_is_no_automorphism_is_dropped(self, monkeypatch):
+        # the transposition of lcr(5)'s vertices 0 and 1 is an involution,
+        # but D[0][2] = 1 while D[1][2] = 2
+        g = build_lcr(5)
+        expected = distance_spectrum(g, "rank-sweep")
+        search = perms.involution_candidates
+        bogus = (1, 0, *range(2, 20))
+        monkeypatch.setattr(
+            spectral, "involution_candidates", lambda *args: [bogus, *search(*args)]
+        )
+        s = distance_spectrum(g, "rank-sweep")
+        assert s == expected and s.checks == expected.checks == (LCR5_SPLIT, expected.checks[1])
+
+    def test_a_random_cubic_graph_spends_the_budget_and_keeps_nothing(self, monkeypatch):
+        g = random_cubic(2 * perms.SEARCH_BUDGET, 3)
+        refinements = []
+        refine = perms._refined
+        monkeypatch.setattr(
+            perms, "_refined", lambda *args: refinements.append(1) or refine(*args)
+        )
+        d = all_pairs_distances(g)
+        assert perms.involution_candidates(g, d.entries) == []
+        # the stable colouring of g, then the budget over the tries
+        assert len(refinements) == 1 + perms.SEARCH_BUDGET
+
+    def test_the_same_input_keeps_the_same_involutions(self):
+        g = relabelled(build_line_graph(build_johnson(6, 2)), 6)
+        d = all_pairs_distances(g)
+        first = perms.involution_candidates(g, d.entries)
+        assert len(first) > 1 and perms.involution_candidates(g, d.entries) == first
+        assert distance_spectrum(g).checks == distance_spectrum(g).checks
 
 
 class TestSpectrumType:
@@ -1020,8 +1157,9 @@ class TestIntegralityReports:
     def test_ledger_details_come_from_the_spectrum(self):
         report = is_distance_integral(build_cycle(7), description="cycle n=7")
         assert report.spectrum.trace == 0
-        screen, complete, trace = report.checks
-        assert report.spectrum.checks == (screen,)
+        split, screen, complete, trace = report.checks
+        assert report.spectrum.checks == (split, screen)
+        assert split == HEPTAGON_SPLIT
         assert (complete.name, trace.name) == ("spectrum-complete", "trace-zero")
         assert screen.detail == (
             "det(xI - D) mod p: roots in [-rho, rho] with multiplicity 1 < |V| = 7, so D has "
@@ -1033,7 +1171,7 @@ class TestIntegralityReports:
     def test_ledger_names_the_integral_rank_sweep_route(self):
         report = is_distance_integral(build_lcr(5))
         assert [c.name for c in report.checks] == [
-            "antipodal-split", "screen", "spectrum-complete", "trace-zero",
+            "involution-split", "screen", "spectrum-complete", "trace-zero",
         ]
         assert report.checks[0] == LCR5_SPLIT
         assert report.checks[1] == (
