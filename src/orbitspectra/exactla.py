@@ -21,20 +21,13 @@ the isotypic component V_chi, in a basis read at those
 representatives, so the block ranks sum to rank(m - lam I) and the
 blocks' characteristic polynomials multiply to det(xI - m). A free
 action of order 2^k trades one rank of n for 2^k of n / 2^k, and one
-Berkowitz expansion, about n^4 / 8 direct products on symmetric input,
-for 2^k of (n / 2^k)^4 / 8: one fixed-point-free involution cuts it
+Berkowitz expansion, about n^4 / 8 products on symmetric input, for
+2^k of (n / 2^k)^4 / 8: one fixed-point-free involution cuts it
 eightfold. Berkowitz needs R M^k C for each trailing block M with
 column C and row R; on symmetric input (every distance matrix) R = C^T
 and R M^k C = (M^i C)^T (M^j C) with i = k // 2, j = k - i, so about
-half the mat-vecs suffice.
-Non-symmetric input takes (R M^i) from M^T. A mat-vec takes one
-product per entry (the direct form) or, on a symmetric block whose
-rows hold few values, mostly one w0 per row (a distance matrix's
-0..diameter), a few C-level passes over the entries other than w0
-(the flat form): one gather and two prefix sums. On lcr(10)'s 90 x 90
-D a 60-wide mat-vec takes about 100 us against 160 us for the grouped
-rows it replaced. Long cycles, circulants, generic matrices and
-non-symmetric input such as the quotient Q keep the direct form.
+half the mat-vecs suffice. Non-symmetric input, such as the quotient
+Q, takes (R M^i) from M^T. A mat-vec takes one product per entry.
 Hessenberg reduction modulo a prime screens candidate roots: a nonzero
 residue proves a value is not a root, and a root's multiplicity mod p
 bounds its multiplicity over Z from above; neither decides a result.
@@ -43,8 +36,6 @@ update in one pass over the rows, as the step's elementary matrices
 commute.
 """
 
-from bisect import bisect_right
-from itertools import accumulate, compress, repeat
 from operator import add, floordiv, itemgetter, mul, sub
 
 # Mersenne prime used for modular screening of eigenvalue candidates
@@ -289,73 +280,6 @@ def bareiss_echelon(rows):
     return r, sign, pivot_cols, a
 
 
-def _value_columns(rows):
-    """What the flat form needs of an n x n symmetric matrix, read once.
-
-    Returns (w0s, layout, costs). w0s[i] is row i's most frequent entry;
-    layout[i] pairs each other value w of row i with w - w0 and its
-    columns j in ascending order, written j - n so that they index the
-    vector of any trailing block holding them. The block after start
-    holds entry (i, j) when min(i, j) > start. costs[s] sums 1 for each
-    entry other than its row's w0 with min(i, j) = s, and 3 for each
-    (row, value) group whose last entry has min(i, j) = s.
-    """
-    n = len(rows)
-    w0s, layout, costs = [], [], [0] * (n + 1)
-    indices = tuple(range(-n, 0))  # one int object per column, shared by the rows
-    for i, row in enumerate(rows):
-        columns = {}
-        for j, x in zip(indices, row):
-            columns.setdefault(x, []).append(j)
-        w0 = max(columns, key=lambda w: len(columns[w]))
-        values = [(w - w0, cols) for w, cols in columns.items() if w != w0]
-        for _, cols in values:
-            costs[min(i, cols[-1] + n)] += 3
-            for j in cols:
-                costs[min(i, j + n)] += 1
-        w0s.append(w0)
-        layout.append(values)
-    return w0s, layout, costs
-
-
-def _block_plan(w0s, layout, start):
-    """The flat form of the trailing block after start, for _flat_mat_vec.
-
-    Each row's in-block columns of each value other than its w0 go into
-    one index list, grouped by (row, value). The plan is a getter of
-    those entries, marks on the leading 0 and group ends of their prefix
-    sums, the groups' offsets, a getter of the row ends (led by 0) of
-    the groups' prefix sums, and the rows' w0; None when fewer than two
-    entries are gathered (a getter of one index returns no tuple).
-    """
-    flat, marks, row_ends, offsets = [], bytearray(b"\1"), [0], []
-    for values in layout[start + 1:]:
-        for offset, cols in values:
-            k = bisect_right(cols, start - len(layout))
-            if k < len(cols):
-                flat += cols[k:]
-                marks += bytes(len(cols) - k - 1) + b"\1"
-                offsets.append(offset)
-        row_ends.append(len(offsets))
-    if len(flat) < 2:
-        return None
-    return itemgetter(*flat), marks, offsets, itemgetter(*row_ends), w0s[start + 1:]
-
-
-def _flat_mat_vec(plan, vec):
-    """block . vec in the flat form of _block_plan, in C-level passes.
-
-    One gather and a prefix sum P, kept only where marked, give each
-    group's sum of vec as a difference of two P; times its offset, a
-    second prefix sum Q gives each row's correction as a difference of
-    two Q. Row i is w0_i * sum(vec) plus its correction.
-    """
-    gather, marks, offsets, row_bounds, w0s = plan
-    p = tuple(compress(accumulate(gather(vec), initial=0), marks))
-    q = row_bounds(list(accumulate(map(mul, offsets, map(sub, p[1:], p)), initial=0)))
-    return list(map(add, map(mul, w0s, repeat(sum(vec))), map(sub, q[1:], q)))
-
-
 def berkowitz_charpoly(rows):
     """Characteristic polynomial of a square integer matrix, division-free.
 
@@ -371,41 +295,25 @@ def berkowitz_charpoly(rows):
     vector is a right vector already computed, and a step costs
     (m - 1) // 2 mat-vecs instead of m - 2. Otherwise the left vector
     advances by a mat-vec against M^T. Only the current left and right
-    vectors are held.
-
-    A mat-vec takes one product and one add per entry (the direct form)
-    or, on symmetric input, the passes of _flat_mat_vec. Priced in pairs
-    of operations, a direct entry costs 1, a gathered entry 1 (a fetch
-    and an add) and a group 3 (two fetches, a difference, a product, an
-    add and its offset): a block takes the flat form when its summed
-    costs (_value_columns) are below its entry count.
+    vectors are held. A mat-vec takes one product and one add per entry.
     """
     n = len(rows)
     symmetric = all(tuple(row) == col for row, col in zip(rows, zip(*rows)))
-    if symmetric:
-        w0s, layout, costs = _value_columns(rows)
-    cost = 0
     poly = [1]
     for start in range(n - 1, -1, -1):
         m = n - start
         col = [1, -rows[start][start]]
         if m > 1:
             tail = range(start + 1, n)
-            if symmetric:
-                cost += costs[start + 1]
-            plan = symmetric and cost < (m - 1) ** 2 and _block_plan(w0s, layout, start)
-            block = None if plan else [rows[i][start + 1:] for i in tail]
+            block = [rows[i][start + 1:] for i in tail]
             block_t = None if symmetric else list(zip(*block))
-            # the direct mat-vecs stay inline: a call per mat-vec costs a
-            # small matrix such as the 7 x 7 quotient about a tenth
+            # the mat-vecs stay inline: a call per mat-vec costs a small
+            # matrix such as the 7 x 7 quotient about a tenth
             left = rows[start][start + 1:]
             right = [rows[i][start] for i in tail]
             for k in range(m - 1):
                 if k % 2:
-                    right = (
-                        _flat_mat_vec(plan, right) if plan
-                        else [sum(map(mul, mr, right)) for mr in block]
-                    )
+                    right = [sum(map(mul, mr, right)) for mr in block]
                 elif k and symmetric:
                     left = right
                 elif k:

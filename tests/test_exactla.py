@@ -239,9 +239,8 @@ BOTH_PATHS = pytest.mark.parametrize("perturb", [False, True], ids=["symmetric",
 def mixed_row_matrices(draw, min_n, max_n):
     """Square matrices whose rows are each constant, one value with at most
     two other entries, or all distinct; then kept, transposed (few-valued
-    columns) or made symmetric by mirroring the upper triangle. Only the
-    symmetric form can take the flat mat-vec; the other two keep the
-    direct form."""
+    columns) or made symmetric by mirroring the upper triangle, so that
+    Berkowitz meets both its symmetric and its general path."""
     n = draw(st.integers(min_n, max_n))
     rows = []
     for _ in range(n):
@@ -263,9 +262,8 @@ def mixed_row_matrices(draw, min_n, max_n):
 
 
 class TestGroupedBerkowitz:
-    """A symmetric block whose rows hold few distinct values takes the flat
-    mat-vec, which sums the vector over each value's columns instead of
-    multiplying entry by entry; the polynomial is the same."""
+    """Berkowitz on matrices with constant, few-valued and distinct rows,
+    symmetric or not, against cofactor expansion and determinants."""
 
     @given(mixed_row_matrices(0, 8))
     @settings(max_examples=80, deadline=None)
@@ -277,9 +275,7 @@ class TestGroupedBerkowitz:
     @given(mixed_row_matrices(12, 20))
     @settings(max_examples=30, deadline=None)
     def test_matches_determinants_at_order_plus_one_points(self, rows):
-        # two monic polynomials of degree n agreeing at n + 1 points are equal;
-        # at these orders the wider trailing blocks of a symmetric matrix
-        # with constant and few-valued rows take the flat form
+        # two monic polynomials of degree n agreeing at n + 1 points are equal
         m = IntMatrix(rows)
         n = m.rows
         p = IntPolynomial(berkowitz_charpoly(rows))

@@ -5,7 +5,6 @@ guards on how each kernel works."""
 import random
 import sys
 import tracemalloc
-from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +12,6 @@ from hypothesis import strategies as st
 
 from orbitspectra.exactla import (
     IntMatrix,
-    _block_plan,
-    _flat_mat_vec,
-    _value_columns,
     bareiss_echelon,
     berkowitz_charpoly,
 )
@@ -120,10 +116,10 @@ def all_products(kernel, rows):
 
 
 def direct_products(n, symmetric):
-    """entry_products of an n x n matrix whose mat-vecs all take the direct
-    form: at trailing width w, the dot products R C and R (M C) take w each
-    (R C alone when w = 1), and each mat-vec takes w^2, with w // 2
-    mat-vecs on symmetric input and w - 1 otherwise."""
+    """entry_products of an n x n matrix, one product per entry in each dot
+    product and mat-vec: at trailing width w, the dot products R C and
+    R (M C) take w each (R C alone when w = 1), and each mat-vec takes
+    w^2, with w // 2 mat-vecs on symmetric input and w - 1 otherwise."""
     total = 0
     for w in range(1, n):
         mat_vecs = w // 2 if symmetric else w - 1
@@ -210,29 +206,6 @@ def elimination_matrices(draw):
         else:
             row = draw(st.lists(entries, min_size=ncols, max_size=ncols))
         rows.append(row)
-    return rows
-
-
-@st.composite
-def two_part_matrices(draw):
-    """Symmetric matrices of order 12..30 on a few values, negatives included.
-
-    Rows 0..a-1 (part A, a > n/2) hold x among themselves and y elsewhere,
-    so an A row's most frequent value is x and a B row's is y. Other values
-    replace a drawn share of the entries, except in the last row and column:
-    in every trailing block the last row has no entry other than its y.
-    """
-    n = draw(st.integers(12, 30))
-    a = draw(st.integers(n // 2 + 1, n - 2))
-    x, y = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2, unique=True))
-    others = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3))
-    share = draw(st.floats(0.0, 0.2))
-    rng = draw(st.randoms(use_true_random=False))
-    rows = [[x if i < a and j < a else y for j in range(n)] for i in range(n)]
-    for i in range(n - 1):
-        for j in range(i, n - 1):
-            if rng.random() < share:
-                rows[i][j] = rows[j][i] = rng.choice(others)
     return rows
 
 
@@ -360,31 +333,14 @@ class TestPureKernels:
             general = entry_products(container(map(container, changed)))
             assert symmetric <= 0.6 * general, (container.__name__, symmetric, general)
 
-    def test_berkowitz_groups_few_valued_rows_only(self):
-        # a flat mat-vec multiplies one entry per row, its most frequent:
-        # lcr(8)'s rows hold 42 twos among 56 entries (0.031 of the direct
-        # count measured); cycle(9)'s rows hold five values in nine entries,
-        # and a matrix with distinct entries one value per entry, so those
-        # keep one product per entry
+    def test_berkowitz_takes_one_product_per_entry(self):
+        # every mat-vec multiplies each entry of its block once, whatever
+        # the rows hold: lcr(8)'s rows are mostly twos, cycle(9)'s hold
+        # five values in nine entries, and a 12 x 12 matrix has distinct
+        # entries and takes the general path
         d = all_pairs_distances(build_lcr(8)).entries
-        assert entry_products(d) <= 0.1 * direct_products(56, symmetric=True)
+        assert entry_products(d) == direct_products(56, symmetric=True)
         cycle = all_pairs_distances(build_cycle(9)).entries
         assert entry_products(cycle) == direct_products(9, symmetric=True)
         distinct = tuple(tuple(12 * i + j + 1 for j in range(12)) for i in range(12))
         assert entry_products(distinct) == direct_products(12, symmetric=False)
-
-    @given(two_part_matrices(), st.randoms(use_true_random=False))
-    @settings(max_examples=60, deadline=None)
-    def test_flat_mat_vec_equals_the_direct_form_in_every_block(self, rows, rng):
-        n = len(rows)
-        w0s, layout, _ = _value_columns(rows)
-        for start in range(n - 1):
-            block = [row[start + 1:] for row in rows[start + 1:]]
-            v = [rng.randint(-(2**300), 2**300) for _ in block]
-            plan = _block_plan(w0s, layout, start)
-            if plan is None:
-                # the flat form needs two gathered entries
-                kept = sum(x != w0 for row, w0 in zip(block, w0s[start + 1:]) for x in row)
-                assert kept < 2, start
-            else:
-                assert _flat_mat_vec(plan, v) == [sum(map(mul, row, v)) for row in block], start

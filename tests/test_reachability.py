@@ -10,7 +10,6 @@ fails here: delete it, or give it a caller.
 
 import inspect
 import io
-import random
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -40,20 +39,12 @@ def _invocations(tmp):
     split.write_text("p 4\ne 0 1\ne 2 3\n", encoding="utf-8")
     malformed = tmp / "malformed.edges"
     malformed.write_text("p 3\ne 0 0\n", encoding="utf-8")
-    # a seeded random graph that nothing splits: its whole D, symmetric
-    # with rows of the values 0, 1 and 2, takes Berkowitz's flat mat-vecs
-    rng = random.Random(0)
-    dense = tmp / "dense.edges"
-    dense.write_text("p 16\n" + "".join(
-        f"e {u} {v}\n" for u in range(16) for v in range(u + 1, 16) if rng.random() < 0.5
-    ), encoding="utf-8")
     hexagon = ("spectrum", "--family", "cycle", "--n", "6", "--method", "quotient-assisted")
     return [
         *(argv for invocations in STAND_INS.values() for argv in invocations),
         ("spectrum", "--family", "lcr", "--n", "5", "--format", "json"),
         ("spectrum", "--family", "line-johnson", "--n", "4", "--k", "2",
          "--method", "char-poly"),
-        ("spectrum", "--input", str(dense), "--method", "char-poly"),
         ("spectrum", "--input", str(square)),
         ("quotient", "--n", "4"),
         ("quotient", "--n", "4", "--format", "json"),
