@@ -28,35 +28,34 @@ searches from one representative per cell, and D, the quotient's
 source, is built by a full BFS only when a stage reads it, as an exact
 rank does.
 
-rank-sweep needs no group. The roots of det(xI - D) mod p in [-rho,
-rho], with multiplicity, bound D's integer eigenvalues: when they fall
-short of |V|, det(xI - D) gives the spectrum and nothing is ranked;
-otherwise every value but the last is ranked, and the last is read
-from tr D. rank-sweep and char-poly offer D's split two sources of
-involutions. First the pairing t of each row with the column of its
-largest entry, when that occurs once (on lcr(n) the coordinate swap,
-whose image is the one vertex at distance 3). Then the involutive
-automorphisms that perms.involution_candidates finds by a budgeted
+rank-sweep needs no group. It expands det(xI - D) once, and its
+integer roots in [-rho, rho] are the candidates: when a residual
+factor is left, nothing is ranked; otherwise every root but the last
+is ranked, each rank must give the root's multiplicity in det(xI - D),
+and the last root keeps what the degree leaves. rank-sweep and
+char-poly offer D's split two sources of involutions. First the
+pairing t of each row with the column of its largest entry, when that
+occurs once (on lcr(n) the coordinate swap, whose image is the one
+vertex at distance 3). Then the involutive automorphisms that
+perms.involution_candidates finds by a budgeted
 individualisation-refinement search, each commuting with those before
 it. The split checks each again and keeps k of them, and D is the
-direct sum of the 2^k isotypic blocks of their group: det(xI - D), its
-screen mod p and each rank are taken blockwise. line-johnson(7, 2)
-has no unique antipode; which involutions the search finds depends on
-the vertex numbering, and its 105 x 105 D splits into 4 blocks of order
-at most 46 as built here, 8 of order at most 22 under some relabellings.
+direct sum of the 2^k isotypic blocks of their group: det(xI - D) and
+each rank are taken blockwise. line-johnson(7, 2) has no unique
+antipode; which involutions the search finds depends on the vertex
+numbering, and its 105 x 105 D splits into 4 blocks of order at most
+46 as built here, 8 of order at most 22 under some relabellings.
 """
 
 from operator import eq, mul
 from typing import NamedTuple
 
 from orbitspectra.exactla import (
-    SCREEN_PRIME,
     Frozen,
     IntMatrix,
     IntPolynomial,
     IsotypicSplit,
     char_poly,
-    charpoly_mod,
     eigen_multiplicity,
     integer_roots,
 )
@@ -315,102 +314,43 @@ def _split_check(split, candidates, t):
     return Check("involution-split", detail)
 
 
-def _screened_range(split, rho):
-    """Integers lam in [-rho, rho] that may be eigenvalues of D, the
-    split's matrix, ascending, each as (lam, m_p(lam)), its multiplicity
-    as a root of chi_D mod p.
+def _ranked_spectrum(split, rho, checks):
+    """Spectrum of D, the split's matrix, from det(xI - D) and exact ranks
+    (rank-sweep).
 
-    chi_D mod p is the product of charpoly_mod over the split's blocks.
-    chi_D(lam) != 0 mod p implies chi_D(lam) != 0, so D - lam I is
-    nonsingular. At a survivor, synthetic division mod p finds m_p: if
-    (x - lam)^m divides chi_D over Z, it divides it mod p, so m_p(lam) is
-    at least lam's multiplicity as a root of chi_D. Integers in [-rho,
-    rho] stay distinct mod p (2 rho < p), so the m_p sum to at most |V|.
+    det(xI - D) is expanded once, over the split's blocks, and its
+    integer roots in [-rho, rho] are the candidates. When a residual
+    factor is left, D has an eigenvalue outside the integers and nothing
+    is ranked. Otherwise every root but the last is ranked over the
+    blocks, and each rank must give the root's multiplicity in det(xI -
+    D), as D is symmetric, so geometric and algebraic multiplicities
+    agree; a rank that does not raises ArithmeticError naming both. The
+    last root keeps what the degree leaves, and Spectrum checks the
+    trace. The spectrum carries the given checks, then a "ranks" check
+    naming the route.
     """
-    p = SCREEN_PRIME
-    product = IntPolynomial.one()
-    for rows in split.blocks():
-        product = product.multiply(IntPolynomial(charpoly_mod(list(rows), p)))
-    chi = [c % p for c in product.coefficients]
-    survivors = []
-    for lam in range(-rho, rho + 1):
-        value = 0
-        for c in reversed(chi):
-            value = (value * lam + c) % p
-        if value:
-            continue
-        poly, mult = chi, 0
-        while True:
-            # poly / (x - lam): the quotient, constant term first, and remainder value
-            quotient, value = [], 0
-            for c in reversed(poly):
-                value = (value * lam + c) % p
-                quotient.append(value)
-            if value:
-                break
-            poly, mult = quotient[-2::-1], mult + 1
-        survivors.append((lam, mult))
-    return survivors
-
-
-def _ranked_spectrum(split, rho, survivors, checks):
-    """Spectrum from the screen's survivors (rank-sweep), on one of two routes.
-
-    Each eigenvalue of D lies in [-rho, rho], and its multiplicity as a
-    root of chi_D, which D's symmetry makes its eigenvalue multiplicity,
-    is at most its m_p. So if the m_p sum to less than |V|, D has an
-    eigenvalue outside the integers: nothing is ranked, and
-    _residual_spectrum bounds each integer root lam of det(xI - D) by
-    m_p(lam).
-
-    Otherwise the survivors are ranked in ascending order. Once the ranked
-    multiplicities reach |V| - 1, the one eigenvalue left is real (D is
-    symmetric), an integer, mu = tr D - sum m lam, and simple: mu must be
-    a survivor not yet ranked. Ranks that reach |V| leave nothing. Ranks
-    that fall short leave det(xI - D) to supply the residual factor, and
-    its integer roots must equal the ranked pairs: a symmetric matrix's
-    geometric and algebraic multiplicities agree. Any failed requirement
-    raises ArithmeticError; each return carries the given checks, then a
-    "screen" check naming its route. Each rank and det(xI - D) are taken
-    over the split's blocks.
-    """
-    order, trace = split.matrix.rows, split.matrix.trace()
-    bound = dict(survivors)
-    count = sum(bound.values())
-    roots = f"det(xI - D) mod p: roots in [-rho, rho] with multiplicity {count}"
-    if count < order:
+    m = split.matrix
+    roots, residual = integer_roots(char_poly(m, split), bound=rho)
+    if residual.degree:
         detail = (
-            f"{roots} < |V| = {order}, so D has an eigenvalue outside the integers; "
-            "det(xI - D)'s integer roots lie among them"
+            f"det(xI - D) keeps a residual factor of degree {residual.degree}, so D has an "
+            "eigenvalue outside the integers; nothing ranked"
         )
-        return _residual_spectrum(split, rho, bound, (*checks, Check("screen", detail)))
-    pairs, ranked, remaining = [], [], order
-    for lam, _ in survivors:
-        if remaining < 2:
-            break
-        mult = eigen_multiplicity(split.matrix, lam, split)
-        ranked.append(lam)
-        if mult:
-            pairs.append((lam, mult))
-            remaining -= mult
-    detail = f"{roots} = |V|; ranked {' '.join(map(str, ranked)) or 'none'}"
-    if remaining == 1:
-        last = trace - sum(lam * m for lam, m in pairs)
-        unranked = [lam for lam, _ in survivors[len(ranked):]]
-        if last not in unranked:
-            raise ArithmeticError(
-                f"last value {last} from tr D is not among the unranked survivors {unranked}"
-            )
-        pairs.append((last, 1))
-        remaining = 0
-        detail += f"; last value {last} from tr D"
-    if remaining == 0:
-        return Spectrum(pairs, None, order, trace, (*checks, Check("screen", detail)))
-    detail += "; det(xI - D)'s integer roots equal the ranked ones"
-    spectrum = _char_poly_spectrum(split, rho, *checks, Check("screen", detail))
-    if spectrum.integer_part != tuple(pairs):
-        raise ArithmeticError("rank certification and characteristic polynomial disagree")
-    return spectrum
+    else:
+        *ranked, (last, left) = roots
+        for lam, mult in ranked:
+            rank_mult = eigen_multiplicity(m, lam, split)
+            if rank_mult != mult:
+                raise ArithmeticError(
+                    f"eigenvalue {lam}: rank gives multiplicity {rank_mult}, "
+                    f"det(xI - D) gives {mult}"
+                )
+        detail = (
+            f"det(xI - D) has integer roots only; ranked "
+            f"{' '.join(str(lam) for lam, _ in ranked) or 'none'}, each rank equal to its "
+            f"root's multiplicity; last value {last} keeps the {left} left of |V| = {m.rows}"
+        )
+    return Spectrum(roots, residual, m.rows, m.trace(), (*checks, Check("ranks", detail)))
 
 
 def _char_poly_spectrum(split, rho, *checks):
@@ -421,17 +361,17 @@ def _char_poly_spectrum(split, rho, *checks):
     return Spectrum(*integer_roots(char_poly(m, split), bound=rho), m.rows, m.trace(), checks)
 
 
-def _residual_spectrum(split, rho, bound, checks):
-    """Spectrum from det(xI - D), on a route that found an eigenvalue of
-    D outside the integers: det(xI - D) must keep a residual factor, and
-    each integer root lam a multiplicity of at most bound[lam] (absent:
-    0), or ArithmeticError. The last check names the route."""
+def _residual_spectrum(split, rho, values, checks):
+    """Spectrum from det(xI - D), on quotient-assisted's route that found
+    an eigenvalue of D outside the integers: det(xI - D) must keep a
+    residual factor, and its integer roots must lie among values, or
+    ArithmeticError. The last check names the route."""
     spectrum = _char_poly_spectrum(split, rho, *checks)
-    if spectrum.is_integral or any(m > bound.get(lam, 0) for lam, m in spectrum.integer_part):
+    if spectrum.is_integral or not set(spectrum.distinct_values) <= set(values):
         raise ArithmeticError(
             f"det(xI - D) has integer roots {list(spectrum.integer_part)}, residual degree "
             f"{spectrum.residual_degree}; the {checks[-1].name} route needs a residual and "
-            f"multiplicities within {sorted(bound.items())}"
+            f"integer roots among {sorted(values)}"
         )
     return spectrum
 
@@ -572,22 +512,19 @@ def distance_spectrum(
 ) -> Spectrum:
     """Complete exact distance spectrum of a connected graph.
 
-    rank-sweep screens every integer in [-rho, rho] (rho = max row sum,
-    a spectral radius bound) against chi_D = det(xI - D) mod a prime p,
-    with each survivor's multiplicity m_p as a root mod p: (x - lam)^m
-    dividing chi_D over Z divides it mod p, so m_p bounds lam's
-    multiplicity. If the m_p sum to less than |V|, nothing is ranked and
-    det(xI - D) gives the spectrum; otherwise the survivors are ranked
-    in ascending order up to |V| - 1, and the last value comes from tr D
-    (_ranked_spectrum). char-poly always expands det(xI - D). Both run
-    BFS and build one IsotypicSplit of D, offered the pairing t of
+    rank-sweep and char-poly both expand chi_D = det(xI - D) and read
+    its integer roots in [-rho, rho] (rho = max row sum, a spectral
+    radius bound). char-poly stops there. rank-sweep, when no residual
+    factor is left, also ranks every root but the last, and each rank
+    must give the root's multiplicity in chi_D (_ranked_spectrum). Both
+    run BFS and build one IsotypicSplit of D, offered the pairing t of
     _antipodal_involution, then the involutive automorphisms of g that
     perms.involution_candidates finds. The search only proposes: the
     split checks each candidate and keeps the involutions that commute
-    with D and pairwise. When it keeps any, the screen multiplies
-    charpoly_mod over the isotypic blocks of their group, char_poly
-    multiplies Berkowitz over them, and each rank sums their Bareiss
-    ranks, so the result is the same as on D whole; the spectrum's
+    with D and pairwise. When it keeps any, char_poly multiplies
+    Berkowitz over the isotypic blocks of their group, and each rank
+    sums their Bareiss ranks, so the result is the same as on D whole;
+    the spectrum's
     ledger then leads with an "involution-split" entry naming each
     kept involution's source, antipode or search, its fixed points and
     the block orders.
@@ -621,9 +558,7 @@ def distance_spectrum(
     when D is integral, and D's integer eigenvalues lie in S. The route
     requires det(xI - D) to have a residual factor and its integer roots
     to lie in S, or it raises ArithmeticError; its ledger entry is
-    "roots-among-quotient". rank-sweep, when its ranks fall short of
-    |V| - 1, expands det(xI - D) for the residual factor and requires
-    its integer roots to equal the ranked ones.
+    "roots-among-quotient".
 
     quotient and transitive_gens belong to quotient-assisted; passing
     either with another method, or a premise quotient-assisted misses,
@@ -642,7 +577,7 @@ def distance_spectrum(
         split = IsotypicSplit(matrix, candidates)
         checks = (_split_check(split, candidates, t),) if split.kept else ()
         if method == "rank-sweep":
-            return _ranked_spectrum(split, rho, _screened_range(split, rho), checks)
+            return _ranked_spectrum(split, rho, checks)
         return _char_poly_spectrum(split, rho, *checks)
 
     if quotient is None or transitive_gens is None:
@@ -668,7 +603,7 @@ def distance_spectrum(
     )
     d = quotient.source
     checks = (Check("roots-among-quotient", detail),)
-    return _residual_spectrum(IsotypicSplit(d), rho, dict.fromkeys(values, d.rows), checks)
+    return _residual_spectrum(IsotypicSplit(d), rho, values, checks)
 
 
 def is_distance_integral(

@@ -10,6 +10,7 @@ from collections import Counter, deque
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from operator import itemgetter, mul
 
 import pytest
 
@@ -103,6 +104,76 @@ def circulant_spectrum(n, connections):
         sum(f_d * ramanujan_sum(n // d, k) for d, (f_d,) in classes.items()) for k in range(n)
     )
     return sorted(values.items())
+
+
+# the Mersenne prime 2^61 - 1, the modulus of charpoly_mod's cross-checks
+SCREEN_PRIME = (1 << 61) - 1
+
+
+def charpoly_mod(rows, p):
+    """Characteristic polynomial of a square integer matrix modulo a prime p:
+    the mod-p oracle for Berkowitz.
+
+    Returns the monic coefficient list, constant term first. The matrix
+    is brought to upper Hessenberg form by similarity mod p (pivot
+    search, row/column swap, elimination with the matching column
+    update), then the Hessenberg recurrence builds the leading principal
+    characteristic polynomials p_1, ..., p_n (Cohen, *A Course in
+    Computational Algebraic Number Theory*, 2.2.4): O(n^3) word-size
+    operations, on a route that shares nothing with Berkowitz's.
+
+    The elementary matrices I - u_i e_i e_m^T of one elimination step
+    (i > m, one pivot row m) commute, and their product L leaves row m
+    alone. So each step first applies every row update from the
+    unchanged pivot row, then the column update of L^-1 in one pass over
+    the rows, r[m] += sum_i u_i r[i], with the rows already updated: the
+    same matrix L H L^-1 as one update pair per row.
+    """
+    n = len(rows)
+    h = [[x % p for x in row] for row in rows]
+    for m in range(1, n - 1):
+        c = m - 1
+        piv = next((i for i in range(m, n) if h[i][c]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            h[piv], h[m] = h[m], h[piv]
+            for row in h:
+                row[piv], row[m] = row[m], row[piv]
+        inv = pow(h[m][c], p - 2, p)
+        hm = h[m]
+        targets, factors = [m], [1]
+        for i in range(m + 1, n):
+            u = h[i][c] * inv % p
+            if u:
+                # row_i -= u row_m; row m itself is left as it was
+                h[i] = [(a - u * b) % p for a, b in zip(h[i], hm)]
+                targets.append(i)
+                factors.append(u)
+        if len(targets) > 1:
+            # then column_m += sum of u_i column_i, in one pass over the rows
+            gather = itemgetter(*targets)
+            for row in h:
+                row[m] = sum(map(mul, factors, gather(row))) % p
+    # polys[k] is the characteristic polynomial of the leading k x k block
+    polys = [[1]]
+    for m in range(n):
+        prev = polys[m]
+        diag = h[m][m]
+        new = [0] + prev
+        for k, x in enumerate(prev):
+            new[k] = (new[k] - diag * x) % p
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * h[i + 1][i] % p
+            if not t:
+                break
+            coef = h[i][m] * t % p
+            if coef:
+                for k, x in enumerate(polys[i]):
+                    new[k] = (new[k] - coef * x) % p
+        polys.append(new)
+    return polys[n]
 
 
 def det(m):

@@ -25,9 +25,9 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 STAND_INS = {
     "verify-lcr": (("verify-lcr", "--n", "4..5"),),
     "structure": (("quotient", "--n", "5"),),
-    # as on the workload, one integral graph and one that is not: lcr(5)
-    # ranks all but its Perron value; the heptagon's roots mod p fall
-    # short of its order, so it ranks nothing and expands det(xI - D)
+    # as on the workload, one integral graph and one that is not: both
+    # expand det(xI - D); lcr(5) then ranks all but its Perron value, and
+    # the heptagon's residual factor leaves nothing to rank
     "rank-sweep": (
         ("spectrum", "--family", "lcr", "--n", "5"),
         ("spectrum", "--family", "cycle", "--n", "7"),

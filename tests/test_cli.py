@@ -174,60 +174,17 @@ class TestSpectrumCommand:
         assert runs[0].stdout == runs[1].stdout
 
     def test_internal_disagreement_exits_three(self, capsys, monkeypatch):
-        # lcr(5)'s roots mod p cover its order, so its values are ranked;
-        # with the rank of -2 lost the ranks fall short, and det(xI - D) has -2^4
+        # lcr(5)'s det(xI - D) has only integer roots, so every one but 33
+        # is ranked; with the rank of -2 lost it disagrees with -2^4
         true_mult = spectral.eigen_multiplicity
         monkeypatch.setattr(
             spectral, "eigen_multiplicity",
             lambda m, lam, *rest: 0 if lam == -2 else true_mult(m, lam, *rest),
         )
         status, out, err = run(capsys, "spectrum", "--family", "lcr", "--n", "5")
-        assert status == 3
-        assert out == ""
-        assert err.startswith("internal error: rank certification and characteristic")
-
-    @pytest.mark.parametrize(
-        "stand_in,roots,degree",
-        [
-            # (x - 12)^2 (x^5 + 24x^4 + 1): the right order and trace, and a
-            # residual, but 12 twice where the screen found it once
-            pytest.param(
-                IntPolynomial.from_roots([12, 12]).multiply(IntPolynomial([1, 0, 0, 0, 24, 1])),
-                "[(12, 2)]", 5, id="root-above-its-multiplicity-mod-p",
-            ),
-            # (x - 12)(x + 2)^6: the right order and trace, but no residual
-            pytest.param(
-                IntPolynomial.from_roots([12] + [-2] * 6), "[(-2, 6), (12, 1)]", 0,
-                id="no-residual",
-            ),
-        ],
-    )
-    def test_det_against_the_roots_mod_p_exits_three(
-        self, capsys, monkeypatch, stand_in, roots, degree
-    ):
-        # the heptagon's one root mod p is 12, simple: 1 < 7, so D has an
-        # eigenvalue outside the integers, and det(xI - D) must agree
-        monkeypatch.setattr(spectral, "char_poly", lambda m, *rest: stand_in)
-        status, out, err = run(capsys, "spectrum", "--family", "cycle", "--n", "7")
         assert (status, out) == (3, "")
         assert err == (
-            f"internal error: det(xI - D) has integer roots {roots}, residual degree {degree}; "
-            "the screen route needs a residual and multiplicities within [(12, 1)]\n"
-        )
-
-    def test_last_value_outside_the_survivors_exits_three(self, capsys, monkeypatch):
-        # lcr(5) with -6 and 1 ranked 5 and 4, not 4 and 5: the ranks still
-        # reach |V| - 1 = 19, but tr D - sum m lam = 40, which the screen ruled out
-        true_mult = spectral.eigen_multiplicity
-        wrong = {-6: 5, 1: 4}
-        monkeypatch.setattr(
-            spectral, "eigen_multiplicity",
-            lambda m, lam, *rest: wrong.get(lam) or true_mult(m, lam, *rest),
-        )
-        status, out, err = run(capsys, "spectrum", "--family", "lcr", "--n", "5")
-        assert (status, out) == (3, "")
-        assert err == (
-            "internal error: last value 40 from tr D is not among the unranked survivors [33]\n"
+            "internal error: eigenvalue -2: rank gives multiplicity 0, det(xI - D) gives 4\n"
         )
 
     @pytest.mark.parametrize(
@@ -241,8 +198,7 @@ class TestSpectrumCommand:
                  "--transitive-gens", "(1 2 3 4 5 6 7)"),
                 "char_poly",
                 "det(xI - D) has integer roots [(-2, 1), (12, 1)], residual degree 5; "
-                "the roots-among-quotient route needs a residual and multiplicities within "
-                "[(12, 7)]",
+                "the roots-among-quotient route needs a residual and integer roots among [12]",
                 id="root-outside-the-quotients",
             ),
             # lcr(5) is integral, so a failed annihilation there is a contradiction
@@ -251,7 +207,7 @@ class TestSpectrumCommand:
                 "_annihilates",
                 "det(xI - D) has integer roots [(-6, 4), (-2, 4), (-1, 6), (1, 5), (33, 1)], "
                 "residual degree 0; the roots-among-quotient route needs a residual and "
-                "multiplicities within [(-6, 20), (-2, 20), (-1, 20), (1, 20), (33, 20)]",
+                "integer roots among [-6, -2, -1, 1, 33]",
                 id="no-residual",
             ),
         ],
@@ -283,7 +239,7 @@ class TestSpectrumCommand:
         assert (status, err) == (0, "")
         whole, split = json.loads(out), json.loads(expected)
         assert whole["eigenvalues"] == split["eigenvalues"]
-        assert [c["name"] for c in whole["checks"]] == ["screen", "spectrum-complete", "trace-zero"]
+        assert [c["name"] for c in whole["checks"]] == ["ranks", "spectrum-complete", "trace-zero"]
         assert split["checks"][0]["name"] == "involution-split"
 
     def test_broken_spectrum_invariant_exits_three(self, capsys, monkeypatch):

@@ -17,13 +17,11 @@ from hypothesis import strategies as st
 
 from orbitspectra import exactla
 from orbitspectra.exactla import (
-    SCREEN_PRIME,
     IntMatrix,
     IntPolynomial,
     IsotypicSplit,
     berkowitz_charpoly,
     char_poly,
-    charpoly_mod,
     eigen_multiplicity,
     integer_roots,
 )
@@ -42,7 +40,15 @@ from orbitspectra.spectral import (
     quotient_matrix,
 )
 
-from conftest import det, fraction_rank, rank, reflection_perm, shift_diagonal
+from conftest import (
+    SCREEN_PRIME,
+    charpoly_mod,
+    det,
+    fraction_rank,
+    rank,
+    reflection_perm,
+    shift_diagonal,
+)
 
 small_entries = st.integers(min_value=-8, max_value=8)
 

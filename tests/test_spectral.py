@@ -394,9 +394,9 @@ class TestDistanceSpectrum:
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_rank_sweep_ranks_all_but_the_last_value_or_nothing(self, data):
-        # a non-integral circulant's roots mod p fall short of its order, so
+        # a non-integral circulant's det(xI - D) keeps a residual factor, so
         # nothing is ranked; an integral one ranks every value but its
-        # Perron value, which comes from tr D
+        # Perron value, which keeps what the degree leaves
         _, g, _, gcd_classes = draw_circulant(data)
         calls = []
 
@@ -453,7 +453,8 @@ class TestDistanceSpectrum:
                 assert eigen_multiplicity(d, lam, split) == single, (lam, ts)
 
     def test_screen_leaves_one_rank_per_eigenvalue(self, monkeypatch):
-        # the ranks of -6, -2, -1 and 1 reach |V| - 1 = 19; 33 is tr D less them
+        # det(xI - D) has only integer roots: -6, -2, -1 and 1 are ranked,
+        # and 33 keeps the 1 that their multiplicities leave of |V| = 20
         calls = []
 
         def counting(matrix, lam, *rest):
@@ -466,28 +467,12 @@ class TestDistanceSpectrum:
         assert s.checks == (
             LCR5_SPLIT,
             (
-                "screen",
-                "det(xI - D) mod p: roots in [-rho, rho] with multiplicity 20 = |V|; "
-                "ranked -6 -2 -1 1; last value 33 from tr D",
+                "ranks",
+                "det(xI - D) has integer roots only; ranked -6 -2 -1 1, each rank equal to "
+                "its root's multiplicity; last value 33 keeps the 1 left of |V| = 20",
             ),
         )
         assert s == distance_spectrum(build_lcr(5), "char-poly")
-
-    def test_spurious_roots_mod_p_fall_back_to_det(self, monkeypatch):
-        # a screen that claimed 0^6 for the heptagon sends it down the
-        # ranked route; the ranks fall short, and det(xI - D) must give
-        # the ranked values as its integer roots
-        monkeypatch.setattr(
-            spectral, "_screened_range", lambda split, rho: [(0, 6), (12, 1)]
-        )
-        report = is_distance_integral(build_cycle(7))
-        assert report.spectrum == distance_spectrum(build_cycle(7), "char-poly")
-        assert report.spectrum.checks == report.checks[:2]
-        assert report.checks[0] == HEPTAGON_SPLIT
-        assert report.checks[1].detail == (
-            "det(xI - D) mod p: roots in [-rho, rho] with multiplicity 7 = |V|; ranked 0 12; "
-            "det(xI - D)'s integer roots equal the ranked ones"
-        )
 
     @pytest.mark.parametrize(
         "n,ranked,step",
@@ -809,12 +794,9 @@ class TestAntipodalSplit:
     )
     def test_split_char_poly_is_berkowitz_of_d(self, monkeypatch, g):
         d = all_pairs_distances(g)
-        rho = max(d.row_sums())
         whole = tuple(exactla.berkowitz_charpoly(d.entries))
         split = IsotypicSplit(d, [spectral._antipodal_involution(d)])
         assert split.kept == (0,)
-        screened = spectral._screened_range(split, rho)
-        assert screened == spectral._screened_range(IsotypicSplit(d), rho)
         berkowitz, _ = kernel_orders(monkeypatch)
         assert char_poly(d, split).coefficients == whole
         assert berkowitz == [d.rows // 2] * 2
@@ -897,8 +879,9 @@ class TestAntipodalSplit:
         assert (berkowitz, bareiss) == ([28, 28], [])
         del berkowitz[:]
         ranked = distance_spectrum(g, "rank-sweep")
-        # four ranks, -9, -5, -1 and 1, of two blocks each; 99 from tr D
-        assert (berkowitz, bareiss) == ([], [28] * 8)
+        # the same two expansions, then four ranks, -9, -5, -1 and 1, of two
+        # blocks each; 99 keeps what the degree leaves
+        assert (berkowitz, bareiss) == ([28, 28], [28] * 8)
         assert ranked == expanded
         assert expanded.checks[0] == ranked.checks[0] == (
             "involution-split",
@@ -907,7 +890,7 @@ class TestAntipodalSplit:
         )
 
     def test_one_split_per_d(self, monkeypatch):
-        # rank-sweep on lcr(8) checks its involutions once, for the screen
+        # rank-sweep on lcr(8) checks its involutions once, for its det(xI - D)
         # and each block of its 4 ranks; verify_lcr splits Q's det(xI - Q)
         # trivially, then builds one split of D for its rank
         built = []
@@ -1157,13 +1140,13 @@ class TestIntegralityReports:
     def test_ledger_details_come_from_the_spectrum(self):
         report = is_distance_integral(build_cycle(7), description="cycle n=7")
         assert report.spectrum.trace == 0
-        split, screen, complete, trace = report.checks
-        assert report.spectrum.checks == (split, screen)
+        split, ranks, complete, trace = report.checks
+        assert report.spectrum.checks == (split, ranks)
         assert split == HEPTAGON_SPLIT
         assert (complete.name, trace.name) == ("spectrum-complete", "trace-zero")
-        assert screen.detail == (
-            "det(xI - D) mod p: roots in [-rho, rho] with multiplicity 1 < |V| = 7, so D has "
-            "an eigenvalue outside the integers; det(xI - D)'s integer roots lie among them"
+        assert ranks.detail == (
+            "det(xI - D) keeps a residual factor of degree 6, so D has an eigenvalue outside "
+            "the integers; nothing ranked"
         )
         assert complete.detail == "multiplicities 1 + residual degree 6 = order 7"
         assert trace.detail == "weighted eigenvalue sum 0 equals trace 0"
@@ -1171,13 +1154,13 @@ class TestIntegralityReports:
     def test_ledger_names_the_integral_rank_sweep_route(self):
         report = is_distance_integral(build_lcr(5))
         assert [c.name for c in report.checks] == [
-            "involution-split", "screen", "spectrum-complete", "trace-zero",
+            "involution-split", "ranks", "spectrum-complete", "trace-zero",
         ]
         assert report.checks[0] == LCR5_SPLIT
         assert report.checks[1] == (
-            "screen",
-            "det(xI - D) mod p: roots in [-rho, rho] with multiplicity 20 = |V|; "
-            "ranked -6 -2 -1 1; last value 33 from tr D",
+            "ranks",
+            "det(xI - D) has integer roots only; ranked -6 -2 -1 1, each rank equal to "
+            "its root's multiplicity; last value 33 keeps the 1 left of |V| = 20",
         )
 
     def test_ledger_names_the_non_integral_quotient_route(self):
