@@ -5,28 +5,28 @@ equitable partition of the distance matrix, so each cell's first row
 of D gives its row of the cell-sum quotient matrix Q. Q carries
 eigenvalues of D, and when the graph is vertex-transitive and the
 partition has a singleton cell, the distinct eigenvalue sets of Q and
-D coincide. That is checked, not assumed: the product of (Q - lam I)
-over the integer roots of det(xI - Q) must send the singleton cell's
-unit vector to zero. Then the largest value is simple by
-Perron-Frobenius, the three other values of largest |lam| are solved
-exactly from the trace moments tr D^k = |V| (Q^k)_ss (k = 0, 1, 2),
-only the rest, small |lam| with large multiplicity, get an exact rank,
-and k = 3 cross-checks the result. Every split of D is one
-exactla.IsotypicSplit, built once per D from the candidates a method
-offers: it keeps the involutions that commute pairwise and with D,
-checked, and drops the rest. D - lam I keeps each isotypic component
-of their group, and one block per character ranks it there, so the
-block ranks add up to the rank of D - lam I. quotient-assisted offers
-its fixed-point-free transitive generators; on lcr(n) the coordinate
-swap and tau_n give 4 blocks. That reduces a |V| x |V| spectrum
-problem to the quotient size plus at most a few exact rank
-computations. When the product does not send e_s to zero, D has an
-eigenvalue outside the integers, and nothing is ranked: det(xI - D)
-gives the spectrum, and its integer roots must lie among those of
-det(xI - Q). A QuotientMatrix is built from its graph: quotient_matrix
-searches from one representative per cell, and D, the quotient's
-source, is built by a full BFS only when a stage reads it, as an exact
-rank does.
+D coincide. That is checked, not assumed: one pass of mat-vecs y_k =
+Q^k e_s over the singleton cell's unit vector, k = 0..|S| for S the
+integer roots of det(xI - Q), must show that the product of (Q - lam I)
+over S sends e_s to zero. The same pass gives every trace moment tr D^k
+= |V| (Q^k)_ss, and the Vandermonde system in S solves every
+multiplicity from them exactly, the largest value's included, which
+must be 1 by Perron-Frobenius. One exact rank, at the value of largest
+solved multiplicity, then checks the solve against D itself. Every
+split of D is one exactla.IsotypicSplit, built once per D from the
+candidates a method offers: it keeps the involutions that commute
+pairwise and with D, checked, and drops the rest. D - lam I keeps each
+isotypic component of their group, and one block per character ranks
+it there, so the block ranks add up to the rank of D - lam I.
+quotient-assisted offers its fixed-point-free transitive generators; on
+lcr(n) the coordinate swap and tau_n give 4 blocks, and the one rank is
+at -1. That reduces a |V| x |V| spectrum problem to the quotient size
+plus one exact rank. When the product does not send e_s to zero, D has
+an eigenvalue outside the integers, and nothing is ranked: det(xI - D)
+gives the spectrum, and its integer roots must lie among S. A
+QuotientMatrix is built from its graph: quotient_matrix searches from
+one representative per cell, and D, the quotient's source, is built by
+a full BFS only when a stage reads it, as the exact rank does.
 
 rank-sweep needs no group. It expands det(xI - D) once, and its
 integer roots in [-rho, rho] are the candidates: when a residual
@@ -294,24 +294,39 @@ def _antipodal_involution(matrix):
     return t if all(row.count(row[v]) == 1 for row, v in zip(matrix.entries, t)) else None
 
 
-def _split_check(split, candidates, t):
-    """The involution-split ledger entry of a split of D that kept an
-    involution: each kept one's source, the antipodal pairing t or the
-    search, and fixed points, then the block orders."""
-    kept = [candidates[k] for k in split.kept]
-    fixed = [sum(map(eq, s, range(len(s)))) for s in kept]
+def _split_checks(split, sources, what="det(xI - D) and each rank"):
+    """The involution-split ledger entry of a split of D, alone in a
+    tuple, or none when the split kept no involution. sources names each
+    kept one, in the order kept; the entry gives each one's fixed
+    points, then the block orders of what the split serves."""
+    if not split.kept:
+        return ()
+    # the group is led by the identity, and g_(2^i) is the i-th kept t
+    kept = [split.group[1 << i] for i in range(len(split.kept))]
     named = ", ".join(
-        f"{'antipode' if s == t else 'search'} ({f} fixed point{'s' * (f != 1)})"
-        for s, f in zip(kept, fixed)
+        f"{source} ({f} fixed point{'s' * (f != 1)})"
+        for source, f in zip(sources, (sum(map(eq, t, range(len(t)))) for t in kept))
     )
     many = len(kept) > 1
     orders = split.orders()
     detail = (
         f"{len(kept)} involution{'s' * many} commuting with D {'and pairwise ' * many}"
-        f"checked: {named}; det(xI - D) and each rank split into {len(orders)} isotypic "
+        f"checked: {named}; {what} split into {len(orders)} isotypic "
         f"blocks of orders {' '.join(map(str, orders))}"
     )
-    return Check("involution-split", detail)
+    return (Check("involution-split", detail),)
+
+
+def _rank_check(split, lam, mult, source):
+    """Rank D - lam I over the split's blocks, D the split's matrix: the
+    rank must leave mult, the multiplicity that source gives, or
+    ArithmeticError names both. D is symmetric, so geometric and
+    algebraic multiplicities agree."""
+    rank_mult = eigen_multiplicity(split.matrix, lam, split)
+    if rank_mult != mult:
+        raise ArithmeticError(
+            f"eigenvalue {lam}: rank gives multiplicity {rank_mult}, {source} gives {mult}"
+        )
 
 
 def _ranked_spectrum(split, rho, checks):
@@ -322,12 +337,10 @@ def _ranked_spectrum(split, rho, checks):
     integer roots in [-rho, rho] are the candidates. When a residual
     factor is left, D has an eigenvalue outside the integers and nothing
     is ranked. Otherwise every root but the last is ranked over the
-    blocks, and each rank must give the root's multiplicity in det(xI -
-    D), as D is symmetric, so geometric and algebraic multiplicities
-    agree; a rank that does not raises ArithmeticError naming both. The
-    last root keeps what the degree leaves, and Spectrum checks the
-    trace. The spectrum carries the given checks, then a "ranks" check
-    naming the route.
+    blocks by _rank_check, against the root's multiplicity in det(xI -
+    D). The last root keeps what the degree leaves, and Spectrum checks
+    the trace. The spectrum carries the given checks, then a "ranks"
+    check naming the route.
     """
     m = split.matrix
     roots, residual = integer_roots(char_poly(m, split), bound=rho)
@@ -339,12 +352,7 @@ def _ranked_spectrum(split, rho, checks):
     else:
         *ranked, (last, left) = roots
         for lam, mult in ranked:
-            rank_mult = eigen_multiplicity(m, lam, split)
-            if rank_mult != mult:
-                raise ArithmeticError(
-                    f"eigenvalue {lam}: rank gives multiplicity {rank_mult}, "
-                    f"det(xI - D) gives {mult}"
-                )
+            _rank_check(split, lam, mult, "det(xI - D)")
         detail = (
             f"det(xI - D) has integer roots only; ranked "
             f"{' '.join(str(lam) for lam, _ in ranked) or 'none'}, each rank equal to its "
@@ -353,7 +361,7 @@ def _ranked_spectrum(split, rho, checks):
     return Spectrum(roots, residual, m.rows, m.trace(), (*checks, Check("ranks", detail)))
 
 
-def _char_poly_spectrum(split, rho, *checks):
+def _char_poly_spectrum(split, rho, checks):
     """Spectrum from the integer roots and residual factor of det(xI - D),
     D the split's matrix, expanded over its blocks, carrying the given
     ledger entries."""
@@ -366,7 +374,7 @@ def _residual_spectrum(split, rho, values, checks):
     an eigenvalue of D outside the integers: det(xI - D) must keep a
     residual factor, and its integer roots must lie among values, or
     ArithmeticError. The last check names the route."""
-    spectrum = _char_poly_spectrum(split, rho, *checks)
+    spectrum = _char_poly_spectrum(split, rho, checks)
     if spectrum.is_integral or not set(spectrum.distinct_values) <= set(values):
         raise ArithmeticError(
             f"det(xI - D) has integer roots {list(spectrum.integer_part)}, residual degree "
@@ -376,20 +384,21 @@ def _residual_spectrum(split, rho, values, checks):
     return spectrum
 
 
-def _annihilates(q, values, cell):
-    """Whether the product of (Q - lam I) over values sends e_cell to 0.
+def _krylov(q, cell, values):
+    """One pass of y_k = Q^k e_cell, k = 0..len(values): whether the
+    product of (Q - lam I) over values sends e_cell to 0, that is
+    sum_k c_k y_k = 0 for c the coefficients of prod (x - lam), and the
+    diagonal entries (Q^k)_cell,cell, k = 0..len(values).
 
-    Exact integer mat-vecs, one per value. From DP = PQ (P the cell
-    indicator matrix) the same product of (D - lam I) then sends e_v to
-    0 for the vertex v of a singleton cell. Automorphisms commute with
-    D, so under a transitive group every column vanishes, and every
-    eigenvalue of D is among the values.
+    From DP = PQ (P the cell indicator matrix, P e_s = e_v for the
+    vertex v of a singleton cell s) the same product of (D - lam I) then
+    sends e_v to 0, and (D^k)_vv = (Q^k)_ss.
     """
-    y = [0] * q.rows
-    y[cell] = 1
-    for lam in values:
-        y = [sum(a * b for a, b in zip(row, y)) - lam * x for row, x in zip(q.entries, y)]
-    return not any(y)
+    ys = [[int(i == cell) for i in range(q.rows)]]
+    for _ in values:
+        ys.append([sum(map(mul, row, ys[-1])) for row in q.entries])
+    c = IntPolynomial.from_roots(values).coefficients
+    return not any(sum(map(mul, c, entries)) for entries in zip(*ys)), [y[cell] for y in ys]
 
 
 def _generator_split(matrix, gens):
@@ -402,109 +411,67 @@ def _generator_split(matrix, gens):
     return split, [free[i] for i in split.kept]
 
 
-def _moment_spectrum(quotient, cell, rho, values, gens):
-    """Spectrum of D, given that the ascending values hold all of spec(D).
+def _moment_spectrum(quotient, rho, values, moments, gens):
+    """Spectrum of D, given that the ascending values hold all of spec(D)
+    and moments[k] = (Q^k)_ss, k = 0..len(values).
 
-    Every value is an eigenvalue of D (Qx = lam x gives D Px = lam Px),
-    so each multiplicity is at least 1. D is the distance matrix of a
-    connected graph and invariant under transitive automorphisms: its
-    off-diagonal entries are positive, so it is irreducible, and its row
-    sums are constant, so the all-ones vector is a positive eigenvector
-    for rho and rho is the spectral radius. By Perron-Frobenius the
-    largest value is rho, with multiplicity 1.
+    Transitivity gives tr D^k = |V| (D^k)_vv = |V| (Q^k)_ss, and each
+    power sum sum_a m_a a^k = tr D^k. For k = 0..len(values) - 1 that is
+    a Vandermonde system in distinct values, with the unique solution
+    m_a = sum_k c_k tr D^k / p_a(a), p_a = prod_{b != a} (x - b) =
+    sum_k c_k x^k: m_a = |V| (E_a)_ss, E_a the Lagrange projector of Q
+    at a (Godsil, *Algebraic Combinatorics*, ch. 4). Every value is an
+    eigenvalue of D (Qx = lam x gives D Px = lam Px), so each m_a is at
+    least 1. D is the distance matrix of a connected graph and invariant
+    under transitive automorphisms: its off-diagonal entries are
+    positive, so it is irreducible, and its row sums are constant, so
+    rho is the largest value and simple by Perron-Frobenius. An inexact
+    division, a multiplicity below 1, a largest value other than rho or
+    a rho of multiplicity other than 1 raises ArithmeticError.
 
-    Every power sum sum_lam m_lam lam^k = tr D^k, k = 0..3, comes from
-    Q: transitivity gives tr D^k = |V| (D^k)_vv, and D^k P = P Q^k (from
-    DP = PQ, P the cell indicator matrix, P e_s = e_v) gives
-    (D^k)_vv = (Q^k)_ss. One loop of mat-vecs Q^k e_s yields them all;
-    D, quotient.source, is read only for the exact ranks. When a value is
-    ranked, gens, the checked transitive generators, offer their
-    fixed-point-free members to one IsotypicSplit of D, which keeps the
-    involutions that commute pairwise and with D, and each rank splits
-    D - lam I into one block per character of their group.
-
-    Of the other values, the three of largest |lam| (ties: the positive
-    one) are solved from the power sums k = 0, 1, 2, less the Perron
-    term and the ranked terms. The system is Vandermonde in distinct
-    values, so its solution is unique, and m_a = sum_k c_k r_k / p_a(a)
-    with p_a = prod_{b != a} (x - b) = sum_k c_k x^k and r_k the power
-    sums left to the solved values. Any further values get an exact
-    rank. m_lam <= tr D^2 / lam^2, so the large-|lam| values have the
-    small multiplicities, and ranking the small-|lam| ones skips the
-    near-full, costliest ranks; which values are ranked affects cost,
-    never the result.
-
-    Cross-checks, each an ArithmeticError when it fails: an inexact
-    division, a solved multiplicity below 1, and every power sum up to
-    k = 3 that the solve left unused. With four or more non-top values,
-    one wrong ranked multiplicity moves the solved ones so that the
-    power sums k = 0..2 still hold. The change lives on four distinct
-    values, whose 4 x 4 Vandermonde system is nonsingular, so the power
-    sum k = 3 then fails.
-
-    The spectrum carries the route's two ledger entries: "annihilates",
-    the degree of the product that sent e_s to 0, and "moments", the
-    Perron premise, the ranked values with their number of character
-    blocks and the generators that split them, the solved values and the
-    cubic moment.
+    One exact rank then checks the solve against D itself, at the value
+    of largest solved multiplicity (the first, of equal ones), whose
+    rank is the least and so the cheapest: quotient.source, split by the
+    fixed-point-free transitive generators in gens (_generator_split),
+    through _rank_check. The spectrum carries the route's ledger:
+    "annihilates", the degree of the product that sent e_s to 0;
+    "moments", the solve and the Perron premise; "involution-split",
+    when the split kept an involution; and "ranks", the value ranked.
     """
-    *rest, top = values
-    if top != rho:
-        raise ArithmeticError(f"largest candidate {top} is not the constant row sum {rho}")
-    by_size = sorted(rest, key=lambda lam: (abs(lam), lam))
-    solved, ranked = sorted(by_size[-3:]), sorted(by_size[:-3])
-    q, order = quotient.matrix, quotient.graph.vertex_count
-    split, kept = _generator_split(quotient.source, gens) if ranked else (None, ())
-    mult = {lam: eigen_multiplicity(split.matrix, lam, split) for lam in ranked}
-    steps = [
-        f"Perron value {top} simple (D irreducible, constant row sums)",
-        f"ranked {' '.join(map(str, ranked)) or 'none'}",
-    ]
-    if kept:
-        many = len(kept) > 1
-        steps[1] += (
-            f" ({2 ** len(kept)} character blocks under involutive"
-            f" generator{'s' * many} {', '.join(f'#{k}' for k in kept)}, "
-            f"commuting with D {'and pairwise ' * many}checked)"
-        )
-    mult[top] = 1
-    power_sums = []
-    y = [0] * q.rows
-    y[cell] = 1
-    for _ in range(4):
-        power_sums.append(order * y[cell])
-        y = [sum(map(mul, row, y)) for row in q.entries]
-    left = [
-        s - sum(m * lam**k for lam, m in mult.items()) for k, s in enumerate(power_sums)
-    ]
-    for a in solved:
-        p = IntPolynomial.from_roots(b for b in solved if b != a)
-        num, den = sum(map(mul, p.coefficients, left)), p.evaluate(a)
+    if values[-1] != rho:
+        raise ArithmeticError(f"largest candidate {values[-1]} is not the constant row sum {rho}")
+    order, mult = quotient.graph.vertex_count, {}
+    for a in values:
+        p = IntPolynomial.from_roots(b for b in values if b != a)
+        num, den = order * sum(map(mul, p.coefficients, moments)), p.evaluate(a)
         m, rem = divmod(num, den)
         if rem:
             raise ArithmeticError(f"moment solve for {a} is inexact: {num} / {den}")
         if m < 1:
             raise ArithmeticError(f"moment-solved multiplicity of {a} is {m} < 1")
         mult[a] = m
-    for k in range(len(solved), 4):
-        spare = sum(mult[a] * a**k for a in solved)
-        if spare != left[k]:
-            raise ArithmeticError(
-                f"spare moment k={k}: solved values give {spare}, tr D^{k} leaves {left[k]}"
-            )
-    used = len(solved)
-    solved_text = " ".join(f"{a}^{mult[a]}" for a in solved)
-    steps.append(f"solved {solved_text} from tr D^k, k = 0..{used - 1}" if used else "solved none")
-    if used < 3:
-        steps.append(f"spare moments k = {used}..2 agree")
-    steps.append(f"sum m lam^3 = |V| (Q^3)_ss = {power_sums[3]}")
+    if mult[rho] != 1:
+        raise ArithmeticError(f"Perron value {rho} has moment-solved multiplicity {mult[rho]}")
+    lam = max(values, key=mult.get)
+    split, kept = _generator_split(quotient.source, gens)
+    _rank_check(split, lam, mult[lam], "the moment solve")
     degree = len(values)
     annihilates = (
         f"degree-{degree} product of (Q - lam I) sends e_s to 0, "
         f"so spec(D) lies among its {degree} roots"
     )
-    checks = Check("annihilates", annihilates), Check("moments", "; ".join(steps))
-    return Spectrum(sorted(mult.items()), None, order, power_sums[1], checks)
+    moments_detail = (
+        f"solved {' '.join(f'{a}^{mult[a]}' for a in values)} from tr D^k = |V| (Q^k)_ss, "
+        f"k = 0..{degree - 1}; Perron value {rho} simple (D irreducible, constant row sums)"
+    )
+    ranks = f"ranked {lam}, of the largest solved multiplicity: its rank leaves {mult[lam]}"
+    checks = (
+        Check("annihilates", annihilates),
+        Check("moments", moments_detail),
+        *_split_checks(split, [f"generator #{k}" for k in kept], "the rank"),
+        Check("ranks", ranks),
+    )
+    return Spectrum(sorted(mult.items()), None, order, order * moments[1], checks)
 
 
 def distance_spectrum(
@@ -516,7 +483,8 @@ def distance_spectrum(
     its integer roots in [-rho, rho] (rho = max row sum, a spectral
     radius bound). char-poly stops there. rank-sweep, when no residual
     factor is left, also ranks every root but the last, and each rank
-    must give the root's multiplicity in chi_D (_ranked_spectrum). Both
+    must give the root's multiplicity in chi_D (_ranked_spectrum),
+    through the _rank_check that quotient-assisted's one rank uses. Both
     run BFS and build one IsotypicSplit of D, offered the pairing t of
     _antipodal_involution, then the involutive automorphisms of g that
     perms.involution_candidates finds. The search only proposes: the
@@ -524,10 +492,9 @@ def distance_spectrum(
     with D and pairwise. When it keeps any, char_poly multiplies
     Berkowitz over the isotypic blocks of their group, and each rank
     sums their Bareiss ranks, so the result is the same as on D whole;
-    the spectrum's
-    ledger then leads with an "involution-split" entry naming each
-    kept involution's source, antipode or search, its fixed points and
-    the block orders.
+    the spectrum's ledger then leads with an "involution-split" entry
+    naming each kept involution's source, antipode or search, its fixed
+    points and the block orders.
     quotient-assisted starts from the caller's QuotientMatrix, which
     must have been built from g itself (quotient.graph == g) over a
     singleton-cell orbit partition, and g must be vertex-transitive
@@ -538,15 +505,18 @@ def distance_spectrum(
     so rho is read from Q, and D, read through quotient.source, is built
     by BFS only for an exact rank or the residual factor. The candidates
     S are the integer roots of det(xI - Q), read from
-    quotient.char_roots, which expands it once per quotient. When the
-    product of (Q - lam I) over S annihilates the singleton cell's unit
-    vector, S holds every eigenvalue of D, and _moment_spectrum
-    certifies the multiplicities from the moments |V| (Q^k)_ss with at
-    most a few exact ranks (its "annihilates" and "moments" checks
-    record how). Its ranks share one IsotypicSplit of D, offered the
-    fixed-point-free transitive generators: it keeps the involutions
-    that commute pairwise and with D, and each rank takes D - lam I as
-    one block per character of the group they generate.
+    quotient.char_roots, which expands it once per quotient. One pass of
+    mat-vecs Q^k e_s, k = 0..|S| (_krylov), shows whether the product of
+    (Q - lam I) over S annihilates the singleton cell's unit vector e_s
+    and gives the moments (Q^k)_ss. When it annihilates, S holds every
+    eigenvalue of D, and _moment_spectrum solves every multiplicity from
+    the moments |V| (Q^k)_ss, then checks the solve with one exact rank,
+    at the value of largest multiplicity. The rank takes one
+    IsotypicSplit of D, offered the fixed-point-free transitive
+    generators: it keeps the involutions that commute pairwise and with
+    D, and the rank takes D - lam I as one block per character of the
+    group they generate. The ledger records the route as "annihilates",
+    "moments", "involution-split" (when the split kept any) and "ranks".
 
     Otherwise D has an eigenvalue outside the integers, and nothing is
     ranked: det(xI - D) gives the spectrum. Under these premises spec(D)
@@ -575,10 +545,11 @@ def distance_spectrum(
         t = _antipodal_involution(matrix)
         candidates = involution_candidates(g, matrix.entries, t)
         split = IsotypicSplit(matrix, candidates)
-        checks = (_split_check(split, candidates, t),) if split.kept else ()
+        sources = ["antipode" if candidates[k] == t else "search" for k in split.kept]
+        checks = _split_checks(split, sources)
         if method == "rank-sweep":
             return _ranked_spectrum(split, rho, checks)
-        return _char_poly_spectrum(split, rho, *checks)
+        return _char_poly_spectrum(split, rho, checks)
 
     if quotient is None or transitive_gens is None:
         raise InputError(
@@ -594,16 +565,16 @@ def distance_spectrum(
         raise InputError("orbit partition must contain a singleton cell")
     rho = max(quotient.matrix.row_sums())
     values = [lam for lam, _ in quotient.char_roots[0]]
-    if _annihilates(quotient.matrix, values, singletons[0]):
-        return _moment_spectrum(quotient, singletons[0], rho, values, transitive_gens)
+    annihilates, moments = _krylov(quotient.matrix, singletons[0], values)
+    if annihilates:
+        return _moment_spectrum(quotient, rho, values, moments, transitive_gens)
     detail = (
         f"product of (Q - lam I) over det(xI - Q)'s {len(values)} integer roots leaves e_s "
         f"nonzero, so D has an eigenvalue outside the integers; det(xI - D)'s integer roots "
         f"lie among those {len(values)}"
     )
-    d = quotient.source
     checks = (Check("roots-among-quotient", detail),)
-    return _residual_spectrum(IsotypicSplit(d), rho, values, checks)
+    return _residual_spectrum(IsotypicSplit(quotient.source), rho, values, checks)
 
 
 def is_distance_integral(
@@ -664,10 +635,10 @@ def verify_lcr(n) -> IntegralityReport:
     the distances on the quotient's source D (one BFS from every
     vertex), compares the quotient against the closed form, extracts its
     eigenvalues exactly, and certifies the distance spectrum with
-    is_distance_integral on that same quotient, whose exact rank reads
-    the same D (one quotient per n), split under the coordinate swap
-    and tau_n into 4 character blocks. The certified spectrum must equal
-    the paper's closed form
+    is_distance_integral on that same quotient, whose one exact rank, at
+    -1, reads the same D (one quotient per n), split under the
+    coordinate swap and tau_n into 4 character blocks. The certified
+    spectrum must equal the paper's closed form
     (-1-n)^(n-1) (3-n)^(n-1) (-1)^((n-1)(n-2)/2) 1^(n(n-3)/2)
     (2n^2-4n+3)^1, equal values merged; the certificate's own checks
     follow these stages in the ledger. Any mismatch raises

@@ -204,7 +204,7 @@ class TestSpectrumCommand:
             # lcr(5) is integral, so a failed annihilation there is a contradiction
             pytest.param(
                 ("lcr", "--n", "5"),
-                "_annihilates",
+                "_krylov",
                 "det(xI - D) has integer roots [(-6, 4), (-2, 4), (-1, 6), (1, 5), (33, 1)], "
                 "residual degree 0; the roots-among-quotient route needs a residual and "
                 "integer roots among [-6, -2, -1, 1, 33]",
@@ -217,7 +217,7 @@ class TestSpectrumCommand:
         stand_in = IntPolynomial.from_roots([12, -2]).multiply(IntPolynomial([1, 0, 0, 0, 10, 1]))
         stand_ins = {
             "char_poly": lambda m, *rest: stand_in if m.rows == 7 else true_char_poly(m, *rest),
-            "_annihilates": lambda q, values, cell: False,
+            "_krylov": lambda q, cell, values: (False, None),
         }
         monkeypatch.setattr(spectral, patch, stand_ins[patch])
         status, out, err = run(
@@ -256,36 +256,56 @@ class TestSpectrumCommand:
         assert err.startswith("internal error:")
 
     @pytest.mark.parametrize(
-        "wrong_mult,reason",
+        "shift,reason",
         [
-            pytest.param(0, "moment solve for -6 is inexact: 100 / 28", id="inexact-division"),
+            # one more (Q^4)_ss moves every m_a by 20 / p_a(a), and p_-6(-6) =
+            # (-6 + 2)(-6 + 1)(-6 - 1)(-6 - 33) = 5460
             pytest.param(
-                48, "moment-solved multiplicity of -2 is -31 < 1", id="solved-below-one"
+                lambda k: k == 4, "moment solve for -6 is inexact: 21860 / 5460",
+                id="inexact-division",
             ),
+            # tr D^k then drops 20 eigenvalues -2, leaving -2 with 4 - 20
             pytest.param(
-                -36, "spare moment k=3: solved values give -513, tr D^3 leaves -933",
-                id="cubic-mismatch",
+                lambda k: -(-2) ** k, "moment-solved multiplicity of -2 is -16 < 1",
+                id="solved-below-one",
+            ),
+            # 20 more eigenvalues 33 keep the solve exact and positive
+            pytest.param(
+                lambda k: 33 ** k, "Perron value 33 has moment-solved multiplicity 21",
+                id="perron-not-simple",
             ),
         ],
     )
-    def test_inconsistent_moment_solve_exits_three(self, capsys, monkeypatch, wrong_mult, reason):
-        # lcr(5) ranks only -1 (multiplicity 6) and solves -6, -2 and 1 from
-        # tr D^k, k = 0..2. Those divisions are exact only for 6 mod 42: 0
-        # leaves -6 a fraction, 48 gives -2 a negative multiplicity, and
-        # -36 solves -6, -2, 1 as 1, 39, 15, which only tr D^3 = |V| (Q^3)_ss
-        # rejects
+    def test_inconsistent_moment_solve_exits_three(self, capsys, monkeypatch, shift, reason):
+        # lcr(5) solves -6^4 -2^4 -1^6 1^5 33^1 from (Q^k)_ss, k = 0..4, and
+        # tr D^k = 20 (Q^k)_ss; each case adds shift(k) to (Q^k)_ss
+        krylov = spectral._krylov
+
+        def shifted(q, cell, values):
+            annihilates, moments = krylov(q, cell, values)
+            return annihilates, [y + shift(k) for k, y in enumerate(moments)]
+
+        monkeypatch.setattr(spectral, "_krylov", shifted)
+        status, out, err = run(
+            capsys, "spectrum", "--family", "lcr", "--n", "5", "--method", "quotient-assisted"
+        )
+        assert (status, out) == (3, "")
+        assert err == f"internal error: {reason}\n"
+
+    def test_corrupted_rank_exits_three(self, capsys, monkeypatch):
+        # the one rank, at -1, must leave the multiplicity the moments solve
         true_mult = spectral.eigen_multiplicity
         monkeypatch.setattr(
-            spectral, "eigen_multiplicity",
-            lambda m, lam, *rest: wrong_mult if lam == -1 else true_mult(m, lam, *rest),
+            spectral, "eigen_multiplicity", lambda m, lam, *rest: true_mult(m, lam, *rest) + 1
         )
         status, out, err = run(
             capsys, "spectrum", "--family", "lcr", "--n", "5", "--method", "quotient-assisted"
         )
-        assert status == 3
-        assert out == ""
-        assert err.startswith("internal error:")
-        assert reason in err
+        assert (status, out) == (3, "")
+        assert err == (
+            "internal error: eigenvalue -1: rank gives multiplicity 7, "
+            "the moment solve gives 6\n"
+        )
 
     def test_candidate_above_the_row_sum_exits_three(self, capsys, monkeypatch):
         # an extra candidate keeps the annihilation, but the largest
@@ -302,10 +322,14 @@ class TestSpectrumCommand:
         assert out == ""
         assert err == "internal error: largest candidate 20 is not the constant row sum 19\n"
 
-    def test_failed_spare_moment_exits_three(self, capsys, monkeypatch):
+    def test_forced_annihilation_on_the_heptagon_exits_three(self, capsys, monkeypatch):
         # a false annihilation leaves the heptagon's 6 irrational
-        # eigenvalues unaccounted for: tr D^0 = 7 is not 1 (Perron alone)
-        monkeypatch.setattr(spectral, "_annihilates", lambda q, values, cell: True)
+        # eigenvalues unaccounted for: 12 alone solves as tr D^0 = 7, so the
+        # Perron value is not simple
+        krylov = spectral._krylov
+        monkeypatch.setattr(
+            spectral, "_krylov", lambda q, cell, values: (True, krylov(q, cell, values)[1])
+        )
         status, out, err = run(
             capsys,
             "spectrum", "--family", "cycle", "--n", "7", "--method", "quotient-assisted",
@@ -313,9 +337,7 @@ class TestSpectrumCommand:
         )
         assert status == 3
         assert out == ""
-        assert err == (
-            "internal error: spare moment k=0: solved values give 0, tr D^0 leaves 6\n"
-        )
+        assert err == "internal error: Perron value 12 has moment-solved multiplicity 7\n"
 
     def test_inexact_root_division_exits_three(self, capsys, monkeypatch):
         # a check that python -O cannot strip: a root whose synthetic
@@ -448,8 +470,8 @@ class TestVerifyCommand:
         assert [check["name"] for check in payload[0]["checks"]] == [
             "graph-shape", "stabilizer-orbits", "orbit-sizes", "distances",
             "stabilizer-automorphisms", "quotient-closed-form", "quotient-spectrum",
-            "distance-spectrum", "annihilates", "moments", "spectrum-complete",
-            "trace-zero",
+            "distance-spectrum", "annihilates", "moments", "involution-split", "ranks",
+            "spectrum-complete", "trace-zero",
         ]
 
     def test_multiplicities_must_match_the_closed_form(self, capsys, monkeypatch):

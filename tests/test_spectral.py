@@ -388,8 +388,10 @@ class TestDistanceSpectrum:
             )
         assert s_quot == distance_spectrum(g, "char-poly")
         assert s_quot.is_integral or not gcd_classes
-        if not s_quot.is_integral:
-            assert calls == []
+        # an integral one ranks once, at its value of largest multiplicity
+        # (the least of equal ones)
+        mult = dict(s_quot.integer_part)
+        assert calls == ([max(mult, key=mult.get)] if s_quot.is_integral else [])
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
@@ -475,14 +477,26 @@ class TestDistanceSpectrum:
         assert s == distance_spectrum(build_lcr(5), "char-poly")
 
     @pytest.mark.parametrize(
-        "n,ranked,step",
+        "name,ranked",
         [
-            pytest.param(4, [], "; ranked none; ", id="lcr4-no-rank"),
-            pytest.param(5, [-1], "; ranked -1 (4 character blocks ", id="lcr5-ranks-minus-1"),
+            # 3 - n = -1 merges with -1 at n = 4: -5^3 -1^6 1^2 19^1
+            pytest.param("lcr(4)", -1, id="lcr(4)"),
+            # -1 has multiplicity (n-1)(n-2)/2, one more than 1's n(n-3)/2
+            pytest.param("lcr(5)", -1, id="lcr(5)"),
+            pytest.param("johnson(5,1)", -1, id="johnson(5,1)"),
+            pytest.param("cycle(4)", -2, id="cycle(4)"),
+            # the hexagon's -4^2 and 0^2 tie: the lesser value is ranked
+            pytest.param("cycle(6)", -4, id="cycle(6)"),
+            pytest.param("johnson(6,2)", 0, id="johnson(6,2)"),
         ],
     )
-    def test_quotient_assisted_ranks_only_small_values(self, monkeypatch, n, ranked, step):
-        # -1-n, 3-n and 1 come from tr D^k; lcr(4) has no fourth non-top value
+    def test_one_rank_at_the_largest_multiplicity(
+        self, corpus, monkeypatch, name, ranked
+    ):
+        # every multiplicity, the Perron value's included, comes from tr D^k;
+        # one rank, the least and so the cheapest, checks the solve
+        _, g, pi, gens = next(entry for entry in corpus if entry[0] == name)
+        expected = distance_spectrum(g, "rank-sweep")
         calls = []
 
         def counting(matrix, lam, *rest):
@@ -490,34 +504,19 @@ class TestDistanceSpectrum:
             return eigen_multiplicity(matrix, lam, *rest)
 
         monkeypatch.setattr(spectral, "eigen_multiplicity", counting)
-        q = lcr_quotient(n)
-        g = q.graph
         s = distance_spectrum(
-            g, "quotient-assisted", quotient=q, transitive_gens=lcr_automorphism_gens(n),
-        )
-        assert calls == ranked
-        assert [c.name for c in s.checks] == ["annihilates", "moments"]
-        assert step in s.checks[1].detail
-        assert s == distance_spectrum(g, "char-poly")
-
-    @pytest.mark.parametrize("name", ["johnson(5,1)", "cycle(4)", "johnson(6,2)"])
-    def test_few_values_check_the_spare_moments(self, corpus, name, monkeypatch):
-        # K5 has one non-top value, the others two: no rank, and the
-        # power sums the solve leaves unused must agree
-        _, g, pi, gens = next(entry for entry in corpus if entry[0] == name)
-        expected = distance_spectrum(g, "rank-sweep")
-        monkeypatch.setattr(spectral, "eigen_multiplicity", None)
-        report = is_distance_integral(
             g, "quotient-assisted", quotient=quotient_matrix(g, pi), transitive_gens=gens
         )
-        s = report.spectrum
-        used = len(s.integer_part) - 1
-        solved = " ".join(f"{v}^{m}" for v, m in s.integer_part[:-1])
-        assert used < 3
-        assert (
-            f"; ranked none; solved {solved} from tr D^k, k = 0..{used - 1}; "
-            f"spare moments k = {used}..2 agree;" in report.checks[1].detail
+        assert calls == [ranked]
+        assert max(m for _, m in s.integer_part) == dict(s.integer_part)[ranked]
+        solved = " ".join(f"{v}^{m}" for v, m in s.integer_part)
+        assert s.checks[1] == (
+            "moments",
+            f"solved {solved} from tr D^k = |V| (Q^k)_ss, k = 0..{len(s.integer_part) - 1}; "
+            f"Perron value {s.distinct_values[-1]} simple (D irreducible, constant row sums)",
         )
+        assert s.checks[-1].name == "ranks"
+        assert s.checks[-1].detail.startswith(f"ranked {ranked}, ")
         assert s == expected
 
     @pytest.mark.parametrize("n", range(4, 9))
@@ -527,9 +526,9 @@ class TestDistanceSpectrum:
         rho = max(quotient.source.row_sums())
         values = [lam for lam, _ in integer_roots(char_poly(q), bound=rho)[0]]
         cell = quotient.partition.singleton_cells()[0]
-        assert spectral._annihilates(q, values, cell)
+        assert spectral._krylov(q, cell, values)[0]
         for k in range(len(values)):
-            assert not spectral._annihilates(q, values[:k] + values[k + 1:], cell)
+            assert not spectral._krylov(q, cell, values[:k] + values[k + 1:])[0]
 
     def test_heptagon_ranks_nothing_and_keeps_the_residual(self, monkeypatch):
         # 12 does not annihilate e_s, so D has an eigenvalue outside the
@@ -568,7 +567,8 @@ class TestDistanceSpectrum:
             # swap, generator #3, alone splits lcr(5)'s 20 vertices in halves
             pytest.param(
                 "lcr5-a5-swap", [10, 10],
-                " (2 character blocks under involutive generator #3, commuting with D checked)",
+                "1 involution commuting with D checked: generator #3 (0 fixed points); the "
+                "rank split into 2 isotypic blocks of orders 10 10",
                 id="lcr5-swap-halves",
             ),
             # lcr_automorphism_gens(5): the swap #2 and tau_5 #3 fix no pair;
@@ -578,12 +578,13 @@ class TestDistanceSpectrum:
             # that are 1 on it
             pytest.param(
                 "lcr5", [6, 4, 4, 6],
-                " (4 character blocks under involutive generators #2, #3, "
-                "commuting with D and pairwise checked)",
+                "2 involutions commuting with D and pairwise checked: generator #2 (0 fixed "
+                "points), generator #3 (0 fixed points); the rank split into 4 isotypic "
+                "blocks of orders 6 4 4 6",
                 id="lcr5-four-blocks",
             ),
-            # no involution at all: no split
-            pytest.param("lcr5-a5", [20], "", id="lcr5-a5-single-block"),
+            # no involution at all: no split, and no involution-split entry
+            pytest.param("lcr5-a5", [20], None, id="lcr5-a5-single-block"),
         ],
     )
     def test_ranks_split_by_the_involutive_generator(self, monkeypatch, name, blocks, split):
@@ -609,25 +610,37 @@ class TestDistanceSpectrum:
         }[name]
         s = distance_spectrum(q.graph, "quotient-assisted", quotient=q, transitive_gens=gens)
         assert seen == blocks
-        assert f"; ranked -1{split}; " in s.checks[1].detail
+        entries = [c for c in s.checks if c.name == "involution-split"]
+        assert entries == ([] if split is None else [("involution-split", split)])
+        assert s.checks[-1] == (
+            "ranks", "ranked -1, of the largest solved multiplicity: its rank leaves 6"
+        )
         assert s == distance_spectrum(q.graph, "char-poly")
 
-    @pytest.mark.parametrize("n", range(5, 10))
+    @pytest.mark.parametrize("n", range(4, 14))
     def test_verify_lcr_ranks_four_character_blocks(self, monkeypatch, n):
         # the swap #2 and tau_n #3 fix no pair; the pair action of (1 2),
-        # #0, does, and is not offered, so the one rank is four blocks
+        # #0, does, and is not offered, so the one rank is four blocks. It
+        # is at -1, whose multiplicity (n-1)(n-2)/2 is the largest (at n = 4
+        # it also takes 3 - n's 3)
         d = all_pairs_distances(build_lcr(n))
         assert spectral._generator_split(d, lcr_automorphism_gens(n))[1] == [2, 3]
-        calls = []
+        calls, ranked = [], []
         kernel = exactla.bareiss_echelon
 
         def counting(rows):
             calls.append(n)
             return kernel(rows)
 
+        def counting_rank(matrix, lam, *rest):
+            ranked.append(lam)
+            return eigen_multiplicity(matrix, lam, *rest)
+
         monkeypatch.setattr(exactla, "bareiss_echelon", counting)
+        monkeypatch.setattr(spectral, "eigen_multiplicity", counting_rank)
         verify_lcr(n)
         assert len(calls) == 4
+        assert ranked == [-1]
 
     def test_split_keeps_commuting_involutions_in_a_group_of_at_most_the_degree(self):
         # on 12 points v, three fibres of 4 by v // 4, and involutions
@@ -1060,7 +1073,8 @@ class TestVerifier:
         assert report.spectrum.is_integral
         assert report.spectrum.distinct_values == expected
         assert all(c["pass"] is True for c in report.to_json_dict()["checks"])
-        assert report.checks[-4:] == report.spectrum.checks + report.checks[-2:]
+        route = report.spectrum.checks
+        assert report.checks[-len(route) - 2:] == route + report.checks[-2:]
 
     def test_small_n_rejected(self):
         with pytest.raises(VerificationError, match="n >= 4"):
@@ -1116,6 +1130,8 @@ class TestVerifier:
             "distance-spectrum",
             "annihilates",
             "moments",
+            "involution-split",
+            "ranks",
             "spectrum-complete",
             "trace-zero",
         ]
@@ -1186,21 +1202,28 @@ class TestIntegralityReports:
         report = is_distance_integral(
             q.graph, "quotient-assisted", quotient=q, transitive_gens=lcr_automorphism_gens(5),
         )
-        assert [c.name for c in report.checks] == [
-            "annihilates", "moments", "spectrum-complete", "trace-zero",
-        ]
-        assert report.spectrum.checks == report.checks[:2]
-        assert report.checks[0].detail == (
-            "degree-5 product of (Q - lam I) sends e_s to 0, "
-            "so spec(D) lies among its 5 roots"
+        assert report.spectrum.checks == report.checks[:4]
+        assert report.checks[:4] == (
+            (
+                "annihilates",
+                "degree-5 product of (Q - lam I) sends e_s to 0, so spec(D) lies among its "
+                "5 roots",
+            ),
+            # every multiplicity, 33's included, from tr D^k = |V| (Q^k)_ss
+            (
+                "moments",
+                "solved -6^4 -2^4 -1^6 1^5 33^1 from tr D^k = |V| (Q^k)_ss, k = 0..4; "
+                "Perron value 33 simple (D irreducible, constant row sums)",
+            ),
+            (
+                "involution-split",
+                "2 involutions commuting with D and pairwise checked: generator #2 (0 fixed "
+                "points), generator #3 (0 fixed points); the rank split into 4 isotypic "
+                "blocks of orders 6 4 4 6",
+            ),
+            ("ranks", "ranked -1, of the largest solved multiplicity: its rank leaves 6"),
         )
-        # 4(-6)^3 + 4(-2)^3 + 6(-1)^3 + 5(1)^3 + 33^3 = 35040
-        assert report.checks[1].detail == (
-            "Perron value 33 simple (D irreducible, constant row sums); "
-            "ranked -1 (4 character blocks under involutive generators #2, #3, commuting "
-            "with D and pairwise checked); solved -6^4 -2^4 1^5 from tr D^k, k = 0..2; "
-            "sum m lam^3 = |V| (Q^3)_ss = 35040"
-        )
+        assert [c.name for c in report.checks[4:]] == ["spectrum-complete", "trace-zero"]
         # one involutive generator: the swap alone, behind the A5 pair actions
         a5_swap = GeneratorSet.of(
             pair_action(Permutation.from_cycles([[0, 1, 2, 3, 4]], 5)),
@@ -1210,9 +1233,10 @@ class TestIntegralityReports:
         report = is_distance_integral(
             q.graph, "quotient-assisted", quotient=q, transitive_gens=a5_swap
         )
-        assert (
-            "; ranked -1 (2 character blocks under involutive generator #2, commuting "
-            "with D checked); " in report.checks[1].detail
+        assert report.checks[2] == (
+            "involution-split",
+            "1 involution commuting with D checked: generator #2 (0 fixed points); the rank "
+            "split into 2 isotypic blocks of orders 10 10",
         )
 
     def test_reports_and_checks_are_immutable_records(self):
@@ -1235,7 +1259,7 @@ class TestIntegralityReports:
         assert report == again and report.checks == again.checks
         assert route == again.spectrum.checks and hash(route) == hash(again.spectrum.checks)
         assert check == again.checks[0] and hash(check) == hash(again.checks[0])
-        assert route == report.checks[:2] and route[0] is check
+        assert route == report.checks[:4] and route[0] is check
         relabelled = report._replace(graph="lcr five")
         assert relabelled.graph == "lcr five" and report.graph != "lcr five"
         assert relabelled.spectrum is report.spectrum and relabelled.checks is report.checks
